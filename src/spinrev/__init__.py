@@ -57,6 +57,7 @@ from .schemes import (
     VerifyResult,
     average_coupling,
     block_diag_rotations,
+    conjugate,
     decoupling_to_inversion,
     hadamard_matrix,
     inversion_to_decoupling,

@@ -30,7 +30,6 @@ from .coupling import (
     classify_type,
     tensor_coupling,
 )
-from .rotations import sym_eig
 from .schemes import Scheme, SchemeKind, SchemeStats, scheme_stats, verify
 
 _AUDIT_SLACK = 1e-9
@@ -83,11 +82,8 @@ class BoundsAudit:
 
 def tau_lower_bound(J) -> float:
     """Overhead bound -lambda_max/lambda_min; holds for every inversion of J."""
-    J = check_coupling_matrix(J)
-    if float(np.linalg.norm(J)) == 0.0:
-        raise ValueError("zero coupling has no overhead bound")
-    lam = sym_eig(J).eigenvalues
-    return float(-lam[0] / lam[-1])
+    lam_min, lam_max = _spectral_extremes(J)
+    return -lam_max / lam_min
 
 
 def steps_lower_bound(W, A, tol: float = 1e-9) -> int:
@@ -99,13 +95,13 @@ def steps_lower_bound(W, A, tol: float = 1e-9) -> int:
     """
     W = check_weight_matrix(W)
     A = check_type_matrix(A)
-    if classify_type(A, tol) is not CouplingClass.SEMIDEFINITE:
-        raise ValueError("the n-1 step bound applies only to semidefinite type matrices")
-    if not _is_complete(W):
+    steps = _complete_graph_steps(W, classify_type(A, tol))
+    if steps is None:
         raise ValueError(
-            "the n-1 step bound is stated for the complete graph (all off-diagonal weights 1)"
+            "the n-1 step bound applies only to semidefinite type matrices "
+            "on the complete graph (all off-diagonal weights 1)"
         )
-    return W.shape[0] - 1
+    return steps
 
 
 def steps_lower_bound_case2(n: int, p: int) -> int:
@@ -132,9 +128,8 @@ def bounds_report(J, W=None, A=None, p: int | None = None, tol: float = 1e-9) ->
 
     Raw couplings (no W/A factors) get the spectral overhead bound only.
     """
-    J = check_coupling_matrix(J)
-    lam = sym_eig(J).eigenvalues
-    tau_low = float(-lam[0] / lam[-1]) if float(np.linalg.norm(J)) > 0.0 else _raise_zero()
+    lam_min, lam_max = _spectral_extremes(J)
+    tau_low = -lam_max / lam_min
     notes = [f"any inversion scheme needs overhead tau >= -lambda_max/lambda_min = {tau_low:.9g}"]
     case = None
     steps_low = 1
@@ -144,8 +139,8 @@ def bounds_report(J, W=None, A=None, p: int | None = None, tol: float = 1e-9) ->
         W = check_weight_matrix(W)
         A = check_type_matrix(A)
         case = classify_type(A, tol)
-        if case is CouplingClass.SEMIDEFINITE and _is_complete(W):
-            steps_low = W.shape[0] - 1
+        if (complete_steps := _complete_graph_steps(W, case)) is not None:
+            steps_low = complete_steps
             notes.append(
                 f"semidefinite type on the complete graph: at least n-1 = {steps_low} steps"
             )
@@ -162,14 +157,10 @@ def bounds_report(J, W=None, A=None, p: int | None = None, tol: float = 1e-9) ->
         case=case,
         tau_lower=tau_low,
         steps_lower=steps_low,
-        lambda_min=float(lam[-1]),
-        lambda_max=float(lam[0]),
+        lambda_min=lam_min,
+        lambda_max=lam_max,
         notes=tuple(notes),
     )
-
-
-def _raise_zero():
-    raise ValueError("zero coupling has no overhead bound")
 
 
 def audit_stats_against_bounds(stats: SchemeStats, W, A, tol: float = 1e-9) -> BoundsAudit:
@@ -183,11 +174,8 @@ def audit_stats_against_bounds(stats: SchemeStats, W, A, tol: float = 1e-9) -> B
     J = tensor_coupling(W, A)
     tau_low = tau_lower_bound(J)
     tau_margin = stats.tau - tau_low
-    steps_low = None
-    steps_margin = None
-    if classify_type(A, tol) is CouplingClass.SEMIDEFINITE and _is_complete(W):
-        steps_low = W.shape[0] - 1
-        steps_margin = stats.n_steps - steps_low
+    steps_low = _complete_graph_steps(W, classify_type(A, tol))
+    steps_margin = None if steps_low is None else stats.n_steps - steps_low
     passed = tau_margin >= -_AUDIT_SLACK and (steps_margin is None or steps_margin >= 0)
     return BoundsAudit(
         passed=passed,
@@ -213,6 +201,18 @@ def check_scheme_against_bounds(scheme: Scheme, W, A, tol: float = 1e-9) -> Boun
     return audit_stats_against_bounds(scheme_stats(scheme), W, A, tol)
 
 
-def _is_complete(W) -> bool:
+def _spectral_extremes(J) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of a nonzero coupling, from LAPACK eigvalsh."""
+    J = check_coupling_matrix(J)
+    if float(np.linalg.norm(J)) == 0.0:
+        raise ValueError("zero coupling has no overhead bound")
+    lam = np.linalg.eigvalsh(J)
+    return float(lam[0]), float(lam[-1])
+
+
+def _complete_graph_steps(W, case: CouplingClass) -> int | None:
+    """The step bound n-1 when a type of class `case` is semidefinite and W
+    is the complete graph (off-diagonal weights 1 to 1e-12), else None."""
     n = W.shape[0]
-    return bool(np.abs(W - (np.ones((n, n)) - np.eye(n))).max() <= 1e-12)
+    complete = np.abs(W - (np.ones((n, n)) - np.eye(n))).max() <= 1e-12
+    return n - 1 if case is CouplingClass.SEMIDEFINITE and complete else None

@@ -54,6 +54,14 @@ def _load_json(path: str):
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 
+def _write_scheme(path: str, scheme) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(scheme_to_dict(scheme), handle)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from None
+
+
 def _load_coupling(path: str):
     return coupling_from_dict(_load_json(path))
 
@@ -98,8 +106,7 @@ def cmd_synthesize(args) -> int:
     stats = scheme_stats(scheme)
     payload = {"N": stats.n_steps, "tau": stats.tau, "collective": stats.collective}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(scheme_to_dict(scheme), handle)
+        _write_scheme(args.out, scheme)
         payload["out"] = args.out
     else:
         payload["scheme"] = scheme_to_dict(scheme)
@@ -149,8 +156,7 @@ def cmd_search(args) -> int:
         )
         return 1
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(scheme_to_dict(result.scheme), handle)
+        _write_scheme(args.out, result.scheme)
     return 0
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .coupling import check_coupling_matrix, n_spins
 from .rotations import so3_to_su2
-from .schemes import Scheme, SchemeKind, block_diag_rotations, verify
+from .schemes import Scheme, SchemeKind, conjugate, verify
 
 MAX_SPINS = 10
 
@@ -100,8 +100,7 @@ def conjugation_consistency(J, rotations) -> float:
     if scale == 0.0:
         return 0.0
     v = kron_all(lift_rotations(rotations))
-    V = block_diag_rotations(rotations)
-    rotated = build_hamiltonian(V @ J @ V.T)
+    rotated = build_hamiltonian(conjugate(rotations, J))
     return operator_norm(v.conj().T @ H @ v - rotated) / scale
 
 

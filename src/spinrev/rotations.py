@@ -38,13 +38,14 @@ def check_special_unitary(u, tol: float = _UNITARY_TOL) -> np.ndarray:
 
 
 def check_rotation(R, tol: float = _ROTATION_TOL) -> np.ndarray:
-    """Validate a 3x3 rotation matrix (orthogonal with determinant +1)."""
+    """Validate a rotation (orthogonal, determinant +1) or a stack (..., 3, 3) of them."""
     R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
+    if R.ndim < 2 or R.shape[-2:] != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {R.shape}")
-    if np.abs(R.T @ R - np.eye(3)).max() > tol:
+    # written as not (err <= tol) so that a NaN error fails the check
+    if not (np.abs(np.matmul(np.swapaxes(R, -1, -2), R) - np.eye(3)).max(initial=0.0) <= tol):
         raise ValueError("matrix is not orthogonal: R^T R deviates from the identity")
-    if abs(np.linalg.det(R) - 1.0) > tol:
+    if not (np.abs(np.linalg.det(R) - 1.0).max(initial=0.0) <= tol):
         raise ValueError("orthogonal matrix has determinant -1, not a rotation")
     return R
 

@@ -61,19 +61,15 @@ class Scheme:
             raise ValueError("scheme kind must be SchemeKind.INVERSION or SchemeKind.DECOUPLING")
         if len(self.steps) == 0:
             raise ValueError("scheme needs at least one step")
-        n = None
         for step in self.steps:
             if not np.isfinite(step.t) or step.t <= 0.0:
                 raise ValueError("step times must be positive and finite")
             rots = step.rotations
             if rots.ndim != 3 or rots.shape[1:] != (3, 3):
                 raise ValueError("step rotations must have shape (n, 3, 3)")
-            if n is None:
-                n = rots.shape[0]
-            elif rots.shape[0] != n:
+            if rots.shape[0] != self.n:
                 raise ValueError("every step must address the same number of spins")
-            for R in rots:
-                check_rotation(R, tol=1e-12)
+            check_rotation(rots, tol=1e-12)
 
     @property
     def n(self) -> int:
@@ -96,13 +92,28 @@ class VerifyResult:
 
 
 def block_diag_rotations(rotations) -> np.ndarray:
-    """3n x 3n block-diagonal assembly with one 3x3 rotation per spin."""
+    """3n x 3n block-diagonal assembly, one 3x3 rotation per spin (dense reference for `conjugate`)."""
     rotations = np.asarray(rotations, dtype=float)
     n = rotations.shape[0]
     V = np.zeros((3 * n, 3 * n))
     for k in range(n):
         V[3 * k : 3 * k + 3, 3 * k : 3 * k + 3] = rotations[k]
     return V
+
+
+def conjugate(rotations, J) -> np.ndarray:
+    """V J V^T for V = block_diag_rotations(rotations), in O(n^2) per assembly.
+
+    `rotations` is (..., n, 3, 3), leading axes a batch; J is symmetric
+    3n x 3n.  Row block k of V J is R_k times row block k of J, and
+    V J V^T = V (V J)^T: two batched matmuls over (n, 3, 3n) row blocks.
+    """
+    rotations = np.asarray(rotations, dtype=float)
+    batch = rotations.shape[:-3]
+    n = rotations.shape[-3]
+    VJ = np.matmul(rotations, np.reshape(J, (n, 3, 3 * n)))
+    JVt = np.swapaxes(VJ.reshape(batch + (3 * n, 3 * n)), -1, -2)
+    return np.matmul(rotations, JVt.reshape(batch + (n, 3, 3 * n))).reshape(batch + (3 * n, 3 * n))
 
 
 def average_coupling(scheme: Scheme, J) -> np.ndarray:
@@ -114,8 +125,7 @@ def average_coupling(scheme: Scheme, J) -> np.ndarray:
         )
     out = np.zeros_like(J)
     for step in scheme.steps:
-        V = block_diag_rotations(step.rotations)
-        out += step.t * (V @ J @ V.T)
+        out += step.t * conjugate(step.rotations, J)
     return out
 
 

@@ -25,7 +25,7 @@ from .schemes import (
     Scheme,
     SchemeKind,
     Step,
-    block_diag_rotations,
+    conjugate,
     pi_rotation,
     scheme_to_dict,
     verify,
@@ -75,8 +75,7 @@ class CandidatePool:
         for assembly in self.assemblies:
             if assembly.shape != (n, 3, 3):
                 raise ValueError("every assembly must have shape (n, 3, 3)")
-            for R in assembly:
-                check_rotation(R, tol=1e-12)
+            check_rotation(assembly, tol=1e-12)
 
     @property
     def n(self) -> int:
@@ -196,29 +195,20 @@ def search_result_to_dict(result: SearchResult, seed: int | None = None) -> dict
     return out
 
 
+def _upper_blocks(M):
+    """vec of the k < l blocks of (..., 3n, 3n) matrices, pairs in row-major
+    order, as (..., 9 n(n-1)/2)."""
+    n = M.shape[-1] // 3
+    k, l = np.triu_indices(n, 1)
+    blocks = np.swapaxes(M.reshape(M.shape[:-2] + (n, 3, n, 3)), -3, -2)
+    return blocks[..., k, l, :, :].reshape(M.shape[:-2] + (-1,))
+
+
 def _upper_block_columns(J, assemblies):
     """Stack vec(V J V^T) over the k < l blocks, one column per assembly."""
-    n = n_spins(J)
-    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
-    cols = np.empty((9 * len(pairs), len(assemblies)))
-    for j, assembly in enumerate(assemblies):
-        V = block_diag_rotations(assembly)
-        M = V @ J @ V.T
-        cols[:, j] = np.concatenate(
-            [M[3 * k : 3 * k + 3, 3 * l : 3 * l + 3].ravel() for k, l in pairs]
-        )
-    return cols
-
-
-def _upper_block_target(J):
-    n = n_spins(J)
-    return -np.concatenate(
-        [
-            J[3 * k : 3 * k + 3, 3 * l : 3 * l + 3].ravel()
-            for k in range(n)
-            for l in range(k + 1, n)
-        ]
-    )
+    # kept C-ordered (rows, pool): a transposed view would change the BLAS
+    # summation order of A^T r, and with it which of tied candidates wins
+    return np.ascontiguousarray(_upper_blocks(conjugate(np.asarray(assemblies), J)).T)
 
 
 def _finalize(J, assemblies, x, rnorm, iterations, tol):
@@ -259,7 +249,7 @@ def find_inversion_nnls(J, pool: CandidatePool, tol: float = 1e-9, max_steps: in
             f"dimension mismatch: pool addresses {pool.n} spins, coupling has {n_spins(J)}"
         )
     columns = _upper_block_columns(J, pool.assemblies)
-    target = _upper_block_target(J)
+    target = -_upper_blocks(J)
     x, rnorm, iterations = nnls_active_set(columns, target, max_active=max_steps)
     return _finalize(J, pool.assemblies, x, rnorm, iterations, tol)
 
@@ -296,17 +286,16 @@ def greedy_pool_growth(
     norm = float(np.linalg.norm(J))
     assemblies = list(base_pool.assemblies)
     columns = _upper_block_columns(J, assemblies)
-    target = _upper_block_target(J)
+    target = -_upper_blocks(J)
     x, rnorm, _ = nnls_active_set(columns, target)
     growth_rounds = 0
     while rnorm * np.sqrt(2.0) / norm > target_tol and len(assemblies) < max_pool:
         resid = columns @ x - target
-        picks = rng.integers(0, len(group), size=(batch, n))
-        candidates = [group[row] for row in picks]
-        scores = _upper_block_columns(J, candidates).T @ resid
-        best = int(np.argmin(scores))
+        candidates = group[rng.integers(0, len(group), size=(batch, n))]
+        candidate_columns = _upper_block_columns(J, candidates)
+        best = int(np.argmin(candidate_columns.T @ resid))
         assemblies.append(candidates[best])
-        columns = np.column_stack([columns, _upper_block_columns(J, [candidates[best]])])
+        columns = np.column_stack([columns, candidate_columns[:, best]])
         x, new_rnorm, _ = nnls_active_set(columns, target)
         if new_rnorm > rnorm + 1e-9 * max(rnorm, 1.0):
             raise RuntimeError("NNLS objective increased while the pool grew; active-set defect")

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from spinrev import complete_weights, dipole_type, scalar_type, scheme_from_dict, verify
+from spinrev import axis_cycle, complete_weights, dipole_type, scalar_type, scheme_from_dict, verify
 from spinrev.cli import main
 
 
@@ -139,6 +139,21 @@ class TestVerify:
         code, _ = run(capsys, ["verify", "--coupling", coupling, "--scheme", scheme])
         assert code == 2
 
+    def test_nan_rotation_exits_two(self, files, capsys):
+        _, write = files
+        coupling = write("c.json", coupling_doc(2, dipole_type()))
+        rotation = axis_cycle()
+        rotation[2, 1] = np.nan
+        scheme = write(
+            "s.json",
+            {"kind": "inversion", "n": 2, "steps": [{"t": 1.0, "rotations": [rotation.tolist()] * 2}]},
+        )
+        code = main(["verify", "--coupling", coupling, "--scheme", scheme])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "not orthogonal" in captured.err
+
     def test_raw_coupling_is_accepted(self, files, capsys):
         tmp, write = files
         factored = write("f.json", coupling_doc(3, dipole_type()))
@@ -269,6 +284,20 @@ class TestInputDiscipline:
     def test_unreadable_file(self, capsys):
         code, _ = run(capsys, ["classify", "--coupling", "/nonexistent/file.json"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command,A",
+        [("synthesize", dipole_type()), ("search", scalar_type())],
+    )
+    def test_unwritable_out_exits_two(self, files, capsys, command, A):
+        tmp, write = files
+        path = write("c.json", coupling_doc(2, A))
+        out_path = str(tmp / "missing-dir" / "s.json")
+        code = main([command, "--coupling", path, "--out", out_path])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot write")
+        assert len(err.splitlines()) == 1
 
     def test_malformed_json(self, files, capsys):
         tmp, _ = files

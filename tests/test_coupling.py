@@ -14,7 +14,12 @@ from spinrev import (
     sym_eig,
     tensor_coupling,
 )
-from spinrev.coupling import check_coupling_matrix, classification_margins
+from spinrev.coupling import (
+    check_coupling_matrix,
+    check_type_matrix,
+    check_weight_matrix,
+    classification_margins,
+)
 
 from helpers import random_rotation, random_weights
 
@@ -149,6 +154,7 @@ class TestJsonInput:
             ({"n": 2, "J": np.eye(6).tolist()}, "diagonal blocks"),
             ({"n": 3, "J": np.zeros((6, 6)).tolist()}, '"J" must be 9x9'),
             ({"n": 2, "W": [[0, "x"], [1, 0]], "A": np.eye(3).tolist()}, "numeric"),
+            ({"n": 2, "W": [[0, np.nan], [np.nan, 0]], "A": np.eye(3).tolist()}, "non-finite"),
         ],
     )
     def test_errors_name_the_violated_invariant(self, data, fragment):
@@ -162,3 +168,25 @@ def test_check_coupling_matrix_rejects_asymmetry():
     J[0, 3] = 1.0
     with pytest.raises(ValueError, match="not symmetric"):
         check_coupling_matrix(J)
+
+
+def _with_entries(M, value, *positions):
+    M = np.array(M, dtype=float)
+    for pos in positions:
+        M[pos] = value
+    return M
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "check,M,positions",
+    [
+        (check_weight_matrix, complete_weights(3), ((0, 1), (1, 0))),
+        (check_type_matrix, scalar_type(), ((0, 2), (2, 0))),
+        (check_coupling_matrix, tensor_coupling(complete_weights(2), scalar_type()), ((0, 4), (4, 0))),
+    ],
+)
+def test_validators_reject_non_finite_entries(check, M, positions, value):
+    # symmetric placement: NaN and inf - inf slip through a symmetry check
+    with pytest.raises(ValueError, match="non-finite"):
+        check(_with_entries(M, value, *positions))

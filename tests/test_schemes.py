@@ -9,11 +9,14 @@ from spinrev import (
     Step,
     average_coupling,
     axis_cycle,
+    block_diag_rotations,
     complete_weights,
+    conjugate,
     decoupling_to_inversion,
     dipole_type,
     hadamard_matrix,
     inversion_to_decoupling,
+    octahedral_group,
     pi_rotation,
     scalar_type,
     scheme_from_dict,
@@ -50,6 +53,14 @@ class TestSchemeModel:
         bad = identity_steps(2)
         bad[0, 0, 0] = 2.0
         with pytest.raises(ValueError, match="orthogonal"):
+            Scheme(SchemeKind.INVERSION, (Step(1.0, bad),))
+
+    def test_rejects_nan_rotation(self):
+        # NaN compares false against any tolerance, so a NaN in place of a
+        # zero of a permutation matrix must still fail the orthogonality test
+        bad = np.tile(axis_cycle(), (2, 1, 1))
+        bad[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="not orthogonal"):
             Scheme(SchemeKind.INVERSION, (Step(1.0, bad),))
 
     def test_rejects_mismatched_spin_counts(self):
@@ -105,6 +116,39 @@ class TestAverageCoupling:
             rhs = alpha * average_coupling(s, J1) + beta * average_coupling(s, J2)
             scale = max(np.abs(lhs).max(), 1.0)
             assert np.abs(lhs - rhs).max() <= 1e-10 * scale
+
+
+class TestConjugate:
+    def test_exact_against_dense_assembly_for_octahedral_rotations(self):
+        rng = np.random.default_rng(71)
+        group = octahedral_group()
+        for n in (2, 3, 6):
+            J = random_coupling(rng, n)
+            for _ in range(5):
+                rotations = group[rng.integers(0, len(group), size=n)]
+                V = block_diag_rotations(rotations)
+                assert np.array_equal(conjugate(rotations, J), V @ J @ V.T)
+
+    def test_matches_dense_assembly_for_haar_rotations(self):
+        rng = np.random.default_rng(72)
+        for n in (2, 4, 7):
+            J = random_coupling(rng, n)
+            rotations = np.stack([random_rotation(rng) for _ in range(n)])
+            V = block_diag_rotations(rotations)
+            gap = np.abs(conjugate(rotations, J) - V @ J @ V.T).max()
+            assert gap <= 1e-15 * np.linalg.norm(J)
+
+    def test_batched_call_equals_per_item_calls(self):
+        rng = np.random.default_rng(73)
+        n = 4
+        J = random_coupling(rng, n)
+        rotations = np.stack([random_rotation(rng) for _ in range(2 * 3 * n)]).reshape(2, 3, n, 3, 3)
+        batched = conjugate(rotations, J)
+        assert batched.shape == (2, 3, 3 * n, 3 * n)
+        for i in range(2):
+            for j in range(3):
+                gap = np.abs(batched[i, j] - conjugate(rotations[i, j], J)).max()
+                assert gap <= 1e-15 * np.linalg.norm(J)
 
 
 class TestVerify:

@@ -113,6 +113,12 @@ class TestPools:
         for x, y in zip(a.assemblies, b.assemblies):
             assert np.array_equal(x, y)
 
+    def test_user_pool_rejects_nan_rotation(self):
+        bad = np.tile(axis_cycle(), (2, 1, 1))
+        bad[0, 2, 1] = np.nan
+        with pytest.raises(ValueError, match="not orthogonal"):
+            user_pool([bad])
+
     def test_user_and_merge(self):
         pool = merge_pools(pair_pi_pool(2), collective_cyclic_pool(2))
         assert len(pool.assemblies) == 8
@@ -203,6 +209,19 @@ class TestGreedyGrowth:
             return json.dumps(search_result_to_dict(result, seed=42), sort_keys=True)
 
         assert run() == run()
+
+    def test_pinned_four_spin_heisenberg_run(self):
+        # complete-graph candidate scores tie exactly, so the winner depends
+        # on the summation order of the scoring product; a change of the
+        # column layout shows up here as a different scheme
+        seed = 434751714
+        J = tensor_coupling(complete_weights(4), scalar_type())
+        base = merge_pools(pair_pi_pool(4), collective_cyclic_pool(4), seed=seed)
+        result = greedy_pool_growth(J, base)
+        assert result.scheme is not None
+        assert result.tau == pytest.approx(9.396004395763269, rel=1e-9)
+        assert len(result.scheme.steps) == 54
+        assert result.iterations == 44
 
     def test_result_reverifies_at_reported_residual(self):
         J = tensor_coupling(complete_weights(2), scalar_type())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .bounds import bounds_report
@@ -55,11 +56,17 @@ def _load_json(path: str):
 
 
 def _write_scheme(path: str, scheme) -> None:
+    """Write through a temp file beside `path` and `os.replace`: never half-written."""
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(tmp, "w", encoding="utf-8") as handle:
             json.dump(scheme_to_dict(scheme), handle)
+        os.replace(tmp, path)
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc}") from None
+    finally:
+        if os.path.lexists(tmp):
+            os.unlink(tmp)
 
 
 def _load_coupling(path: str):
@@ -149,14 +156,14 @@ def cmd_search(args) -> int:
     result = greedy_pool_growth(
         coupling.J, pool, target_tol=args.tol, max_pool=args.max_pool, seed=args.seed
     )
+    if args.out and result.scheme is not None:
+        _write_scheme(args.out, result.scheme)
     _emit(search_result_to_dict(result, seed=args.seed))
     if result.scheme is None:
         _diag(
             f"search exhausted its pool budget (best residual {result.residual:.3g} > tol {args.tol:g})"
         )
         return 1
-    if args.out:
-        _write_scheme(args.out, result.scheme)
     return 0
 
 

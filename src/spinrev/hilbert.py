@@ -104,15 +104,20 @@ def conjugation_consistency(J, rotations) -> float:
     return operator_norm(v.conj().T @ H @ v - rotated) / scale
 
 
-def evolve(H, t: float) -> np.ndarray:
-    """Unitary exp(-i H t) through a Hermitian eigendecomposition."""
+def _hermitian_eigh(H):
+    """(eigenvalues, eigenvectors) of a Hermitian matrix; rejects anything else."""
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
     scale = float(np.abs(H).max()) if H.size else 0.0
     if np.abs(H - H.conj().T).max() > 1e-12 * max(scale, 1.0):
         raise ValueError("evolution needs a Hermitian generator")
-    lam, U = np.linalg.eigh(H)
+    return np.linalg.eigh(H)
+
+
+def evolve(H, t: float) -> np.ndarray:
+    """Unitary exp(-i H t) through a Hermitian eigendecomposition."""
+    lam, U = _hermitian_eigh(H)
     return (U * np.exp(-1j * lam * t)) @ U.conj().T
 
 
@@ -126,9 +131,16 @@ def run_cycle(J, scheme: Scheme, epsilon: float, tol: float = 1e-9) -> np.ndarra
     coupling, whose cycle is trivially the identity.  The sign choice of
     each spin-1/2 lift cancels in the conjugation.
     """
-    J = check_coupling_matrix(J)
     if epsilon < 0.0:
         raise ValueError("epsilon must be non-negative")
+    return next(_simulate(J, scheme, [epsilon], tol))[0]
+
+
+def _simulate(J, scheme, epsilons, tol):
+    """Gate a simulation, then yield (cycle, exp(+i H eps)) per eps from one
+    H = U diag(lam) U^dag: step j is F_j exp(-i lam t_j eps) F_j^dag, with
+    F_j = v_j^dag U rebuilt per eps so one 2^n x 2^n frame is alive at a time."""
+    J = check_coupling_matrix(J)
     if scheme.kind is not SchemeKind.INVERSION:
         raise ValueError("cycle simulation expects an inversion scheme")
     if float(np.linalg.norm(J)) > 0.0:
@@ -137,15 +149,14 @@ def run_cycle(J, scheme: Scheme, epsilon: float, tol: float = 1e-9) -> np.ndarra
             raise ValueError(
                 f"scheme does not invert this coupling (residual {result.residual:.3g}); refusing to simulate"
             )
-    return _cycle(build_hamiltonian(J), scheme, epsilon)
-
-
-def _cycle(H, scheme, epsilon):
-    C = np.eye(H.shape[0], dtype=complex)
-    for step in scheme.steps:
-        v = kron_all(lift_rotations(step.rotations))
-        C = (v.conj().T @ evolve(H, step.t * epsilon) @ v) @ C
-    return C
+    lam, U = _hermitian_eigh(build_hamiltonian(J))
+    lifts = [lift_rotations(step.rotations) for step in scheme.steps]
+    for eps in epsilons:
+        C = np.eye(U.shape[0], dtype=complex)
+        for step, lift in zip(scheme.steps, lifts):
+            F = kron_all(lift).conj().T @ U
+            C = ((F * np.exp(-1j * lam * (step.t * eps))) @ F.conj().T) @ C
+        yield C, (U * np.exp(1j * lam * eps)) @ U.conj().T
 
 
 @dataclass(frozen=True)
@@ -185,20 +196,7 @@ def error_scaling(J, scheme: Scheme, epsilons, tol: float = 1e-9) -> ErrorScalin
         raise ValueError("need at least three epsilon values")
     if any(e <= 0.0 for e in eps_list) or len(set(eps_list)) != len(eps_list):
         raise ValueError("epsilon values must be positive and distinct")
-    J = check_coupling_matrix(J)
-    if scheme.kind is not SchemeKind.INVERSION:
-        raise ValueError("error scaling expects an inversion scheme")
-    if float(np.linalg.norm(J)) > 0.0:
-        result = verify(scheme, J, tol)
-        if not result.ok:
-            raise ValueError(
-                f"scheme does not invert this coupling (residual {result.residual:.3g}); refusing to simulate"
-            )
-    H = build_hamiltonian(J)
-    errors = []
-    for eps in eps_list:
-        cycle = _cycle(H, scheme, eps)
-        errors.append(operator_norm(cycle - evolve(H, -eps)))
+    errors = [operator_norm(cycle - forward) for cycle, forward in _simulate(J, scheme, eps_list, tol)]
     exact = all(err < _EXACT_CUTOFF for err in errors)
     slope = None
     usable = [(e, err) for e, err in zip(eps_list, errors) if _FIT_FLOOR <= err <= _FIT_CEILING]

@@ -240,17 +240,16 @@ def selective_decoupling(n: int, axis: str = "z") -> Scheme:
     """
     if n < 2:
         raise ValueError("need at least 2 spins")
+    stack = _sign_fragment(n, axis)
+    return Scheme(SchemeKind.DECOUPLING, tuple(Step(1.0 / len(stack), rots) for rots in stack))
+
+
+def _sign_fragment(n: int, axis: str) -> np.ndarray:
+    """(m, n, 3, 3) step rotations of the fragment described in `selective_decoupling`."""
     m = 1 << (n - 1).bit_length()
-    H = hadamard_matrix(m)
-    P = pi_rotation(axis)
-    steps = []
-    for c in range(m):
-        rotations = np.tile(np.eye(3), (n, 1, 1))
-        for k in range(n):
-            if H[k, c] < 0:
-                rotations[k] = P
-        steps.append(Step(1.0 / m, rotations))
-    return Scheme(SchemeKind.DECOUPLING, tuple(steps))
+    stack = np.tile(np.eye(3), (m, n, 1, 1))
+    stack[hadamard_matrix(m)[:n].T < 0] = pi_rotation(axis)
+    return stack
 
 
 def synthesize_case2(W, A, tol: float = 1e-9) -> Scheme:
@@ -287,9 +286,8 @@ def synthesize_case2(W, A, tol: float = 1e-9) -> Scheme:
         pivot = min(opposite, key=lambda b: (-abs(lam[b]), b))
         frame = Q @ _plane_quarter_turn(pivot, target)
         scale = abs(a / lam[pivot])
-        for step in selective_decoupling(n, AXES[pivot]).steps:
-            rotations = np.matmul(np.matmul(frame, step.rotations), Q.T)
-            steps.append(Step(step.t * scale, rotations))
+        stack = np.matmul(np.matmul(frame, _sign_fragment(n, AXES[pivot])), Q.T)
+        steps.extend(Step(1.0 / len(stack) * scale, rots) for rots in stack)
     return Scheme(SchemeKind.INVERSION, tuple(steps))
 
 

@@ -299,6 +299,34 @@ class TestInputDiscipline:
         assert err.startswith("error: cannot write")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "command,A",
+        [("synthesize", dipole_type()), ("search", scalar_type())],
+    )
+    def test_unwritable_out_prints_nothing(self, files, capsys, command, A):
+        tmp, write = files
+        path = write("c.json", coupling_doc(2, A))
+        code, out = run(capsys, [command, "--coupling", path, "--out", str(tmp / "missing-dir" / "s.json")])
+        assert code == 2
+        assert out == ""
+
+    def test_failed_out_write_leaves_old_file(self, files, capsys, monkeypatch):
+        tmp, write = files
+        path = write("c.json", coupling_doc(2, dipole_type()))
+        out_path = tmp / "s.json"
+        out_path.write_bytes(b"previous scheme")
+
+        def partial_dump(obj, handle):
+            handle.write('{"kind": "inver')
+            raise OSError("disk full")
+
+        monkeypatch.setattr("spinrev.cli.json.dump", partial_dump)
+        code, out = run(capsys, ["synthesize", "--coupling", path, "--out", str(out_path)])
+        assert code == 2
+        assert out == ""
+        assert out_path.read_bytes() == b"previous scheme"
+        assert sorted(p.name for p in tmp.iterdir()) == ["c.json", "s.json"]
+
     def test_malformed_json(self, files, capsys):
         tmp, _ = files
         path = tmp / "broken.json"

@@ -22,6 +22,7 @@ from spinrev import (
     run_cycle,
     scalar_type,
     synthesize_case1,
+    synthesize_case2,
     tensor_coupling,
 )
 
@@ -244,12 +245,59 @@ class TestErrorScaling:
         with pytest.raises(ValueError, match="distinct"):
             error_scaling(J, scheme, [0.1, 0.1, 0.05])
 
+    def test_unverified_scheme_is_rejected(self):
+        J = tensor_coupling(complete_weights(2), scalar_type())
+        scheme = Scheme(SchemeKind.INVERSION, (Step(1.0, np.tile(np.eye(3), (2, 1, 1))),))
+        with pytest.raises(ValueError, match="does not invert"):
+            error_scaling(J, scheme, [0.2, 0.1, 0.05])
+
+    def test_many_step_class_two_matches_hand_built_product(self):
+        W = complete_weights(4)
+        A = np.diag([2.0, 1.0, -1.0])
+        J = tensor_coupling(W, A)
+        scheme = synthesize_case2(W, A)
+        assert len(scheme.steps) == 12
+        eps_list = [0.2, 0.1, 0.05, 0.025]
+        H = build_hamiltonian(J)
+        expected = []
+        for eps in eps_list:
+            product = np.eye(16, dtype=complex)
+            for step in scheme.steps:
+                v = kron_all(lift_rotations(step.rotations))
+                product = (v.conj().T @ evolve(H, step.t * eps) @ v) @ product
+            expected.append(operator_norm(product - evolve(H, -eps)))
+        errors = error_scaling(J, scheme, eps_list).errors
+        assert np.allclose(errors, expected, rtol=1e-12, atol=0.0)
+
     def test_serialization(self):
         W, J = seeded_dipole_3()
         scheme = synthesize_case1(W, dipole_type())
         data = error_scaling(J, scheme, [0.2, 0.1, 0.05, 0.025]).to_dict()
         assert set(data) == {"epsilons", "errors", "slope", "exact"}
         assert len(data["errors"]) == 4
+
+
+@pytest.mark.parametrize(
+    "simulate",
+    [
+        lambda J, scheme: error_scaling(J, scheme, [0.2, 0.1, 0.05, 0.025]),
+        lambda J, scheme: run_cycle(J, scheme, 0.1),
+    ],
+    ids=["error_scaling", "run_cycle"],
+)
+def test_one_eigendecomposition_per_hamiltonian(monkeypatch, simulate):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(M):
+        calls.append(M.shape)
+        return eigh(M)
+
+    W, J = seeded_dipole_3()
+    scheme = synthesize_case1(W, dipole_type())
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    simulate(J, scheme)
+    assert calls == [(8, 8)]
 
 
 def test_operator_norm_matches_svd():

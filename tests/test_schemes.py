@@ -28,6 +28,8 @@ from spinrev import (
     tensor_coupling,
     verify,
 )
+from spinrev import schemes
+from spinrev.rotations import check_rotation
 
 from helpers import random_coupling, random_rotation, random_scheme, random_weights
 
@@ -398,6 +400,20 @@ class TestSynthesizeCase2:
     def test_rejects_semidefinite(self):
         with pytest.raises(ValueError, match="both signs"):
             synthesize_case2(complete_weights(3), scalar_type())
+
+    def test_validates_each_rotation_once(self, monkeypatch):
+        # the Hadamard fragments are plain rotation stacks; only the final
+        # Scheme validates, so N steps of n spins pass N * n rotations
+        validated = []
+
+        def counting(R, *args, **kwargs):
+            validated.append(np.asarray(R).reshape(-1, 3, 3).shape[0])
+            return check_rotation(R, *args, **kwargs)
+
+        monkeypatch.setattr(schemes, "check_rotation", counting)
+        n = 5
+        scheme = synthesize_case2(random_weights(np.random.default_rng(42), n), np.diag([2.0, 1.0, -1.0]))
+        assert sum(validated) == len(scheme.steps) * n
 
 
 class TestSchemeStats:

@@ -4,7 +4,7 @@ Subcommands: classify, synthesize, verify, bounds, search, simulate.
 Machine-readable JSON goes to stdout, human diagnostics to stderr.
 Exit codes: 0 success, 1 domain failure (verification failed, no
 constructive scheme for the coupling class, search exhausted its budget),
-2 invalid input.
+2 invalid input, 3 internal defect (a self-check of the program failed).
 """
 
 from __future__ import annotations
@@ -231,6 +231,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _diag(f"error: {exc}")
         return 2
+    except RuntimeError as exc:
+        _diag(f"error: internal defect: {exc}")
+        return 3
 
 
 if __name__ == "__main__":

@@ -131,42 +131,64 @@ def nnls_active_set(A, b, dual_tol: float = 1e-12, max_active: int | None = None
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
         raise ValueError("incompatible least-squares dimensions")
+    x, rnorm, iterations, _ = _lawson_hanson(A, b, (), dual_tol, max_active)
+    return x, rnorm, iterations
+
+
+def _lawson_hanson(A, b, prior, dual_tol: float = 1e-12, max_active: int | None = None):
+    """The `nnls_active_set` loop, replaying `prior`, the path of a solve on A's leading columns.
+
+    Returns (x, residual_norm, iterations, path); the path holds one
+    (entering column, x, passive mask) per insertion, after its inner
+    loop.  That loop depends only on the columns entered so far, so while
+    they match `prior` step for step its recorded state, padded with
+    zeros, is reused: the result is bit-identical to a cold solve.
+    """
     ncols = A.shape[1]
     x = np.zeros(ncols)
     passive = np.zeros(ncols, dtype=bool)
     resid = b.copy()
     w_scale = max(float(np.abs(A.T @ b).max()), np.finfo(float).tiny)
     limit = ncols if max_active is None else min(max_active, ncols)
-    iterations = 0
+    path = []
+    replaying = True
     for _ in range(3 * ncols + 10):
         w = A.T @ resid
         w = np.where(passive, -np.inf, w)
         j = int(np.argmax(w))
         if w[j] <= dual_tol * w_scale or int(passive.sum()) >= limit:
             break
-        passive[j] = True
-        iterations += 1
-        while True:
-            trial = np.zeros(ncols)
-            sol, *_ = np.linalg.lstsq(A[:, passive], b, rcond=None)
-            trial[passive] = sol
-            if trial[passive].min() > 0.0:
-                x = trial
-                break
-            blocking = passive & (trial <= 0.0)
-            gaps = x[blocking] - trial[blocking]
-            # a variable sitting at zero with a zero trial value blocks at
-            # alpha = 0 (it gets dropped below) rather than dividing 0/0
-            ratios = np.where(gaps > 0.0, x[blocking] / np.where(gaps > 0.0, gaps, 1.0), 0.0)
-            alpha = float(ratios.min())
-            x = x + alpha * (trial - x)
-            dropped = passive & (x <= 1e-14 * max(float(x.max()), 1.0))
-            x[dropped] = 0.0
-            passive[dropped] = False
-            if not passive.any():
-                break
+        step = len(path)
+        replaying = replaying and step < len(prior) and prior[step][0] == j
+        if replaying:
+            _, x_prior, passive_prior = prior[step]
+            pad = ncols - x_prior.size
+            x = np.concatenate([x_prior, np.zeros(pad)])
+            passive = np.concatenate([passive_prior, np.zeros(pad, dtype=bool)])
+        else:
+            passive[j] = True
+            while True:
+                trial = np.zeros(ncols)
+                sol, *_ = np.linalg.lstsq(A[:, passive], b, rcond=None)
+                trial[passive] = sol
+                if trial[passive].min() > 0.0:
+                    x = trial
+                    break
+                blocking = passive & (trial <= 0.0)
+                gaps = x[blocking] - trial[blocking]
+                # a variable sitting at zero with a zero trial value blocks at
+                # alpha = 0 (it gets dropped below) rather than dividing 0/0
+                ratios = np.where(gaps > 0.0, x[blocking] / np.where(gaps > 0.0, gaps, 1.0), 0.0)
+                alpha = float(ratios.min())
+                x = x + alpha * (trial - x)
+                dropped = passive & (x <= 1e-14 * max(float(x.max()), 1.0))
+                x[dropped] = 0.0
+                passive[dropped] = False
+                if not passive.any():
+                    break
+        path.append((j, x, passive.copy()))
         resid = b - A @ x
-    return x, float(np.linalg.norm(resid)), iterations
+    return x, float(np.linalg.norm(resid)), len(path), path
 
 
 @dataclass(frozen=True)
@@ -269,7 +291,9 @@ def greedy_pool_growth(
     times are re-solved.  Each pool is a superset of the previous one, so
     the objective cannot increase (asserted per iteration); runs are
     reproducible for a fixed seed (the base pool's seed when none is
-    given).  `iterations` counts growth rounds.
+    given).  Each re-solve replays the previous round's active-set path
+    up to the first insertion that differs, with a result bit-identical
+    to a cold solve.  `iterations` counts growth rounds.
     """
     J = check_coupling_matrix(J)
     if float(np.linalg.norm(J)) == 0.0:
@@ -287,7 +311,7 @@ def greedy_pool_growth(
     assemblies = list(base_pool.assemblies)
     columns = _upper_block_columns(J, assemblies)
     target = -_upper_blocks(J)
-    x, rnorm, _ = nnls_active_set(columns, target)
+    x, rnorm, _, path = _lawson_hanson(columns, target, ())
     growth_rounds = 0
     while rnorm * np.sqrt(2.0) / norm > target_tol and len(assemblies) < max_pool:
         resid = columns @ x - target
@@ -296,7 +320,7 @@ def greedy_pool_growth(
         best = int(np.argmin(candidate_columns.T @ resid))
         assemblies.append(candidates[best])
         columns = np.column_stack([columns, candidate_columns[:, best]])
-        x, new_rnorm, _ = nnls_active_set(columns, target)
+        x, new_rnorm, _, path = _lawson_hanson(columns, target, path)
         if new_rnorm > rnorm + 1e-9 * max(rnorm, 1.0):
             raise RuntimeError("NNLS objective increased while the pool grew; active-set defect")
         rnorm = new_rnorm

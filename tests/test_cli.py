@@ -154,6 +154,24 @@ class TestVerify:
         assert captured.out == ""
         assert "not orthogonal" in captured.err
 
+    @pytest.mark.parametrize("offset,code", [(1e-14, 0), (1e-10, 2)])
+    def test_scheme_rotations_are_checked_at_1e_12(self, files, capsys, offset, code):
+        # spinrev writes exact float64 rotations, so scheme files are held to
+        # 1e-12 rather than the 1e-9 default of check_rotation
+        _, write = files
+        coupling = write("c.json", coupling_doc(2, dipole_type()))
+        cycle = axis_cycle()
+        perturbed = cycle.copy()
+        perturbed[0, 0] += offset
+        steps = [
+            {"t": 1.0, "rotations": [perturbed.tolist(), cycle.tolist()]},
+            {"t": 1.0, "rotations": [(cycle @ cycle).tolist()] * 2},
+        ]
+        scheme = write("s.json", {"kind": "inversion", "n": 2, "steps": steps})
+        assert main(["verify", "--coupling", coupling, "--scheme", scheme]) == code
+        if code == 2:
+            assert "not orthogonal" in capsys.readouterr().err
+
     def test_raw_coupling_is_accepted(self, files, capsys):
         tmp, write = files
         factored = write("f.json", coupling_doc(3, dipole_type()))
@@ -326,6 +344,23 @@ class TestInputDiscipline:
         assert out == ""
         assert out_path.read_bytes() == b"previous scheme"
         assert sorted(p.name for p in tmp.iterdir()) == ["c.json", "s.json"]
+
+    def test_defect_exits_three_without_traceback(self, files, capsys, monkeypatch):
+        _, write = files
+        path = write("c.json", coupling_doc(2, scalar_type()))
+
+        def defective(*args, **kwargs):
+            raise RuntimeError("NNLS objective increased while the pool grew; active-set defect")
+
+        monkeypatch.setattr("spinrev.cli.greedy_pool_growth", defective)
+        code = main(["search", "--coupling", path])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: internal defect: NNLS objective increased while the pool grew; active-set defect"
+        ]
+        assert "Traceback" not in captured.err
 
     def test_malformed_json(self, files, capsys):
         tmp, _ = files

@@ -26,7 +26,7 @@ from spinrev import (
     user_pool,
     verify,
 )
-from spinrev.search import CandidatePool, PoolSource
+from spinrev.search import CandidatePool, PoolSource, _lawson_hanson
 
 
 class TestOctahedralGroup:
@@ -94,6 +94,50 @@ class TestNnls:
         x, rnorm, _ = nnls_active_set(A, 2.0 * col)
         assert np.abs(x - [2.0, 0.0, 0.0]).max() <= 1e-12
         assert rnorm <= 1e-12
+
+
+class TestPathReplay:
+    @staticmethod
+    def drop_steps(path):
+        """Insertions whose inner loop dropped a variable from the passive set."""
+        sizes = [0] + [int(passive.sum()) for _, _, passive in path]
+        return [s for s in range(len(path)) if sizes[s + 1] < sizes[s] + 1]
+
+    @staticmethod
+    def shared_prefix(prior, path):
+        """Number of leading insertions that entered the same columns."""
+        shared = 0
+        for (j_prior, _, _), (j, _, _) in zip(prior, path):
+            if j_prior != j:
+                break
+            shared += 1
+        return shared
+
+    def test_grown_problems_match_a_cold_solve_bit_for_bit(self):
+        rng = np.random.default_rng(64)
+        mid_path_entries = replayed_drops = 0
+        for _ in range(30):
+            rows, cols = int(rng.integers(6, 12)), int(rng.integers(8, 16))
+            A = rng.normal(size=(rows, cols))
+            b = rng.normal(size=rows)
+            *_, path = _lawson_hanson(np.ascontiguousarray(A[:, :2]), b, ())
+            for k in range(3, cols + 1):
+                grown = np.ascontiguousarray(A[:, :k])
+                x, rnorm, iterations, new_path = _lawson_hanson(grown, b, path)
+                x_cold, rnorm_cold, iterations_cold = nnls_active_set(grown, b)
+                assert np.array_equal(x, x_cold)
+                assert rnorm == rnorm_cold
+                assert iterations == iterations_cold
+                shared = self.shared_prefix(path, new_path)
+                if 0 < shared < len(path) and new_path[shared][0] == k - 1:
+                    mid_path_entries += 1
+                if any(s < shared for s in self.drop_steps(path)):
+                    replayed_drops += 1
+                path = new_path
+        # the problems must cover a new column entering after a replayed
+        # prefix, and a replayed insertion whose inner loop dropped a variable
+        assert mid_path_entries > 0
+        assert replayed_drops > 0
 
 
 class TestPools:
@@ -222,6 +266,24 @@ class TestGreedyGrowth:
         assert result.tau == pytest.approx(9.396004395763269, rel=1e-9)
         assert len(result.scheme.steps) == 54
         assert result.iterations == 44
+
+    def test_pinned_run_replays_the_previous_path(self, monkeypatch):
+        # a cold re-solve per growth round makes 1,165 lstsq calls here;
+        # replaying the previous round's path up to where it diverges, 275
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return lstsq(*args, **kwargs)
+
+        seed = 434751714
+        J = tensor_coupling(complete_weights(4), scalar_type())
+        base = merge_pools(pair_pi_pool(4), collective_cyclic_pool(4), seed=seed)
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        result = greedy_pool_growth(J, base)
+        assert result.iterations == 44
+        assert len(calls) <= 300
 
     def test_result_reverifies_at_reported_residual(self):
         J = tensor_coupling(complete_weights(2), scalar_type())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -79,12 +80,9 @@ def _load_scheme(path: str):
 
 def _parse_eps(text: str) -> list[float]:
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"--eps must be a comma-separated float list, got {text!r}") from None
-    if len(values) < 3 or any(v <= 0.0 for v in values) or len(set(values)) != len(values):
-        raise ValueError("--eps needs at least three positive, distinct values")
-    return values
 
 
 def cmd_classify(args) -> int:
@@ -225,8 +223,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "tol", 1.0) <= 0.0:
-            raise ValueError("--tol must be positive")
+        # written as not (0 < tol < inf) so that a NaN tolerance fails the check
+        if not (0.0 < getattr(args, "tol", 1.0) < math.inf):
+            raise ValueError("--tol must be finite and positive")
         return args.func(args)
     except ValueError as exc:
         _diag(f"error: {exc}")

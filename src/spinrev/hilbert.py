@@ -9,6 +9,7 @@ quadratic in eps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,8 +132,8 @@ def run_cycle(J, scheme: Scheme, epsilon: float, tol: float = 1e-9) -> np.ndarra
     coupling, whose cycle is trivially the identity.  The sign choice of
     each spin-1/2 lift cancels in the conjugation.
     """
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be non-negative")
+    if not (0.0 <= epsilon < math.inf):
+        raise ValueError("epsilon must be finite and non-negative")
     return next(_simulate(J, scheme, [epsilon], tol))[0]
 
 
@@ -194,8 +195,9 @@ def error_scaling(J, scheme: Scheme, epsilons, tol: float = 1e-9) -> ErrorScalin
     eps_list = [float(e) for e in epsilons]
     if len(eps_list) < 3:
         raise ValueError("need at least three epsilon values")
-    if any(e <= 0.0 for e in eps_list) or len(set(eps_list)) != len(eps_list):
-        raise ValueError("epsilon values must be positive and distinct")
+    # written as not (0 < e < inf) so that a NaN value fails the check
+    if not all(0.0 < e < math.inf for e in eps_list) or len(set(eps_list)) != len(eps_list):
+        raise ValueError("epsilon values must be finite, positive and distinct")
     errors = [operator_norm(cycle - forward) for cycle, forward in _simulate(J, scheme, eps_list, tol)]
     exact = all(err < _EXACT_CUTOFF for err in errors)
     slope = None

@@ -1,9 +1,10 @@
 """Rotation and small-matrix algebra.
 
 The two-to-one correspondence between spin-1/2 unitaries and rotations of
-Pauli coefficient vectors, the named rotations the pulse constructions are
-built from, and a deterministic cyclic-Jacobi eigensolver for the small
-real symmetric matrices that show up in coupling analysis.
+Pauli coefficient vectors (the lift to SU(2) by Shepperd's quaternion
+rule), the named rotations the pulse constructions are built from, and a
+LAPACK symmetric eigensolver with a canonical, deterministic eigenframe
+for the real symmetric matrices that show up in coupling analysis.
 """
 
 from __future__ import annotations
@@ -71,48 +72,26 @@ def su2_to_so3(u) -> np.ndarray:
 def so3_to_su2(R) -> np.ndarray:
     """One of the two spin-1/2 preimages of a Bloch-sphere rotation.
 
-    The rotation angle is taken in [0, pi]; for half turns, where both
-    axis signs describe the same rotation, the axis with non-negative z
-    (then y, then x) component is chosen.  The other preimage is the
-    negative; every downstream use conjugates with the result, so the
-    sign never matters.
+    The unit quaternion (x, y, z, w) of R, with the result
+    w 1 + i (x sigma_x + y sigma_y + z sigma_z), is read off the symmetric
+    matrix 4 q q^T, which is linear in R (Shepperd's rule): its column with
+    the largest diagonal entry, divided by twice that entry's square root.
+    Which of the two preimages comes back is whatever the rule gives;
+    every downstream use conjugates with the result, so the sign never
+    matters.
     """
-    R = check_rotation(R)
-    cos_angle = float(np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0))
-    antisym = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    # sin from the antisymmetric part keeps the angle accurate where the
-    # trace alone would lose half the precision (near half turns)
-    angle = float(np.arctan2(0.5 * np.linalg.norm(antisym), cos_angle))
-    if angle < 1e-12:
-        return np.eye(2, dtype=complex)
-    if angle < np.pi - 1e-4:
-        axis = antisym / (2.0 * np.sin(angle))
-    else:
-        # Near a half turn the antisymmetric part degenerates; recover the
-        # axis from R + R^T = 2 cos(angle) 1 + 2 (1 - cos(angle)) n n^T.
-        outer = (0.5 * (R + R.T) - cos_angle * np.eye(3)) / (1.0 - cos_angle)
-        i = int(np.argmax(np.diag(outer)))
-        axis = outer[:, i] / np.sqrt(max(outer[i, i], 0.0))
-        if np.linalg.norm(antisym) > 1e-9:
-            if float(antisym @ axis) < 0.0:
-                axis = -axis
-        else:
-            axis = _canonical_half_turn_axis(axis)
-    axis = axis / np.linalg.norm(axis)
-    half = 0.5 * angle
-    return np.cos(half) * np.eye(2, dtype=complex) + 1j * np.sin(half) * (
-        axis[0] * SIGMA_X + axis[1] * SIGMA_Y + axis[2] * SIGMA_Z
+    (xx, xy, xz), (yx, yy, yz), (zx, zy, zz) = check_rotation(R)
+    M = np.array(
+        [
+            [1.0 + xx - yy - zz, xy + yx, xz + zx, zy - yz],
+            [xy + yx, 1.0 - xx + yy - zz, yz + zy, xz - zx],
+            [xz + zx, yz + zy, 1.0 - xx - yy + zz, yx - xy],
+            [zy - yz, xz - zx, yx - xy, 1.0 + xx + yy + zz],
+        ]
     )
-
-
-def _canonical_half_turn_axis(axis):
-    # fix the sign so the first of (z, y, x) components that is nonzero is positive
-    for c in (2, 1, 0):
-        if axis[c] > 1e-12:
-            return axis
-        if axis[c] < -1e-12:
-            return -axis
-    return axis
+    k = int(np.argmax(np.diag(M)))
+    x, y, z, w = M[:, k] / (2.0 * np.sqrt(M[k, k]))
+    return w * np.eye(2, dtype=complex) + 1j * (x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
 
 
 def axis_cycle() -> np.ndarray:
@@ -149,76 +128,26 @@ class SymSpectrum:
     eigenvectors: np.ndarray
 
 
-_OFF_DIAGONAL_TARGET = 1e-13
-_MAX_SWEEPS = 100
+def sym_eig(M) -> SymSpectrum:
+    """Eigendecomposition of a real symmetric matrix (LAPACK ``eigh``), in canonical form.
 
-
-def sym_eig(M, sym_tol: float = 1e-12) -> SymSpectrum:
-    """Eigendecomposition of a real symmetric matrix by cyclic Jacobi sweeps.
-
-    Sweeps run over the upper triangle in row-major order until the
-    off-diagonal Frobenius norm drops below 1e-13 * ||M||_F, so equal
-    inputs always take the identical rotation path.  Eigenvalues come
-    back descending (stable under ties); the eigenvector matrix Q
-    satisfies Q diag(lam) Q^T ~ M and det(Q) = +1, the sign being fixed
-    on the last column.
+    Each eigenvector column is signed so that its largest-magnitude entry
+    is positive; columns are ordered by descending eigenvalue, ties broken
+    by the row of that entry; the last column is negated if needed so that
+    det(Q) = +1.  Q diag(lam) Q^T ~ M.  On a diagonal input this is the
+    permuted identity in stable-descending order, whatever order LAPACK
+    returns tied eigenvalues in.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    scale = float(np.linalg.norm(M))
-    if np.abs(M - M.T).max() > sym_tol * max(scale, 1.0):
+    if np.abs(M - M.T).max() > 1e-12 * max(float(np.linalg.norm(M)), 1.0):
         raise ValueError("matrix is not symmetric")
-    n = M.shape[0]
-    A = 0.5 * (M + M.T)
-    Q = np.eye(n)
-    if scale > 0.0:
-        _jacobi_sweeps(A, Q, scale)
-    lam = np.diag(A).copy()
-    order = np.argsort(-lam, kind="stable")
-    lam = lam[order]
-    Q = Q[:, order]
+    lam, Q = np.linalg.eigh(M)
+    lead = np.argmax(np.abs(Q), axis=0)
+    Q = Q * np.sign(Q[lead, np.arange(len(lam))])
+    order = np.lexsort((lead, -lam))
+    lam, Q = lam[order], Q[:, order]
     if np.linalg.det(Q) < 0.0:
         Q[:, -1] = -Q[:, -1]
     return SymSpectrum(lam, Q)
-
-
-def _jacobi_sweeps(A, Q, scale):
-    n = A.shape[0]
-    target = _OFF_DIAGONAL_TARGET * scale
-    skip = target / (2.0 * n)
-    for _ in range(_MAX_SWEEPS):
-        off = A - np.diag(np.diag(A))
-        if np.linalg.norm(off) <= target:
-            return
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                _rotate(A, Q, p, q, c, s)
-    raise RuntimeError("Jacobi iteration did not converge")
-
-
-def _rotate(A, Q, p, q, c, s):
-    col_p = A[:, p].copy()
-    col_q = A[:, q].copy()
-    A[:, p] = c * col_p - s * col_q
-    A[:, q] = s * col_p + c * col_q
-    row_p = A[p, :].copy()
-    row_q = A[q, :].copy()
-    A[p, :] = c * row_p - s * row_q
-    A[q, :] = s * row_p + c * row_q
-    A[p, q] = 0.0
-    A[q, p] = 0.0
-    qp = Q[:, p].copy()
-    qq = Q[:, q].copy()
-    Q[:, p] = c * qp - s * qq
-    Q[:, q] = s * qp + c * qq

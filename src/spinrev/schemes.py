@@ -354,5 +354,9 @@ def scheme_from_dict(data) -> Scheme:
             raise ValueError(
                 f"step must list one 3x3 rotation per spin (expected shape {(n, 3, 3)}, got {rotations.shape})"
             )
-        steps.append(Step(float(entry["t"]), rotations))
+        try:
+            t = float(entry["t"])
+        except (TypeError, ValueError):
+            raise ValueError('step "t" must be a number') from None
+        steps.append(Step(t, rotations))
     return Scheme(kind, tuple(steps))

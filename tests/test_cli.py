@@ -182,11 +182,13 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
-    def test_nonpositive_tolerance_exits_two(self, files, capsys):
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_nonpositive_tolerance_exits_two(self, files, capsys, tol):
         _, write = files
         path = write("c.json", coupling_doc(2, dipole_type()))
-        code, _ = run(capsys, ["classify", "--coupling", path, "--tol", "-1"])
+        code, out = run(capsys, ["classify", "--coupling", path, "--tol", tol])
         assert code == 2
+        assert out == ""
 
 
 class TestBounds:
@@ -297,6 +299,17 @@ class TestSimulate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("eps", ["nan,0.1,0.05", "inf,0.1,0.05"])
+    def test_non_finite_eps_exits_two(self, files, capsys, eps):
+        tmp, write = files
+        path = write("c.json", coupling_doc(3, dipole_type()))
+        run(capsys, ["synthesize", "--coupling", path, "--out", str(tmp / "s.json")])
+        code = main(["simulate", "--coupling", path, "--scheme", str(tmp / "s.json"), "--eps", eps])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: epsilon values must be finite, positive and distinct"]
+
 
 class TestInputDiscipline:
     def test_unreadable_file(self, capsys):
@@ -360,6 +373,20 @@ class TestInputDiscipline:
         assert captured.err.splitlines() == [
             "error: internal defect: NNLS objective increased while the pool grew; active-set defect"
         ]
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("t", [None, [1]], ids=["null", "list"])
+    def test_non_numeric_step_time_exits_two(self, files, capsys, t):
+        _, write = files
+        coupling = write("c.json", coupling_doc(2, dipole_type()))
+        scheme = write(
+            "s.json",
+            {"kind": "inversion", "n": 2, "steps": [{"t": t, "rotations": [np.eye(3).tolist()] * 2}]},
+        )
+        code = main(["verify", "--coupling", coupling, "--scheme", scheme])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines() == ['error: step "t" must be a number']
         assert "Traceback" not in captured.err
 
     def test_malformed_json(self, files, capsys):

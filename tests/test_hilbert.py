@@ -156,6 +156,13 @@ class TestRunCycle:
         C = run_cycle(tensor_coupling(W, dipole_type()), scheme, 0.0)
         assert np.abs(C - np.eye(4)).max() <= 1e-12
 
+    @pytest.mark.parametrize("epsilon", [-0.1, float("nan"), float("inf")])
+    def test_epsilon_must_be_finite_and_non_negative(self, epsilon):
+        W, J = seeded_dipole_3()
+        scheme = synthesize_case1(W, dipole_type())
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            run_cycle(J, scheme, epsilon)
+
     def test_zero_coupling_gives_identity(self):
         scheme = Scheme(SchemeKind.INVERSION, (Step(1.0, np.tile(np.eye(3), (2, 1, 1))),))
         C = run_cycle(np.zeros((6, 6)), scheme, 0.3)
@@ -244,6 +251,9 @@ class TestErrorScaling:
             error_scaling(J, scheme, [0.1, 0.05])
         with pytest.raises(ValueError, match="distinct"):
             error_scaling(J, scheme, [0.1, 0.1, 0.05])
+        for bad in ([float("nan"), 0.1, 0.05], [float("inf"), 0.1, 0.05]):
+            with pytest.raises(ValueError, match="finite"):
+                error_scaling(J, scheme, bad)
 
     def test_unverified_scheme_is_rejected(self):
         J = tensor_coupling(complete_weights(2), scalar_type())

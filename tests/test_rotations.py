@@ -1,4 +1,7 @@
-"""Rotation algebra: Bloch map, its inverse, named rotations, Jacobi solver."""
+"""Rotation algebra: Bloch map, its Shepperd-rule inverse, named rotations,
+and the canonical eigenframe of the LAPACK symmetric eigensolver."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from spinrev import (
     sym_eig,
 )
 from spinrev.rotations import SIGMA_X, SIGMA_Z
+from spinrev.search import octahedral_group
 
 from helpers import random_rotation
 
@@ -93,6 +97,23 @@ class TestSo3ToSu2:
         with pytest.raises(ValueError, match="determinant"):
             so3_to_su2(np.diag([1.0, 1.0, -1.0]))
 
+    def test_round_trip_to_rounding_on_octahedral_rotations(self):
+        group = octahedral_group()
+        assert len(group) == 24
+        for R in group:
+            assert np.abs(su2_to_so3(so3_to_su2(R)) - R).max() <= 2e-15
+
+    def test_round_trip_to_rounding_near_half_turns_and_tiny_angles(self):
+        # pi - 2e-4 and pi - 1e-3 are where an axis/angle recovery divides
+        # the antisymmetric part by a small sin(angle) and loses digits
+        rng = np.random.default_rng(17)
+        angles = (np.pi, np.pi - 1e-9, np.pi - 1e-6, np.pi - 1e-4, np.pi - 2e-4, np.pi - 1e-3, 1e-9)
+        for _ in range(50):
+            axis = rng.normal(size=3)
+            for angle in angles:
+                R = rotation_about(axis, angle)
+                assert np.abs(su2_to_so3(so3_to_su2(R)) - R).max() <= 2e-15
+
 
 class TestAxisCycle:
     def test_cycles_the_axes(self):
@@ -153,6 +174,32 @@ class TestSymEig:
         spec = sym_eig(np.zeros((4, 4)))
         assert np.array_equal(spec.eigenvalues, np.zeros(4))
         assert np.array_equal(spec.eigenvectors, np.eye(4))
+
+    @pytest.mark.parametrize(
+        "diagonal",
+        [(1.0, 1.0, -2.0), (2.0, 1.0, -1.0), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)],
+        ids=["dipole", "class2", "identity", "zero"],
+    )
+    def test_diagonal_inputs_give_the_permuted_identity(self, diagonal):
+        for perm in itertools.permutations(diagonal):
+            d = np.array(perm)
+            order = np.argsort(-d, kind="stable")
+            expected = np.eye(3)[:, order]
+            if np.linalg.det(expected) < 0.0:
+                expected[:, -1] = -expected[:, -1]
+            spec = sym_eig(np.diag(d))
+            assert np.array_equal(spec.eigenvalues, d[order])
+            assert np.array_equal(spec.eigenvectors, expected)
+
+    def test_canonical_signs_and_orientation(self):
+        rng = np.random.default_rng(18)
+        for n in (3, 6):
+            for _ in range(20):
+                M = rng.normal(size=(n, n))
+                Q = sym_eig(M + M.T).eigenvectors
+                lead = Q[np.argmax(np.abs(Q), axis=0), np.arange(n)]
+                assert np.all(lead[:-1] > 0.0)
+                assert abs(np.linalg.det(Q) - 1.0) <= 1e-12
 
 
 def test_rotation_about_rejects_zero_axis():

@@ -19,6 +19,7 @@ from .bounds import bounds_report
 from .coupling import CouplingClass, classification_margins, classify_type, coupling_from_dict
 from .hilbert import error_scaling
 from .schemes import (
+    _scheme_json_chunks,
     scheme_from_dict,
     scheme_stats,
     scheme_to_dict,
@@ -61,7 +62,8 @@ def _write_scheme(path: str, scheme) -> None:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(scheme_to_dict(scheme), handle)
+            for chunk in _scheme_json_chunks(scheme):
+                handle.write(chunk)
         os.replace(tmp, path)
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc}") from None

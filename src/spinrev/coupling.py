@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -175,7 +176,7 @@ def coupling_from_dict(data) -> CouplingInput:
     if "n" not in data:
         raise ValueError('coupling file is missing "n"')
     n = data["n"]
-    if not isinstance(n, int) or n < 2:
+    if type(n) is not int or n < 2:
         raise ValueError('"n" must be an integer >= 2')
     if "W" in data or "A" in data:
         if "W" not in data or "A" not in data:
@@ -199,6 +200,22 @@ def coupling_from_dict(data) -> CouplingInput:
 
 def _as_matrix(value, name):
     try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+        M = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f'"{name}" must be a rectangular numeric array') from None
+    _check_json_numbers(value, M.ndim, f'"{name}"')
+    return M
+
+
+def _check_json_numbers(value, ndim: int, field: str) -> None:
+    """Reject any leaf of a regular ndim-deep nested list that is not a JSON
+    number.  float() and np.asarray(..., dtype=float) read true as 1.0 and
+    "2.5" as 2.5, and bool is an int subclass, so the test is on exact
+    types, in one pass over the leaves."""
+    leaves = [value] if ndim == 0 else value
+    for _ in range(ndim - 1):
+        leaves = chain.from_iterable(leaves)
+    if not set(map(type, leaves)) <= {int, float}:
+        raise ValueError(
+            f"{field} must be a number" if ndim == 0 else f"{field} must hold only numbers, not booleans or strings"
+        )

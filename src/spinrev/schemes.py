@@ -14,12 +14,14 @@ left to the numerical search module.
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coupling import (
     CouplingClass,
+    _check_json_numbers,
     check_coupling_matrix,
     check_type_matrix,
     check_weight_matrix,
@@ -326,6 +328,16 @@ def scheme_to_dict(scheme: Scheme) -> dict:
     }
 
 
+def _scheme_json_chunks(scheme: Scheme):
+    """`json.dumps(scheme_to_dict(scheme))` in pieces: the head, then one
+    C-encoded step at a time, so a large scheme is never one nested list."""
+    yield f'{{"kind": {json.dumps(scheme.kind.value)}, "n": {scheme.n}, "steps": ['
+    for i, step in enumerate(scheme.steps):
+        chunk = json.dumps({"t": float(step.t), "rotations": step.rotations.tolist()})
+        yield chunk if i == 0 else ", " + chunk
+    yield "]}"
+
+
 def scheme_from_dict(data) -> Scheme:
     """Parse the scheme JSON form; unknown keys are ignored."""
     if not isinstance(data, dict):
@@ -338,7 +350,7 @@ def scheme_from_dict(data) -> Scheme:
     except ValueError:
         raise ValueError('scheme "kind" must be "inversion" or "decoupling"') from None
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError('scheme "n" must be a positive integer')
     if not isinstance(data["steps"], list) or not data["steps"]:
         raise ValueError('scheme "steps" must be a non-empty list')
@@ -348,15 +360,17 @@ def scheme_from_dict(data) -> Scheme:
             raise ValueError('each step needs "t" and "rotations"')
         try:
             rotations = np.asarray(entry["rotations"], dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError("step rotations must be numeric 3x3 matrices") from None
         if rotations.shape != (n, 3, 3):
             raise ValueError(
                 f"step must list one 3x3 rotation per spin (expected shape {(n, 3, 3)}, got {rotations.shape})"
             )
+        _check_json_numbers(entry["rotations"], 3, "step rotations")
+        _check_json_numbers(entry["t"], 0, 'step "t"')
         try:
             t = float(entry["t"])
-        except (TypeError, ValueError):
-            raise ValueError('step "t" must be a number') from None
+        except OverflowError:  # an integer beyond float range
+            raise ValueError("step times must be positive and finite") from None
         steps.append(Step(t, rotations))
     return Scheme(kind, tuple(steps))

@@ -347,11 +347,23 @@ class TestInputDiscipline:
         out_path = tmp / "s.json"
         out_path.write_bytes(b"previous scheme")
 
-        def partial_dump(obj, handle):
-            handle.write('{"kind": "inver')
-            raise OSError("disk full")
+        real_open = open
 
-        monkeypatch.setattr("spinrev.cli.json.dump", partial_dump)
+        def open_failing_second_write(file, mode="r", **kwargs):
+            handle = real_open(file, mode, **kwargs)
+            if "w" in mode:
+                write, calls = handle.write, []
+
+                def second_write_fails(text):
+                    calls.append(text)
+                    if len(calls) == 2:
+                        raise OSError("disk full")
+                    return write(text)
+
+                handle.write = second_write_fails
+            return handle
+
+        monkeypatch.setattr("spinrev.cli.open", open_failing_second_write, raising=False)
         code, out = run(capsys, ["synthesize", "--coupling", path, "--out", str(out_path)])
         assert code == 2
         assert out == ""
@@ -375,7 +387,7 @@ class TestInputDiscipline:
         ]
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("t", [None, [1]], ids=["null", "list"])
+    @pytest.mark.parametrize("t", [None, [1], True, "2.5"], ids=["null", "list", "true", "string"])
     def test_non_numeric_step_time_exits_two(self, files, capsys, t):
         _, write = files
         coupling = write("c.json", coupling_doc(2, dipole_type()))

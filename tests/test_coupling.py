@@ -155,6 +155,12 @@ class TestJsonInput:
             ({"n": 3, "J": np.zeros((6, 6)).tolist()}, '"J" must be 9x9'),
             ({"n": 2, "W": [[0, "x"], [1, 0]], "A": np.eye(3).tolist()}, "numeric"),
             ({"n": 2, "W": [[0, np.nan], [np.nan, 0]], "A": np.eye(3).tolist()}, "non-finite"),
+            ({"n": 2, "W": [[False, True], [True, False]], "A": np.eye(3).tolist()}, '"W" must hold only numbers'),
+            ({"n": 2, "W": [["0", "1"], ["1", "0"]], "A": np.eye(3).tolist()}, '"W" must hold only numbers'),
+            ({"n": 2, "W": [[0, 1], [1, 0]], "A": [[True, 0, 0], [0, 1, 0], [0, 0, -2]]}, '"A" must hold only numbers'),
+            ({"n": 2, "J": [["0"] * 6] * 6}, '"J" must hold only numbers'),
+            ({"n": True, "W": [[0, 1], [1, 0]], "A": np.eye(3).tolist()}, '"n" must be an integer'),
+            ({"n": 2, "W": [[0, 10**400], [10**400, 0]], "A": np.eye(3).tolist()}, "numeric"),
         ],
     )
     def test_errors_name_the_violated_invariant(self, data, fragment):

@@ -25,8 +25,9 @@ from spinrev import (
     synthesize_case2,
     tensor_coupling,
 )
+from spinrev.hilbert import _lanczos_norm
 
-from helpers import random_coupling, random_rotation
+from helpers import random_coupling, random_rotation, random_weights
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -40,6 +41,27 @@ def seeded_dipole_3(seed=0):
         for l in range(k + 1, 3):
             W[k, l] = W[l, k] = rng.uniform(-1.0, 1.0)
     return W, tensor_coupling(W, dipole_type())
+
+
+def rotated_traceless_3(seed=0):
+    """(W, A): the dipole type turned off its eigenframe, so that xy/yz
+    cross terms make H complex."""
+    W, _ = seeded_dipole_3(seed)
+    R = random_rotation(np.random.default_rng(seed))
+    A = R @ dipole_type() @ R.T
+    return W, 0.5 * (A + A.T)
+
+
+def hand_built_errors(J, scheme, eps_list):
+    H = build_hamiltonian(J)
+    errors = []
+    for eps in eps_list:
+        product = np.eye(H.shape[0], dtype=complex)
+        for step in scheme.steps:
+            v = kron_all(lift_rotations(step.rotations))
+            product = (v.conj().T @ evolve(H, step.t * eps) @ v) @ product
+        errors.append(operator_norm(product - evolve(H, -eps)))
+    return errors
 
 
 class TestBuildHamiltonian:
@@ -279,6 +301,34 @@ class TestErrorScaling:
         errors = error_scaling(J, scheme, eps_list).errors
         assert np.allclose(errors, expected, rtol=1e-12, atol=0.0)
 
+    def test_complex_hamiltonian_matches_hand_built_product(self):
+        W, A = rotated_traceless_3(seed=2)
+        J = tensor_coupling(W, A)
+        assert np.abs(build_hamiltonian(J).imag).max() > 0.1
+        scheme = synthesize_case1(W, A)
+        eps_list = [0.2, 0.1, 0.05, 0.025]
+        errors = error_scaling(J, scheme, eps_list).errors
+        assert np.allclose(errors, hand_built_errors(J, scheme, eps_list), rtol=1e-12, atol=0.0)
+
+    def test_no_dense_norm(self, monkeypatch):
+        # the error norm comes from Lanczos: eigvalsh only ever sees the
+        # small real tridiagonal, never a 2^n x 2^n matrix
+        rng = np.random.default_rng(78)
+        W = random_weights(rng, 6)
+        J = tensor_coupling(W, dipole_type())
+        scheme = synthesize_case1(W, dipole_type())
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(M):
+            calls.append((M.shape, M.dtype))
+            return eigvalsh(M)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        error_scaling(J, scheme, [0.2, 0.1, 0.05, 0.025])
+        assert calls
+        assert all(shape[0] < 64 and dtype == np.float64 for shape, dtype in calls)
+
     def test_serialization(self):
         W, J = seeded_dipole_3()
         scheme = synthesize_case1(W, dipole_type())
@@ -315,3 +365,58 @@ def test_operator_norm_matches_svd():
     for _ in range(10):
         M = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         assert abs(operator_norm(M) - np.linalg.svd(M, compute_uv=False)[0]) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "coupling,dtype",
+    [
+        (lambda: (seeded_dipole_3()[0], dipole_type()), np.float64),
+        (rotated_traceless_3, np.complex128),
+    ],
+    ids=["real", "complex"],
+)
+def test_real_hamiltonian_takes_the_real_solver(monkeypatch, coupling, dtype):
+    # only a Hamiltonian with xy/yz cross terms needs the complex solver
+    calls = []
+    eigh = np.linalg.eigh
+
+    def recording(M):
+        calls.append(M.dtype)
+        return eigh(M)
+
+    W, A = coupling()
+    scheme = synthesize_case1(W, A)
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    error_scaling(tensor_coupling(W, A), scheme, [0.2, 0.1, 0.05])
+    assert calls == [dtype]
+
+
+class TestLanczosNorm:
+    def test_matches_dense_norm_on_random_complex(self):
+        rng = np.random.default_rng(79)
+        for d in (2, 3, 4, 5, 8, 13, 16, 32, 64):
+            M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            self.assert_matches_dense(M)
+
+    def test_zero_matrix(self):
+        assert _lanczos_norm(np.zeros((8, 8), dtype=complex)) == 0.0 == operator_norm(np.zeros((8, 8)))
+
+    def test_repeated_top_singular_value(self):
+        # Q D Q^dag - 1 with three phases at pi: the top singular value 2
+        # appears three times
+        rng = np.random.default_rng(80)
+        d = 32
+        Q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        phases = rng.uniform(-2.0, 2.0, size=d)
+        phases[[3, 11, 20]] = np.pi
+        M = (Q * np.exp(1j * phases)) @ Q.conj().T - np.eye(d)
+        top = np.linalg.svd(M, compute_uv=False)[:4]
+        assert np.allclose(top[:3], 2.0, rtol=1e-13) and top[3] < 1.99
+        self.assert_matches_dense(M)
+
+    @staticmethod
+    def assert_matches_dense(M):
+        dense = operator_norm(M)
+        estimate = _lanczos_norm(M)
+        assert abs(estimate - dense) <= 1e-12 * dense
+        assert estimate <= dense * (1.0 + 1e-13)

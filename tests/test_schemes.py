@@ -1,5 +1,7 @@
 """Scheme model, averaging, verification, conversions, and synthesizers."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -477,6 +479,13 @@ class TestSerialization:
             (lambda d: d["steps"][0].update(t=-1.0), "positive"),
             (lambda d: d["steps"][0]["rotations"][0][0].__setitem__(0, 5.0), "orthogonal"),
             (lambda d: d.update(n=3), "per spin"),
+            (lambda d: d.update(n=True), '"n" must be a positive integer'),
+            (lambda d: d["steps"][0].update(t=True), 'step "t" must be a number'),
+            (lambda d: d["steps"][0].update(t="2.5"), 'step "t" must be a number'),
+            (lambda d: d["steps"][0].update(rotations=_as_strings(d["steps"][0]["rotations"])), "only numbers"),
+            (lambda d: _replace_unit_entry(d["steps"][0]["rotations"], True), "only numbers"),
+            (lambda d: d["steps"][0].update(t=10**400), "positive and finite"),
+            (lambda d: _replace_unit_entry(d["steps"][0]["rotations"], 10**400), "numeric"),
         ],
     )
     def test_invalid_documents_are_rejected(self, mutate, fragment):
@@ -485,3 +494,32 @@ class TestSerialization:
         with pytest.raises(ValueError) as err:
             scheme_from_dict(data)
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize("route", ["class-1", "class-2", "search"])
+    def test_streamed_json_is_the_dumped_dict(self, route):
+        W = complete_weights(3)
+        if route == "class-1":
+            scheme = synthesize_case1(W, dipole_type())
+        elif route == "class-2":
+            scheme = synthesize_case2(W, np.diag([2.0, 1.0, -1.0]))
+        else:
+            from spinrev import greedy_pool_growth, pair_pi_pool
+
+            scheme = greedy_pool_growth(tensor_coupling(W, scalar_type()), pair_pi_pool(3, seed=7)).scheme
+        chunks = list(schemes._scheme_json_chunks(scheme))
+        assert len(chunks) == len(scheme.steps) + 2
+        assert "".join(chunks) == json.dumps(scheme_to_dict(scheme))
+
+
+def _as_strings(rotations):
+    return [[[str(x) for x in row] for row in R] for R in rotations]
+
+
+def _replace_unit_entry(rotations, value):
+    # a JSON true where the rotation holds 1.0: numerically the same matrix
+    for R in rotations:
+        for row in R:
+            for j, x in enumerate(row):
+                if x == 1.0:
+                    row[j] = value
+                    return

@@ -151,6 +151,8 @@ def _base_pool(name: str, n: int, seed: int, max_pool: int):
 
 
 def cmd_search(args) -> int:
+    if args.seed < 0:
+        raise ValueError("--seed must be a non-negative integer")
     coupling = _load_coupling(args.coupling)
     pool = _base_pool(args.pool, coupling.n, args.seed, args.max_pool)
     result = greedy_pool_growth(

@@ -124,8 +124,11 @@ def nnls_active_set(A, b, dual_tol: float = 1e-12, max_active: int | None = None
 
     Minimizes ||A x - b||_2 over x >= 0.  The dual feasibility test uses
     a relative tolerance, and ties pick the lowest column index, so the
-    solve path is fully deterministic.  Returns (x, residual_norm,
-    iterations), where iterations counts insertions into the passive set.
+    solve path is fully deterministic.  Each passive subproblem is solved
+    from the Householder R factor of [A_P | b], with `lstsq` only for
+    rank-deficient blocks (see `_passive_solve`).  Returns (x,
+    residual_norm, iterations), where iterations counts insertions into
+    the passive set.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -140,9 +143,12 @@ def _lawson_hanson(A, b, prior, dual_tol: float = 1e-12, max_active: int | None 
 
     Returns (x, residual_norm, iterations, path); the path holds one
     (entering column, x, passive mask) per insertion, after its inner
-    loop.  That loop depends only on the columns entered so far, so while
-    they match `prior` step for step its recorded state, padded with
-    zeros, is reused: the result is bit-identical to a cold solve.
+    loop.  Its passive solves take the R factor of [A_P | b], falling
+    back to `lstsq` for rank-deficient blocks; the factor is rebuilt per
+    solve, not updated, so each solve depends only on the passive columns
+    and b.  The loop thus depends only on the columns entered so far, so
+    while they match `prior` step for step its recorded state, padded
+    with zeros, is reused: the result is bit-identical to a cold solve.
     """
     ncols = A.shape[1]
     x = np.zeros(ncols)
@@ -169,8 +175,7 @@ def _lawson_hanson(A, b, prior, dual_tol: float = 1e-12, max_active: int | None 
             passive[j] = True
             while True:
                 trial = np.zeros(ncols)
-                sol, *_ = np.linalg.lstsq(A[:, passive], b, rcond=None)
-                trial[passive] = sol
+                trial[passive] = _passive_solve(A[:, passive], b)
                 if trial[passive].min() > 0.0:
                     x = trial
                     break
@@ -189,6 +194,27 @@ def _lawson_hanson(A, b, prior, dual_tol: float = 1e-12, max_active: int | None 
         path.append((j, x, passive.copy()))
         resid = b - A @ x
     return x, float(np.linalg.norm(resid)), len(path), path
+
+
+def _passive_solve(A_P, b):
+    """Least-squares solution of A_P x = b from the R factor of [A_P | b].
+
+    Householder QR of the augmented block leaves Q^T b in its last column,
+    so one back-substitution on R's leading k x k triangle gives x and no
+    Q is formed.  A block that is numerically rank-deficient (more columns
+    than rows, or min|R_ii| <= eps * m * max|R_ii|, the `rcond=None` cutoff
+    of `lstsq`) is solved by `lstsq` instead.  The result depends only on
+    A_P and b.
+    """
+    m, k = A_P.shape
+    if k <= m:
+        R = np.linalg.qr(np.column_stack([A_P, b]), mode="r")
+        diag = np.abs(np.diagonal(R)[:k])
+        if diag.min() > np.finfo(float).eps * m * diag.max():
+            # LU of a triangle pivots nowhere and leaves it as is, so this is
+            # the back-substitution (numpy has no triangular solver)
+            return np.linalg.solve(R[:k, :k], R[:k, k])
+    return np.linalg.lstsq(A_P, b, rcond=None)[0]
 
 
 @dataclass(frozen=True)

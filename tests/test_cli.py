@@ -264,6 +264,15 @@ class TestSearch:
         assert code == 1
         assert payload["found"] is False
 
+    def test_negative_seed_exits_two_naming_the_flag(self, files, capsys):
+        _, write = files
+        path = write("c.json", coupling_doc(2, scalar_type()))
+        code = main(["search", "--coupling", path, "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: --seed must be a non-negative integer"]
+
 
 class TestSimulate:
     def test_slope_report(self, files, capsys):

@@ -26,7 +26,7 @@ from spinrev import (
     user_pool,
     verify,
 )
-from spinrev.search import CandidatePool, PoolSource, _lawson_hanson
+from spinrev.search import CandidatePool, PoolSource, _lawson_hanson, _passive_solve
 
 
 class TestOctahedralGroup:
@@ -94,6 +94,34 @@ class TestNnls:
         x, rnorm, _ = nnls_active_set(A, 2.0 * col)
         assert np.abs(x - [2.0, 0.0, 0.0]).max() <= 1e-12
         assert rnorm <= 1e-12
+
+    def test_passive_solve_matches_lstsq(self):
+        rng = np.random.default_rng(65)
+        for rows, cols in [(9, 1), (27, 9), (54, 54), (90, 40)]:
+            A_P = rng.normal(size=(rows, cols))
+            b = rng.normal(size=rows)
+            reference = np.linalg.lstsq(A_P, b, rcond=None)[0]
+            x = _passive_solve(A_P, b)
+            scale = np.linalg.cond(A_P) * max(np.abs(reference).max(), 1.0)
+            assert np.abs(x - reference).max() <= 64 * np.finfo(float).eps * scale
+        # wide and rank-deficient blocks are lstsq's own answer, bit for bit
+        for A_P in (rng.normal(size=(4, 6)), np.column_stack([np.ones(5), np.ones(5)])):
+            b = rng.normal(size=A_P.shape[0])
+            assert np.array_equal(_passive_solve(A_P, b), np.linalg.lstsq(A_P, b, rcond=None)[0])
+
+    @pytest.mark.parametrize("seed, lstsq_rnorm", [(1867, 5.1523668886212e-06), (1983, 7.7991007026134e-04)])
+    def test_rank_deficient_passive_blocks_fall_back(self, seed, lstsq_rnorm):
+        # column scales spanning 12 decades let the passive set outgrow the
+        # 25 rows; the R-factor solve must hand those blocks to lstsq, and
+        # the residual must be no worse than the one reached with lstsq
+        # solving every block
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(25, 52)) * 10.0 ** rng.integers(-6, 7, size=52)
+        b = rng.normal(size=25) * 10.0 ** rng.integers(-6, 7)
+        x, rnorm, _ = nnls_active_set(A, b)
+        assert np.isfinite(x).all()
+        assert x.min() >= 0.0
+        assert rnorm <= lstsq_rnorm * (1.0 + 1e-9)
 
 
 class TestPathReplay:
@@ -284,6 +312,28 @@ class TestGreedyGrowth:
         result = greedy_pool_growth(J, base)
         assert result.iterations == 44
         assert len(calls) <= 300
+
+    def test_pinned_run_solves_every_passive_block_from_its_r_factor(self, monkeypatch):
+        solves, fallbacks = [], []
+        lstsq = np.linalg.lstsq
+
+        def counting_solve(A_P, b):
+            solves.append(A_P.shape)
+            return _passive_solve(A_P, b)
+
+        def counting_lstsq(*args, **kwargs):
+            fallbacks.append(args[0].shape)
+            return lstsq(*args, **kwargs)
+
+        seed = 434751714
+        J = tensor_coupling(complete_weights(4), scalar_type())
+        base = merge_pools(pair_pi_pool(4), collective_cyclic_pool(4), seed=seed)
+        monkeypatch.setattr("spinrev.search._passive_solve", counting_solve)
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        result = greedy_pool_growth(J, base)
+        assert result.iterations == 44
+        assert 0 < len(solves) <= 300
+        assert fallbacks == []
 
     def test_result_reverifies_at_reported_residual(self):
         J = tensor_coupling(complete_weights(2), scalar_type())

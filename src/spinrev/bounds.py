@@ -68,22 +68,10 @@ class BoundsAudit:
     steps_lower: int | None
     steps_margin: int | None
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "tau": self.tau,
-            "tau_lower": self.tau_lower,
-            "tau_margin": self.tau_margin,
-            "N": self.n_steps,
-            "steps_lower": self.steps_lower,
-            "steps_margin": self.steps_margin,
-        }
-
 
 def tau_lower_bound(J) -> float:
     """Overhead bound -lambda_max/lambda_min; holds for every inversion of J."""
-    lam_min, lam_max = _spectral_extremes(J)
-    return -lam_max / lam_min
+    return bounds_report(J).tau_lower
 
 
 def steps_lower_bound(W, A, tol: float = 1e-9) -> int:
@@ -128,7 +116,11 @@ def bounds_report(J, W=None, A=None, p: int | None = None, tol: float = 1e-9) ->
 
     Raw couplings (no W/A factors) get the spectral overhead bound only.
     """
-    lam_min, lam_max = _spectral_extremes(J)
+    J = check_coupling_matrix(J)
+    if float(np.linalg.norm(J)) == 0.0:
+        raise ValueError("zero coupling has no overhead bound")
+    lam = np.linalg.eigvalsh(J)
+    lam_min, lam_max = float(lam[0]), float(lam[-1])
     tau_low = -lam_max / lam_min
     notes = [f"any inversion scheme needs overhead tau >= -lambda_max/lambda_min = {tau_low:.9g}"]
     case = None
@@ -199,15 +191,6 @@ def check_scheme_against_bounds(scheme: Scheme, W, A, tol: float = 1e-9) -> Boun
             f"scheme does not verify as an inversion (residual {result.residual:.3g} > tol {tol:g}); audit refused"
         )
     return audit_stats_against_bounds(scheme_stats(scheme), W, A, tol)
-
-
-def _spectral_extremes(J) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of a nonzero coupling, from LAPACK eigvalsh."""
-    J = check_coupling_matrix(J)
-    if float(np.linalg.norm(J)) == 0.0:
-        raise ValueError("zero coupling has no overhead bound")
-    lam = np.linalg.eigvalsh(J)
-    return float(lam[0]), float(lam[-1])
 
 
 def _complete_graph_steps(W, case: CouplingClass) -> int | None:

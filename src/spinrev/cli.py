@@ -153,8 +153,12 @@ def _base_pool(name: str, n: int, seed: int, max_pool: int):
 def cmd_search(args) -> int:
     if args.seed < 0:
         raise ValueError("--seed must be a non-negative integer")
+    if args.max_pool < 1:
+        raise ValueError("--max-pool must be at least 1")
     coupling = _load_coupling(args.coupling)
     pool = _base_pool(args.pool, coupling.n, args.seed, args.max_pool)
+    if args.max_pool < len(pool.assemblies):
+        raise ValueError(f"--max-pool must be at least the base pool size {len(pool.assemblies)}")
     result = greedy_pool_growth(
         coupling.J, pool, target_tol=args.tol, max_pool=args.max_pool, seed=args.seed
     )

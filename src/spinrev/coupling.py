@@ -19,7 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from .rotations import sym_eig
+from .rotations import check_symmetric, sym_eig
 
 DEFAULT_CLASSIFY_TOL = 1e-9
 
@@ -32,20 +32,12 @@ class CouplingClass(enum.Enum):
     SEMIDEFINITE = "3"   # single-signed spectrum: steps and overhead grow with n
 
 
-def _check_finite(M, name: str) -> None:
-    # NaN compares false, so the symmetry checks below would let it through
-    if not np.isfinite(M).all():
-        raise ValueError(f"{name} has non-finite entries (NaN or infinity)")
-
-
 def check_type_matrix(A) -> np.ndarray:
     """Validate a symmetric 3x3 type matrix."""
     A = np.asarray(A, dtype=float)
     if A.shape != (3, 3):
         raise ValueError(f"type matrix must be 3x3, got shape {A.shape}")
-    _check_finite(A, "type matrix")
-    if np.abs(A - A.T).max() > 1e-12 * max(float(np.linalg.norm(A)), 1.0):
-        raise ValueError("type matrix is not symmetric")
+    check_symmetric(A, "type matrix")
     return A
 
 
@@ -56,9 +48,7 @@ def check_weight_matrix(W) -> np.ndarray:
         raise ValueError(f"weight matrix must be square, got shape {W.shape}")
     if W.shape[0] < 2:
         raise ValueError("weight matrix needs at least 2 spins")
-    _check_finite(W, "weight matrix")
-    if np.abs(W - W.T).max() > 1e-12 * max(float(np.linalg.norm(W)), 1.0):
-        raise ValueError("weight matrix is not symmetric")
+    check_symmetric(W, "weight matrix")
     if np.any(np.diag(W) != 0.0):
         raise ValueError("weight matrix diagonal must be exactly zero")
     return W
@@ -71,9 +61,7 @@ def check_coupling_matrix(J) -> np.ndarray:
         raise ValueError(f"coupling matrix must be square, got shape {J.shape}")
     if J.shape[0] % 3 != 0 or J.shape[0] < 6:
         raise ValueError("coupling matrix must be 3n x 3n with n >= 2")
-    _check_finite(J, "coupling matrix")
-    if np.abs(J - J.T).max() > 1e-12 * max(float(np.linalg.norm(J)), 1.0):
-        raise ValueError("coupling matrix is not symmetric (block (l,k) must be the transpose of block (k,l))")
+    check_symmetric(J, "coupling matrix", " (block (l,k) must be the transpose of block (k,l))")
     n = J.shape[0] // 3
     for k in range(n):
         if np.any(J[3 * k : 3 * k + 3, 3 * k : 3 * k + 3] != 0.0):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import check_coupling_matrix, n_spins
-from .rotations import so3_to_su2
+from .rotations import check_symmetric, so3_to_su2
 from .schemes import Scheme, SchemeKind, conjugate, verify
 
 MAX_SPINS = 10
@@ -119,11 +119,7 @@ def _hermitian_eigh(H):
     which is several times faster and returns a real U.
     """
     H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    scale = float(np.abs(H).max()) if H.size else 0.0
-    if np.abs(H - H.conj().T).max() > 1e-12 * max(scale, 1.0):
-        raise ValueError("evolution needs a Hermitian generator")
+    check_symmetric(H, "evolution generator")
     return np.linalg.eigh(H if H.imag.any() else H.real)
 
 

@@ -51,6 +51,20 @@ def check_rotation(R, tol: float = _ROTATION_TOL) -> np.ndarray:
     return R
 
 
+def check_symmetric(M, name: str, detail: str = "") -> None:
+    """Reject a matrix that is not square, has a non-finite entry, or has
+    max|M - M^dag| > 1e-12 max(||M||_F, 1): "symmetric" for real input,
+    "Hermitian" for complex.  `detail` is appended to the symmetry message."""
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    # NaN compares false, so the symmetry test alone would let it through
+    if not np.isfinite(M).all():
+        raise ValueError(f"{name} has non-finite entries (NaN or infinity)")
+    if np.abs(M - M.conj().T).max(initial=0.0) > 1e-12 * max(float(np.linalg.norm(M)), 1.0):
+        kind = "Hermitian" if np.iscomplexobj(M) else "symmetric"
+        raise ValueError(f"{name} is not {kind}{detail}")
+
+
 def su2_to_so3(u) -> np.ndarray:
     """Bloch-sphere rotation carried by a spin-1/2 unitary.
 
@@ -139,10 +153,7 @@ def sym_eig(M) -> SymSpectrum:
     returns tied eigenvalues in.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if np.abs(M - M.T).max() > 1e-12 * max(float(np.linalg.norm(M)), 1.0):
-        raise ValueError("matrix is not symmetric")
+    check_symmetric(M, "matrix")
     lam, Q = np.linalg.eigh(M)
     lead = np.argmax(np.abs(Q), axis=0)
     Q = Q * np.sign(Q[lead, np.arange(len(lam))])

@@ -33,6 +33,8 @@ from .schemes import (
 
 _PRUNE_TOL = 1e-12
 _BOUND_SLACK = 1e-6
+_DUAL_TOL = 1e-12  # relative tolerance of the NNLS dual feasibility test
+_BATCH = 64  # random assemblies drawn per growth round
 
 
 def octahedral_group() -> np.ndarray:
@@ -119,7 +121,7 @@ def merge_pools(*pools: CandidatePool, seed: int = 0) -> CandidatePool:
     return CandidatePool(assemblies, PoolSource.USER, seed)
 
 
-def nnls_active_set(A, b, dual_tol: float = 1e-12, max_active: int | None = None):
+def nnls_active_set(A, b, max_active: int | None = None):
     """Lawson-Hanson active-set nonnegative least squares.
 
     Minimizes ||A x - b||_2 over x >= 0.  The dual feasibility test uses
@@ -134,11 +136,11 @@ def nnls_active_set(A, b, dual_tol: float = 1e-12, max_active: int | None = None
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
         raise ValueError("incompatible least-squares dimensions")
-    x, rnorm, iterations, _ = _lawson_hanson(A, b, (), dual_tol, max_active)
+    x, rnorm, iterations, _ = _lawson_hanson(A, b, (), max_active)
     return x, rnorm, iterations
 
 
-def _lawson_hanson(A, b, prior, dual_tol: float = 1e-12, max_active: int | None = None):
+def _lawson_hanson(A, b, prior, max_active: int | None = None):
     """The `nnls_active_set` loop, replaying `prior`, the path of a solve on A's leading columns.
 
     Returns (x, residual_norm, iterations, path); the path holds one
@@ -162,7 +164,7 @@ def _lawson_hanson(A, b, prior, dual_tol: float = 1e-12, max_active: int | None 
         w = A.T @ resid
         w = np.where(passive, -np.inf, w)
         j = int(np.argmax(w))
-        if w[j] <= dual_tol * w_scale or int(passive.sum()) >= limit:
+        if w[j] <= _DUAL_TOL * w_scale or int(passive.sum()) >= limit:
             break
         step = len(path)
         replaying = replaying and step < len(prior) and prior[step][0] == j
@@ -280,6 +282,20 @@ def _finalize(J, assemblies, x, rnorm, iterations, tol):
     return SearchResult(None, relative, tau, iterations)
 
 
+def _problem(J, pool: CandidatePool):
+    """Validate a nonzero coupling against a pool of its spin count, and
+    return (J, columns, target): the search minimizes
+    ||columns x - target|| over x >= 0."""
+    J = check_coupling_matrix(J)
+    if float(np.linalg.norm(J)) == 0.0:
+        raise ValueError("zero coupling: nothing to invert")
+    if pool.n != n_spins(J):
+        raise ValueError(
+            f"dimension mismatch: pool addresses {pool.n} spins, coupling has {n_spins(J)}"
+        )
+    return J, _upper_block_columns(J, pool.assemblies), -_upper_blocks(J)
+
+
 def find_inversion_nnls(J, pool: CandidatePool, tol: float = 1e-9, max_steps: int | None = None) -> SearchResult:
     """Best nonnegative step times over a fixed candidate pool.
 
@@ -289,15 +305,7 @@ def find_inversion_nnls(J, pool: CandidatePool, tol: float = 1e-9, max_steps: in
     fixed pool order.  `max_steps` caps the active-set size; hitting the
     cap reports no solution together with the best residual.
     """
-    J = check_coupling_matrix(J)
-    if float(np.linalg.norm(J)) == 0.0:
-        raise ValueError("zero coupling: nothing to invert")
-    if pool.n != n_spins(J):
-        raise ValueError(
-            f"dimension mismatch: pool addresses {pool.n} spins, coupling has {n_spins(J)}"
-        )
-    columns = _upper_block_columns(J, pool.assemblies)
-    target = -_upper_blocks(J)
+    J, columns, target = _problem(J, pool)
     x, rnorm, iterations = nnls_active_set(columns, target, max_active=max_steps)
     return _finalize(J, pool.assemblies, x, rnorm, iterations, tol)
 
@@ -308,7 +316,6 @@ def greedy_pool_growth(
     target_tol: float = 1e-9,
     max_pool: int = 500,
     seed: int | None = None,
-    batch: int = 64,
 ) -> SearchResult:
     """Column generation over random octahedral assemblies.
 
@@ -321,27 +328,18 @@ def greedy_pool_growth(
     up to the first insertion that differs, with a result bit-identical
     to a cold solve.  `iterations` counts growth rounds.
     """
-    J = check_coupling_matrix(J)
-    if float(np.linalg.norm(J)) == 0.0:
-        raise ValueError("zero coupling: nothing to invert")
-    n = n_spins(J)
-    if base_pool.n != n:
-        raise ValueError(
-            f"dimension mismatch: pool addresses {base_pool.n} spins, coupling has {n}"
-        )
+    J, columns, target = _problem(J, base_pool)
     if max_pool < len(base_pool.assemblies):
         raise ValueError("max_pool is smaller than the base pool")
     rng = np.random.default_rng(base_pool.seed if seed is None else seed)
     group = octahedral_group()
     norm = float(np.linalg.norm(J))
     assemblies = list(base_pool.assemblies)
-    columns = _upper_block_columns(J, assemblies)
-    target = -_upper_blocks(J)
     x, rnorm, _, path = _lawson_hanson(columns, target, ())
     growth_rounds = 0
     while rnorm * np.sqrt(2.0) / norm > target_tol and len(assemblies) < max_pool:
         resid = columns @ x - target
-        candidates = group[rng.integers(0, len(group), size=(batch, n))]
+        candidates = group[rng.integers(0, len(group), size=(_BATCH, base_pool.n))]
         candidate_columns = _upper_block_columns(J, candidates)
         best = int(np.argmin(candidate_columns.T @ resid))
         assemblies.append(candidates[best])

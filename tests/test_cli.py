@@ -273,6 +273,24 @@ class TestSearch:
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: --seed must be a non-negative integer"]
 
+    @pytest.mark.parametrize(
+        "max_pool,message",
+        [
+            ("0", "error: --max-pool must be at least 1"),
+            ("-5", "error: --max-pool must be at least 1"),
+            ("5", "error: --max-pool must be at least the base pool size 11"),
+        ],
+        ids=["zero", "negative", "below-base-pool"],
+    )
+    def test_max_pool_below_the_base_pool_exits_two_naming_the_flag(self, files, capsys, max_pool, message):
+        _, write = files
+        path = write("c.json", coupling_doc(3, scalar_type()))
+        code = main(["search", "--coupling", path, "--max-pool", max_pool])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
+
 
 class TestSimulate:
     def test_slope_report(self, files, capsys):

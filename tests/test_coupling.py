@@ -10,6 +10,7 @@ from spinrev import (
     coupling_block,
     coupling_from_dict,
     dipole_type,
+    evolve,
     scalar_type,
     sym_eig,
     tensor_coupling,
@@ -190,6 +191,8 @@ def _with_entries(M, value, *positions):
         (check_weight_matrix, complete_weights(3), ((0, 1), (1, 0))),
         (check_type_matrix, scalar_type(), ((0, 2), (2, 0))),
         (check_coupling_matrix, tensor_coupling(complete_weights(2), scalar_type()), ((0, 4), (4, 0))),
+        (sym_eig, scalar_type(), ((0, 1), (1, 0))),
+        (lambda H: evolve(H, 1.0), np.array([[1.0, 0.5], [0.5, -1.0]]), ((0, 1), (1, 0))),
     ],
 )
 def test_validators_reject_non_finite_entries(check, M, positions, value):

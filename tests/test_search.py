@@ -353,6 +353,38 @@ class TestGreedyGrowth:
         assert result.scheme is None or result.residual > 0.0
 
 
+def _nan_coupling():
+    J = tensor_coupling(complete_weights(2), scalar_type())
+    J[0, 4] = J[4, 0] = np.nan
+    return J
+
+
+@pytest.mark.parametrize("search", [find_inversion_nnls, greedy_pool_growth], ids=["fixed", "growth"])
+@pytest.mark.parametrize(
+    "J,pool,message",
+    [
+        (np.zeros((6, 6)), pair_pi_pool(2), "zero coupling: nothing to invert"),
+        (
+            tensor_coupling(complete_weights(2), scalar_type()),
+            pair_pi_pool(3),
+            "dimension mismatch: pool addresses 3 spins, coupling has 2",
+        ),
+        (_nan_coupling(), pair_pi_pool(2), "coupling matrix has non-finite entries (NaN or infinity)"),
+    ],
+    ids=["zero", "mismatch", "nan"],
+)
+def test_both_searches_reject_the_same_inputs(search, J, pool, message):
+    with pytest.raises(ValueError) as err:
+        search(J, pool)
+    assert str(err.value) == message
+
+
+def test_growth_rejects_a_budget_below_the_base_pool():
+    J = tensor_coupling(complete_weights(2), scalar_type())
+    with pytest.raises(ValueError, match="max_pool is smaller than the base pool"):
+        greedy_pool_growth(J, pair_pi_pool(2), max_pool=5)
+
+
 def test_search_result_serialization_shape():
     J = tensor_coupling(complete_weights(2), scalar_type())
     found = search_result_to_dict(find_inversion_nnls(J, pair_pi_pool(2)), seed=3)

@@ -19,6 +19,7 @@ under cross-conjugation; p is supplied by the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,7 +31,9 @@ from .coupling import (
     classify_type,
     tensor_coupling,
 )
-from .schemes import Scheme, SchemeKind, SchemeStats, scheme_stats, verify
+
+if TYPE_CHECKING:
+    from .schemes import Scheme, SchemeStats
 
 _AUDIT_SLACK = 1e-9
 
@@ -182,6 +185,8 @@ def audit_stats_against_bounds(stats: SchemeStats, W, A, tol: float = 1e-9) -> B
 
 def check_scheme_against_bounds(scheme: Scheme, W, A, tol: float = 1e-9) -> BoundsAudit:
     """Verify a scheme as an inversion of W (x) A, then audit its margins."""
+    from .schemes import SchemeKind, scheme_stats, verify
+
     if scheme.kind is not SchemeKind.INVERSION:
         raise ValueError("bounds audit applies to inversion schemes")
     J = tensor_coupling(check_weight_matrix(W), check_type_matrix(A))

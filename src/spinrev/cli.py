@@ -15,26 +15,8 @@ import math
 import os
 import sys
 
-from .bounds import bounds_report
-from .coupling import CouplingClass, classification_margins, classify_type, coupling_from_dict
-from .hilbert import error_scaling
-from .schemes import (
-    _scheme_json_chunks,
-    scheme_from_dict,
-    scheme_stats,
-    scheme_to_dict,
-    synthesize_case1,
-    synthesize_case2,
-    verify,
-)
-from .search import (
-    collective_cyclic_pool,
-    greedy_pool_growth,
-    merge_pools,
-    pair_pi_pool,
-    random_octahedral_pool,
-    search_result_to_dict,
-)
+# Each handler imports the modules it runs, so a job loads only those and
+# `--help` or a bad flag loads none of them (nor numpy).
 
 _POOL_CHOICES = ("auto", "pair-pi", "collective-cyclic", "octahedral-random")
 
@@ -59,6 +41,8 @@ def _load_json(path: str):
 
 def _write_scheme(path: str, scheme) -> None:
     """Write through a temp file beside `path` and `os.replace`: never half-written."""
+    from .schemes import _scheme_json_chunks
+
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
@@ -73,10 +57,14 @@ def _write_scheme(path: str, scheme) -> None:
 
 
 def _load_coupling(path: str):
+    from .coupling import coupling_from_dict
+
     return coupling_from_dict(_load_json(path))
 
 
 def _load_scheme(path: str):
+    from .schemes import scheme_from_dict
+
     return scheme_from_dict(_load_json(path))
 
 
@@ -88,6 +76,8 @@ def _parse_eps(text: str) -> list[float]:
 
 
 def cmd_classify(args) -> int:
+    from .coupling import classification_margins
+
     coupling = _load_coupling(args.coupling)
     if not coupling.factored:
         raise ValueError("classification needs the factored W/A coupling form")
@@ -96,6 +86,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
+    from .coupling import CouplingClass, classify_type
+    from .schemes import scheme_stats, scheme_to_dict, synthesize_case1, synthesize_case2
+
     coupling = _load_coupling(args.coupling)
     if not coupling.factored:
         raise ValueError("synthesis needs the factored W/A coupling form")
@@ -122,6 +115,8 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .schemes import scheme_stats, verify
+
     coupling = _load_coupling(args.coupling)
     scheme = _load_scheme(args.scheme)
     result = verify(scheme, coupling.J, args.tol)
@@ -134,6 +129,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .bounds import bounds_report
+
     coupling = _load_coupling(args.coupling)
     report = bounds_report(coupling.J, coupling.W, coupling.A, p=args.p, tol=args.tol)
     _emit(report.to_dict())
@@ -141,6 +138,8 @@ def cmd_bounds(args) -> int:
 
 
 def _base_pool(name: str, n: int, seed: int, max_pool: int):
+    from .search import collective_cyclic_pool, merge_pools, pair_pi_pool, random_octahedral_pool
+
     if name == "pair-pi":
         return pair_pi_pool(n, seed)
     if name == "collective-cyclic":
@@ -151,6 +150,8 @@ def _base_pool(name: str, n: int, seed: int, max_pool: int):
 
 
 def cmd_search(args) -> int:
+    from .search import greedy_pool_growth, search_result_to_dict
+
     if args.seed < 0:
         raise ValueError("--seed must be a non-negative integer")
     if args.max_pool < 1:
@@ -174,6 +175,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .hilbert import error_scaling
+    from .schemes import verify
+
     coupling = _load_coupling(args.coupling)
     scheme = _load_scheme(args.scheme)
     result = verify(scheme, coupling.J, args.tol)

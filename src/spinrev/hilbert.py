@@ -141,21 +141,23 @@ def run_cycle(J, scheme: Scheme, epsilon: float, tol: float = 1e-9) -> np.ndarra
     """
     if not (0.0 <= epsilon < math.inf):
         raise ValueError("epsilon must be finite and non-negative")
-    _, U, (Z,) = _simulate(J, scheme, [epsilon], tol)
-    return U @ Z @ U.conj().T
+    _, U, (Y,), last = _simulate(J, scheme, [epsilon], tol)
+    return U @ (last @ Y) @ U.conj().T
 
 
 def _simulate(J, scheme, epsilons, tol):
-    """Gate a simulation, then return (lam, U, cycles): H = U diag(lam) U^dag
-    and, per eps, the cycle in H's eigenbasis
+    """Gate a simulation, then return (lam, U, cycles, K_N): H = U diag(lam) U^dag
+    and, per eps, the cycle in H's eigenbasis up to its last frame,
 
-        U^dag C U = K_N D_{N-1} K_{N-1} ... D_0 K_0,
+        U^dag C U = K_N Y,  Y = D_{N-1} K_{N-1} ... D_0 K_0,
 
     with D_j = exp(-i lam t_j eps) and K_j = U^dag v_j v_{j-1}^dag U
-    (v_{-1} = v_N = 1).  Each K_j is built once and applied to one
-    accumulator per eps, so an eps costs one phase scaling and one matmul
-    per step.  At most len(epsilons) + 3 matrices of size 2^n x 2^n are
-    alive at once: U, the accumulators, K_j and one scratch buffer.
+    (v_{-1} = v_N = 1).  `cycles` holds Y per eps.  Each K_j is built once
+    and applied to one accumulator per eps, so an eps costs one phase
+    scaling and one matmul per step but the last, whose frame K_N is
+    returned unapplied.  At most len(epsilons) + 3 matrices of size
+    2^n x 2^n are alive at once: U, the accumulators, K_j and one scratch
+    buffer.
     """
     J = check_coupling_matrix(J)
     if scheme.kind is not SchemeKind.INVERSION:
@@ -178,15 +180,16 @@ def _simulate(J, scheme, epsilons, tol):
         _adjoint_times(U, scratch, frame)  # (P U)^dag
         np.conjugate(frame.T, out=scratch)  # P U
         _adjoint_times(U, scratch, frame)  # K_j
+        if j == len(times):
+            break
         if j == 0:
             cycles = [frame * np.exp(-1j * lam * (times[0] * eps))[:, None] for eps in epsilons]
             continue
         for i, eps in enumerate(epsilons):
             np.matmul(frame, cycles[i], out=scratch)
-            if j < len(times):
-                scratch *= np.exp(-1j * lam * (times[j] * eps))[:, None]
+            scratch *= np.exp(-1j * lam * (times[j] * eps))[:, None]
             cycles[i], scratch = scratch, cycles[i]
-    return lam, U, cycles
+    return lam, U, cycles, frame
 
 
 def _kron_into(mats, out):
@@ -293,13 +296,18 @@ def error_scaling(J, scheme: Scheme, epsilons, tol: float = 1e-9) -> ErrorScalin
     # written as not (0 < e < inf) so that a NaN value fails the check
     if not all(0.0 < e < math.inf for e in eps_list) or len(set(eps_list)) != len(eps_list):
         raise ValueError("epsilon values must be finite, positive and distinct")
-    lam, _, cycles = _simulate(J, scheme, eps_list, tol)
-    diagonal = np.diag_indices(lam.size)
-    errors = []
-    for eps, Z in zip(eps_list, cycles):
-        # ||C - exp(+iH eps)|| = ||U^dag C U - exp(+i lam eps)||, U unitary
-        Z[diagonal] -= np.exp(1j * lam * eps)
-        errors.append(_lanczos_norm(Z))
+    lam, U, cycles, last = _simulate(J, scheme, eps_list, tol)
+    # ||C - exp(+iH eps)|| = ||K_N Y - E|| = ||Y - K_N^dag E|| with
+    # E = exp(+i lam eps) diagonal, as U and K_N are unitary;
+    # K_N^dag E = conj(K_N^T conj(E)) is formed in one reused buffer
+    shift = np.empty_like(last)
+    for eps, Y in zip(eps_list, cycles):
+        np.multiply(last.T, np.exp(-1j * lam * eps), out=shift)
+        Y -= np.conjugate(shift, out=shift)
+    # freed before the norms, so that their Krylov bases stay under the
+    # memory peak of _simulate
+    del U, last, shift
+    errors = [_lanczos_norm(Y) for Y in cycles]
     exact = all(err < _EXACT_CUTOFF for err in errors)
     slope = None
     usable = [(e, err) for e, err in zip(eps_list, errors) if _FIT_FLOOR <= err <= _FIT_CEILING]

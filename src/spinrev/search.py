@@ -130,7 +130,9 @@ def nnls_active_set(A, b, max_active: int | None = None):
     from the Householder R factor of [A_P | b], with `lstsq` only for
     rank-deficient blocks (see `_passive_solve`).  Returns (x,
     residual_norm, iterations), where iterations counts insertions into
-    the passive set.
+    the passive set.  A safety cap of 3 * ncols + 10 insertions ends the
+    solve silently: iterations == 3 * ncols + 10 means the cap ended it,
+    not the dual test, and x is where the cap cut it, not a minimum.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -151,6 +153,8 @@ def _lawson_hanson(A, b, prior, max_active: int | None = None):
     and b.  The loop thus depends only on the columns entered so far, so
     while they match `prior` step for step its recorded state, padded
     with zeros, is reused: the result is bit-identical to a cold solve.
+    As in `nnls_active_set`, iterations == 3 * ncols + 10 means the safety
+    cap ended the solve, not the dual test.
     """
     ncols = A.shape[1]
     x = np.zeros(ncols)

@@ -404,7 +404,7 @@ class TestInputDiscipline:
         def defective(*args, **kwargs):
             raise RuntimeError("NNLS objective increased while the pool grew; active-set defect")
 
-        monkeypatch.setattr("spinrev.cli.greedy_pool_growth", defective)
+        monkeypatch.setattr("spinrev.search.greedy_pool_growth", defective)
         code = main(["search", "--coupling", path])
         captured = capsys.readouterr()
         assert code == 3

@@ -105,6 +105,18 @@ def test_solution_is_nonnegative_kkt_and_matches_scipy(problem):
 
 
 @bounded
+@given(search_problems())
+def test_search_problems_stop_by_the_dual_test(problem):
+    # iterations == 3 * ncols + 10 would mean the safety cap ended the
+    # solve; on the search's own domain the dual test must end it first
+    A, b = problem
+    x, _, iterations = nnls_active_set(A, b)
+    assert iterations < 3 * A.shape[1] + 10
+    w = A.T @ (b - A @ x)
+    assert w[x == 0.0].max(initial=0.0) <= 1e-12 * float(np.abs(A.T @ b).max())
+
+
+@bounded
 @given(problems)
 def test_replay_on_grown_matrices_equals_a_cold_solve(problem):
     A, b = problem

@@ -123,6 +123,16 @@ class TestNnls:
         assert x.min() >= 0.0
         assert rnorm <= lstsq_rnorm * (1.0 + 1e-9)
 
+    @pytest.mark.parametrize("seed", [1867, 1983])
+    def test_safety_cap_ends_the_rank_guard_solves(self, seed):
+        # the same inputs never pass the dual test: the insertion cap
+        # 3 * ncols + 10 ends both solves, and the count says so
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(25, 52)) * 10.0 ** rng.integers(-6, 7, size=52)
+        b = rng.normal(size=25) * 10.0 ** rng.integers(-6, 7)
+        _, _, iterations = nnls_active_set(A, b)
+        assert iterations == 3 * 52 + 10
+
 
 class TestPathReplay:
     @staticmethod

@@ -29,12 +29,14 @@ def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _load_json(path: str):
+def _load_json(path: str, object_hook=None):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_hook=object_hook)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
@@ -63,9 +65,9 @@ def _load_coupling(path: str):
 
 
 def _load_scheme(path: str):
-    from .schemes import scheme_from_dict
+    from .schemes import _step_object_hook, scheme_from_dict
 
-    return scheme_from_dict(_load_json(path))
+    return scheme_from_dict(_load_json(path, _step_object_hook))
 
 
 def _parse_eps(text: str) -> list[float]:

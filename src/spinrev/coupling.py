@@ -175,8 +175,7 @@ def coupling_from_dict(data) -> CouplingInput:
             raise ValueError(f'"W" must be {n}x{n}, got shape {W.shape}')
         if A.shape != (3, 3):
             raise ValueError(f'"A" must be 3x3, got shape {A.shape}')
-        W = check_weight_matrix(W)
-        A = check_type_matrix(A)
+        # tensor_coupling validates W, then A
         return CouplingInput(n, tensor_coupling(W, A), W, A)
     if "J" in data:
         J = _as_matrix(data["J"], "J")
@@ -199,7 +198,12 @@ def _check_json_numbers(value, ndim: int, field: str) -> None:
     """Reject any leaf of a regular ndim-deep nested list that is not a JSON
     number.  float() and np.asarray(..., dtype=float) read true as 1.0 and
     "2.5" as 2.5, and bool is an int subclass, so the test is on exact
-    types, in one pass over the leaves."""
+    types, in one pass over the leaves.  An ndarray of integer or float
+    dtype passes as a whole (the scheme reader hands over each step's
+    rotations as one); bool, string and complex arrays fail, and object
+    arrays are walked like lists."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        return
     leaves = [value] if ndim == 0 else value
     for _ in range(ndim - 1):
         leaves = chain.from_iterable(leaves)

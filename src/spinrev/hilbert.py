@@ -80,8 +80,8 @@ def operator_norm(M) -> float:
 
 
 def lift_rotations(rotations) -> np.ndarray:
-    """Spin-1/2 lifts of per-spin rotations, stacked as (n, 2, 2)."""
-    return np.stack([so3_to_su2(R) for R in np.asarray(rotations, dtype=float)])
+    """Spin-1/2 lifts of a (..., n, 3, 3) stack of per-spin rotations, as (..., n, 2, 2)."""
+    return so3_to_su2(np.asarray(rotations, dtype=float))
 
 
 def kron_all(mats) -> np.ndarray:
@@ -170,7 +170,7 @@ def _simulate(J, scheme, epsilons, tol):
             )
     lam, U = _hermitian_eigh(build_hamiltonian(J))
     unit = np.broadcast_to(np.eye(2), (scheme.n, 2, 2))
-    lifts = [unit] + [lift_rotations(step.rotations) for step in scheme.steps] + [unit]
+    lifts = [unit, *lift_rotations([step.rotations for step in scheme.steps]), unit]
     scratch, frame = np.empty(U.shape, dtype=complex), np.empty(U.shape, dtype=complex)
     times = [step.t for step in scheme.steps]
     cycles = []

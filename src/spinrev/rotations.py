@@ -84,7 +84,8 @@ def su2_to_so3(u) -> np.ndarray:
 
 
 def so3_to_su2(R) -> np.ndarray:
-    """One of the two spin-1/2 preimages of a Bloch-sphere rotation.
+    """One of the two spin-1/2 preimages of a Bloch-sphere rotation, or a
+    (..., 2, 2) stack of them for a (..., 3, 3) stack of rotations.
 
     The unit quaternion (x, y, z, w) of R, with the result
     w 1 + i (x sigma_x + y sigma_y + z sigma_z), is read off the symmetric
@@ -92,9 +93,11 @@ def so3_to_su2(R) -> np.ndarray:
     the largest diagonal entry, divided by twice that entry's square root.
     Which of the two preimages comes back is whatever the rule gives;
     every downstream use conjugates with the result, so the sign never
-    matters.
+    matters.  A stack is validated once and lifted elementwise, with the
+    same floating-point operations as one matrix at a time.
     """
-    (xx, xy, xz), (yx, yy, yz), (zx, zy, zz) = check_rotation(R)
+    R = check_rotation(R)
+    (xx, xy, xz), (yx, yy, yz), (zx, zy, zz) = np.moveaxis(R, (-2, -1), (0, 1))
     M = np.array(
         [
             [1.0 + xx - yy - zz, xy + yx, xz + zx, zy - yz],
@@ -103,8 +106,9 @@ def so3_to_su2(R) -> np.ndarray:
             [zy - yz, xz - zx, yx - xy, 1.0 + xx + yy + zz],
         ]
     )
-    k = int(np.argmax(np.diag(M)))
-    x, y, z, w = M[:, k] / (2.0 * np.sqrt(M[k, k]))
+    k = np.argmax(np.diagonal(M), axis=-1)  # M is (4, 4, ...): diagonal is (..., 4)
+    col = np.take_along_axis(M, k[None, None], axis=1)[:, 0]  # M[:, k] per matrix
+    x, y, z, w = (col / (2.0 * np.sqrt(np.take_along_axis(col, k[None], axis=0)[0])))[..., None, None]
     return w * np.eye(2, dtype=complex) + 1j * (x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
 
 

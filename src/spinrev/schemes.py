@@ -338,8 +338,29 @@ def _scheme_json_chunks(scheme: Scheme):
     yield "]}"
 
 
+def _step_object_hook(obj: dict) -> dict:
+    """`json.load` object hook for scheme files: decoded one object at a
+    time, each step's "rotations" become one float64 array as soon as the
+    step is read, so the lists and float objects of a large scheme are
+    never all alive at once.  Rotations that fail the parse or
+    `_check_json_numbers` stay as decoded, for `scheme_from_dict` to
+    report."""
+    rotations = obj.get("rotations")
+    if isinstance(rotations, list):
+        try:
+            array = np.asarray(rotations, dtype=float)
+            _check_json_numbers(rotations, array.ndim, "step rotations")
+        except (TypeError, ValueError, OverflowError):
+            return obj
+        obj["rotations"] = array
+    return obj
+
+
 def scheme_from_dict(data) -> Scheme:
-    """Parse the scheme JSON form; unknown keys are ignored."""
+    """Parse the scheme JSON form; unknown keys are ignored.
+
+    Step rotations may be nested lists or, as `_step_object_hook` leaves
+    them, numeric arrays; both take the same checks."""
     if not isinstance(data, dict):
         raise ValueError("scheme file must hold a JSON object")
     for key in ("kind", "n", "steps"):

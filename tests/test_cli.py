@@ -435,6 +435,23 @@ class TestInputDiscipline:
         code, _ = run(capsys, ["classify", "--coupling", str(path)])
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--coupling", "--scheme"])
+    def test_non_utf8_file_is_named(self, files, capsys, flag):
+        tmp, write = files
+        paths = {
+            "--coupling": write("c.json", coupling_doc(2, dipole_type())),
+            "--scheme": write("s.json", {"kind": "inversion", "n": 2, "steps": []}),
+        }
+        bad = tmp / "latin1.json"
+        bad.write_bytes(b"\xff{}")
+        paths[flag] = str(bad)
+        code = main(["verify", "--coupling", paths["--coupling"], "--scheme", paths["--scheme"]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert str(bad) in captured.err
+
     def test_invalid_coupling(self, files, capsys):
         _, write = files
         path = write("c.json", {"n": 2, "W": [[0, 1], [1, 0.5]], "A": np.eye(3).tolist()})

@@ -16,6 +16,7 @@ from spinrev import (
     tensor_coupling,
 )
 from spinrev.coupling import (
+    _check_json_numbers,
     check_coupling_matrix,
     check_type_matrix,
     check_weight_matrix,
@@ -168,6 +169,62 @@ class TestJsonInput:
         with pytest.raises(ValueError, match=None) as err:
             coupling_from_dict(data)
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize("dtype", [float, np.float32, int, np.int16])
+    def test_numeric_arrays_parse_like_their_lists(self, dtype):
+        W, A = complete_weights(3), np.diag([2, 1, -1])
+        from_lists = coupling_from_dict({"n": 3, "W": W.tolist(), "A": A.tolist()})
+        from_arrays = coupling_from_dict({"n": 3, "W": W.astype(dtype), "A": A.astype(dtype)})
+        for name in ("J", "W", "A"):
+            assert np.array_equal(getattr(from_arrays, name), getattr(from_lists, name))
+            assert getattr(from_arrays, name).dtype == np.float64
+        raw = coupling_from_dict({"n": 3, "J": from_lists.J})
+        assert np.array_equal(raw.J, from_lists.J)
+
+    @pytest.mark.parametrize(
+        "W",
+        [np.array([[False, True], [True, False]]), np.array([[0, True], [True, 0]], dtype=object)],
+        ids=["bool", "object"],
+    )
+    def test_boolean_arrays_get_the_json_boolean_message(self, W):
+        with pytest.raises(ValueError, match='"W" must hold only numbers, not booleans or strings'):
+            coupling_from_dict({"n": 2, "W": W, "A": np.eye(3)})
+
+    @pytest.mark.parametrize(
+        "value,ok",
+        [
+            (np.eye(2), True),
+            (np.eye(2, dtype=np.float32), True),
+            (np.eye(2, dtype=int), True),
+            (np.eye(2, dtype=np.uint8), True),
+            (np.eye(2, dtype=bool), False),
+            (np.eye(2).astype(str), False),
+            (np.eye(2, dtype=complex), False),
+            (np.array([[1.0, 0.0], [0.0, 1.0]], dtype=object), True),
+            (np.array([[1.0, 0.0], [0.0, "1"]], dtype=object), False),
+        ],
+        ids=["float64", "float32", "int", "uint8", "bool", "str", "complex", "object-floats", "object-str"],
+    )
+    def test_json_number_check_on_arrays(self, value, ok):
+        if ok:
+            _check_json_numbers(value, 2, '"M"')
+        else:
+            with pytest.raises(ValueError, match='"M" must hold only numbers'):
+                _check_json_numbers(value, 2, '"M"')
+
+    def test_factored_document_validates_each_factor_once(self, monkeypatch):
+        import spinrev.coupling
+
+        calls = []
+        real = spinrev.coupling.check_symmetric
+
+        def counting(M, name, detail=""):
+            calls.append(name)
+            return real(M, name, detail)
+
+        monkeypatch.setattr(spinrev.coupling, "check_symmetric", counting)
+        coupling_from_dict({"n": 3, "W": complete_weights(3).tolist(), "A": dipole_type().tolist()})
+        assert calls == ["weight matrix", "type matrix"]
 
 
 def test_check_coupling_matrix_rejects_asymmetry():

@@ -214,6 +214,13 @@ class TestRunCycle:
             reversed_product = (v.conj().T @ evolve(H, step.t * eps) @ v) @ reversed_product
         assert np.abs(product - reversed_product).max() > 1e-6
 
+    def test_scheme_lifted_in_one_call_matches_each_step(self):
+        scheme = synthesize_case2(complete_weights(4), np.diag([2.0, 1.0, -1.0]))
+        stacked = lift_rotations([step.rotations for step in scheme.steps])
+        assert stacked.shape == (len(scheme.steps), 4, 2, 2)
+        for lifts, step in zip(stacked, scheme.steps):
+            assert lifts.tobytes() == lift_rotations(step.rotations).tobytes()
+
     def test_independent_of_lift_signs(self):
         W, J = seeded_dipole_3()
         scheme = synthesize_case1(W, dipole_type())

@@ -14,7 +14,7 @@ from spinrev import (
     su2_to_so3,
     sym_eig,
 )
-from spinrev.rotations import SIGMA_X, SIGMA_Z
+from spinrev.rotations import SIGMA_X, SIGMA_Y, SIGMA_Z
 from spinrev.search import octahedral_group
 
 from helpers import random_rotation
@@ -113,6 +113,55 @@ class TestSo3ToSu2:
             for angle in angles:
                 R = rotation_about(axis, angle)
                 assert np.abs(su2_to_so3(so3_to_su2(R)) - R).max() <= 2e-15
+
+
+def _per_matrix_lift(R):
+    # the one-matrix Shepperd rule, kept as the reference for the stacked lift
+    (xx, xy, xz), (yx, yy, yz), (zx, zy, zz) = R
+    M = np.array(
+        [
+            [1.0 + xx - yy - zz, xy + yx, xz + zx, zy - yz],
+            [xy + yx, 1.0 - xx + yy - zz, yz + zy, xz - zx],
+            [xz + zx, yz + zy, 1.0 - xx - yy + zz, yx - xy],
+            [zy - yz, xz - zx, yx - xy, 1.0 + xx + yy + zz],
+        ]
+    )
+    k = int(np.argmax(np.diag(M)))
+    x, y, z, w = M[:, k] / (2.0 * np.sqrt(M[k, k]))
+    return w * np.eye(2, dtype=complex) + 1j * (x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
+
+
+class TestStackedLift:
+    def _rotations(self):
+        rng = np.random.default_rng(18)
+        mats = list(octahedral_group())
+        for i in range(300):
+            if i % 3 == 0:
+                mats.append(random_rotation(rng))
+            else:  # within 1e-3 to 1e-11 of a half turn
+                mats.append(rotation_about(rng.normal(size=3), np.pi - 10.0 ** -rng.uniform(3, 11)))
+        return np.array(mats)
+
+    def test_bitwise_equal_to_the_per_matrix_rule(self):
+        mats = self._rotations()
+        stacked = so3_to_su2(mats)
+        reference = np.array([_per_matrix_lift(R) for R in mats])
+        assert stacked.shape == (324, 2, 2)
+        assert np.array_equal(stacked, reference)
+        # signed zeros included
+        assert stacked.tobytes() == reference.tobytes()
+        single = np.array([so3_to_su2(R) for R in mats])
+        assert single.tobytes() == reference.tobytes()
+
+    def test_leading_axes_are_kept(self):
+        mats = self._rotations()[:24]
+        assert np.array_equal(so3_to_su2(mats.reshape(2, 3, 4, 3, 3)), so3_to_su2(mats).reshape(2, 3, 4, 2, 2))
+
+    def test_one_bad_matrix_rejects_the_stack(self):
+        mats = self._rotations()[:24].copy()
+        mats[7] = np.diag([1.0, 1.0, -1.0])
+        with pytest.raises(ValueError, match="determinant"):
+            so3_to_su2(mats)
 
 
 class TestAxisCycle:

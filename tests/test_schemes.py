@@ -1,6 +1,7 @@
 """Scheme model, averaging, verification, conversions, and synthesizers."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from spinrev import (
     tensor_coupling,
     verify,
 )
-from spinrev import schemes
+from spinrev import cli, schemes
 from spinrev.rotations import check_rotation
 
 from helpers import random_coupling, random_rotation, random_scheme, random_weights
@@ -452,6 +453,23 @@ class TestTraceObstruction:
             assert np.trace(avg[0:3, 3:6]) >= -1e-12
 
 
+# scheme documents that must be rejected, and a fragment of the message
+INVALID_DOCUMENTS = [
+    (lambda d: d.update(kind="flip"), "inversion"),
+    (lambda d: d.pop("steps"), '"steps"'),
+    (lambda d: d["steps"][0].update(t=-1.0), "positive"),
+    (lambda d: d["steps"][0]["rotations"][0][0].__setitem__(0, 5.0), "orthogonal"),
+    (lambda d: d.update(n=3), "per spin"),
+    (lambda d: d.update(n=True), '"n" must be a positive integer'),
+    (lambda d: d["steps"][0].update(t=True), 'step "t" must be a number'),
+    (lambda d: d["steps"][0].update(t="2.5"), 'step "t" must be a number'),
+    (lambda d: d["steps"][0].update(rotations=_as_strings(d["steps"][0]["rotations"])), "only numbers"),
+    (lambda d: _replace_unit_entry(d["steps"][0]["rotations"], True), "only numbers"),
+    (lambda d: d["steps"][0].update(t=10**400), "positive and finite"),
+    (lambda d: _replace_unit_entry(d["steps"][0]["rotations"], 10**400), "numeric"),
+]
+
+
 class TestSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(43)
@@ -471,23 +489,7 @@ class TestSerialization:
         assert len(data["steps"]) == 2
         assert np.asarray(data["steps"][0]["rotations"]).shape == (2, 3, 3)
 
-    @pytest.mark.parametrize(
-        "mutate,fragment",
-        [
-            (lambda d: d.update(kind="flip"), "inversion"),
-            (lambda d: d.pop("steps"), '"steps"'),
-            (lambda d: d["steps"][0].update(t=-1.0), "positive"),
-            (lambda d: d["steps"][0]["rotations"][0][0].__setitem__(0, 5.0), "orthogonal"),
-            (lambda d: d.update(n=3), "per spin"),
-            (lambda d: d.update(n=True), '"n" must be a positive integer'),
-            (lambda d: d["steps"][0].update(t=True), 'step "t" must be a number'),
-            (lambda d: d["steps"][0].update(t="2.5"), 'step "t" must be a number'),
-            (lambda d: d["steps"][0].update(rotations=_as_strings(d["steps"][0]["rotations"])), "only numbers"),
-            (lambda d: _replace_unit_entry(d["steps"][0]["rotations"], True), "only numbers"),
-            (lambda d: d["steps"][0].update(t=10**400), "positive and finite"),
-            (lambda d: _replace_unit_entry(d["steps"][0]["rotations"], 10**400), "numeric"),
-        ],
-    )
+    @pytest.mark.parametrize("mutate,fragment", INVALID_DOCUMENTS)
     def test_invalid_documents_are_rejected(self, mutate, fragment):
         data = scheme_to_dict(cyclic_scheme(2))
         mutate(data)
@@ -509,6 +511,66 @@ class TestSerialization:
         chunks = list(schemes._scheme_json_chunks(scheme))
         assert len(chunks) == len(scheme.steps) + 2
         assert "".join(chunks) == json.dumps(scheme_to_dict(scheme))
+
+    @pytest.mark.parametrize("dtype", [float, np.float32, int])
+    def test_numeric_rotation_arrays_parse_like_their_lists(self, dtype):
+        data = scheme_to_dict(cyclic_scheme(3))
+        from_lists = scheme_from_dict(data)
+        for step in data["steps"]:
+            step["rotations"] = np.array(step["rotations"]).astype(dtype)
+        from_arrays = scheme_from_dict(data)
+        assert from_arrays.kind is from_lists.kind
+        for a, b in zip(from_arrays.steps, from_lists.steps):
+            assert a.t == b.t
+            assert a.rotations.dtype == np.float64
+            assert np.array_equal(a.rotations, b.rotations)
+
+
+class TestStreamedReader:
+    """Scheme files are decoded one step at a time (`_step_object_hook`)."""
+
+    def test_hook_turns_each_step_into_one_array(self):
+        scheme = synthesize_case2(complete_weights(5), np.diag([2.0, 1.0, -1.0]))
+        text = "".join(schemes._scheme_json_chunks(scheme))
+        data = json.loads(text, object_hook=schemes._step_object_hook)
+        assert all(type(step["rotations"]) is np.ndarray for step in data["steps"])
+        streamed, whole = scheme_from_dict(data), scheme_from_dict(json.loads(text))
+        assert len(streamed.steps) == len(whole.steps)
+        for a, b in zip(streamed.steps, whole.steps):
+            assert a.t == b.t
+            assert a.rotations.tobytes() == b.rotations.tobytes()
+
+    @pytest.mark.parametrize("mutate,fragment", INVALID_DOCUMENTS)
+    def test_invalid_files_are_rejected_by_verify(self, tmp_path, capsys, mutate, fragment):
+        data = scheme_to_dict(cyclic_scheme(2))
+        mutate(data)
+        coupling = tmp_path / "c.json"
+        coupling.write_text(json.dumps({"n": 2, "W": complete_weights(2).tolist(), "A": dipole_type().tolist()}))
+        scheme = tmp_path / "s.json"
+        scheme.write_text(json.dumps(data))
+        code = cli.main(["verify", "--coupling", str(coupling), "--scheme", str(scheme)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert fragment in captured.err
+
+    def test_reading_a_class2_file_holds_about_one_copy(self, tmp_path):
+        # the whole decoded tree of lists and floats is ~5x the file plus
+        # its float64 arrays; one step at a time stays near 1x
+        scheme = synthesize_case2(complete_weights(24), np.diag([2.0, 1.0, -1.0]))
+        assert len(scheme.steps) == 96
+        path = tmp_path / "s.json"
+        cli._write_scheme(str(path), scheme)
+        float_bytes = 72 * len(scheme.steps) * scheme.n
+        tracemalloc.start()
+        try:
+            loaded = cli._load_scheme(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(loaded.steps) == 96
+        assert peak <= 2 * (path.stat().st_size + float_bytes)
 
 
 def _as_strings(rotations):

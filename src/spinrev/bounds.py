@@ -122,9 +122,7 @@ def bounds_report(J, W=None, A=None, p: int | None = None, tol: float = 1e-9) ->
     J = check_coupling_matrix(J)
     if float(np.linalg.norm(J)) == 0.0:
         raise ValueError("zero coupling has no overhead bound")
-    lam = np.linalg.eigvalsh(J)
-    lam_min, lam_max = float(lam[0]), float(lam[-1])
-    tau_low = -lam_max / lam_min
+    lam_min, lam_max, tau_low = _spectral_bound(J)
     notes = [f"any inversion scheme needs overhead tau >= -lambda_max/lambda_min = {tau_low:.9g}"]
     case = None
     steps_low = 1
@@ -196,6 +194,14 @@ def check_scheme_against_bounds(scheme: Scheme, W, A, tol: float = 1e-9) -> Boun
             f"scheme does not verify as an inversion (residual {result.residual:.3g} > tol {tol:g}); audit refused"
         )
     return audit_stats_against_bounds(scheme_stats(scheme), W, A, tol)
+
+
+def _spectral_bound(J) -> tuple[float, float, float]:
+    """(lambda_min, lambda_max, tau_lower) of a nonzero J that has passed
+    `check_coupling_matrix`; the one place of the overhead formula."""
+    lam = np.linalg.eigvalsh(J)
+    lam_min, lam_max = float(lam[0]), float(lam[-1])
+    return lam_min, lam_max, -lam_max / lam_min
 
 
 def _complete_graph_steps(W, case: CouplingClass) -> int | None:

@@ -152,7 +152,9 @@ def _base_pool(name: str, n: int, seed: int, max_pool: int):
 
 
 def cmd_search(args) -> int:
-    from .search import greedy_pool_growth, search_result_to_dict
+    from dataclasses import replace
+
+    from .search import greedy_pool_growth, minimize_tau, search_result_to_dict
 
     if args.seed < 0:
         raise ValueError("--seed must be a non-negative integer")
@@ -165,6 +167,12 @@ def cmd_search(args) -> int:
     result = greedy_pool_growth(
         coupling.J, pool, target_tol=args.tol, max_pool=args.max_pool, seed=args.seed
     )
+    if result.scheme is not None:
+        # phase 2 may add what is left of the pool budget; `iterations` stays
+        # the count of growth rounds
+        room = args.max_pool - len(pool.assemblies) - result.iterations
+        tuned = minimize_tau(coupling.J, result.scheme, args.tol, max_columns=room, seed=args.seed)
+        result = replace(tuned, iterations=result.iterations)
     if args.out and result.scheme is not None:
         _write_scheme(args.out, result.scheme)
     _emit(search_result_to_dict(result, seed=args.seed))

@@ -164,8 +164,9 @@ def coupling_from_dict(data) -> CouplingInput:
     if "n" not in data:
         raise ValueError('coupling file is missing "n"')
     n = data["n"]
-    if type(n) is not int or n < 2:
+    if not _is_integer(n) or n < 2:
         raise ValueError('"n" must be an integer >= 2')
+    n = int(n)
     if "W" in data or "A" in data:
         if "W" not in data or "A" not in data:
             raise ValueError('factored coupling needs both "W" and "A"')
@@ -194,20 +195,27 @@ def _as_matrix(value, name):
     return M
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer scalar, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_json_numbers(value, ndim: int, field: str) -> None:
     """Reject any leaf of a regular ndim-deep nested list that is not a JSON
     number.  float() and np.asarray(..., dtype=float) read true as 1.0 and
-    "2.5" as 2.5, and bool is an int subclass, so the test is on exact
-    types, in one pass over the leaves.  An ndarray of integer or float
-    dtype passes as a whole (the scheme reader hands over each step's
-    rotations as one); bool, string and complex arrays fail, and object
-    arrays are walked like lists."""
+    "2.5" as 2.5, and bool is an int subclass, so the test is on the leaf
+    types, in one pass over the leaves: int, float and numpy integer and
+    floating scalars pass, bool and np.bool_ do not.  An ndarray of integer
+    or float dtype passes as a whole (the scheme reader hands over each
+    step's rotations as one); bool, string and complex arrays fail, and
+    object arrays are walked like lists."""
     if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
         return
     leaves = [value] if ndim == 0 else value
     for _ in range(ndim - 1):
         leaves = chain.from_iterable(leaves)
-    if not set(map(type, leaves)) <= {int, float}:
+    kinds = set(map(type, leaves))
+    if bool in kinds or not all(issubclass(kind, (int, float, np.integer, np.floating)) for kind in kinds):
         raise ValueError(
             f"{field} must be a number" if ndim == 0 else f"{field} must hold only numbers, not booleans or strings"
         )

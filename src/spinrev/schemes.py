@@ -22,6 +22,7 @@ import numpy as np
 from .coupling import (
     CouplingClass,
     _check_json_numbers,
+    _is_integer,
     check_coupling_matrix,
     check_type_matrix,
     check_weight_matrix,
@@ -120,7 +121,11 @@ def conjugate(rotations, J) -> np.ndarray:
 
 def average_coupling(scheme: Scheme, J) -> np.ndarray:
     """Time-weighted average sum_j t_j V_j J V_j^T over the scheme's steps."""
-    J = check_coupling_matrix(J)
+    return _average(scheme, check_coupling_matrix(J))
+
+
+def _average(scheme: Scheme, J) -> np.ndarray:
+    """`average_coupling` of a J that has passed `check_coupling_matrix`."""
     if n_spins(J) != scheme.n:
         raise ValueError(
             f"dimension mismatch: scheme addresses {scheme.n} spins, coupling has {n_spins(J)}"
@@ -137,11 +142,15 @@ def verify(scheme: Scheme, J, tol: float = 1e-9) -> VerifyResult:
     Inversion schemes are verified against -J, decoupling schemes against
     zero; the residual is normalized by ||J||_F.
     """
-    J = check_coupling_matrix(J)
+    return _verify(scheme, check_coupling_matrix(J), tol)
+
+
+def _verify(scheme: Scheme, J, tol: float) -> VerifyResult:
+    """`verify` of a J that has passed `check_coupling_matrix`."""
     norm = float(np.linalg.norm(J))
     if norm == 0.0:
         raise ValueError("zero coupling: verification is undefined")
-    avg = average_coupling(scheme, J)
+    avg = _average(scheme, J)
     if scheme.kind is SchemeKind.INVERSION:
         residual = float(np.linalg.norm(avg + J)) / norm
     else:
@@ -371,8 +380,9 @@ def scheme_from_dict(data) -> Scheme:
     except ValueError:
         raise ValueError('scheme "kind" must be "inversion" or "decoupling"') from None
     n = data["n"]
-    if type(n) is not int or n < 1:
+    if not _is_integer(n) or n < 1:
         raise ValueError('scheme "n" must be a positive integer')
+    n = int(n)
     if not isinstance(data["steps"], list) or not data["steps"]:
         raise ValueError('scheme "steps" must be a non-empty list')
     steps = []

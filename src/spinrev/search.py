@@ -7,34 +7,47 @@ coordinates.  Rotations are discretized to the 24-element octahedral
 group, which contains every rotation the constructive schemes use (axis
 cycles, half turns, quarter turns between axes); a seeded greedy loop
 grows the pool with random assemblies when the base pool cannot reach the
-target residual.
+target residual (phase 1).  NNLS minimizes the residual, not the overhead
+tau, so `minimize_tau` (phase 2) then solves the linear program
+min 1^T t subject to C t = -vec(J), t >= 0 by column generation, starting
+from the phase-1 scheme.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import tau_lower_bound
+from .bounds import _spectral_bound
 from .coupling import check_coupling_matrix, n_spins
 from .rotations import axis_cycle, check_rotation
 from .schemes import (
     Scheme,
     SchemeKind,
     Step,
+    _verify,
     conjugate,
     pi_rotation,
     scheme_to_dict,
-    verify,
 )
 
 _PRUNE_TOL = 1e-12
 _BOUND_SLACK = 1e-6
 _DUAL_TOL = 1e-12  # relative tolerance of the NNLS dual feasibility test
 _BATCH = 64  # random assemblies drawn per growth round
+# phase 2 (`minimize_tau`)
+_PIVOTS_PER_ROW = 3  # simplex pivot budget per row of the LP under ascent pricing
+_EXACT_PIVOTS_PER_ROW = 20  # the same under enumeration, which runs to a certificate
+_PRICE_TOP = 32  # improving assemblies that join the pool per pricing round
+_ENUMERATE_MAX = 24**3  # price by enumeration up to this many assemblies
+_ASCENT_STARTS = 64  # seeded starts of the coordinate ascent beyond that
+_ASCENT_SWEEPS = 10  # sweep cap of one ascent
+_PRICE_TOL = 1e-9  # a column improves when y^T a > 1 + 1e-9
+_PIVOT_TOL = 1e-9  # smallest |B^-1 a| entry a pivot may divide by
+_REFACTOR = 50  # pivots between fresh inverses of the basis
 
 
 def octahedral_group() -> np.ndarray:
@@ -226,16 +239,19 @@ def _passive_solve(A_P, b):
 @dataclass(frozen=True)
 class SearchResult:
     """Outcome of a scheme search: the scheme when the target residual was
-    reached, otherwise the best residual found."""
+    reached, otherwise the best residual found.  `certified` means tau is
+    proven minimal over all octahedral schemes (see `minimize_tau`)."""
 
     scheme: Scheme | None
     residual: float
     tau: float
     iterations: int
+    certified: bool = False
 
 
 def search_result_to_dict(result: SearchResult, seed: int | None = None) -> dict:
-    """Scheme JSON plus a metadata block; the scheme entry is null on failure."""
+    """Scheme JSON plus a metadata block and the top-level `certified` flag;
+    the scheme entry is null on failure."""
     meta = {
         "residual": result.residual,
         "iterations": result.iterations,
@@ -245,6 +261,7 @@ def search_result_to_dict(result: SearchResult, seed: int | None = None) -> dict
         meta["seed"] = seed
     out = scheme_to_dict(result.scheme) if result.scheme is not None else {"scheme": None}
     out["found"] = result.scheme is not None
+    out["certified"] = result.certified
     out["meta"] = meta
     return out
 
@@ -275,9 +292,9 @@ def _finalize(J, assemblies, x, rnorm, iterations, tol):
     if keep.size and relative <= tol:
         steps = tuple(Step(float(x[j]), assemblies[j].copy()) for j in keep)
         scheme = Scheme(SchemeKind.INVERSION, steps)
-        recheck = verify(scheme, J, tol)
+        recheck = _verify(scheme, J, tol)
         if recheck.ok:
-            if tau < tau_lower_bound(J) - _BOUND_SLACK:
+            if tau < _spectral_bound(J)[2] - _BOUND_SLACK:
                 raise RuntimeError(
                     "verified scheme beats the spectral overhead bound; this is a software defect"
                 )
@@ -286,18 +303,18 @@ def _finalize(J, assemblies, x, rnorm, iterations, tol):
     return SearchResult(None, relative, tau, iterations)
 
 
-def _problem(J, pool: CandidatePool):
+def _problem(J, assemblies):
     """Validate a nonzero coupling against a pool of its spin count, and
     return (J, columns, target): the search minimizes
-    ||columns x - target|| over x >= 0."""
+    ||columns x - target|| over x >= 0.  This is the one J check of a
+    search; the rest of it takes J as checked."""
     J = check_coupling_matrix(J)
     if float(np.linalg.norm(J)) == 0.0:
         raise ValueError("zero coupling: nothing to invert")
-    if pool.n != n_spins(J):
-        raise ValueError(
-            f"dimension mismatch: pool addresses {pool.n} spins, coupling has {n_spins(J)}"
-        )
-    return J, _upper_block_columns(J, pool.assemblies), -_upper_blocks(J)
+    n = assemblies[0].shape[0]
+    if n != n_spins(J):
+        raise ValueError(f"dimension mismatch: pool addresses {n} spins, coupling has {n_spins(J)}")
+    return J, _upper_block_columns(J, assemblies), -_upper_blocks(J)
 
 
 def find_inversion_nnls(J, pool: CandidatePool, tol: float = 1e-9, max_steps: int | None = None) -> SearchResult:
@@ -309,7 +326,7 @@ def find_inversion_nnls(J, pool: CandidatePool, tol: float = 1e-9, max_steps: in
     fixed pool order.  `max_steps` caps the active-set size; hitting the
     cap reports no solution together with the best residual.
     """
-    J, columns, target = _problem(J, pool)
+    J, columns, target = _problem(J, pool.assemblies)
     x, rnorm, iterations = nnls_active_set(columns, target, max_active=max_steps)
     return _finalize(J, pool.assemblies, x, rnorm, iterations, tol)
 
@@ -332,7 +349,7 @@ def greedy_pool_growth(
     up to the first insertion that differs, with a result bit-identical
     to a cold solve.  `iterations` counts growth rounds.
     """
-    J, columns, target = _problem(J, base_pool)
+    J, columns, target = _problem(J, base_pool.assemblies)
     if max_pool < len(base_pool.assemblies):
         raise ValueError("max_pool is smaller than the base pool")
     rng = np.random.default_rng(base_pool.seed if seed is None else seed)
@@ -354,3 +371,216 @@ def greedy_pool_growth(
         rnorm = new_rnorm
         growth_rounds += 1
     return _finalize(J, assemblies, x, rnorm, growth_rounds, target_tol)
+
+
+def minimize_tau(
+    J,
+    scheme: Scheme,
+    tol: float = 1e-9,
+    max_columns: int | None = None,
+    seed: int = 0,
+) -> SearchResult:
+    """Phase 2: cut the overhead tau of an inversion scheme by column generation.
+
+    A revised simplex for min 1^T t subject to C t = -vec(J), t >= 0, whose
+    columns are octahedral assemblies.  The start basis is the scheme's
+    steps, which must have linearly independent columns (NNLS leaves them
+    so), completed by zero-level artificial columns that span the rest;
+    an artificial leaves at the first pivot that touches its row and never
+    returns.  Each pricing round adds the `_PRICE_TOP` assemblies with the
+    largest y^T a > 1 + 1e-9 to the pool, and steepest-edge pivots
+    (Goldfarb and Reid's weight update) run over the pool until none of it
+    improves.  Pricing enumerates the group when it has at most
+    `_ENUMERATE_MAX` assemblies, holding spin 0 at the identity when every
+    block of J is a multiple of I (then only R_k R_l^T matters); beyond
+    that it runs a per-spin coordinate ascent from `_ASCENT_STARTS` starts
+    drawn from `seed`.  At most `max_columns` assemblies join the pool
+    (None: no limit), and the run stops after a pricing round that no
+    pivot follows or at the pivot budget: `_EXACT_PIVOTS_PER_ROW` per row
+    of C under enumeration, so that the run ends at a certificate rather
+    than wherever the budget falls, and `_PIVOTS_PER_ROW` under ascent,
+    which can certify only by reaching the bound.  `certified`
+    is true when enumeration finds no improving assembly, which proves
+    tau minimal over every octahedral scheme, or when tau reached
+    `tau_lower_bound`.  The result is the start scheme unless the
+    simplex's scheme verifies at `tol` with a smaller tau; `iterations`
+    counts pivots.  Deterministic for a fixed seed.
+    """
+    if scheme.kind is not SchemeKind.INVERSION:
+        raise ValueError("phase 2 needs an inversion scheme")
+    start = np.array([step.rotations for step in scheme.steps])
+    J, columns, target = _problem(J, start)
+    rows, size = columns.shape
+    Q, R = np.linalg.qr(columns, mode="complete")
+    diag = np.abs(np.diagonal(R))
+    if size > rows or diag.min() <= np.finfo(float).eps * rows * diag.max():
+        raise ValueError("the start scheme's steps are linearly dependent, so they are no LP basis")
+    basis = np.column_stack([columns, Q[:, size:]])
+    basis_rots = np.concatenate([start, np.zeros((rows - size,) + start.shape[1:])])
+    artificial = np.arange(rows) >= size
+    open_rows = rows - size  # artificial columns still in the basis
+    cost = np.where(artificial, 0.0, 1.0)
+    inverse = np.linalg.inv(basis)
+    x = np.maximum(inverse @ target, 0.0)
+    y = cost @ inverse
+    tau_low = _spectral_bound(J)[2]
+    group = octahedral_group()
+    price, exact = _pricer(J, seed)
+    budget = (_EXACT_PIVOTS_PER_ROW if exact else _PIVOTS_PER_ROW) * rows
+    pool = np.empty((rows, 0))
+    pool_rots = np.empty((0,) + start.shape[1:])
+    weights = np.empty(0)
+    room = np.iinfo(np.int64).max if max_columns is None else max_columns
+    pivots = 0
+    certified = False
+    priced = False
+    while True:
+        reduced = 1.0 - y @ pool
+        before = pivots
+        while pivots < budget and pool.shape[1]:
+            score = np.where(reduced < -_PRICE_TOL, reduced / np.sqrt(weights), 0.0)
+            q = int(np.argmin(score))
+            if score[q] == 0.0:
+                break
+            alpha = inverse @ pool[:, q]
+            touched = np.flatnonzero(artificial & (np.abs(alpha) > _PIVOT_TOL)) if open_rows else ()
+            if len(touched):
+                r = int(touched[np.argmax(np.abs(alpha[touched]))])
+                theta = 0.0
+                open_rows -= 1
+            else:
+                up = alpha > _PIVOT_TOL
+                ratios = np.divide(x, alpha, out=np.full(rows, np.inf), where=up)
+                theta = float(ratios.min())
+                if theta == np.inf:
+                    raise RuntimeError("phase-2 LP is unbounded although tau >= 0; simplex defect")
+                # of the tied rows (degenerate ones tie at 0) the largest pivot
+                r = int(np.argmax(np.where(ratios == theta, alpha, 0.0)))
+            alpha_r = alpha[r]
+            # the pivot row alpha_r. / alpha_r updates the reduced costs, and with
+            # a_j^T B^-T alpha the steepest-edge weights ||B^-1 a_j||^2 + 1
+            pivot_row, cross = np.stack((inverse[r] / alpha_r, alpha @ inverse)) @ pool
+            entering_weight = 1.0 + float(alpha @ alpha)
+            weights = np.maximum(
+                weights - pivot_row * (2.0 * cross - pivot_row * entering_weight), 1.0 + pivot_row**2
+            )
+            leaving_cost = -reduced[q] / alpha_r
+            reduced -= reduced[q] * pivot_row
+            x -= theta * alpha
+            np.maximum(x, 0.0, out=x)  # rounding leaves -1e-17 where ratios tie
+            x[r] = theta
+            inverse[r] /= alpha_r
+            alpha[r] = 0.0
+            inverse -= alpha[:, None] * inverse[r]
+            entering, entering_rots = pool[:, q].copy(), pool_rots[q].copy()
+            if artificial[r]:
+                pool = np.delete(pool, q, axis=1)
+                pool_rots = np.delete(pool_rots, q, axis=0)
+                weights = np.delete(weights, q)
+                reduced = np.delete(reduced, q)
+            else:
+                pool[:, q], pool_rots[q] = basis[:, r], basis_rots[r]
+                weights[q] = max(entering_weight / alpha_r**2, 1.0)
+                reduced[q] = leaving_cost
+            basis[:, r], basis_rots[r] = entering, entering_rots
+            artificial[r] = False
+            cost[r] = 1.0
+            pivots += 1
+            if pivots % _REFACTOR == 0:
+                inverse = np.linalg.inv(basis)
+                x = np.maximum(inverse @ target, 0.0)
+                reduced = 1.0 - (cost @ inverse) @ pool
+        y = cost @ inverse
+        if float(cost @ x) <= tau_low + _PRICE_TOL * max(tau_low, 1.0):
+            certified = True
+            break
+        # priced columns that did not enter sat within rounding of the
+        # threshold, and pricing the same y again would find them again
+        if pivots >= budget or room <= 0 or (priced and pivots == before):
+            break
+        found = price(y)[:room]
+        priced = True
+        if not len(found):
+            certified = exact
+            break
+        new = _upper_block_columns(J, group[found])
+        pool = np.column_stack([pool, new])
+        pool_rots = np.concatenate([pool_rots, group[found]])
+        weights = np.concatenate([weights, 1.0 + np.sum((inverse @ new) ** 2, axis=0)])
+        room -= len(found)
+    tau_start = float(np.sum([step.t for step in scheme.steps]))
+    if pivots:
+        times = np.linalg.solve(basis, target)
+        times = np.where(artificial | (times <= _PRUNE_TOL), 0.0, times)
+        rnorm = float(np.linalg.norm(basis @ times - target))
+        result = _finalize(J, basis_rots, times, rnorm, pivots, tol)
+        if result.scheme is not None and result.tau < tau_start:
+            return replace(result, certified=certified)
+        certified = certified and result.scheme is not None
+    return SearchResult(scheme, _verify(scheme, J, tol).residual, tau_start, pivots, certified)
+
+
+def _pricer(J, seed: int):
+    """Pricing for `minimize_tau`: (price, exact).
+
+    price(y) returns the indices into `octahedral_group()`, shape (k, n),
+    of at most `_PRICE_TOP` assemblies a with y^T a > 1 + 1e-9, best
+    first.  y^T a is a sum over spin pairs k < l of the 24 x 24 tables
+    T_kl[r, s] = <Y_kl, O_r J_kl O_s^T>, Y_kl the pair's 3x3 slice of y.
+    `exact` says whether price enumerates every assembly (spin 0 held at
+    the identity, group[0], when every block is a multiple of I) or runs
+    the seeded coordinate ascent.
+    """
+    group = octahedral_group()
+    order = len(group)
+    n = n_spins(J)
+    first, second = np.triu_indices(n, 1)
+    blocks = np.swapaxes(J.reshape(n, 3, n, 3), 1, 2)[first, second]
+    # T_kl[r, s] = <O_r^T Y_kl, J_kl O_s^T>: the right factors depend on J only
+    right = np.matmul(blocks[:, None], np.swapaxes(group, 1, 2)[None]).reshape(-1, order, 9)
+    right = np.ascontiguousarray(np.swapaxes(right, 1, 2))
+    left = np.swapaxes(group, 1, 2)[None]
+    fixed = 1 if np.array_equal(blocks, blocks[:, :1, :1] * np.eye(3)) else 0
+    sizes = [1] * fixed + [order] * (n - fixed)
+    exact = int(np.prod(sizes)) <= _ENUMERATE_MAX
+    rng = np.random.default_rng(seed)
+    pairs = range(len(first))
+    offsets = np.arange(n) * order
+
+    def best(score):
+        good = np.flatnonzero(score > 1.0 + _PRICE_TOL)
+        if good.size > _PRICE_TOP:
+            good = np.argpartition(-score, _PRICE_TOP)[:_PRICE_TOP]
+        return good[np.lexsort((good, -score[good]))]
+
+    def price(y):
+        T = np.matmul(np.matmul(left, y.reshape(-1, 1, 3, 3)).reshape(-1, order, 9), right)
+        if exact:
+            score = np.zeros(sizes)
+            for p in pairs:
+                shape = [1] * n
+                shape[first[p]], shape[second[p]] = sizes[first[p]], sizes[second[p]]
+                score += T[p, : sizes[first[p]], : sizes[second[p]]].reshape(shape)
+            return np.stack(np.unravel_index(best(score.ravel()), sizes), axis=1)
+        # tables[k, l * 24 + s] = T_kl[:, s], both orientations of every
+        # pair table, zero for l == k
+        tables = np.zeros((n, n, order, order))
+        tables[first, second] = np.swapaxes(T, 1, 2)
+        tables[second, first] = T
+        tables = tables.reshape(n, n * order, order)
+        picks = rng.integers(0, order, size=(_ASCENT_STARTS, n))
+        picks[:, :fixed] = 0
+        for _ in range(_ASCENT_SWEEPS):
+            moved = False
+            for spin in range(fixed, n):
+                # gain[start, r] = sum over l of T_spin,l[r, picks[start, l]]
+                choice = np.argmax(tables[spin][(offsets + picks).T].sum(axis=0), axis=1)
+                moved = moved or bool(np.any(choice != picks[:, spin]))
+                picks[:, spin] = choice
+            if not moved:
+                break
+        picks = picks[np.lexsort(picks.T)]
+        picks = picks[np.r_[True, np.any(picks[1:] != picks[:-1], axis=1)]]
+        return picks[best(T[np.arange(len(first)), picks[:, first], picks[:, second]].sum(axis=1))]
+
+    return price, exact

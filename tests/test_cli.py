@@ -469,3 +469,80 @@ def test_module_entry_point(files):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["case"] == "1"
+
+
+class TestSearchPhaseTwo:
+    """`search` re-times the phase-1 scheme by `minimize_tau` before printing."""
+
+    @pytest.mark.parametrize("seed", [[], ["--seed", "1"], ["--seed", "2"]])
+    def test_four_spin_complete_scalar_is_certified_optimal(self, files, capsys, seed):
+        # exact pricing runs to its certificate, so the seed changes the
+        # steps but not tau
+        tmp, write = files
+        path = write("c.json", coupling_doc(4, scalar_type()))
+        out_path = str(tmp / "found.json")
+        code, out = run(capsys, ["search", "--coupling", path, "--out", out_path, *seed])
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["certified"] is True
+        assert abs(payload["meta"]["tau"] - 3.0) <= 1e-9
+        assert set(payload["meta"]) == {"residual", "iterations", "tau", "seed"}
+        code, out = run(capsys, ["verify", "--coupling", path, "--scheme", out_path])
+        assert code == 0
+        assert json.loads(out)["ok"] is True
+
+    def test_uncertified_when_the_budget_ends_first(self, files, capsys):
+        # ascent pricing at n=5 stops at its budget, short of the optimum 5
+        _, write = files
+        path = write("c.json", coupling_doc(5, scalar_type()))
+        code, out = run(capsys, ["search", "--coupling", path, "--seed", "1"])
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["certified"] is False
+        assert 5.0 < payload["meta"]["tau"] < 14.0
+
+    def test_no_scheme_is_not_certified(self, files, capsys):
+        _, write = files
+        path = write("c.json", coupling_doc(2, scalar_type()))
+        argv = ["search", "--coupling", path, "--pool", "collective-cyclic", "--max-pool", "3", "--seed", "1"]
+        code, out = run(capsys, argv)
+        assert code == 1
+        assert json.loads(out)["certified"] is False
+
+    def test_phase_two_defect_exits_three(self, files, capsys, monkeypatch):
+        tmp, write = files
+        path = write("c.json", coupling_doc(3, scalar_type()))
+
+        def defective(*args, **kwargs):
+            raise RuntimeError("phase-2 LP is unbounded although tau >= 0; simplex defect")
+
+        monkeypatch.setattr("spinrev.search.minimize_tau", defective)
+        code = main(["search", "--coupling", path, "--out", str(tmp / "found.json")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: internal defect: phase-2 LP is unbounded although tau >= 0; simplex defect"
+        ]
+        assert "Traceback" not in captured.err
+        assert sorted(p.name for p in tmp.iterdir()) == ["c.json"]
+
+    def test_search_checks_the_coupling_once_per_phase(self, files, capsys, monkeypatch):
+        # W and A once each while parsing; J once at each phase's boundary
+        # (`_problem`), never again inside a phase, so J stays within the
+        # four checks a search made before phase 2 existed
+        import spinrev.coupling
+
+        _, write = files
+        path = write("c.json", coupling_doc(5, scalar_type()))
+        real = spinrev.coupling.check_symmetric
+        calls = []
+
+        def counting(M, name, *args):
+            calls.append(name)
+            return real(M, name, *args)
+
+        monkeypatch.setattr(spinrev.coupling, "check_symmetric", counting)
+        code, _ = run(capsys, ["search", "--coupling", path])
+        assert code == 0
+        assert sorted(calls) == ["coupling matrix", "coupling matrix", "type matrix", "weight matrix"]

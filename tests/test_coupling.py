@@ -256,3 +256,25 @@ def test_validators_reject_non_finite_entries(check, M, positions, value):
     # symmetric placement: NaN and inf - inf slip through a symmetry check
     with pytest.raises(ValueError, match="non-finite"):
         check(_with_entries(M, value, *positions))
+
+
+class TestNumpyScalars:
+    """In-process callers may hand numpy scalars where JSON has numbers."""
+
+    def test_numpy_integer_n_and_leaves_parse(self):
+        W = [[np.float32(0.0), np.int64(1)], [np.int32(1), np.float64(0.0)]]
+        parsed = coupling_from_dict({"n": np.int64(2), "W": W, "A": scalar_type().tolist()})
+        assert parsed.n == 2 and type(parsed.n) is int
+        assert np.array_equal(parsed.W, complete_weights(2))
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"n": np.bool_(True), "W": [[0, 1], [1, 0]], "A": np.eye(3).tolist()}, '"n" must be an integer >= 2'),
+            ({"n": 2, "W": [[0, np.bool_(True)], [1, 0]], "A": np.eye(3).tolist()}, "not booleans or strings"),
+        ],
+        ids=["n", "leaf"],
+    )
+    def test_numpy_booleans_still_fail(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            coupling_from_dict(doc)

@@ -1,0 +1,191 @@
+"""Phase 2 of the search: `minimize_tau`, minimum-tau re-timing by LP column generation."""
+
+import itertools
+
+import numpy as np
+import pytest
+import scipy.optimize
+
+from helpers import random_coupling
+from spinrev import (
+    collective_cyclic_pool,
+    complete_weights,
+    find_inversion_nnls,
+    greedy_pool_growth,
+    merge_pools,
+    octahedral_group,
+    pair_pi_pool,
+    scalar_type,
+    tensor_coupling,
+    verify,
+)
+from spinrev.schemes import Scheme, SchemeKind
+from spinrev.search import _PRICE_TOP, _pricer, _upper_block_columns, _upper_blocks, minimize_tau
+
+
+@pytest.fixture
+def unbudgeted(monkeypatch):
+    # the n=5 optimum takes 875 of 1,800 pivots under ascent pricing; the
+    # exact-pricing runs stay inside their own 20 a row (n=4: 355 of 1,080)
+    monkeypatch.setattr("spinrev.search._PIVOTS_PER_ROW", 20)
+
+
+def _auto_pool(n):
+    return merge_pools(pair_pi_pool(n), collective_cyclic_pool(n))
+
+
+def _highs_tau(J, assemblies):
+    """min 1^T t subject to C t = -vec(J), t >= 0 over the given assemblies, by HiGHS."""
+    columns = _upper_block_columns(J, assemblies)
+    lp = scipy.optimize.linprog(
+        np.ones(columns.shape[1]), A_eq=columns, b_eq=-_upper_blocks(J), bounds=(0, None), method="highs"
+    )
+    assert lp.status == 0
+    return float(lp.fun)
+
+
+def _every_assembly(n, fix_first=False):
+    group = octahedral_group()
+    picks = np.array(list(itertools.product(range(len(group)), repeat=n - fix_first)))
+    if fix_first:
+        picks = np.column_stack([np.zeros(len(picks), dtype=int), picks])
+    return group[picks]
+
+
+def test_matches_highs_over_the_full_four_spin_pool(unbudgeted):
+    # spin 0 held at the identity: 24^3 = 13,824 columns, every octahedral
+    # scheme of a scalar coupling up to a common right rotation
+    J = tensor_coupling(complete_weights(4), scalar_type())
+    assemblies = _every_assembly(4, fix_first=True)
+    assert assemblies.shape == (13824, 4, 3, 3)
+    reference = _highs_tau(J, assemblies)
+    start = greedy_pool_growth(J, _auto_pool(4), seed=42)
+    result = minimize_tau(J, start.scheme, seed=42)
+    assert abs(reference - 3.0) <= 1e-9
+    assert abs(result.tau - reference) <= 1e-9
+    assert result.certified
+    assert verify(result.scheme, J, 1e-9).ok
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_short_start_is_completed_by_zero_level_artificials(seed, unbudgeted):
+    # the pair-pi start has 3 steps against 9 rows at n=2; the artificial
+    # columns that fill the basis must all leave, since the optimum has 9
+    J = random_coupling(np.random.default_rng(seed), 2)
+    start = find_inversion_nnls(J, pair_pi_pool(2))
+    assert len(start.scheme.steps) == 3
+    result = minimize_tau(J, start.scheme)
+    assert result.certified
+    assert result.tau < start.tau
+    assert abs(result.tau - _highs_tau(J, _every_assembly(2))) <= 1e-9
+    assert verify(result.scheme, J, 1e-9).ok
+
+
+def test_an_optimal_start_comes_back_unchanged():
+    J = tensor_coupling(complete_weights(2), scalar_type())
+    start = find_inversion_nnls(J, pair_pi_pool(2))
+    result = minimize_tau(J, start.scheme)
+    assert result.scheme is start.scheme
+    assert result.tau == start.tau == 3.0
+    assert result.residual == start.residual
+    assert result.certified
+
+
+def test_five_spins_reach_the_octahedral_optimum(unbudgeted):
+    # tau* = 5 at n=5 is certified by an exact LP over the whole group; the
+    # ascent pricing reaches it but cannot prove it
+    J = tensor_coupling(complete_weights(5), scalar_type())
+    start = greedy_pool_growth(J, _auto_pool(5), seed=42)
+    result = minimize_tau(J, start.scheme, seed=42)
+    assert abs(result.tau - 5.0) <= 1e-9
+    assert not result.certified
+    assert verify(result.scheme, J, 1e-9).ok
+
+
+def test_budgets_hold(monkeypatch):
+    J = tensor_coupling(complete_weights(4), scalar_type())
+    start = greedy_pool_growth(J, _auto_pool(4), seed=7)
+    # exact pricing runs to its certificate, well inside 20 pivots a row
+    full = minimize_tau(J, start.scheme, seed=7)
+    assert full.certified
+    assert abs(full.tau - 3.0) <= 1e-9
+    assert full.iterations < 20 * 54
+    idle = minimize_tau(J, start.scheme, max_columns=0, seed=7)
+    assert idle.scheme is start.scheme
+    assert idle.iterations == 0
+    assert not idle.certified
+    monkeypatch.setattr("spinrev.search._EXACT_PIVOTS_PER_ROW", 3)
+    budgeted = minimize_tau(J, start.scheme, seed=7)
+    assert budgeted.iterations == 3 * 54
+    monkeypatch.setattr("spinrev.search._EXACT_PIVOTS_PER_ROW", 1)
+    few = minimize_tau(J, start.scheme, seed=7)
+    assert few.iterations == 54
+    assert full.tau < budgeted.tau < few.tau < start.tau
+
+
+def test_ascent_pricing_stops_at_its_own_budget():
+    J = tensor_coupling(complete_weights(5), scalar_type())
+    start = greedy_pool_growth(J, _auto_pool(5), seed=7)
+    result = minimize_tau(J, start.scheme, seed=7)
+    assert result.iterations == 3 * 90
+    assert not result.certified
+    assert 5.0 < result.tau < start.tau
+
+
+def test_a_pricing_round_that_no_pivot_follows_ends_the_run(monkeypatch):
+    # pricing and the pool's reduced costs are computed in different
+    # arithmetic; a column that passes one and not the other would be priced
+    # again and again, so a round with no pivot after it ends the run
+    J = tensor_coupling(complete_weights(3), scalar_type())
+    start = greedy_pool_growth(J, _auto_pool(3), seed=1)
+    group = octahedral_group()
+    basic = [[int(np.flatnonzero((group == R).all(axis=(1, 2)))[0]) for R in start.scheme.steps[0].rotations]]
+    calls = []
+
+    def stale_pricer(J, seed):
+        def price(y):
+            calls.append(y)
+            return np.array(basic)  # a basic column: reduced cost 0
+
+        return price, True
+
+    monkeypatch.setattr("spinrev.search._pricer", stale_pricer)
+    result = minimize_tau(J, start.scheme, max_columns=1000)
+    assert len(calls) == 1
+    assert result.scheme is start.scheme
+    assert not result.certified
+
+
+def test_pricing_enumerates_only_small_groups():
+    rng = np.random.default_rng(0)
+    assert _pricer(tensor_coupling(complete_weights(4), scalar_type()), 0)[1]
+    assert not _pricer(tensor_coupling(complete_weights(5), scalar_type()), 0)[1]
+    assert _pricer(random_coupling(rng, 3), 0)[1]
+    assert not _pricer(random_coupling(rng, 4), 0)[1]
+
+
+def test_pricing_scores_are_the_column_products():
+    # y^T a from the 24 x 24 pair tables equals y^T a from the built column
+    rng = np.random.default_rng(3)
+    J = random_coupling(rng, 3)
+    price, exact = _pricer(J, 0)
+    assert exact
+    y = rng.normal(size=27)
+    picks = price(y)
+    scores = _upper_block_columns(J, octahedral_group()[picks]).T @ y
+    every = _upper_block_columns(J, _every_assembly(3)).T @ y
+    assert len(picks) == _PRICE_TOP
+    assert np.all(np.diff(scores) <= 1e-12)
+    assert abs(scores[0] - every.max()) <= 1e-12
+    assert scores[-1] >= np.sort(every)[-_PRICE_TOP] - 1e-12
+
+
+def test_rejects_what_is_no_lp_start():
+    J = tensor_coupling(complete_weights(2), scalar_type())
+    start = find_inversion_nnls(J, pair_pi_pool(2)).scheme
+    with pytest.raises(ValueError, match="needs an inversion scheme"):
+        minimize_tau(J, Scheme(SchemeKind.DECOUPLING, start.steps))
+    with pytest.raises(ValueError, match="linearly dependent"):
+        minimize_tau(J, Scheme(SchemeKind.INVERSION, start.steps + start.steps[:1]))
+    with pytest.raises(ValueError, match="dimension mismatch: pool addresses 2 spins, coupling has 3"):
+        minimize_tau(tensor_coupling(complete_weights(3), scalar_type()), start)

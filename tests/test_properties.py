@@ -8,11 +8,12 @@ columns, dependent columns and more columns than rows.  Examples are
 derandomized and their counts bounded, so each run checks the same cases.
 """
 
+import json
 import warnings
 
 import numpy as np
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 # On a failure Hypothesis imports libcst to print the example as a patch,
@@ -26,8 +27,26 @@ with warnings.catch_warnings():
         pass
 
 from helpers import random_coupling
-from spinrev import complete_weights, scalar_type, tensor_coupling
-from spinrev.search import _lawson_hanson, _upper_block_columns, _upper_blocks, nnls_active_set, octahedral_group
+from spinrev import (
+    collective_cyclic_pool,
+    complete_weights,
+    greedy_pool_growth,
+    merge_pools,
+    pair_pi_pool,
+    scalar_type,
+    search_result_to_dict,
+    tau_lower_bound,
+    tensor_coupling,
+    verify,
+)
+from spinrev.search import (
+    _lawson_hanson,
+    _upper_block_columns,
+    _upper_blocks,
+    minimize_tau,
+    nnls_active_set,
+    octahedral_group,
+)
 
 bounded = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -128,3 +147,48 @@ def test_replay_on_grown_matrices_equals_a_cold_solve(problem):
         assert np.array_equal(x, x_cold)
         assert rnorm == rnorm_cold
         assert iterations == iterations_cold
+
+
+# Phase 2 of the search runs a full phase 1 first, so fewer examples
+phase_two = settings(derandomize=True, max_examples=15, deadline=None, database=None)
+
+
+@st.composite
+def phase_two_problems(draw):
+    """A phase-1 search result at n = 2-4 on complete, positive-weight or raw couplings."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 4))
+    weights = draw(st.sampled_from(["complete", "positive", "raw"]))
+    if weights == "raw":
+        J = random_coupling(rng, n)
+    else:
+        W = complete_weights(n)
+        if weights == "positive":
+            W = W * rng.uniform(0.2, 1.5, size=(n, n))
+            W = np.triu(W, 1) + np.triu(W, 1).T
+        J = tensor_coupling(W, scalar_type())
+    seed = draw(st.integers(0, 2**31 - 1))
+    start = greedy_pool_growth(J, merge_pools(pair_pi_pool(n), collective_cyclic_pool(n)), seed=seed)
+    assume(start.scheme is not None)
+    return J, start, seed
+
+
+@phase_two
+@given(phase_two_problems())
+def test_minimize_tau_improves_verifies_and_respects_the_bound(problem):
+    J, start, seed = problem
+    result = minimize_tau(J, start.scheme, seed=seed)
+    rows = 9 * start.scheme.n * (start.scheme.n - 1) // 2
+    assert result.tau <= start.tau
+    assert verify(result.scheme, J, 1e-9).ok
+    assert result.tau >= tau_lower_bound(J) - 1e-6
+    assert len(result.scheme.steps) <= rows
+
+
+@phase_two
+@given(phase_two_problems())
+def test_minimize_tau_is_deterministic(problem):
+    J, start, seed = problem
+    first, second = (minimize_tau(J, start.scheme, seed=seed) for _ in range(2))
+    assert json.dumps(search_result_to_dict(first)) == json.dumps(search_result_to_dict(second))
+    assert (first.iterations, first.certified) == (second.iterations, second.certified)

@@ -585,3 +585,17 @@ def _replace_unit_entry(rotations, value):
                 if x == 1.0:
                     row[j] = value
                     return
+
+
+class TestNumpyScalarTimes:
+    def _doc(self, t, n=1):
+        return {"kind": "inversion", "n": n, "steps": [{"t": t, "rotations": [np.eye(3).tolist()]}]}
+
+    def test_numpy_float_time_and_integer_n_parse(self):
+        scheme = scheme_from_dict(self._doc(np.float64(1.0), n=np.int64(1)))
+        assert scheme.steps[0].t == 1.0
+        assert scheme.n == 1
+
+    def test_numpy_boolean_time_still_fails(self):
+        with pytest.raises(ValueError, match='step "t" must be a number'):
+            scheme_from_dict(self._doc(np.bool_(True)))

@@ -23,14 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .coupling import (
-    CouplingClass,
-    check_coupling_matrix,
-    check_type_matrix,
-    check_weight_matrix,
-    classify_type,
-    tensor_coupling,
-)
+from .coupling import CouplingClass, _checked, _factored, classify_type
 
 if TYPE_CHECKING:
     from .schemes import Scheme, SchemeStats
@@ -77,16 +70,15 @@ def tau_lower_bound(J) -> float:
     return bounds_report(J).tau_lower
 
 
-def steps_lower_bound(W, A, tol: float = 1e-9) -> int:
+def steps_lower_bound(W, A=None, tol: float = 1e-9) -> int:
     """Step-count bound n-1 for a semidefinite type on the complete graph.
 
     Stated only for weight matrices whose off-diagonal entries are all 1
     (any all-nonzero weight pattern rescales to that form); other weights
     are refused rather than extrapolated.
     """
-    W = check_weight_matrix(W)
-    A = check_type_matrix(A)
-    steps = _complete_graph_steps(W, classify_type(A, tol))
+    coupling = _factored(W, A)
+    steps = _complete_graph_steps(coupling.W, classify_type(coupling, tol))
     if steps is None:
         raise ValueError(
             "the n-1 step bound applies only to semidefinite type matrices "
@@ -117,28 +109,34 @@ def steps_lower_bound_case2(n: int, p: int) -> int:
 def bounds_report(J, W=None, A=None, p: int | None = None, tol: float = 1e-9) -> BoundsReport:
     """Assemble every applicable bound for a coupling.
 
-    Raw couplings (no W/A factors) get the spectral overhead bound only.
+    J is a raw matrix or a CouplingInput; raw factors W and A, given
+    beside a raw J, must match it.  Raw couplings (no W/A factors) get the
+    spectral overhead bound only.
     """
-    J = check_coupling_matrix(J)
-    if float(np.linalg.norm(J)) == 0.0:
+    coupling = _checked(J)
+    norm = float(np.linalg.norm(coupling.J))
+    if norm == 0.0:
         raise ValueError("zero coupling has no overhead bound")
-    lam_min, lam_max, tau_low = _spectral_bound(J)
+    lam_min, lam_max, tau_low = _spectral_bound(coupling.J)
     notes = [f"any inversion scheme needs overhead tau >= -lambda_max/lambda_min = {tau_low:.9g}"]
     case = None
     steps_low = 1
-    if A is not None:
-        if W is None:
+    if W is not None or A is not None:
+        if W is None or A is None:
             raise ValueError("factored bounds need both W and A")
-        W = check_weight_matrix(W)
-        A = check_type_matrix(A)
-        case = classify_type(A, tol)
-        if (complete_steps := _complete_graph_steps(W, case)) is not None:
+        factors = _factored(W, A)
+        if factors.J.shape != coupling.J.shape or np.abs(factors.J - coupling.J).max() > 1e-12 * max(norm, 1.0):
+            raise ValueError("coupling matrix J does not equal W (x) A")
+        coupling = factors
+    if coupling.factored:
+        case = classify_type(coupling, tol)
+        if (complete_steps := _complete_graph_steps(coupling.W, case)) is not None:
             steps_low = complete_steps
             notes.append(
                 f"semidefinite type on the complete graph: at least n-1 = {steps_low} steps"
             )
         elif case is CouplingClass.MIXED_SIGN and p is not None:
-            steps_low = steps_lower_bound_case2(W.shape[0], p)
+            steps_low = steps_lower_bound_case2(coupling.n, p)
             notes.append(
                 f"mixed-sign type with partition size p={p}: at least ceil(log n/log p) = {steps_low} steps"
             )
@@ -156,18 +154,16 @@ def bounds_report(J, W=None, A=None, p: int | None = None, tol: float = 1e-9) ->
     )
 
 
-def audit_stats_against_bounds(stats: SchemeStats, W, A, tol: float = 1e-9) -> BoundsAudit:
+def audit_stats_against_bounds(stats: SchemeStats, W, A=None, tol: float = 1e-9) -> BoundsAudit:
     """Margins of claimed scheme statistics over the applicable bounds.
 
     Verification is the caller's job; a *verified* scheme below a lower
     bound means a software defect, never a better scheme.
     """
-    W = check_weight_matrix(W)
-    A = check_type_matrix(A)
-    J = tensor_coupling(W, A)
-    tau_low = tau_lower_bound(J)
+    coupling = _factored(W, A)
+    tau_low = tau_lower_bound(coupling)
     tau_margin = stats.tau - tau_low
-    steps_low = _complete_graph_steps(W, classify_type(A, tol))
+    steps_low = _complete_graph_steps(coupling.W, classify_type(coupling, tol))
     steps_margin = None if steps_low is None else stats.n_steps - steps_low
     passed = tau_margin >= -_AUDIT_SLACK and (steps_margin is None or steps_margin >= 0)
     return BoundsAudit(
@@ -181,24 +177,24 @@ def audit_stats_against_bounds(stats: SchemeStats, W, A, tol: float = 1e-9) -> B
     )
 
 
-def check_scheme_against_bounds(scheme: Scheme, W, A, tol: float = 1e-9) -> BoundsAudit:
+def check_scheme_against_bounds(scheme: Scheme, W, A=None, tol: float = 1e-9) -> BoundsAudit:
     """Verify a scheme as an inversion of W (x) A, then audit its margins."""
     from .schemes import SchemeKind, scheme_stats, verify
 
     if scheme.kind is not SchemeKind.INVERSION:
         raise ValueError("bounds audit applies to inversion schemes")
-    J = tensor_coupling(check_weight_matrix(W), check_type_matrix(A))
-    result = verify(scheme, J, tol)
+    coupling = _factored(W, A)
+    result = verify(scheme, coupling, tol)
     if not result.ok:
         raise ValueError(
             f"scheme does not verify as an inversion (residual {result.residual:.3g} > tol {tol:g}); audit refused"
         )
-    return audit_stats_against_bounds(scheme_stats(scheme), W, A, tol)
+    return audit_stats_against_bounds(scheme_stats(scheme), coupling, tol=tol)
 
 
 def _spectral_bound(J) -> tuple[float, float, float]:
-    """(lambda_min, lambda_max, tau_lower) of a nonzero J that has passed
-    `check_coupling_matrix`; the one place of the overhead formula."""
+    """(lambda_min, lambda_max, tau_lower) of a nonzero checked J (a
+    CouplingInput's); the one place of the overhead formula."""
     lam = np.linalg.eigvalsh(J)
     lam_min, lam_max = float(lam[0]), float(lam[-1])
     return lam_min, lam_max, -lam_max / lam_min

@@ -83,7 +83,7 @@ def cmd_classify(args) -> int:
     coupling = _load_coupling(args.coupling)
     if not coupling.factored:
         raise ValueError("classification needs the factored W/A coupling form")
-    _emit(classification_margins(coupling.A, args.tol))
+    _emit(classification_margins(coupling, args.tol))
     return 0
 
 
@@ -94,7 +94,7 @@ def cmd_synthesize(args) -> int:
     coupling = _load_coupling(args.coupling)
     if not coupling.factored:
         raise ValueError("synthesis needs the factored W/A coupling form")
-    label = classify_type(coupling.A, args.tol)
+    label = classify_type(coupling, args.tol)
     if label is CouplingClass.SEMIDEFINITE:
         _diag(
             "no constructive scheme for a semidefinite type matrix (class 3); "
@@ -102,9 +102,9 @@ def cmd_synthesize(args) -> int:
         )
         return 1
     if label is CouplingClass.TRACELESS:
-        scheme = synthesize_case1(coupling.W, coupling.A, args.tol)
+        scheme = synthesize_case1(coupling, tol=args.tol)
     else:
-        scheme = synthesize_case2(coupling.W, coupling.A, args.tol)
+        scheme = synthesize_case2(coupling, tol=args.tol)
     stats = scheme_stats(scheme)
     payload = {"N": stats.n_steps, "tau": stats.tau, "collective": stats.collective}
     if args.out:
@@ -121,7 +121,7 @@ def cmd_verify(args) -> int:
 
     coupling = _load_coupling(args.coupling)
     scheme = _load_scheme(args.scheme)
-    result = verify(scheme, coupling.J, args.tol)
+    result = verify(scheme, coupling, args.tol)
     stats = scheme_stats(scheme)
     _emit({"ok": result.ok, "residual": result.residual, "N": stats.n_steps, "tau": stats.tau})
     if not result.ok:
@@ -133,8 +133,9 @@ def cmd_verify(args) -> int:
 def cmd_bounds(args) -> int:
     from .bounds import bounds_report
 
-    coupling = _load_coupling(args.coupling)
-    report = bounds_report(coupling.J, coupling.W, coupling.A, p=args.p, tol=args.tol)
+    if args.p is not None and args.p < 2:
+        raise ValueError("--p must be an integer >= 2")
+    report = bounds_report(_load_coupling(args.coupling), p=args.p, tol=args.tol)
     _emit(report.to_dict())
     return 0
 
@@ -164,14 +165,12 @@ def cmd_search(args) -> int:
     pool = _base_pool(args.pool, coupling.n, args.seed, args.max_pool)
     if args.max_pool < len(pool.assemblies):
         raise ValueError(f"--max-pool must be at least the base pool size {len(pool.assemblies)}")
-    result = greedy_pool_growth(
-        coupling.J, pool, target_tol=args.tol, max_pool=args.max_pool, seed=args.seed
-    )
+    result = greedy_pool_growth(coupling, pool, target_tol=args.tol, max_pool=args.max_pool, seed=args.seed)
     if result.scheme is not None:
         # phase 2 may add what is left of the pool budget; `iterations` stays
         # the count of growth rounds
         room = args.max_pool - len(pool.assemblies) - result.iterations
-        tuned = minimize_tau(coupling.J, result.scheme, args.tol, max_columns=room, seed=args.seed)
+        tuned = minimize_tau(coupling, result.scheme, args.tol, max_columns=room, seed=args.seed)
         result = replace(tuned, iterations=result.iterations)
     if args.out and result.scheme is not None:
         _write_scheme(args.out, result.scheme)
@@ -190,14 +189,14 @@ def cmd_simulate(args) -> int:
 
     coupling = _load_coupling(args.coupling)
     scheme = _load_scheme(args.scheme)
-    result = verify(scheme, coupling.J, args.tol)
+    result = verify(scheme, coupling, args.tol)
     if not result.ok:
         _emit({"ok": False, "residual": result.residual})
         _diag(
             f"scheme does not invert this coupling (residual {result.residual:.3g}); nothing to simulate"
         )
         return 1
-    scaling = error_scaling(coupling.J, scheme, _parse_eps(args.eps), tol=args.tol)
+    scaling = error_scaling(coupling, scheme, _parse_eps(args.eps), tol=args.tol)
     _emit(scaling.to_dict())
     return 0
 

@@ -19,7 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from .rotations import check_symmetric, sym_eig
+from .rotations import SymSpectrum, check_symmetric, sym_eig
 
 DEFAULT_CLASSIFY_TOL = 1e-9
 
@@ -103,55 +103,89 @@ def scalar_type() -> np.ndarray:
 
 
 def classify_type(A, tol: float = DEFAULT_CLASSIFY_TOL) -> CouplingClass:
-    """Classify a type matrix by its trace and eigenvalue signs.
-
-    Eigenvalues with |lam| <= tol * ||A||_F count as zero; the zero matrix
-    is rejected since there is nothing to invert.
-    """
-    A = check_type_matrix(A)
-    scale = float(np.linalg.norm(A))
-    if scale == 0.0:
-        raise ValueError("type matrix is zero: nothing to invert")
-    cut = tol * scale
-    if abs(float(np.trace(A))) <= cut:
-        return CouplingClass.TRACELESS
-    lam = sym_eig(A).eigenvalues
-    if np.any(lam > cut) and np.any(lam < -cut):
-        return CouplingClass.MIXED_SIGN
-    return CouplingClass.SEMIDEFINITE
+    """Classify a type matrix, or a factored CouplingInput's, by its trace
+    and eigenvalue signs (see `classification_margins`)."""
+    return CouplingClass(classification_margins(A, tol)["case"])
 
 
 def classification_margins(A, tol: float = DEFAULT_CLASSIFY_TOL) -> dict:
     """Classification plus the quantities it was decided on, for reporting.
 
-    The trace margin |tr A| / ||A||_F is the distance from the boundary
-    between the traceless class and the other two.
+    Eigenvalues with |lam| <= tol * ||A||_F count as zero; the zero matrix
+    is rejected since there is nothing to invert.  The trace margin
+    |tr A| / ||A||_F is the distance from the boundary between the
+    traceless class and the other two.
     """
-    A = check_type_matrix(A)
-    label = classify_type(A, tol)
-    lam = sym_eig(A).eigenvalues
+    if isinstance(A, CouplingInput):
+        coupling = _factored(A)
+        A, lam = coupling.A, coupling.spectrum.eigenvalues
+    else:
+        A = check_type_matrix(A)
+        lam = sym_eig(A).eigenvalues
     scale = float(np.linalg.norm(A))
+    if scale == 0.0:
+        raise ValueError("type matrix is zero: nothing to invert")
+    cut = tol * scale
+    trace = float(np.trace(A))
+    if abs(trace) <= cut:
+        label = CouplingClass.TRACELESS
+    elif np.any(lam > cut) and np.any(lam < -cut):
+        label = CouplingClass.MIXED_SIGN
+    else:
+        label = CouplingClass.SEMIDEFINITE
     return {
         "case": label.value,
         "eigenvalues": [float(x) for x in lam],
-        "trace": float(np.trace(A)),
-        "trace_margin": abs(float(np.trace(A))) / scale,
+        "trace": trace,
+        "trace_margin": abs(trace) / scale,
         "tol": float(tol),
     }
 
 
 @dataclass(frozen=True)
 class CouplingInput:
-    """A coupling as read from JSON: the full matrix, plus factors if given."""
+    """A checked coupling: the full matrix, plus factors and A's spectrum
+    if given, as read-only copies.  Made by `coupling_from_dict`,
+    `_checked` and `_factored`; building one by hand skips the checks."""
 
     n: int
     J: np.ndarray
     W: np.ndarray | None = None
     A: np.ndarray | None = None
+    spectrum: SymSpectrum | None = None  # of A
 
     @property
     def factored(self) -> bool:
         return self.W is not None
+
+
+def _checked(J) -> CouplingInput:
+    """A CouplingInput as is, or a raw J checked once."""
+    if isinstance(J, CouplingInput):
+        return J
+    J = _read_only(check_coupling_matrix(J))
+    return CouplingInput(n_spins(J), J)
+
+
+def _factored(W, A=None) -> CouplingInput:
+    """A factored CouplingInput as is, or raw W and A checked once each,
+    with J = W (x) A checked and A's spectrum computed."""
+    if isinstance(W, CouplingInput):
+        if A is not None or not W.factored:
+            raise ValueError("expected a factored coupling, or W and A")
+        return W
+    J = _read_only(check_coupling_matrix(tensor_coupling(W, A)))
+    W, A = _read_only(W), _read_only(A)
+    spectrum = sym_eig(A)
+    for M in (spectrum.eigenvalues, spectrum.eigenvectors):
+        M.setflags(write=False)
+    return CouplingInput(W.shape[0], J, W, A, spectrum)
+
+
+def _read_only(M) -> np.ndarray:
+    M = np.array(M, dtype=float)
+    M.setflags(write=False)
+    return M
 
 
 def coupling_from_dict(data) -> CouplingInput:
@@ -176,13 +210,12 @@ def coupling_from_dict(data) -> CouplingInput:
             raise ValueError(f'"W" must be {n}x{n}, got shape {W.shape}')
         if A.shape != (3, 3):
             raise ValueError(f'"A" must be 3x3, got shape {A.shape}')
-        # tensor_coupling validates W, then A
-        return CouplingInput(n, tensor_coupling(W, A), W, A)
+        return _factored(W, A)
     if "J" in data:
         J = _as_matrix(data["J"], "J")
         if J.shape != (3 * n, 3 * n):
             raise ValueError(f'"J" must be {3 * n}x{3 * n}, got shape {J.shape}')
-        return CouplingInput(n, check_coupling_matrix(J))
+        return _checked(J)
     raise ValueError('coupling file needs either "W" and "A" or "J"')
 
 

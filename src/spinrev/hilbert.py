@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import check_coupling_matrix, n_spins
+from .coupling import _checked
 from .rotations import check_symmetric, so3_to_su2
 from .schemes import Scheme, SchemeKind, conjugate, verify
 
@@ -49,8 +49,8 @@ def build_hamiltonian(J) -> np.ndarray:
     Only the k < l blocks enter the sum; the mirrored blocks are redundant
     storage, not extra terms.  The result is Hermitian and traceless.
     """
-    J = check_coupling_matrix(J)
-    n = n_spins(J)
+    coupling = _checked(J)
+    J, n = coupling.J, coupling.n
     if n > MAX_SPINS:
         raise ValueError(f"{n} spins exceed the dense-oracle cap of {MAX_SPINS}")
     dim = 1 << n
@@ -97,18 +97,18 @@ def conjugation_consistency(J, rotations) -> float:
     Conjugating the built Hamiltonian by the lifted product unitary must
     match building the Hamiltonian from the block-rotated coupling.
     """
-    J = check_coupling_matrix(J)
+    coupling = _checked(J)
     rotations = np.asarray(rotations, dtype=float)
-    if rotations.shape != (n_spins(J), 3, 3):
+    if rotations.shape != (coupling.n, 3, 3):
         raise ValueError(
             f"dimension mismatch: need one 3x3 rotation per spin, got shape {rotations.shape}"
         )
-    H = build_hamiltonian(J)
+    H = build_hamiltonian(coupling)
     scale = operator_norm(H)
     if scale == 0.0:
         return 0.0
     v = kron_all(lift_rotations(rotations))
-    rotated = build_hamiltonian(conjugate(rotations, J))
+    rotated = build_hamiltonian(conjugate(rotations, coupling.J))
     return operator_norm(v.conj().T @ H @ v - rotated) / scale
 
 
@@ -159,16 +159,16 @@ def _simulate(J, scheme, epsilons, tol):
     2^n x 2^n are alive at once: U, the accumulators, K_j and one scratch
     buffer.
     """
-    J = check_coupling_matrix(J)
+    coupling = _checked(J)
     if scheme.kind is not SchemeKind.INVERSION:
         raise ValueError("cycle simulation expects an inversion scheme")
-    if float(np.linalg.norm(J)) > 0.0:
-        result = verify(scheme, J, tol)
+    if float(np.linalg.norm(coupling.J)) > 0.0:
+        result = verify(scheme, coupling, tol)
         if not result.ok:
             raise ValueError(
                 f"scheme does not invert this coupling (residual {result.residual:.3g}); refusing to simulate"
             )
-    lam, U = _hermitian_eigh(build_hamiltonian(J))
+    lam, U = _hermitian_eigh(build_hamiltonian(coupling))
     unit = np.broadcast_to(np.eye(2), (scheme.n, 2, 2))
     lifts = [unit, *lift_rotations([step.rotations for step in scheme.steps]), unit]
     scratch, frame = np.empty(U.shape, dtype=complex), np.empty(U.shape, dtype=complex)

@@ -19,17 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import (
-    CouplingClass,
-    _check_json_numbers,
-    _is_integer,
-    check_coupling_matrix,
-    check_type_matrix,
-    check_weight_matrix,
-    classify_type,
-    n_spins,
-)
-from .rotations import AXES, AXIS_INDEX, axis_cycle, check_rotation, sym_eig
+from .coupling import CouplingClass, _check_json_numbers, _checked, _factored, _is_integer, classify_type
+from .rotations import AXES, AXIS_INDEX, axis_cycle, check_rotation
 
 
 class SchemeKind(enum.Enum):
@@ -121,18 +112,14 @@ def conjugate(rotations, J) -> np.ndarray:
 
 def average_coupling(scheme: Scheme, J) -> np.ndarray:
     """Time-weighted average sum_j t_j V_j J V_j^T over the scheme's steps."""
-    return _average(scheme, check_coupling_matrix(J))
-
-
-def _average(scheme: Scheme, J) -> np.ndarray:
-    """`average_coupling` of a J that has passed `check_coupling_matrix`."""
-    if n_spins(J) != scheme.n:
+    coupling = _checked(J)
+    if coupling.n != scheme.n:
         raise ValueError(
-            f"dimension mismatch: scheme addresses {scheme.n} spins, coupling has {n_spins(J)}"
+            f"dimension mismatch: scheme addresses {scheme.n} spins, coupling has {coupling.n}"
         )
-    out = np.zeros_like(J)
+    out = np.zeros_like(coupling.J)
     for step in scheme.steps:
-        out += step.t * conjugate(step.rotations, J)
+        out += step.t * conjugate(step.rotations, coupling.J)
     return out
 
 
@@ -142,17 +129,13 @@ def verify(scheme: Scheme, J, tol: float = 1e-9) -> VerifyResult:
     Inversion schemes are verified against -J, decoupling schemes against
     zero; the residual is normalized by ||J||_F.
     """
-    return _verify(scheme, check_coupling_matrix(J), tol)
-
-
-def _verify(scheme: Scheme, J, tol: float) -> VerifyResult:
-    """`verify` of a J that has passed `check_coupling_matrix`."""
-    norm = float(np.linalg.norm(J))
+    coupling = _checked(J)
+    norm = float(np.linalg.norm(coupling.J))
     if norm == 0.0:
         raise ValueError("zero coupling: verification is undefined")
-    avg = _average(scheme, J)
+    avg = average_coupling(scheme, coupling)
     if scheme.kind is SchemeKind.INVERSION:
-        residual = float(np.linalg.norm(avg + J)) / norm
+        residual = float(np.linalg.norm(avg + coupling.J)) / norm
     else:
         residual = float(np.linalg.norm(avg)) / norm
     return VerifyResult(residual <= tol, residual)
@@ -193,7 +176,7 @@ def decoupling_to_inversion(scheme: Scheme) -> Scheme:
     return Scheme(SchemeKind.INVERSION, tuple(folded))
 
 
-def synthesize_case1(W, A, tol: float = 1e-9) -> Scheme:
+def synthesize_case1(W, A=None, tol: float = 1e-9) -> Scheme:
     """Two-step collective inversion for a traceless type matrix.
 
     In the eigenframe of A the two steps conjugate every spin by the
@@ -202,12 +185,11 @@ def synthesize_case1(W, A, tol: float = 1e-9) -> Scheme:
     inversion with step count 2 and overhead 2, never touching spins
     selectively.
     """
-    W = check_weight_matrix(W)
-    A = check_type_matrix(A)
-    if classify_type(A, tol) is not CouplingClass.TRACELESS:
+    coupling = _factored(W, A)
+    if classify_type(coupling, tol) is not CouplingClass.TRACELESS:
         raise ValueError("collective 2-step synthesis needs a traceless type matrix")
-    n = W.shape[0]
-    Q = sym_eig(A).eigenvectors
+    n = coupling.n
+    Q = coupling.spectrum.eigenvectors
     S = axis_cycle()
     steps = []
     for power in (S, S @ S):
@@ -263,7 +245,7 @@ def _sign_fragment(n: int, axis: str) -> np.ndarray:
     return stack
 
 
-def synthesize_case2(W, A, tol: float = 1e-9) -> Scheme:
+def synthesize_case2(W, A=None, tol: float = 1e-9) -> Scheme:
     """Selective inversion for a type matrix with eigenvalues of both signs.
 
     Works in the eigenframe of A.  Each nonzero eigenvalue a is inverted
@@ -276,18 +258,16 @@ def synthesize_case2(W, A, tol: float = 1e-9) -> Scheme:
     eigenvalues, a function of the spectrum of A alone, while the step
     count grows with the padded Hadamard order.
     """
-    W = check_weight_matrix(W)
-    A = check_type_matrix(A)
-    if classify_type(A, tol) is CouplingClass.SEMIDEFINITE:
+    coupling = _factored(W, A)
+    if classify_type(coupling, tol) is CouplingClass.SEMIDEFINITE:
         raise ValueError(
             "selective synthesis needs eigenvalues of both signs; "
             "semidefinite type matrices have no constructive scheme"
         )
-    n = W.shape[0]
-    spectrum = sym_eig(A)
-    lam = spectrum.eigenvalues
-    Q = spectrum.eigenvectors
-    cut = tol * float(np.linalg.norm(A))
+    n = coupling.n
+    lam = coupling.spectrum.eigenvalues
+    Q = coupling.spectrum.eigenvectors
+    cut = tol * float(np.linalg.norm(coupling.A))
     steps = []
     for target in range(3):
         a = lam[target]

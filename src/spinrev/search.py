@@ -22,16 +22,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import _spectral_bound
-from .coupling import check_coupling_matrix, n_spins
+from .coupling import _checked, n_spins
 from .rotations import axis_cycle, check_rotation
 from .schemes import (
     Scheme,
     SchemeKind,
     Step,
-    _verify,
     conjugate,
     pi_rotation,
     scheme_to_dict,
+    verify,
 )
 
 _PRUNE_TOL = 1e-12
@@ -282,8 +282,8 @@ def _upper_block_columns(J, assemblies):
     return np.ascontiguousarray(_upper_blocks(conjugate(np.asarray(assemblies), J)).T)
 
 
-def _finalize(J, assemblies, x, rnorm, iterations, tol):
-    norm = float(np.linalg.norm(J))
+def _finalize(coupling, assemblies, x, rnorm, iterations, tol):
+    norm = float(np.linalg.norm(coupling.J))
     keep = np.flatnonzero(x > _PRUNE_TOL)
     tau = float(x[keep].sum())
     # the lower blocks mirror the upper ones, so the full Frobenius
@@ -292,9 +292,9 @@ def _finalize(J, assemblies, x, rnorm, iterations, tol):
     if keep.size and relative <= tol:
         steps = tuple(Step(float(x[j]), assemblies[j].copy()) for j in keep)
         scheme = Scheme(SchemeKind.INVERSION, steps)
-        recheck = _verify(scheme, J, tol)
+        recheck = verify(scheme, coupling, tol)
         if recheck.ok:
-            if tau < _spectral_bound(J)[2] - _BOUND_SLACK:
+            if tau < _spectral_bound(coupling.J)[2] - _BOUND_SLACK:
                 raise RuntimeError(
                     "verified scheme beats the spectral overhead bound; this is a software defect"
                 )
@@ -304,17 +304,16 @@ def _finalize(J, assemblies, x, rnorm, iterations, tol):
 
 
 def _problem(J, assemblies):
-    """Validate a nonzero coupling against a pool of its spin count, and
-    return (J, columns, target): the search minimizes
-    ||columns x - target|| over x >= 0.  This is the one J check of a
-    search; the rest of it takes J as checked."""
-    J = check_coupling_matrix(J)
-    if float(np.linalg.norm(J)) == 0.0:
+    """Resolve a nonzero coupling (checked once when raw) against a pool of
+    its spin count, and return (coupling, columns, target): the search
+    minimizes ||columns x - target|| over x >= 0."""
+    coupling = _checked(J)
+    if float(np.linalg.norm(coupling.J)) == 0.0:
         raise ValueError("zero coupling: nothing to invert")
     n = assemblies[0].shape[0]
-    if n != n_spins(J):
-        raise ValueError(f"dimension mismatch: pool addresses {n} spins, coupling has {n_spins(J)}")
-    return J, _upper_block_columns(J, assemblies), -_upper_blocks(J)
+    if n != coupling.n:
+        raise ValueError(f"dimension mismatch: pool addresses {n} spins, coupling has {coupling.n}")
+    return coupling, _upper_block_columns(coupling.J, assemblies), -_upper_blocks(coupling.J)
 
 
 def find_inversion_nnls(J, pool: CandidatePool, tol: float = 1e-9, max_steps: int | None = None) -> SearchResult:
@@ -326,9 +325,9 @@ def find_inversion_nnls(J, pool: CandidatePool, tol: float = 1e-9, max_steps: in
     fixed pool order.  `max_steps` caps the active-set size; hitting the
     cap reports no solution together with the best residual.
     """
-    J, columns, target = _problem(J, pool.assemblies)
+    coupling, columns, target = _problem(J, pool.assemblies)
     x, rnorm, iterations = nnls_active_set(columns, target, max_active=max_steps)
-    return _finalize(J, pool.assemblies, x, rnorm, iterations, tol)
+    return _finalize(coupling, pool.assemblies, x, rnorm, iterations, tol)
 
 
 def greedy_pool_growth(
@@ -349,19 +348,19 @@ def greedy_pool_growth(
     up to the first insertion that differs, with a result bit-identical
     to a cold solve.  `iterations` counts growth rounds.
     """
-    J, columns, target = _problem(J, base_pool.assemblies)
+    coupling, columns, target = _problem(J, base_pool.assemblies)
     if max_pool < len(base_pool.assemblies):
         raise ValueError("max_pool is smaller than the base pool")
     rng = np.random.default_rng(base_pool.seed if seed is None else seed)
     group = octahedral_group()
-    norm = float(np.linalg.norm(J))
+    norm = float(np.linalg.norm(coupling.J))
     assemblies = list(base_pool.assemblies)
     x, rnorm, _, path = _lawson_hanson(columns, target, ())
     growth_rounds = 0
     while rnorm * np.sqrt(2.0) / norm > target_tol and len(assemblies) < max_pool:
         resid = columns @ x - target
         candidates = group[rng.integers(0, len(group), size=(_BATCH, base_pool.n))]
-        candidate_columns = _upper_block_columns(J, candidates)
+        candidate_columns = _upper_block_columns(coupling.J, candidates)
         best = int(np.argmin(candidate_columns.T @ resid))
         assemblies.append(candidates[best])
         columns = np.column_stack([columns, candidate_columns[:, best]])
@@ -370,7 +369,7 @@ def greedy_pool_growth(
             raise RuntimeError("NNLS objective increased while the pool grew; active-set defect")
         rnorm = new_rnorm
         growth_rounds += 1
-    return _finalize(J, assemblies, x, rnorm, growth_rounds, target_tol)
+    return _finalize(coupling, assemblies, x, rnorm, growth_rounds, target_tol)
 
 
 def minimize_tau(
@@ -409,7 +408,7 @@ def minimize_tau(
     if scheme.kind is not SchemeKind.INVERSION:
         raise ValueError("phase 2 needs an inversion scheme")
     start = np.array([step.rotations for step in scheme.steps])
-    J, columns, target = _problem(J, start)
+    coupling, columns, target = _problem(J, start)
     rows, size = columns.shape
     Q, R = np.linalg.qr(columns, mode="complete")
     diag = np.abs(np.diagonal(R))
@@ -423,9 +422,9 @@ def minimize_tau(
     inverse = np.linalg.inv(basis)
     x = np.maximum(inverse @ target, 0.0)
     y = cost @ inverse
-    tau_low = _spectral_bound(J)[2]
+    tau_low = _spectral_bound(coupling.J)[2]
     group = octahedral_group()
-    price, exact = _pricer(J, seed)
+    price, exact = _pricer(coupling.J, seed)
     budget = (_EXACT_PIVOTS_PER_ROW if exact else _PIVOTS_PER_ROW) * rows
     pool = np.empty((rows, 0))
     pool_rots = np.empty((0,) + start.shape[1:])
@@ -503,7 +502,7 @@ def minimize_tau(
         if not len(found):
             certified = exact
             break
-        new = _upper_block_columns(J, group[found])
+        new = _upper_block_columns(coupling.J, group[found])
         pool = np.column_stack([pool, new])
         pool_rots = np.concatenate([pool_rots, group[found]])
         weights = np.concatenate([weights, 1.0 + np.sum((inverse @ new) ** 2, axis=0)])
@@ -513,11 +512,11 @@ def minimize_tau(
         times = np.linalg.solve(basis, target)
         times = np.where(artificial | (times <= _PRUNE_TOL), 0.0, times)
         rnorm = float(np.linalg.norm(basis @ times - target))
-        result = _finalize(J, basis_rots, times, rnorm, pivots, tol)
+        result = _finalize(coupling, basis_rots, times, rnorm, pivots, tol)
         if result.scheme is not None and result.tau < tau_start:
             return replace(result, certified=certified)
         certified = certified and result.scheme is not None
-    return SearchResult(scheme, _verify(scheme, J, tol).residual, tau_start, pivots, certified)
+    return SearchResult(scheme, verify(scheme, coupling, tol).residual, tau_start, pivots, certified)
 
 
 def _pricer(J, seed: int):

@@ -151,6 +151,23 @@ class TestBoundsReport:
         assert set(data) == {"case", "tau_lower", "steps_lower", "spectral", "notes"}
         assert set(data["spectral"]) == {"lambda_min", "lambda_max"}
 
+    def test_factors_that_do_not_match_j_are_refused(self):
+        W = complete_weights(3)
+        with pytest.raises(ValueError, match="does not equal W"):
+            bounds_report(tensor_coupling(W, dipole_type()), W, scalar_type())
+        with pytest.raises(ValueError, match="does not equal W"):
+            bounds_report(tensor_coupling(complete_weights(4), scalar_type()), W, scalar_type())
+        # rounding-level differences pass
+        J = tensor_coupling(W, scalar_type()) * (1.0 + 1e-15)
+        assert bounds_report(J, W, scalar_type()).case.value == "3"
+
+    @pytest.mark.parametrize("factor", ["W", "A"])
+    def test_one_factor_alone_is_refused(self, factor):
+        W = complete_weights(3)
+        J = tensor_coupling(W, scalar_type())
+        with pytest.raises(ValueError, match="factored bounds need both W and A"):
+            bounds_report(J, **{factor: W if factor == "W" else scalar_type()})
+
 
 class TestAudit:
     def test_case1_scheme_passes(self):

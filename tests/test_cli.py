@@ -528,9 +528,8 @@ class TestSearchPhaseTwo:
         assert sorted(p.name for p in tmp.iterdir()) == ["c.json"]
 
     def test_search_checks_the_coupling_once_per_phase(self, files, capsys, monkeypatch):
-        # W and A once each while parsing; J once at each phase's boundary
-        # (`_problem`), never again inside a phase, so J stays within the
-        # four checks a search made before phase 2 existed
+        # W, A and J = W (x) A once each while parsing; both phases take
+        # the parsed coupling as checked
         import spinrev.coupling
 
         _, write = files
@@ -545,4 +544,98 @@ class TestSearchPhaseTwo:
         monkeypatch.setattr(spinrev.coupling, "check_symmetric", counting)
         code, _ = run(capsys, ["search", "--coupling", path])
         assert code == 0
-        assert sorted(calls) == ["coupling matrix", "coupling matrix", "type matrix", "weight matrix"]
+        assert sorted(calls) == ["coupling matrix", "type matrix", "weight matrix"]
+
+
+# W and A each pass their own checks, but W (x) A misses the coupling
+# matrix's symmetry tolerance: rejected at the parse by every subcommand
+EDGE_DOC = {
+    "n": 2,
+    "W": [[0.0, 1.0], [1.0 - 1.4e-12, 0.0]],
+    "A": [[0.0, 1.0, 0.0], [1.0 - 1.4e-12, 0.0, 0.0], [0.0, 0.0, 0.0]],
+}
+
+
+def _job_argv(command, coupling, scheme):
+    argv = [command, "--coupling", coupling]
+    return argv + ["--scheme", scheme] if command in ("verify", "simulate") else argv
+
+
+COMMANDS = ["classify", "synthesize", "verify", "bounds", "search", "simulate"]
+
+
+class TestOneCheckPerJob:
+    @pytest.fixture
+    def mixed(self, files):
+        # a class-2 coupling, factored and raw, and a scheme that inverts it
+        from spinrev import scheme_to_dict, synthesize_case2
+
+        _, write = files
+        W, A = complete_weights(3), np.diag([2.0, 1.0, -1.0])
+        return {
+            "factored": write("factored.json", coupling_doc(3, A)),
+            "raw": write("raw.json", {"n": 3, "J": np.kron(W, A).tolist()}),
+            "scheme": write("scheme.json", scheme_to_dict(synthesize_case2(W, A))),
+        }
+
+    @pytest.mark.parametrize("form", ["factored", "raw"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_each_matrix_is_checked_at_most_once(self, mixed, capsys, monkeypatch, command, form):
+        import spinrev.bounds
+        import spinrev.coupling
+        import spinrev.hilbert
+        import spinrev.rotations
+        import spinrev.schemes
+        import spinrev.search
+
+        calls = []
+
+        def counting(real):
+            def check(M, name, *args):
+                calls.append(name)
+                return real(M, name, *args)
+
+            return check
+
+        def counting_eig(M):
+            calls.append("sym_eig")
+            return real_eig(M)
+
+        real_eig = spinrev.rotations.sym_eig
+        for module in (spinrev.coupling, spinrev.rotations):
+            monkeypatch.setattr(module, "check_symmetric", counting(module.check_symmetric))
+        modules = [spinrev.coupling, spinrev.rotations, spinrev.schemes]
+        for module in modules + [spinrev.bounds, spinrev.search, spinrev.hilbert]:
+            if hasattr(module, "sym_eig"):
+                monkeypatch.setattr(module, "sym_eig", counting_eig)
+        code, _ = run(capsys, _job_argv(command, mixed[form], mixed["scheme"]))
+        assert code == (2 if form == "raw" and command in ("classify", "synthesize") else 0)
+        for name in ("weight matrix", "type matrix", "coupling matrix", "sym_eig"):
+            assert calls.count(name) <= 1, (name, calls)
+        assert calls.count("coupling matrix") == 1
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_edge_document_is_rejected_by_every_subcommand(self, files, capsys, command):
+        from spinrev import scheme_to_dict, synthesize_case1
+
+        _, write = files
+        coupling = write("edge.json", EDGE_DOC)
+        scheme = write("scheme.json", scheme_to_dict(synthesize_case1(complete_weights(2), dipole_type())))
+        code = main(_job_argv(command, coupling, scheme))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: coupling matrix is not symmetric (block (l,k) must be the transpose of block (k,l))"
+        ]
+
+    @pytest.mark.parametrize("p", ["1", "0", "-3"])
+    @pytest.mark.parametrize("A", [np.diag([2.0, 1.0, -1.0]), scalar_type()], ids=["class2", "class3"])
+    def test_partition_size_below_two_exits_two_naming_the_flag(self, files, capsys, A, p):
+        _, write = files
+        path = write("c.json", coupling_doc(4, A))
+        code = main(["bounds", "--coupling", path, "--p", p])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: --p must be an integer >= 2"]

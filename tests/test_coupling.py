@@ -224,7 +224,84 @@ class TestJsonInput:
 
         monkeypatch.setattr(spinrev.coupling, "check_symmetric", counting)
         coupling_from_dict({"n": 3, "W": complete_weights(3).tolist(), "A": dipole_type().tolist()})
-        assert calls == ["weight matrix", "type matrix"]
+        assert calls == ["weight matrix", "type matrix", "coupling matrix"]
+
+
+class TestCheckedCoupling:
+    W = complete_weights(3)
+    A = np.diag([2.0, 1.0, -1.0])
+
+    def parsed(self):
+        return {
+            "factored": coupling_from_dict({"n": 3, "W": self.W, "A": self.A}),
+            "raw": coupling_from_dict({"n": 3, "J": tensor_coupling(self.W, self.A)}),
+        }
+
+    @pytest.mark.parametrize("form,field", [("factored", "J"), ("factored", "W"), ("factored", "A"), ("raw", "J")])
+    def test_arrays_are_read_only(self, form, field):
+        coupling = self.parsed()[form]
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(coupling, field)[0, 1] = 5.0
+        with pytest.raises(AttributeError):
+            setattr(coupling, field, np.zeros((3, 3)))
+
+    def test_spectrum_is_read_only(self):
+        spectrum = self.parsed()["factored"].spectrum
+        for M in (spectrum.eigenvalues, spectrum.eigenvectors):
+            with pytest.raises(ValueError, match="read-only"):
+                M[0] = 5.0
+
+    def test_parse_copies_the_callers_arrays(self):
+        W, A = self.W.copy(), self.A.copy()
+        coupling = coupling_from_dict({"n": 3, "W": W, "A": A})
+        W[0, 1] = W[1, 0] = A[0, 0] = 7.0
+        assert np.array_equal(coupling.W, self.W) and np.array_equal(coupling.A, self.A)
+        assert np.array_equal(coupling.J, tensor_coupling(self.W, self.A))
+
+    def test_parsed_coupling_answers_like_its_arrays(self):
+        from spinrev import bounds_report, steps_lower_bound, synthesize_case2, verify
+
+        coupling = self.parsed()["factored"]
+        assert classify_type(coupling) is classify_type(self.A)
+        assert classification_margins(coupling) == classification_margins(self.A)
+        assert np.array_equal(coupling.spectrum.eigenvectors, sym_eig(self.A).eigenvectors)
+        scheme = synthesize_case2(coupling)
+        reference = synthesize_case2(self.W, self.A)
+        assert [(s.t, s.rotations.tolist()) for s in scheme.steps] == [
+            (s.t, s.rotations.tolist()) for s in reference.steps
+        ]
+        J = tensor_coupling(self.W, self.A)
+        assert verify(scheme, coupling) == verify(scheme, J)
+        assert bounds_report(coupling, p=2) == bounds_report(J, self.W, self.A, p=2)
+        with pytest.raises(ValueError, match="semidefinite"):
+            steps_lower_bound(coupling)
+
+    def test_raw_coupling_is_refused_where_factors_are_needed(self):
+        from spinrev import synthesize_case1
+
+        coupling = self.parsed()["raw"]
+        with pytest.raises(ValueError, match="factored"):
+            classify_type(coupling)
+        with pytest.raises(ValueError, match="factored"):
+            synthesize_case1(coupling)
+        with pytest.raises(ValueError, match="factored"):
+            synthesize_case1(self.parsed()["factored"], self.A)
+
+    def test_factors_whose_product_is_not_symmetric_are_rejected(self):
+        # each factor passes its own check; W (x) A misses J's tolerance
+        from spinrev import steps_lower_bound, synthesize_case1
+
+        W = np.array([[0.0, 1.0], [1.0 - 1.4e-12, 0.0]])
+        A = np.array([[0.0, 1.0, 0.0], [1.0 - 1.4e-12, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        check_weight_matrix(W)
+        check_type_matrix(A)
+        message = "coupling matrix is not symmetric"
+        with pytest.raises(ValueError, match=message):
+            coupling_from_dict({"n": 2, "W": W, "A": A})
+        with pytest.raises(ValueError, match=message):
+            synthesize_case1(W, A)
+        with pytest.raises(ValueError, match=message):
+            steps_lower_bound(W, A)
 
 
 def test_check_coupling_matrix_rejects_asymmetry():

@@ -96,8 +96,7 @@ def steps_lower_bound_case2(n: int, p: int) -> int:
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError("need at least 2 spins")
-    if not isinstance(p, (int, np.integer)) or p < 2:
-        raise ValueError("partition size p must be an integer >= 2")
+    _check_partition(p)
     steps = 0
     reach = 1
     while reach < n:
@@ -113,6 +112,8 @@ def bounds_report(J, W=None, A=None, p: int | None = None, tol: float = 1e-9) ->
     beside a raw J, must match it.  Raw couplings (no W/A factors) get the
     spectral overhead bound only.
     """
+    if p is not None:
+        _check_partition(p)
     coupling = _checked(J)
     norm = float(np.linalg.norm(coupling.J))
     if norm == 0.0:
@@ -161,15 +162,15 @@ def audit_stats_against_bounds(stats: SchemeStats, W, A=None, tol: float = 1e-9)
     bound means a software defect, never a better scheme.
     """
     coupling = _factored(W, A)
-    tau_low = tau_lower_bound(coupling)
-    tau_margin = stats.tau - tau_low
-    steps_low = _complete_graph_steps(coupling.W, classify_type(coupling, tol))
+    report = bounds_report(coupling, tol=tol)
+    tau_margin = stats.tau - report.tau_lower
+    steps_low = _complete_graph_steps(coupling.W, report.case)
     steps_margin = None if steps_low is None else stats.n_steps - steps_low
     passed = tau_margin >= -_AUDIT_SLACK and (steps_margin is None or steps_margin >= 0)
     return BoundsAudit(
         passed=passed,
         tau=stats.tau,
-        tau_lower=tau_low,
+        tau_lower=report.tau_lower,
         tau_margin=tau_margin,
         n_steps=stats.n_steps,
         steps_lower=steps_low,
@@ -190,6 +191,11 @@ def check_scheme_against_bounds(scheme: Scheme, W, A=None, tol: float = 1e-9) ->
             f"scheme does not verify as an inversion (residual {result.residual:.3g} > tol {tol:g}); audit refused"
         )
     return audit_stats_against_bounds(scheme_stats(scheme), coupling, tol=tol)
+
+
+def _check_partition(p) -> None:
+    if not isinstance(p, (int, np.integer)) or p < 2:
+        raise ValueError("partition size p must be an integer >= 2")
 
 
 def _spectral_bound(J) -> tuple[float, float, float]:

@@ -167,10 +167,8 @@ def cmd_search(args) -> int:
         raise ValueError(f"--max-pool must be at least the base pool size {len(pool.assemblies)}")
     result = greedy_pool_growth(coupling, pool, target_tol=args.tol, max_pool=args.max_pool, seed=args.seed)
     if result.scheme is not None:
-        # phase 2 may add what is left of the pool budget; `iterations` stays
-        # the count of growth rounds
-        room = args.max_pool - len(pool.assemblies) - result.iterations
-        tuned = minimize_tau(coupling, result.scheme, args.tol, max_columns=room, seed=args.seed)
+        # `iterations` stays the count of growth rounds
+        tuned = minimize_tau(coupling, result, args.tol, seed=args.seed)
         result = replace(tuned, iterations=result.iterations)
     if args.out and result.scheme is not None:
         _write_scheme(args.out, result.scheme)
@@ -184,19 +182,18 @@ def cmd_search(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .hilbert import error_scaling
-    from .schemes import verify
+    from .hilbert import NotAnInversion, error_scaling
 
     coupling = _load_coupling(args.coupling)
     scheme = _load_scheme(args.scheme)
-    result = verify(scheme, coupling, args.tol)
-    if not result.ok:
-        _emit({"ok": False, "residual": result.residual})
-        _diag(
-            f"scheme does not invert this coupling (residual {result.residual:.3g}); nothing to simulate"
-        )
+    if not coupling.J.any():
+        raise ValueError("zero coupling: verification is undefined")
+    try:
+        scaling = error_scaling(coupling, scheme, _parse_eps(args.eps), tol=args.tol)
+    except NotAnInversion as exc:
+        _emit({"ok": False, "residual": exc.residual})
+        _diag(f"scheme does not invert this coupling (residual {exc.residual:.3g}); nothing to simulate")
         return 1
-    scaling = error_scaling(coupling, scheme, _parse_eps(args.eps), tol=args.tol)
     _emit(scaling.to_dict())
     return 0
 
@@ -229,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     search_cmd = add("search", cmd_search, "numerical scheme search (class 3 and raw couplings)", out_flag=True)
     search_cmd.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    search_cmd.add_argument("--max-pool", type=int, default=500, help="candidate pool budget (default 500)")
+    search_cmd.add_argument("--max-pool", type=int, default=500, help="phase-1 candidate pool budget (default 500)")
     search_cmd.add_argument("--pool", choices=_POOL_CHOICES, default="auto", help="base pool source")
 
     simulate_cmd = add("simulate", cmd_simulate, "per-cycle averaging error scaling", scheme_flag=True)

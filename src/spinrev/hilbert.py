@@ -112,6 +112,14 @@ def conjugation_consistency(J, rotations) -> float:
     return operator_norm(v.conj().T @ H @ v - rotated) / scale
 
 
+class NotAnInversion(ValueError):
+    """The scheme does not invert the coupling at the tolerance; carries the residual."""
+
+    def __init__(self, residual: float):
+        super().__init__(f"scheme does not invert this coupling (residual {residual:.3g}); refusing to simulate")
+        self.residual = residual
+
+
 def _hermitian_eigh(H):
     """(eigenvalues, eigenvectors) of a Hermitian matrix; rejects anything else.
 
@@ -165,9 +173,7 @@ def _simulate(J, scheme, epsilons, tol):
     if float(np.linalg.norm(coupling.J)) > 0.0:
         result = verify(scheme, coupling, tol)
         if not result.ok:
-            raise ValueError(
-                f"scheme does not invert this coupling (residual {result.residual:.3g}); refusing to simulate"
-            )
+            raise NotAnInversion(result.residual)
     lam, U = _hermitian_eigh(build_hamiltonian(coupling))
     unit = np.broadcast_to(np.eye(2), (scheme.n, 2, 2))
     lifts = [unit, *lift_rotations([step.rotations for step in scheme.steps]), unit]

@@ -134,7 +134,7 @@ def merge_pools(*pools: CandidatePool, seed: int = 0) -> CandidatePool:
     return CandidatePool(assemblies, PoolSource.USER, seed)
 
 
-def nnls_active_set(A, b, max_active: int | None = None):
+def nnls_active_set(A, b):
     """Lawson-Hanson active-set nonnegative least squares.
 
     Minimizes ||A x - b||_2 over x >= 0.  The dual feasibility test uses
@@ -151,11 +151,11 @@ def nnls_active_set(A, b, max_active: int | None = None):
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
         raise ValueError("incompatible least-squares dimensions")
-    x, rnorm, iterations, _ = _lawson_hanson(A, b, (), max_active)
+    x, rnorm, iterations, _ = _lawson_hanson(A, b, ())
     return x, rnorm, iterations
 
 
-def _lawson_hanson(A, b, prior, max_active: int | None = None):
+def _lawson_hanson(A, b, prior):
     """The `nnls_active_set` loop, replaying `prior`, the path of a solve on A's leading columns.
 
     Returns (x, residual_norm, iterations, path); the path holds one
@@ -174,14 +174,13 @@ def _lawson_hanson(A, b, prior, max_active: int | None = None):
     passive = np.zeros(ncols, dtype=bool)
     resid = b.copy()
     w_scale = max(float(np.abs(A.T @ b).max()), np.finfo(float).tiny)
-    limit = ncols if max_active is None else min(max_active, ncols)
     path = []
     replaying = True
     for _ in range(3 * ncols + 10):
         w = A.T @ resid
         w = np.where(passive, -np.inf, w)
         j = int(np.argmax(w))
-        if w[j] <= _DUAL_TOL * w_scale or int(passive.sum()) >= limit:
+        if w[j] <= _DUAL_TOL * w_scale:
             break
         step = len(path)
         replaying = replaying and step < len(prior) and prior[step][0] == j
@@ -316,17 +315,16 @@ def _problem(J, assemblies):
     return coupling, _upper_block_columns(coupling.J, assemblies), -_upper_blocks(coupling.J)
 
 
-def find_inversion_nnls(J, pool: CandidatePool, tol: float = 1e-9, max_steps: int | None = None) -> SearchResult:
+def find_inversion_nnls(J, pool: CandidatePool, tol: float = 1e-9) -> SearchResult:
     """Best nonnegative step times over a fixed candidate pool.
 
     Solves min_{t >= 0} ||sum_j t_j V_j J V_j^T + J||_F over the stacked
     upper-triangle blocks, prunes times below 1e-12, and returns the
     scheme when the relative residual reaches tol.  Deterministic for a
-    fixed pool order.  `max_steps` caps the active-set size; hitting the
-    cap reports no solution together with the best residual.
+    fixed pool order.
     """
     coupling, columns, target = _problem(J, pool.assemblies)
-    x, rnorm, iterations = nnls_active_set(columns, target, max_active=max_steps)
+    x, rnorm, iterations = nnls_active_set(columns, target)
     return _finalize(coupling, pool.assemblies, x, rnorm, iterations, tol)
 
 
@@ -372,20 +370,16 @@ def greedy_pool_growth(
     return _finalize(coupling, assemblies, x, rnorm, growth_rounds, target_tol)
 
 
-def minimize_tau(
-    J,
-    scheme: Scheme,
-    tol: float = 1e-9,
-    max_columns: int | None = None,
-    seed: int = 0,
-) -> SearchResult:
+def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int = 0) -> SearchResult:
     """Phase 2: cut the overhead tau of an inversion scheme by column generation.
 
-    A revised simplex for min 1^T t subject to C t = -vec(J), t >= 0, whose
-    columns are octahedral assemblies.  The start basis is the scheme's
-    steps, which must have linearly independent columns (NNLS leaves them
-    so), completed by zero-level artificial columns that span the rest;
-    an artificial leaves at the first pivot that touches its row and never
+    `start` is phase 1's result, whose residual and tau count as checked,
+    or a bare scheme, verified here once; a start that does not invert J
+    at `tol` is refused.  A revised simplex for min 1^T t subject to
+    C t = -vec(J), t >= 0, over octahedral assemblies, starts from a basis
+    of the start's steps, which must have linearly independent columns
+    (NNLS leaves them so), completed by zero-level artificial columns; an
+    artificial leaves at the first pivot that touches its row and never
     returns.  Each pricing round adds the `_PRICE_TOP` assemblies with the
     largest y^T a > 1 + 1e-9 to the pool, and steepest-edge pivots
     (Goldfarb and Reid's weight update) run over the pool until none of it
@@ -393,29 +387,34 @@ def minimize_tau(
     `_ENUMERATE_MAX` assemblies, holding spin 0 at the identity when every
     block of J is a multiple of I (then only R_k R_l^T matters); beyond
     that it runs a per-spin coordinate ascent from `_ASCENT_STARTS` starts
-    drawn from `seed`.  At most `max_columns` assemblies join the pool
-    (None: no limit), and the run stops after a pricing round that no
-    pivot follows or at the pivot budget: `_EXACT_PIVOTS_PER_ROW` per row
-    of C under enumeration, so that the run ends at a certificate rather
-    than wherever the budget falls, and `_PIVOTS_PER_ROW` under ascent,
-    which can certify only by reaching the bound.  `certified`
-    is true when enumeration finds no improving assembly, which proves
-    tau minimal over every octahedral scheme, or when tau reached
-    `tau_lower_bound`.  The result is the start scheme unless the
-    simplex's scheme verifies at `tol` with a smaller tau; `iterations`
+    drawn from `seed`.  The run, and so the pool, stops after a pricing
+    round that no pivot follows or at the pivot budget:
+    `_EXACT_PIVOTS_PER_ROW` per row of C under enumeration, so that the
+    run ends at a certificate rather than wherever the budget falls, and
+    `_PIVOTS_PER_ROW` under ascent, which can certify only by reaching the
+    bound.  `certified` is true when enumeration finds no improving
+    assembly, which proves tau minimal over every octahedral scheme, or
+    when tau reached `tau_lower_bound`.  The result is the start unless
+    the simplex's scheme verifies at `tol` with a smaller tau; `iterations`
     counts pivots.  Deterministic for a fixed seed.
     """
-    if scheme.kind is not SchemeKind.INVERSION:
+    scheme = start.scheme if isinstance(start, SearchResult) else start
+    if scheme is None or scheme.kind is not SchemeKind.INVERSION:
         raise ValueError("phase 2 needs an inversion scheme")
-    start = np.array([step.rotations for step in scheme.steps])
-    coupling, columns, target = _problem(J, start)
+    start_rots = np.array([step.rotations for step in scheme.steps])
+    coupling, columns, target = _problem(J, start_rots)
     rows, size = columns.shape
     Q, R = np.linalg.qr(columns, mode="complete")
     diag = np.abs(np.diagonal(R))
     if size > rows or diag.min() <= np.finfo(float).eps * rows * diag.max():
         raise ValueError("the start scheme's steps are linearly dependent, so they are no LP basis")
+    if not isinstance(start, SearchResult):
+        tau = float(np.sum([step.t for step in scheme.steps]))
+        start = SearchResult(scheme, verify(scheme, coupling, tol).residual, tau, 0)
+    if not start.residual <= tol:
+        raise ValueError(f"the start scheme does not invert J (residual {start.residual:.3g} > tol {tol:g})")
     basis = np.column_stack([columns, Q[:, size:]])
-    basis_rots = np.concatenate([start, np.zeros((rows - size,) + start.shape[1:])])
+    basis_rots = np.concatenate([start_rots, np.zeros((rows - size,) + start_rots.shape[1:])])
     artificial = np.arange(rows) >= size
     open_rows = rows - size  # artificial columns still in the basis
     cost = np.where(artificial, 0.0, 1.0)
@@ -427,9 +426,8 @@ def minimize_tau(
     price, exact = _pricer(coupling.J, seed)
     budget = (_EXACT_PIVOTS_PER_ROW if exact else _PIVOTS_PER_ROW) * rows
     pool = np.empty((rows, 0))
-    pool_rots = np.empty((0,) + start.shape[1:])
+    pool_rots = np.empty((0,) + start_rots.shape[1:])
     weights = np.empty(0)
-    room = np.iinfo(np.int64).max if max_columns is None else max_columns
     pivots = 0
     certified = False
     priced = False
@@ -495,9 +493,9 @@ def minimize_tau(
             break
         # priced columns that did not enter sat within rounding of the
         # threshold, and pricing the same y again would find them again
-        if pivots >= budget or room <= 0 or (priced and pivots == before):
+        if pivots >= budget or (priced and pivots == before):
             break
-        found = price(y)[:room]
+        found = price(y)
         priced = True
         if not len(found):
             certified = exact
@@ -506,17 +504,15 @@ def minimize_tau(
         pool = np.column_stack([pool, new])
         pool_rots = np.concatenate([pool_rots, group[found]])
         weights = np.concatenate([weights, 1.0 + np.sum((inverse @ new) ** 2, axis=0)])
-        room -= len(found)
-    tau_start = float(np.sum([step.t for step in scheme.steps]))
     if pivots:
         times = np.linalg.solve(basis, target)
         times = np.where(artificial | (times <= _PRUNE_TOL), 0.0, times)
         rnorm = float(np.linalg.norm(basis @ times - target))
         result = _finalize(coupling, basis_rots, times, rnorm, pivots, tol)
-        if result.scheme is not None and result.tau < tau_start:
+        if result.scheme is not None and result.tau < start.tau:
             return replace(result, certified=certified)
         certified = certified and result.scheme is not None
-    return SearchResult(scheme, verify(scheme, coupling, tol).residual, tau_start, pivots, certified)
+    return replace(start, iterations=pivots, certified=certified)
 
 
 def _pricer(J, seed: int):

@@ -168,6 +168,16 @@ class TestBoundsReport:
         with pytest.raises(ValueError, match="factored bounds need both W and A"):
             bounds_report(J, **{factor: W if factor == "W" else scalar_type()})
 
+    @pytest.mark.parametrize("p", [0, 1, -3])
+    @pytest.mark.parametrize("form", ["class1", "class3", "raw"])
+    def test_partition_size_is_checked_for_every_class(self, form, p):
+        # the same rule and message as the class-2 step bound, whatever applies
+        W = complete_weights(3)
+        A = dipole_type() if form == "class1" else scalar_type()
+        factors = {} if form == "raw" else {"W": W, "A": A}
+        with pytest.raises(ValueError, match=r"^partition size p must be an integer >= 2$"):
+            bounds_report(tensor_coupling(W, A), p=p, **factors)
+
 
 class TestAudit:
     def test_case1_scheme_passes(self):
@@ -203,6 +213,22 @@ class TestAudit:
         assert not audit.passed
         assert audit.tau_margin < 0.0
         assert audit.steps_margin == 2 - 3
+
+    def test_one_report_decides_tau_and_class(self, monkeypatch):
+        import spinrev.bounds
+
+        real = spinrev.bounds.classify_type
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spinrev.bounds, "classify_type", counting)
+        stats = SchemeStats(n_steps=3, tau=3.0, collective=False)
+        audit = audit_stats_against_bounds(stats, complete_weights(4), scalar_type())
+        assert audit.passed and audit.steps_lower == 3
+        assert len(calls) == 1
 
     def test_decoupling_schemes_are_rejected(self):
         rng = np.random.default_rng(52)

@@ -317,6 +317,26 @@ class TestSimulate:
         assert code == 1
         assert json.loads(out)["ok"] is False
 
+    def test_unverified_scheme_output_and_what_comes_before_the_verdict(self, files, capsys):
+        # the verdict is the oracle's own gate, after the --eps and kind checks
+        _, write = files
+        eye = [np.eye(3).tolist()] * 3
+        coupling = write("c.json", coupling_doc(3, dipole_type()))
+        zero = write("z.json", {"n": 3, "W": np.zeros((3, 3)).tolist(), "A": dipole_type().tolist()})
+        identity = write("s.json", {"kind": "inversion", "n": 3, "steps": [{"t": 1.0, "rotations": eye}]})
+        decoupling = write("d.json", {"kind": "decoupling", "n": 3, "steps": [{"t": 1.0, "rotations": eye}] * 2})
+        cases = [
+            (coupling, identity, [], 1, '{"ok": false, "residual": 2.0}\n',
+             "scheme does not invert this coupling (residual 2); nothing to simulate"),
+            (coupling, identity, ["--eps", "0.1,0.2"], 2, "", "error: need at least three epsilon values"),
+            (coupling, decoupling, [], 2, "", "error: cycle simulation expects an inversion scheme"),
+            (zero, identity, [], 2, "", "error: zero coupling: verification is undefined"),
+        ]
+        for path, scheme, extra, code, out, err in cases:
+            assert main(["simulate", "--coupling", path, "--scheme", scheme, *extra]) == code
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (out, err + "\n")
+
     def test_bad_eps_exits_two(self, files, capsys):
         tmp, write = files
         path = write("c.json", coupling_doc(3, dipole_type()))
@@ -491,6 +511,24 @@ class TestSearchPhaseTwo:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
+    def test_phase_two_is_not_cut_short_by_the_pool_budget(self, files, capsys):
+        # a 4-spin positive-weight input on which phase 2, given only the
+        # pool room phase 1 left, stopped at tau 3 uncertified
+        _, write = files
+        W = [
+            [0.0, 0.7641380279894014, 0.388960711372778, 0.27984720805855345],
+            [0.7641380279894014, 0.0, 1.1538560848617012, 0.2522109991028557],
+            [0.388960711372778, 1.1538560848617012, 0.0, 1.1507455339443897],
+            [0.27984720805855345, 0.2522109991028557, 1.1507455339443897, 0.0],
+        ]
+        path = write("c.json", {"n": 4, "W": W, "A": scalar_type().tolist()})
+        code, out = run(capsys, ["search", "--coupling", path, "--seed", "2104143361"])
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["certified"] is True
+        assert abs(payload["meta"]["tau"] - 3.0) <= 1e-9
+        assert len(payload["steps"]) == 7
+
     def test_uncertified_when_the_budget_ends_first(self, files, capsys):
         # ascent pricing at n=5 stops at its budget, short of the optimum 5
         _, write = files
@@ -562,6 +600,9 @@ def _job_argv(command, coupling, scheme):
 
 
 COMMANDS = ["classify", "synthesize", "verify", "bounds", "search", "simulate"]
+# averages of a scheme per job: `search` averages phase 1's scheme, and
+# phase 2's when it improves on it
+AVERAGES = {"classify": (0,), "synthesize": (0,), "verify": (1,), "bounds": (0,), "search": (1, 2), "simulate": (1,)}
 
 
 class TestOneCheckPerJob:
@@ -613,6 +654,31 @@ class TestOneCheckPerJob:
         for name in ("weight matrix", "type matrix", "coupling matrix", "sym_eig"):
             assert calls.count(name) <= 1, (name, calls)
         assert calls.count("coupling matrix") == 1
+
+    @pytest.mark.parametrize(
+        "command, extra, counts",
+        [(command, [], AVERAGES[command]) for command in COMMANDS] + [("search", ["--pool", "pair-pi"], (1,))],
+        ids=COMMANDS + ["search-pair-pi"],
+    )
+    def test_each_scheme_is_averaged_at_most_once(self, mixed, files, capsys, monkeypatch, command, extra, counts):
+        # phase 2 takes phase 1's verdict, so only a re-timed scheme is
+        # averaged a second time; at n=2 the pair-pi scheme is already optimal
+        import spinrev.schemes
+
+        real = spinrev.schemes.average_coupling
+        schemes = []
+
+        def counting(scheme, J):
+            schemes.append(tuple((step.t, step.rotations.tobytes()) for step in scheme.steps))
+            return real(scheme, J)
+
+        monkeypatch.setattr(spinrev.schemes, "average_coupling", counting)
+        _, write = files
+        coupling = write("pair.json", coupling_doc(2, scalar_type())) if extra else mixed["factored"]
+        code, _ = run(capsys, _job_argv(command, coupling, mixed["scheme"]) + extra)
+        assert code == 0
+        assert len(schemes) in counts
+        assert len(set(schemes)) == len(schemes)
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_edge_document_is_rejected_by_every_subcommand(self, files, capsys, command):

@@ -1,6 +1,7 @@
 """Phase 2 of the search: `minimize_tau`, minimum-tau re-timing by LP column generation."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -16,10 +17,11 @@ from spinrev import (
     octahedral_group,
     pair_pi_pool,
     scalar_type,
+    search_result_to_dict,
     tensor_coupling,
     verify,
 )
-from spinrev.schemes import Scheme, SchemeKind
+from spinrev.schemes import Scheme, SchemeKind, Step
 from spinrev.search import _PRICE_TOP, _pricer, _upper_block_columns, _upper_blocks, minimize_tau
 
 
@@ -110,10 +112,6 @@ def test_budgets_hold(monkeypatch):
     assert full.certified
     assert abs(full.tau - 3.0) <= 1e-9
     assert full.iterations < 20 * 54
-    idle = minimize_tau(J, start.scheme, max_columns=0, seed=7)
-    assert idle.scheme is start.scheme
-    assert idle.iterations == 0
-    assert not idle.certified
     monkeypatch.setattr("spinrev.search._EXACT_PIVOTS_PER_ROW", 3)
     budgeted = minimize_tau(J, start.scheme, seed=7)
     assert budgeted.iterations == 3 * 54
@@ -150,7 +148,7 @@ def test_a_pricing_round_that_no_pivot_follows_ends_the_run(monkeypatch):
         return price, True
 
     monkeypatch.setattr("spinrev.search._pricer", stale_pricer)
-    result = minimize_tau(J, start.scheme, max_columns=1000)
+    result = minimize_tau(J, start.scheme)
     assert len(calls) == 1
     assert result.scheme is start.scheme
     assert not result.certified
@@ -189,3 +187,22 @@ def test_rejects_what_is_no_lp_start():
         minimize_tau(J, Scheme(SchemeKind.INVERSION, start.steps + start.steps[:1]))
     with pytest.raises(ValueError, match="dimension mismatch: pool addresses 2 spins, coupling has 3"):
         minimize_tau(tensor_coupling(complete_weights(3), scalar_type()), start)
+
+
+def test_a_start_that_does_not_invert_j_is_refused():
+    # phase 1's times scaled by 0.01: the simplex would return a tau far
+    # below the spectral bound 2 for a scheme with residual 0.99
+    J = tensor_coupling(complete_weights(3), scalar_type())
+    start = greedy_pool_growth(J, _auto_pool(3), seed=1).scheme
+    short = Scheme(SchemeKind.INVERSION, tuple(Step(0.01 * step.t, step.rotations) for step in start.steps))
+    with pytest.raises(ValueError, match=r"does not invert J \(residual 0\.99 > tol 1e-09\)"):
+        minimize_tau(J, short)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_phase_one_result_and_its_bare_scheme_give_the_same_json(n):
+    # the found result's residual and tau are the ones a fresh verify gives
+    J = tensor_coupling(complete_weights(n), scalar_type())
+    start = greedy_pool_growth(J, _auto_pool(n), seed=5)
+    first, second = (search_result_to_dict(minimize_tau(J, s, seed=5), seed=5) for s in (start, start.scheme))
+    assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)

@@ -245,12 +245,6 @@ class TestFindInversion:
         assert result.scheme is None
         assert result.residual > 0.5
 
-    def test_max_steps_cap_reports_no_solution(self):
-        J = tensor_coupling(complete_weights(2), scalar_type())
-        result = find_inversion_nnls(J, pair_pi_pool(2), max_steps=2)
-        assert result.scheme is None
-        assert result.residual > 0.0
-
 
 class TestGreedyGrowth:
     def test_two_spin_heisenberg_from_infeasible_base(self):

@@ -80,7 +80,6 @@ _EXPORTS = {
     ),
     "search": (
         "CandidatePool",
-        "PoolSource",
         "SearchResult",
         "collective_cyclic_pool",
         "find_inversion_nnls",

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .coupling import CouplingClass, _checked, _factored, classify_type
+from .coupling import CouplingClass, CouplingInput, _checked, _factored, classify_type
 
 if TYPE_CHECKING:
     from .schemes import Scheme, SchemeStats
@@ -159,12 +159,14 @@ def audit_stats_against_bounds(stats: SchemeStats, W, A=None, tol: float = 1e-9)
     """Margins of claimed scheme statistics over the applicable bounds.
 
     Verification is the caller's job; a *verified* scheme below a lower
-    bound means a software defect, never a better scheme.
+    bound means a software defect, never a better scheme.  W is raw
+    factors or a CouplingInput; an unfactored one gets the spectral
+    overhead bound only, and `steps_lower` None.
     """
-    coupling = _factored(W, A)
+    coupling = W if isinstance(W, CouplingInput) and A is None else _factored(W, A)
     report = bounds_report(coupling, tol=tol)
     tau_margin = stats.tau - report.tau_lower
-    steps_low = _complete_graph_steps(coupling.W, report.case)
+    steps_low = _complete_graph_steps(coupling.W, report.case) if coupling.factored else None
     steps_margin = None if steps_low is None else stats.n_steps - steps_low
     passed = tau_margin >= -_AUDIT_SLACK and (steps_margin is None or steps_margin >= 0)
     return BoundsAudit(

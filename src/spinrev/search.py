@@ -15,13 +15,12 @@ from the phase-1 scheme.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import _spectral_bound
+from .bounds import _spectral_bound, audit_stats_against_bounds
 from .coupling import _checked, n_spins
 from .rotations import axis_cycle, check_rotation
 from .schemes import (
@@ -30,12 +29,12 @@ from .schemes import (
     Step,
     conjugate,
     pi_rotation,
+    scheme_stats,
     scheme_to_dict,
     verify,
 )
 
 _PRUNE_TOL = 1e-12
-_BOUND_SLACK = 1e-6
 _DUAL_TOL = 1e-12  # relative tolerance of the NNLS dual feasibility test
 _BATCH = 64  # random assemblies drawn per growth round
 # phase 2 (`minimize_tau`)
@@ -68,29 +67,20 @@ def octahedral_group() -> np.ndarray:
     return np.array(mats)
 
 
-class PoolSource(enum.Enum):
-    OCTAHEDRAL_RANDOM = "octahedral-random"
-    COLLECTIVE_CYCLIC = "collective-cyclic"
-    PAIR_PI = "pair-pi"
-    USER = "user"
-
-
 @dataclass(frozen=True)
 class CandidatePool:
     """Per-spin rotation assemblies that may become scheme steps."""
 
     assemblies: tuple[np.ndarray, ...]  # each of shape (n, 3, 3)
-    source: PoolSource
     seed: int = 0
 
     def __post_init__(self):
         if len(self.assemblies) == 0:
             raise ValueError("candidate pool must hold at least one assembly")
         n = self.assemblies[0].shape[0]
-        for assembly in self.assemblies:
-            if assembly.shape != (n, 3, 3):
-                raise ValueError("every assembly must have shape (n, 3, 3)")
-            check_rotation(assembly, tol=1e-12)
+        if any(assembly.shape != (n, 3, 3) for assembly in self.assemblies):
+            raise ValueError("every assembly must have shape (n, 3, 3)")
+        check_rotation(np.stack(self.assemblies), tol=1e-12)
 
     @property
     def n(self) -> int:
@@ -101,7 +91,7 @@ def collective_cyclic_pool(n: int, seed: int = 0) -> CandidatePool:
     """The two collective axis-cycle assemblies (first and second powers)."""
     S = axis_cycle()
     assemblies = (np.tile(S, (n, 1, 1)), np.tile(S @ S, (n, 1, 1)))
-    return CandidatePool(assemblies, PoolSource.COLLECTIVE_CYCLIC, seed)
+    return CandidatePool(assemblies, seed)
 
 
 def pair_pi_pool(n: int, seed: int = 0) -> CandidatePool:
@@ -112,7 +102,7 @@ def pair_pi_pool(n: int, seed: int = 0) -> CandidatePool:
             rotations = np.tile(np.eye(3), (n, 1, 1))
             rotations[k] = pi_rotation(axis)
             assemblies.append(rotations)
-    return CandidatePool(tuple(assemblies), PoolSource.PAIR_PI, seed)
+    return CandidatePool(tuple(assemblies), seed)
 
 
 def random_octahedral_pool(n: int, size: int, seed: int = 0) -> CandidatePool:
@@ -122,16 +112,16 @@ def random_octahedral_pool(n: int, size: int, seed: int = 0) -> CandidatePool:
     group = octahedral_group()
     rng = np.random.default_rng(seed)
     picks = rng.integers(0, len(group), size=(size, n))
-    return CandidatePool(tuple(group[row] for row in picks), PoolSource.OCTAHEDRAL_RANDOM, seed)
+    return CandidatePool(tuple(group[row] for row in picks), seed)
 
 
 def user_pool(assemblies, seed: int = 0) -> CandidatePool:
-    return CandidatePool(tuple(np.asarray(a, dtype=float) for a in assemblies), PoolSource.USER, seed)
+    return CandidatePool(tuple(np.asarray(a, dtype=float) for a in assemblies), seed)
 
 
 def merge_pools(*pools: CandidatePool, seed: int = 0) -> CandidatePool:
     assemblies = tuple(a for pool in pools for a in pool.assemblies)
-    return CandidatePool(assemblies, PoolSource.USER, seed)
+    return CandidatePool(assemblies, seed)
 
 
 def nnls_active_set(A, b):
@@ -284,22 +274,27 @@ def _upper_block_columns(J, assemblies):
 def _finalize(coupling, assemblies, x, rnorm, iterations, tol):
     norm = float(np.linalg.norm(coupling.J))
     keep = np.flatnonzero(x > _PRUNE_TOL)
-    tau = float(x[keep].sum())
     # the lower blocks mirror the upper ones, so the full Frobenius
     # residual is sqrt(2) times the stacked-block residual
     relative = rnorm * np.sqrt(2.0) / norm
     if keep.size and relative <= tol:
         steps = tuple(Step(float(x[j]), assemblies[j].copy()) for j in keep)
-        scheme = Scheme(SchemeKind.INVERSION, steps)
-        recheck = verify(scheme, coupling, tol)
-        if recheck.ok:
-            if tau < _spectral_bound(coupling.J)[2] - _BOUND_SLACK:
-                raise RuntimeError(
-                    "verified scheme beats the spectral overhead bound; this is a software defect"
-                )
-            return SearchResult(scheme, recheck.residual, tau, iterations)
-        relative = recheck.residual
-    return SearchResult(None, relative, tau, iterations)
+        result = _verdict(Scheme(SchemeKind.INVERSION, steps), coupling, tol, iterations)
+        if result.scheme is not None:
+            return result
+        relative = result.residual
+    return SearchResult(None, relative, float(x[keep].sum()), iterations)
+
+
+def _verdict(scheme, coupling, tol, iterations=0) -> SearchResult:
+    """`scheme` as found when it verifies at `tol`, with its residual and
+    `scheme_stats`' tau; a verified scheme that `audit_stats_against_bounds`
+    fails (below either lower bound) is a software defect."""
+    recheck = verify(scheme, coupling, tol)
+    stats = scheme_stats(scheme)
+    if recheck.ok and not audit_stats_against_bounds(stats, coupling, tol=tol).passed:
+        raise RuntimeError("verified scheme beats a lower bound; this is a software defect")
+    return SearchResult(scheme if recheck.ok else None, recheck.residual, stats.tau, iterations)
 
 
 def _problem(J, assemblies):
@@ -374,16 +369,17 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
     """Phase 2: cut the overhead tau of an inversion scheme by column generation.
 
     `start` is phase 1's result, whose residual and tau count as checked,
-    or a bare scheme, verified here once; a start that does not invert J
-    at `tol` is refused.  A revised simplex for min 1^T t subject to
-    C t = -vec(J), t >= 0, over octahedral assemblies, starts from a basis
-    of the start's steps, which must have linearly independent columns
-    (NNLS leaves them so), completed by zero-level artificial columns; an
-    artificial leaves at the first pivot that touches its row and never
-    returns.  Each pricing round adds the `_PRICE_TOP` assemblies with the
-    largest y^T a > 1 + 1e-9 to the pool, and steepest-edge pivots
-    (Goldfarb and Reid's weight update) run over the pool until none of it
-    improves.  Pricing enumerates the group when it has at most
+    or a bare scheme, verified and audited here once as `_finalize` does;
+    a start that does not invert J at `tol` is refused.  A revised
+    simplex for min 1^T t subject to C t = -vec(J), t >= 0, over
+    octahedral assemblies, starts from a basis of the start's steps,
+    which must have linearly independent columns (NNLS leaves them so),
+    completed by zero-level artificial columns; an artificial leaves at
+    the first pivot that touches its row and never returns.  Each pricing
+    round adds the `_PRICE_TOP` assemblies with the largest
+    y^T a > 1 + 1e-9 to the pool, and steepest-edge pivots (Goldfarb and
+    Reid's weight update) run over the pool until none of it improves.
+    Pricing enumerates the group when it has at most
     `_ENUMERATE_MAX` assemblies, holding spin 0 at the identity when every
     block of J is a multiple of I (then only R_k R_l^T matters); beyond
     that it runs a per-spin coordinate ascent from `_ASCENT_STARTS` starts
@@ -409,18 +405,14 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
     if size > rows or diag.min() <= np.finfo(float).eps * rows * diag.max():
         raise ValueError("the start scheme's steps are linearly dependent, so they are no LP basis")
     if not isinstance(start, SearchResult):
-        tau = float(np.sum([step.t for step in scheme.steps]))
-        start = SearchResult(scheme, verify(scheme, coupling, tol).residual, tau, 0)
+        start = _verdict(scheme, coupling, tol)
     if not start.residual <= tol:
         raise ValueError(f"the start scheme does not invert J (residual {start.residual:.3g} > tol {tol:g})")
     basis = np.column_stack([columns, Q[:, size:]])
     basis_rots = np.concatenate([start_rots, np.zeros((rows - size,) + start_rots.shape[1:])])
     artificial = np.arange(rows) >= size
-    open_rows = rows - size  # artificial columns still in the basis
-    cost = np.where(artificial, 0.0, 1.0)
     inverse = np.linalg.inv(basis)
     x = np.maximum(inverse @ target, 0.0)
-    y = cost @ inverse
     tau_low = _spectral_bound(coupling.J)[2]
     group = octahedral_group()
     price, exact = _pricer(coupling.J, seed)
@@ -429,9 +421,21 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
     pool_rots = np.empty((0,) + start_rots.shape[1:])
     weights = np.empty(0)
     pivots = 0
-    certified = False
-    priced = False
     while True:
+        # artificial columns cost 0, the start's and entered columns 1
+        cost = np.where(artificial, 0.0, 1.0)
+        y = cost @ inverse
+        certified = float(cost @ x) <= tau_low + _PRICE_TOL * max(tau_low, 1.0)
+        if certified or pivots >= budget:
+            break
+        found = price(y)
+        if not len(found):
+            certified = exact
+            break
+        new = _upper_block_columns(coupling.J, group[found])
+        pool = np.column_stack([pool, new])
+        pool_rots = np.concatenate([pool_rots, group[found]])
+        weights = np.concatenate([weights, 1.0 + np.sum((inverse @ new) ** 2, axis=0)])
         reduced = 1.0 - y @ pool
         before = pivots
         while pivots < budget and pool.shape[1]:
@@ -440,11 +444,10 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
             if score[q] == 0.0:
                 break
             alpha = inverse @ pool[:, q]
-            touched = np.flatnonzero(artificial & (np.abs(alpha) > _PIVOT_TOL)) if open_rows else ()
+            touched = np.flatnonzero(artificial & (np.abs(alpha) > _PIVOT_TOL))
             if len(touched):
                 r = int(touched[np.argmax(np.abs(alpha[touched]))])
                 theta = 0.0
-                open_rows -= 1
             else:
                 up = alpha > _PIVOT_TOL
                 ratios = np.divide(x, alpha, out=np.full(rows, np.inf), where=up)
@@ -481,29 +484,15 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
                 reduced[q] = leaving_cost
             basis[:, r], basis_rots[r] = entering, entering_rots
             artificial[r] = False
-            cost[r] = 1.0
             pivots += 1
             if pivots % _REFACTOR == 0:
                 inverse = np.linalg.inv(basis)
                 x = np.maximum(inverse @ target, 0.0)
-                reduced = 1.0 - (cost @ inverse) @ pool
-        y = cost @ inverse
-        if float(cost @ x) <= tau_low + _PRICE_TOL * max(tau_low, 1.0):
-            certified = True
-            break
+                reduced = 1.0 - (np.where(artificial, 0.0, 1.0) @ inverse) @ pool
         # priced columns that did not enter sat within rounding of the
         # threshold, and pricing the same y again would find them again
-        if pivots >= budget or (priced and pivots == before):
+        if pivots == before:
             break
-        found = price(y)
-        priced = True
-        if not len(found):
-            certified = exact
-            break
-        new = _upper_block_columns(coupling.J, group[found])
-        pool = np.column_stack([pool, new])
-        pool_rots = np.concatenate([pool_rots, group[found]])
-        weights = np.concatenate([weights, 1.0 + np.sum((inverse @ new) ** 2, axis=0)])
     if pivots:
         times = np.linalg.solve(basis, target)
         times = np.where(artificial | (times <= _PRUNE_TOL), 0.0, times)

@@ -214,6 +214,18 @@ class TestAudit:
         assert audit.tau_margin < 0.0
         assert audit.steps_margin == 2 - 3
 
+    def test_unfactored_coupling_gets_the_spectral_bound_only(self):
+        from spinrev.coupling import _checked
+
+        J = tensor_coupling(complete_weights(4), scalar_type())
+        for tau, passed in ((3.5, True), (2.5, False)):
+            stats = SchemeStats(n_steps=2, tau=tau, collective=False)
+            audit = audit_stats_against_bounds(stats, _checked(J))
+            assert audit.passed is passed
+            assert audit.tau_lower == tau_lower_bound(J)
+            assert audit.tau_margin == tau - tau_lower_bound(J)
+            assert audit.steps_lower is None and audit.steps_margin is None
+
     def test_one_report_decides_tau_and_class(self, monkeypatch):
         import spinrev.bounds
 

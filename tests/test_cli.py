@@ -565,6 +565,42 @@ class TestSearchPhaseTwo:
         assert "Traceback" not in captured.err
         assert sorted(p.name for p in tmp.iterdir()) == ["c.json"]
 
+    def test_printed_tau_is_the_verified_tau(self, files, capsys):
+        # seed 0 at n=5 is a search whose phase-2 tau, summed by numpy from
+        # the step-time vector, differed from `verify`'s in the last digit
+        tmp, write = files
+        path = write("c.json", coupling_doc(5, scalar_type()))
+        out_path = str(tmp / "found.json")
+        code, out = run(capsys, ["search", "--coupling", path, "--seed", "0", "--out", out_path])
+        assert code == 0
+        tau = json.loads(out)["meta"]["tau"]
+        code, out = run(capsys, ["verify", "--coupling", path, "--scheme", out_path])
+        assert code == 0
+        assert tau == json.loads(out)["tau"]
+
+    @pytest.mark.parametrize(
+        "target,planted",
+        [
+            # phase 2 finds a 3-step scheme, below a planted n+1 = 5
+            ("spinrev.bounds._complete_graph_steps", lambda W, case: W.shape[0] + 1),
+            # `minimize_tau` holds its own reference, so only the audit sees it
+            ("spinrev.bounds._spectral_bound", lambda J: (-1.0, 1.0, 1e6)),
+        ],
+        ids=["steps", "overhead"],
+    )
+    def test_found_scheme_below_a_bound_exits_three(self, files, capsys, monkeypatch, target, planted):
+        tmp, write = files
+        path = write("c.json", coupling_doc(4, scalar_type()))
+        monkeypatch.setattr(target, planted)
+        code = main(["search", "--coupling", path, "--out", str(tmp / "found.json")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: internal defect: verified scheme beats a lower bound; this is a software defect"
+        ]
+        assert sorted(p.name for p in tmp.iterdir()) == ["c.json"]
+
     def test_search_checks_the_coupling_once_per_phase(self, files, capsys, monkeypatch):
         # W, A and J = W (x) A once each while parsing; both phases take
         # the parsed coupling as checked

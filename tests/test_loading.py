@@ -44,7 +44,7 @@ PUBLIC = {
         "scheme_to_dict", "selective_decoupling", "synthesize_case1", "synthesize_case2", "verify",
     ],
     "search": [
-        "CandidatePool", "PoolSource", "SearchResult", "collective_cyclic_pool",
+        "CandidatePool", "SearchResult", "collective_cyclic_pool",
         "find_inversion_nnls", "greedy_pool_growth", "merge_pools", "nnls_active_set",
         "octahedral_group", "pair_pi_pool", "random_octahedral_pool", "search_result_to_dict",
         "user_pool",

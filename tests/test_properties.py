@@ -1,4 +1,5 @@
-"""Property tests of the Lawson-Hanson NNLS core over generated inputs.
+"""Property tests of the Lawson-Hanson NNLS core and of `spinrev search`
+over generated inputs.
 
 The search solves NNLS over columns of equal norm: every column is the
 stacked upper-triangle blocks of a rotated coupling V J V^T, and a block
@@ -8,12 +9,17 @@ columns, dependent columns and more columns than rows.  Examples are
 derandomized and their counts bounded, so each run checks the same cases.
 """
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 import warnings
 
 import numpy as np
+import pytest
 import scipy.optimize
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 # On a failure Hypothesis imports libcst to print the example as a patch,
@@ -28,12 +34,15 @@ with warnings.catch_warnings():
 
 from helpers import random_coupling
 from spinrev import (
+    check_scheme_against_bounds,
+    cli,
     collective_cyclic_pool,
     complete_weights,
     greedy_pool_growth,
     merge_pools,
     pair_pi_pool,
     scalar_type,
+    scheme_from_dict,
     search_result_to_dict,
     tau_lower_bound,
     tensor_coupling,
@@ -192,3 +201,85 @@ def test_minimize_tau_is_deterministic(problem):
     first, second = (minimize_tau(J, start.scheme, seed=seed) for _ in range(2))
     assert json.dumps(search_result_to_dict(first)) == json.dumps(search_result_to_dict(second))
     assert (first.iterations, first.certified) == (second.iterations, second.certified)
+
+
+# Each example runs a whole `spinrev search` and a `verify` in-process;
+# shrinking would rerun them, so a failure reports the example as drawn
+cli_search = settings(
+    derandomize=True,
+    max_examples=20,
+    deadline=None,
+    database=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+)
+
+
+@st.composite
+def search_documents(draw, types):
+    """A coupling file at n = 2-4: complete, positive or zero-containing
+    weights with the scalar type, or with diag(1, 1, ±delta) for
+    `types == "near-boundary"`, |delta| just inside or just beyond the
+    classifier's cut 1e-9 ||A||_F."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = draw(st.sampled_from(["complete", "positive", "zeros"]))
+    # zeros leave at least one of the n(n-1)/2 pairs coupled, so n >= 3
+    n = draw(st.integers(3 if weights == "zeros" else 2, 4))
+    W = complete_weights(n)
+    if weights != "complete":
+        W = np.triu(W * rng.uniform(0.2, 1.5, size=(n, n)), 1)
+        if weights == "zeros":
+            pairs = np.flatnonzero(W)
+            W.flat[rng.choice(pairs, size=rng.integers(1, pairs.size), replace=False)] = 0.0
+        W = W + W.T
+    A = scalar_type()
+    if types == "near-boundary":
+        factor = draw(st.sampled_from([-1.5, -0.5, 0.5, 1.5]))
+        A = np.diag([1.0, 1.0, factor * 1e-9 * np.sqrt(2.0)])
+    return W, A, draw(st.integers(0, 2**31 - 1))
+
+
+def _cli(argv):
+    """(exit code, stdout) of `cli.main(argv)` run in-process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "types",
+    [
+        "scalar",
+        # a known defect: with a type eigenvalue at the search's own 1e-9
+        # tolerance, phase 1's NNLS can end at its insertion cap with a
+        # larger residual (exit 3) and phase 2's basis can turn singular
+        # (numpy's LinAlgError is a ValueError: exit 2), at n = 3 and 4
+        pytest.param(
+            "near-boundary",
+            marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="search fails at the type boundary"),
+        ),
+    ],
+)
+@cli_search
+@given(data=st.data())
+def test_cli_search_finds_verified_schemes_within_both_bounds(types, data):
+    W, A, seed = data.draw(search_documents(types))
+    n = W.shape[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        coupling, out = os.path.join(tmp, "c.json"), os.path.join(tmp, "found.json")
+        with open(coupling, "w") as handle:
+            json.dump({"n": n, "W": W.tolist(), "A": A.tolist()}, handle)
+        code, printed = _cli(["search", "--coupling", coupling, "--seed", str(seed), "--out", out])
+        assert code in (0, 1)
+        printed = json.loads(printed)
+        if code == 1:
+            assert printed["found"] is False
+            return
+        code, verified = _cli(["verify", "--coupling", coupling, "--scheme", out])
+        assert code == 0
+        verified = json.loads(verified)
+        assert verified["ok"] is True
+        assert printed["meta"]["tau"] == verified["tau"]
+        with open(out) as handle:
+            scheme = scheme_from_dict(json.load(handle))
+    assert check_scheme_against_bounds(scheme, W, A).passed

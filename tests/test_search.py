@@ -26,7 +26,7 @@ from spinrev import (
     user_pool,
     verify,
 )
-from spinrev.search import CandidatePool, PoolSource, _lawson_hanson, _passive_solve
+from spinrev.search import CandidatePool, _lawson_hanson, _passive_solve
 
 
 class TestOctahedralGroup:
@@ -181,13 +181,12 @@ class TestPathReplay:
 class TestPools:
     def test_pair_pi_pool_shape(self):
         pool = pair_pi_pool(3)
-        assert pool.source is PoolSource.PAIR_PI
         assert len(pool.assemblies) == 9
         assert pool.n == 3
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            CandidatePool((), PoolSource.USER)
+            CandidatePool(())
 
     def test_random_pool_is_seeded(self):
         a = random_octahedral_pool(3, 10, seed=5)
@@ -204,8 +203,7 @@ class TestPools:
     def test_user_and_merge(self):
         pool = merge_pools(pair_pi_pool(2), collective_cyclic_pool(2))
         assert len(pool.assemblies) == 8
-        single = user_pool([np.tile(np.eye(3), (2, 1, 1))])
-        assert single.source is PoolSource.USER
+        assert user_pool([np.tile(np.eye(3), (2, 1, 1))]).n == 2
 
 
 class TestFindInversion:

@@ -55,19 +55,55 @@ class Scheme:
             raise ValueError("scheme kind must be SchemeKind.INVERSION or SchemeKind.DECOUPLING")
         if len(self.steps) == 0:
             raise ValueError("scheme needs at least one step")
+        # rotations wait in `pending` for one stacked check per chunk; a step
+        # with a structural defect first checks the steps before it, so the
+        # error raised is always the first defect in step order
+        pending = []
         for step in self.steps:
-            if not np.isfinite(step.t) or step.t <= 0.0:
-                raise ValueError("step times must be positive and finite")
-            rots = step.rotations
-            if rots.ndim != 3 or rots.shape[1:] != (3, 3):
-                raise ValueError("step rotations must have shape (n, 3, 3)")
-            if rots.shape[0] != self.n:
-                raise ValueError("every step must address the same number of spins")
-            check_rotation(rots, tol=1e-12)
+            defect = self._defect(step)
+            if defect is not None:
+                _check_step_rotations(pending)
+                raise ValueError(defect)
+            pending.append(step.rotations)
+            if len(pending) * self.n >= _CHECK_ROTATIONS:
+                _check_step_rotations(pending)
+                pending = []
+        _check_step_rotations(pending)
+
+    def _defect(self, step: Step) -> str | None:
+        """The message for a step's time or shape defect, None if it has none."""
+        if not np.isfinite(step.t) or step.t <= 0.0:
+            return "step times must be positive and finite"
+        rots = step.rotations
+        if rots.ndim != 3 or rots.shape[1:] != (3, 3):
+            return "step rotations must have shape (n, 3, 3)"
+        if rots.shape[0] != self.n:
+            return "every step must address the same number of spins"
+        return None
 
     @property
     def n(self) -> int:
         return self.steps[0].rotations.shape[0]
+
+
+# rotations per stacked `check_rotation` call: its (k, 3, 3) temporaries
+# stay near 75 KB each, a few hundred KB in all
+_CHECK_ROTATIONS = 1024
+
+
+def _check_step_rotations(stacks: list) -> None:
+    """`check_rotation` over several steps' (n, 3, 3) rotations in one call.
+
+    On a failure the steps are checked again one at a time, so the error
+    names the first failing step's defect, as a per-step check would."""
+    if not stacks:
+        return
+    try:
+        check_rotation(np.concatenate(stacks), tol=1e-12)
+    except ValueError:
+        for rots in stacks:
+            check_rotation(rots, tol=1e-12)
+        raise
 
 
 @dataclass(frozen=True)
@@ -318,13 +354,27 @@ def scheme_to_dict(scheme: Scheme) -> dict:
 
 
 def _scheme_json_chunks(scheme: Scheme):
-    """`json.dumps(scheme_to_dict(scheme))` in pieces: the head, then one
-    C-encoded step at a time, so a large scheme is never one nested list."""
+    """`json.dumps(scheme_to_dict(scheme))` in pieces: the head, one step at
+    a time, then the tail, so a large scheme is never one nested list.
+
+    Each distinct 3x3 rotation is encoded once, as `json.dumps(R.tolist())`;
+    the cache is keyed by the matrix's bytes, so 0.0 and -0.0 stay apart."""
+    encoded = _EncodedRotations()
     yield f'{{"kind": {json.dumps(scheme.kind.value)}, "n": {scheme.n}, "steps": ['
     for i, step in enumerate(scheme.steps):
-        chunk = json.dumps({"t": float(step.t), "rotations": step.rotations.tolist()})
+        raw = step.rotations.tobytes()
+        rotations = ", ".join([encoded[raw[k : k + 72]] for k in range(0, len(raw), 72)])
+        chunk = f'{{"t": {json.dumps(step.t)}, "rotations": [{rotations}]}}'
         yield chunk if i == 0 else ", " + chunk
     yield "]}"
+
+
+class _EncodedRotations(dict):
+    """The JSON text of each 3x3 float64 rotation, keyed by its 72 bytes."""
+
+    def __missing__(self, raw: bytes) -> str:
+        text = self[raw] = json.dumps(np.frombuffer(raw).reshape(3, 3).tolist())
+        return text
 
 
 def _step_object_hook(obj: dict) -> dict:

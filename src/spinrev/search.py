@@ -391,8 +391,10 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
     bound.  `certified` is true when enumeration finds no improving
     assembly, which proves tau minimal over every octahedral scheme, or
     when tau reached `tau_lower_bound`.  The result is the start unless
-    the simplex's scheme verifies at `tol` with a smaller tau; `iterations`
-    counts pivots.  Deterministic for a fixed seed.
+    the simplex's scheme verifies at `tol` with a smaller tau; a basis that
+    rounding leaves singular (`LinAlgError` from the refactor or the final
+    solve) also returns the start, uncertified.  `iterations` counts
+    pivots.  Deterministic for a fixed seed.
     """
     scheme = start.scheme if isinstance(start, SearchResult) else start
     if scheme is None or scheme.kind is not SchemeKind.INVERSION:
@@ -486,7 +488,10 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
             artificial[r] = False
             pivots += 1
             if pivots % _REFACTOR == 0:
-                inverse = np.linalg.inv(basis)
+                try:
+                    inverse = np.linalg.inv(basis)
+                except np.linalg.LinAlgError:  # the basis turned singular to rounding
+                    return replace(start, iterations=pivots, certified=False)
                 x = np.maximum(inverse @ target, 0.0)
                 reduced = 1.0 - (np.where(artificial, 0.0, 1.0) @ inverse) @ pool
         # priced columns that did not enter sat within rounding of the
@@ -494,7 +499,10 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
         if pivots == before:
             break
     if pivots:
-        times = np.linalg.solve(basis, target)
+        try:
+            times = np.linalg.solve(basis, target)
+        except np.linalg.LinAlgError:
+            return replace(start, iterations=pivots, certified=False)
         times = np.where(artificial | (times <= _PRUNE_TOL), 0.0, times)
         rnorm = float(np.linalg.norm(basis @ times - target))
         result = _finalize(coupling, basis_rots, times, rnorm, pivots, tol)

@@ -9,6 +9,7 @@ import scipy.optimize
 
 from helpers import random_coupling
 from spinrev import (
+    cli,
     collective_cyclic_pool,
     complete_weights,
     find_inversion_nnls,
@@ -17,6 +18,7 @@ from spinrev import (
     octahedral_group,
     pair_pi_pool,
     scalar_type,
+    scheme_from_dict,
     search_result_to_dict,
     tensor_coupling,
     verify,
@@ -206,3 +208,51 @@ def test_phase_one_result_and_its_bare_scheme_give_the_same_json(n):
     start = greedy_pool_growth(J, _auto_pool(n), seed=5)
     first, second = (search_result_to_dict(minimize_tau(J, s, seed=5), seed=5) for s in (start, start.scheme))
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+
+@pytest.mark.parametrize("call", ["inv", "solve"])
+def test_a_singular_basis_ends_phase_two_at_its_start(monkeypatch, call):
+    # a basis that rounding leaves singular is a numerical breakdown, not
+    # invalid input: the refactor's inverse or the final solve failing
+    # hands back the verified start, uncertified
+    J = tensor_coupling(complete_weights(4), scalar_type())
+    start = greedy_pool_growth(J, _auto_pool(4), seed=7)
+    real = getattr(np.linalg, call)
+    calls = []
+
+    def singular(*args):
+        calls.append(call)
+        if call == "inv" and len(calls) == 1:  # the start basis itself
+            return real(*args)
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr("spinrev.search._REFACTOR", 5)
+    monkeypatch.setattr(np.linalg, call, singular)
+    result = minimize_tau(J, start, seed=7)
+    assert result.scheme is start.scheme
+    assert (result.tau, result.residual) == (start.tau, start.residual)
+    assert not result.certified
+    # the refactor fails at pivot 5; the solve after the last pivot
+    assert result.iterations == 5 if call == "inv" else result.iterations > 5
+    assert len(calls) == (2 if call == "inv" else 1)
+
+
+@pytest.mark.parametrize("c", [-1.5, 0.5])
+def test_cli_search_at_the_type_boundary_returns_the_phase_one_scheme(tmp_path, capsys, c):
+    # a type eigenvalue at the search's own 1e-9 tolerance leaves phase 2's
+    # basis singular to rounding; the search still exits 0 with a scheme
+    # that verifies, and says it is not certified
+    coupling, out = tmp_path / "c.json", tmp_path / "found.json"
+    A = np.diag([1.0, 1.0, c * 1e-9 * np.sqrt(2.0)])
+    coupling.write_text(json.dumps({"n": 3, "W": complete_weights(3).tolist(), "A": A.tolist()}))
+    code = cli.main(["search", "--coupling", str(coupling), "--seed", "0", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    printed = json.loads(captured.out)
+    assert printed["found"] is True
+    assert printed["certified"] is False
+    assert cli.main(["verify", "--coupling", str(coupling), "--scheme", str(out)]) == 0
+    verified = json.loads(capsys.readouterr().out)
+    assert verified["ok"] is True
+    assert verified["tau"] == printed["meta"]["tau"]
+    assert len(scheme_from_dict(json.loads(out.read_text())).steps) == verified["N"]

@@ -1,5 +1,5 @@
-"""Property tests of the Lawson-Hanson NNLS core and of `spinrev search`
-over generated inputs.
+"""Property tests of the Lawson-Hanson NNLS core, of `spinrev search` and
+of the scheme file writer over generated inputs.
 
 The search solves NNLS over columns of equal norm: every column is the
 stacked upper-triangle blocks of a rotated coupling V J V^T, and a block
@@ -42,12 +42,16 @@ from spinrev import (
     merge_pools,
     pair_pi_pool,
     scalar_type,
+    pi_rotation,
+    rotation_about,
     scheme_from_dict,
+    scheme_to_dict,
     search_result_to_dict,
     tau_lower_bound,
     tensor_coupling,
     verify,
 )
+from spinrev.schemes import Scheme, SchemeKind, Step, _scheme_json_chunks
 from spinrev.search import (
     _lawson_hanson,
     _upper_block_columns,
@@ -246,20 +250,7 @@ def _cli(argv):
     return code, out.getvalue()
 
 
-@pytest.mark.parametrize(
-    "types",
-    [
-        "scalar",
-        # a known defect: with a type eigenvalue at the search's own 1e-9
-        # tolerance, phase 1's NNLS can end at its insertion cap with a
-        # larger residual (exit 3) and phase 2's basis can turn singular
-        # (numpy's LinAlgError is a ValueError: exit 2), at n = 3 and 4
-        pytest.param(
-            "near-boundary",
-            marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="search fails at the type boundary"),
-        ),
-    ],
-)
+@pytest.mark.parametrize("types", ["scalar", "near-boundary"])
 @cli_search
 @given(data=st.data())
 def test_cli_search_finds_verified_schemes_within_both_bounds(types, data):
@@ -283,3 +274,42 @@ def test_cli_search_finds_verified_schemes_within_both_bounds(types, data):
         with open(out) as handle:
             scheme = scheme_from_dict(json.load(handle))
     assert check_scheme_against_bounds(scheme, W, A).passed
+
+
+@st.composite
+def written_schemes(draw):
+    """A scheme whose spins draw from a small palette of octahedral,
+    Hadamard-fragment (a frame times a coordinate half turn times the
+    frame's transpose) and generic rotations, so steps repeat rotations;
+    each pick may write some of its zeros as -0.0, the same rotation with
+    other bytes.  Times span 1e-300 to 1e300."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    group = octahedral_group()
+    sources = draw(st.lists(st.sampled_from(["octahedral", "fragment", "generic"]), min_size=1, max_size=4))
+    palette = []
+    for source in sources:
+        generic = rotation_about(rng.normal(size=3), rng.uniform(-np.pi, np.pi))
+        if source == "octahedral":
+            palette.append(group[rng.integers(len(group))])
+        elif source == "fragment":
+            frame = group[rng.integers(len(group))] if rng.random() < 0.5 else generic
+            palette.append(frame @ pi_rotation("xyz"[rng.integers(3)]) @ frame.T)
+        else:
+            palette.append(generic)
+    n = draw(st.integers(1, 6))
+    times = draw(st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=1, max_size=6))
+    steps = []
+    for t in times:
+        rotations = np.array([palette[k] for k in rng.integers(len(palette), size=n)])
+        negative = (rotations == 0.0) & (rng.random(rotations.shape) < 0.5)
+        rotations[negative] = -0.0
+        steps.append(Step(t, rotations))
+    return Scheme(draw(st.sampled_from(list(SchemeKind))), tuple(steps))
+
+
+@bounded
+@given(written_schemes())
+def test_written_scheme_is_the_dumped_dict(scheme):
+    chunks = list(_scheme_json_chunks(scheme))
+    assert len(chunks) == len(scheme.steps) + 2
+    assert "".join(chunks) == json.dumps(scheme_to_dict(scheme))

@@ -80,6 +80,128 @@ class TestSchemeModel:
             Scheme(SchemeKind.INVERSION, ())
 
 
+def _loop_verdict(steps):
+    """The message of the first defect found checking step by step, each
+    step's rotations in their own `check_rotation` call; None if none."""
+    n = steps[0].rotations.shape[0] if steps[0].rotations.ndim == 3 else None
+    for step in steps:
+        if not np.isfinite(step.t) or step.t <= 0.0:
+            return "step times must be positive and finite"
+        rots = step.rotations
+        if rots.ndim != 3 or rots.shape[1:] != (3, 3):
+            return "step rotations must have shape (n, 3, 3)"
+        if rots.shape[0] != n:
+            return "every step must address the same number of spins"
+        try:
+            check_rotation(rots, tol=1e-12)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+def _scheme_verdict(steps):
+    try:
+        Scheme(SchemeKind.INVERSION, tuple(steps))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+NOT_ORTHOGONAL = "matrix is not orthogonal: R^T R deviates from the identity"
+REFLECTION = "orthogonal matrix has determinant -1, not a rotation"
+
+
+class TestStackedValidation:
+    """Rotations are checked in stacked chunks of steps; the error is still
+    the first defect in step order, as a step-by-step check reports it."""
+
+    n = 8
+    length = 200
+
+    def _steps(self):
+        rotations = np.tile(np.eye(3), (self.length, self.n, 1, 1))
+        return [Step(1.0, rotations[j]) for j in range(self.length)]
+
+    def _boundary(self):
+        per = schemes._CHECK_ROTATIONS // self.n
+        assert per < self.length  # the scheme spans more than one chunk
+        return per
+
+    @staticmethod
+    def _plant(steps, j, defect, n):
+        rots = steps[j].rotations.copy()
+        if defect == "skew":
+            rots[n // 2, 0, 1] = 0.5
+        elif defect == "reflection":
+            rots[n - 1] = np.diag([1.0, 1.0, -1.0])
+        elif defect == "nan":
+            rots[0, 2, 2] = np.nan
+        elif defect == "shape":
+            rots = rots[:, :2, :2]
+        elif defect == "spins":
+            rots = rots[:-1]
+        t = 0.0 if defect == "time" else steps[j].t
+        steps[j] = Step(t, rots)
+
+    def test_a_clean_scheme_passes(self):
+        steps = self._steps()
+        assert _scheme_verdict(steps) is None
+        assert _loop_verdict(steps) is None
+
+    @pytest.mark.parametrize("where", ["first", "chunk-end", "chunk-start", "last"])
+    @pytest.mark.parametrize("defect,message", [("skew", NOT_ORTHOGONAL), ("reflection", REFLECTION), ("nan", NOT_ORTHOGONAL)])
+    def test_one_bad_rotation_anywhere(self, where, defect, message):
+        per = self._boundary()
+        j = {"first": 0, "chunk-end": per - 1, "chunk-start": per, "last": self.length - 1}[where]
+        steps = self._steps()
+        self._plant(steps, j, defect, self.n)
+        with pytest.raises(ValueError) as err:
+            Scheme(SchemeKind.INVERSION, tuple(steps))
+        assert str(err.value) == message == _loop_verdict(steps)
+
+    @pytest.mark.parametrize("structural", ["time", "shape", "spins"])
+    @pytest.mark.parametrize("rotation", ["skew", "reflection"])
+    @pytest.mark.parametrize("first,second", [(3, 9), (9, 3), (2, "per"), ("per", 2), ("per-1", "per"), ("per", "per-1"), (0, "last"), ("last", 0)])
+    def test_a_bad_rotation_and_a_structural_defect(self, structural, rotation, first, second):
+        # the rotation defect goes at step `first`, the structural one at
+        # `second`; whichever comes first in step order is reported
+        per = self._boundary()
+        place = {"per": per, "per-1": per - 1, "last": self.length - 1}
+        i, j = place.get(first, first), place.get(second, second)
+        steps = self._steps()
+        self._plant(steps, i, rotation, self.n)
+        self._plant(steps, j, structural, self.n)
+        expected = _loop_verdict(steps)
+        assert expected is not None
+        assert _scheme_verdict(steps) == expected
+        if i < j:
+            assert expected == {"skew": NOT_ORTHOGONAL, "reflection": REFLECTION}[rotation]
+        else:
+            assert expected != {"skew": NOT_ORTHOGONAL, "reflection": REFLECTION}[rotation]
+
+    @pytest.mark.parametrize("order", [("reflection", "skew"), ("skew", "reflection")])
+    def test_two_rotation_defects_in_one_chunk(self, order):
+        # one stacked check tests orthogonality of the whole chunk before any
+        # determinant; the first failing step still decides the message
+        steps = self._steps()
+        self._plant(steps, 4, order[0], self.n)
+        self._plant(steps, 5, order[1], self.n)
+        assert _scheme_verdict(steps) == {"skew": NOT_ORTHOGONAL, "reflection": REFLECTION}[order[0]]
+        assert _scheme_verdict(steps) == _loop_verdict(steps)
+
+    def test_one_call_per_chunk(self, monkeypatch):
+        calls = []
+
+        def counting(R, *args, **kwargs):
+            calls.append(np.asarray(R).shape[0])
+            return check_rotation(R, *args, **kwargs)
+
+        monkeypatch.setattr(schemes, "check_rotation", counting)
+        per = self._boundary()
+        Scheme(SchemeKind.INVERSION, tuple(self._steps()))
+        assert calls == [per * self.n, (self.length - per) * self.n]
+
+
 class TestAverageCoupling:
     def test_single_identity_step_returns_the_coupling(self):
         rng = np.random.default_rng(31)

@@ -41,9 +41,9 @@ from spinrev import (
     greedy_pool_growth,
     merge_pools,
     pair_pi_pool,
-    scalar_type,
     pi_rotation,
     rotation_about,
+    scalar_type,
     scheme_from_dict,
     scheme_to_dict,
     search_result_to_dict,

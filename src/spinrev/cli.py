@@ -3,7 +3,7 @@
 Subcommands: classify, synthesize, verify, bounds, search, simulate.
 Machine-readable JSON goes to stdout, human diagnostics to stderr.
 Exit codes: 0 success, 1 domain failure (verification failed, no
-constructive scheme for the coupling class, search exhausted its budget),
+constructive scheme for the coupling class, search ended without a scheme),
 2 invalid input, 3 internal defect (a self-check of the program failed).
 """
 
@@ -174,9 +174,18 @@ def cmd_search(args) -> int:
         _write_scheme(args.out, result.scheme)
     _emit(search_result_to_dict(result, seed=args.seed))
     if result.scheme is None:
-        _diag(
-            f"search exhausted its pool budget (best residual {result.residual:.3g} > tol {args.tol:g})"
-        )
+        # phase 1 adds one assembly per growth round, and stops short of the
+        # budget only when an NNLS solve hits its insertion cap or the scheme
+        # it reached fails verification
+        size = len(pool.assemblies) + result.iterations
+        if size < args.max_pool:
+            cause = (
+                f"search stopped with {size} of {args.max_pool} pool assemblies: an NNLS solve "
+                "hit its insertion cap or the scheme it reached failed verification"
+            )
+        else:
+            cause = "search exhausted its pool budget"
+        _diag(f"{cause} (best residual {result.residual:.3g} > tol {args.tol:g})")
         return 1
     return 0
 

@@ -134,74 +134,71 @@ def nnls_active_set(A, b):
     rank-deficient blocks (see `_passive_solve`).  Returns (x,
     residual_norm, iterations), where iterations counts insertions into
     the passive set.  A safety cap of 3 * ncols + 10 insertions ends the
-    solve silently: iterations == 3 * ncols + 10 means the cap ended it,
-    not the dual test, and x is where the cap cut it, not a minimum.
+    solve: iterations == 3 * ncols + 10 means the cap ended it, not the
+    dual test, and x is where the cap cut it, not a minimum.  This
+    function says so only through that count; `greedy_pool_growth` reads
+    the cap from `_lawson_hanson`'s `converged` flag and ends phase 1
+    there.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
         raise ValueError("incompatible least-squares dimensions")
-    x, rnorm, iterations, _ = _lawson_hanson(A, b, ())
+    x, rnorm, iterations, _ = _lawson_hanson(A, b)
     return x, rnorm, iterations
 
 
-def _lawson_hanson(A, b, prior):
-    """The `nnls_active_set` loop, replaying `prior`, the path of a solve on A's leading columns.
+def _lawson_hanson(A, b, x=None, cap=None):
+    """The `nnls_active_set` loop, cold from x = 0 or warm from a feasible x.
 
-    Returns (x, residual_norm, iterations, path); the path holds one
-    (entering column, x, passive mask) per insertion, after its inner
-    loop.  Its passive solves take the R factor of [A_P | b], falling
-    back to `lstsq` for rank-deficient blocks; the factor is rebuilt per
-    solve, not updated, so each solve depends only on the passive columns
-    and b.  The loop thus depends only on the columns entered so far, so
-    while they match `prior` step for step its recorded state, padded
-    with zeros, is reused: the result is bit-identical to a cold solve.
-    As in `nnls_active_set`, iterations == 3 * ncols + 10 means the safety
-    cap ended the solve, not the dual test.
+    A warm start takes x >= 0 with its positive entries as the passive
+    set, as Lawson-Hanson leaves them after every insertion;
+    `greedy_pool_growth` passes the previous round's optimum with a zero
+    for the new column, so the solve usually needs one or two
+    insertions.  At most `cap` insertions are made (default
+    3 * ncols + 10).  Returns (x, residual_norm, iterations, converged);
+    converged is False when the cap ended the solve, not the dual test.
+    The residual A x - b at the optimum is unique, so a warm and a cold
+    solve reach the same residual up to rounding, but not always the
+    same x, and a warm solve from a degenerate vertex can cycle where the
+    cold one does not.
     """
     ncols = A.shape[1]
-    x = np.zeros(ncols)
-    passive = np.zeros(ncols, dtype=bool)
-    resid = b.copy()
+    if x is None:
+        x = np.zeros(ncols)
+        resid = b.copy()
+    else:
+        resid = b - A @ x
+    passive = x > 0.0
     w_scale = max(float(np.abs(A.T @ b).max()), np.finfo(float).tiny)
-    path = []
-    replaying = True
-    for _ in range(3 * ncols + 10):
+    cap = 3 * ncols + 10 if cap is None else cap
+    for insertion in range(cap):
         w = A.T @ resid
         w = np.where(passive, -np.inf, w)
         j = int(np.argmax(w))
         if w[j] <= _DUAL_TOL * w_scale:
-            break
-        step = len(path)
-        replaying = replaying and step < len(prior) and prior[step][0] == j
-        if replaying:
-            _, x_prior, passive_prior = prior[step]
-            pad = ncols - x_prior.size
-            x = np.concatenate([x_prior, np.zeros(pad)])
-            passive = np.concatenate([passive_prior, np.zeros(pad, dtype=bool)])
-        else:
-            passive[j] = True
-            while True:
-                trial = np.zeros(ncols)
-                trial[passive] = _passive_solve(A[:, passive], b)
-                if trial[passive].min() > 0.0:
-                    x = trial
-                    break
-                blocking = passive & (trial <= 0.0)
-                gaps = x[blocking] - trial[blocking]
-                # a variable sitting at zero with a zero trial value blocks at
-                # alpha = 0 (it gets dropped below) rather than dividing 0/0
-                ratios = np.where(gaps > 0.0, x[blocking] / np.where(gaps > 0.0, gaps, 1.0), 0.0)
-                alpha = float(ratios.min())
-                x = x + alpha * (trial - x)
-                dropped = passive & (x <= 1e-14 * max(float(x.max()), 1.0))
-                x[dropped] = 0.0
-                passive[dropped] = False
-                if not passive.any():
-                    break
-        path.append((j, x, passive.copy()))
+            return x, float(np.linalg.norm(resid)), insertion, True
+        passive[j] = True
+        while True:
+            trial = np.zeros(ncols)
+            trial[passive] = _passive_solve(A[:, passive], b)
+            if trial[passive].min() > 0.0:
+                x = trial
+                break
+            blocking = passive & (trial <= 0.0)
+            gaps = x[blocking] - trial[blocking]
+            # a variable sitting at zero with a zero trial value blocks at
+            # alpha = 0 (it gets dropped below) rather than dividing 0/0
+            ratios = np.where(gaps > 0.0, x[blocking] / np.where(gaps > 0.0, gaps, 1.0), 0.0)
+            alpha = float(ratios.min())
+            x = x + alpha * (trial - x)
+            dropped = passive & (x <= 1e-14 * max(float(x.max()), 1.0))
+            x[dropped] = 0.0
+            passive[dropped] = False
+            if not passive.any():
+                break
         resid = b - A @ x
-    return x, float(np.linalg.norm(resid)), len(path), path
+    return x, float(np.linalg.norm(resid)), cap, False
 
 
 def _passive_solve(A_P, b):
@@ -335,11 +332,22 @@ def greedy_pool_growth(
     After each solve, the sampled assembly whose averaged image points
     most steeply against the current residual joins the pool and the
     times are re-solved.  Each pool is a superset of the previous one, so
-    the objective cannot increase (asserted per iteration); runs are
+    the objective cannot increase (asserted per round); runs are
     reproducible for a fixed seed (the base pool's seed when none is
-    given).  Each re-solve replays the previous round's active-set path
-    up to the first insertion that differs, with a result bit-identical
-    to a cold solve.  `iterations` counts growth rounds.
+    given).  `iterations` counts growth rounds.
+
+    Each round's re-solve starts warm from the previous round's times,
+    with a zero for the new column, and may make at most m insertions, m
+    the number of rows: a basic solution has at most m positive times,
+    so a warm solve that needs more is cycling.  A warm solve that hits
+    that budget or raises the objective is redone cold (from x = 0).  The
+    stop test and `_finalize` read a cold solve of the current pool, so
+    a round whose warm residual reaches `target_tol`, and the round that
+    fills `max_pool`, are solved cold too; if the cold residual misses
+    the target, growth goes on from the cold times.  A cold solve that
+    ends at its insertion cap has not converged: its column is dropped
+    and the search ends on the previous pool, solved cold, with
+    `iterations` rounds and a pool below `max_pool`.
     """
     coupling, columns, target = _problem(J, base_pool.assemblies)
     if max_pool < len(base_pool.assemblies):
@@ -348,19 +356,27 @@ def greedy_pool_growth(
     group = octahedral_group()
     norm = float(np.linalg.norm(coupling.J))
     assemblies = list(base_pool.assemblies)
-    x, rnorm, _, path = _lawson_hanson(columns, target, ())
+    x, rnorm, _, _ = _lawson_hanson(columns, target)
     growth_rounds = 0
     while rnorm * np.sqrt(2.0) / norm > target_tol and len(assemblies) < max_pool:
         resid = columns @ x - target
         candidates = group[rng.integers(0, len(group), size=(_BATCH, base_pool.n))]
         candidate_columns = _upper_block_columns(coupling.J, candidates)
         best = int(np.argmin(candidate_columns.T @ resid))
+        grown = np.column_stack([columns, candidate_columns[:, best]])
+        bound = rnorm + 1e-9 * max(rnorm, 1.0)
+        x_new, new_rnorm, _, converged = _lawson_hanson(grown, target, np.append(x, 0.0), cap=grown.shape[0])
+        read = new_rnorm * np.sqrt(2.0) / norm <= target_tol or len(assemblies) + 1 == max_pool
+        if not converged or new_rnorm > bound or read:
+            x_new, new_rnorm, _, converged = _lawson_hanson(grown, target)
+            if not converged:
+                # this round did not converge: end on the previous pool, solved cold
+                x, rnorm, _, _ = _lawson_hanson(columns, target)
+                break
+            if new_rnorm > bound:
+                raise RuntimeError("NNLS objective increased while the pool grew; active-set defect")
         assemblies.append(candidates[best])
-        columns = np.column_stack([columns, candidate_columns[:, best]])
-        x, new_rnorm, _, path = _lawson_hanson(columns, target, path)
-        if new_rnorm > rnorm + 1e-9 * max(rnorm, 1.0):
-            raise RuntimeError("NNLS objective increased while the pool grew; active-set defect")
-        rnorm = new_rnorm
+        columns, x, rnorm = grown, x_new, new_rnorm
         growth_rounds += 1
     return _finalize(coupling, assemblies, x, rnorm, growth_rounds, target_tol)
 

@@ -264,6 +264,24 @@ class TestSearch:
         assert code == 1
         assert payload["found"] is False
 
+    def test_an_nnls_solve_cut_by_its_cap_ends_the_search(self, files, capsys):
+        # the type's third eigenvalue sits at the search tolerance; a growth
+        # round's cold solve there ends at its insertion cap, which ends
+        # phase 1 instead of failing its monotonicity self-check
+        tmp, write = files
+        A = np.diag([1.0, 1.0, -1.5e-9 * np.sqrt(2.0)])
+        path = write("c.json", coupling_doc(4, A))
+        out_path = tmp / "found.json"
+        code = main(["search", "--coupling", path, "--seed", "0", "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code in (0, 1), captured.err
+        if code == 0:
+            scheme = scheme_from_dict(json.loads(out_path.read_text()))
+            assert verify(scheme, np.kron(complete_weights(4), A), tol=1e-9).ok
+        else:
+            assert "exhausted its pool budget" not in captured.err
+            assert "insertion cap" in captured.err
+
     def test_negative_seed_exits_two_naming_the_flag(self, files, capsys):
         _, write = files
         path = write("c.json", coupling_doc(2, scalar_type()))

@@ -26,7 +26,15 @@ from spinrev import (
     user_pool,
     verify,
 )
-from spinrev.search import CandidatePool, _lawson_hanson, _passive_solve
+from spinrev.search import (
+    _BATCH,
+    CandidatePool,
+    _finalize,
+    _lawson_hanson,
+    _passive_solve,
+    _problem,
+    _upper_block_columns,
+)
 
 
 class TestOctahedralGroup:
@@ -134,48 +142,77 @@ class TestNnls:
         assert iterations == 3 * 52 + 10
 
 
-class TestPathReplay:
-    @staticmethod
-    def drop_steps(path):
-        """Insertions whose inner loop dropped a variable from the passive set."""
-        sizes = [0] + [int(passive.sum()) for _, _, passive in path]
-        return [s for s in range(len(path)) if sizes[s + 1] < sizes[s] + 1]
+def _cold_reference(J, base, target_tol=1e-9, max_pool=500):
+    """`greedy_pool_growth` with every round solved cold by `nnls_active_set`."""
+    coupling, columns, target = _problem(J, base.assemblies)
+    rng = np.random.default_rng(base.seed)
+    group = octahedral_group()
+    norm = float(np.linalg.norm(coupling.J))
+    assemblies = list(base.assemblies)
+    x, rnorm, _ = nnls_active_set(columns, target)
+    rounds = 0
+    while rnorm * np.sqrt(2.0) / norm > target_tol and len(assemblies) < max_pool:
+        candidates = group[rng.integers(0, len(group), size=(_BATCH, base.n))]
+        candidate_columns = _upper_block_columns(coupling.J, candidates)
+        best = int(np.argmin(candidate_columns.T @ (columns @ x - target)))
+        assemblies.append(candidates[best])
+        columns = np.column_stack([columns, candidate_columns[:, best]])
+        x, rnorm, _ = nnls_active_set(columns, target)
+        rounds += 1
+    return _finalize(coupling, assemblies, x, rnorm, rounds, target_tol)
 
-    @staticmethod
-    def shared_prefix(prior, path):
-        """Number of leading insertions that entered the same columns."""
-        shared = 0
-        for (j_prior, _, _), (j, _, _) in zip(prior, path):
-            if j_prior != j:
-                break
-            shared += 1
-        return shared
 
-    def test_grown_problems_match_a_cold_solve_bit_for_bit(self):
+def _positive_weights(n, seed):
+    rng = np.random.default_rng(seed)
+    W = np.triu(rng.uniform(0.2, 1.5, size=(n, n)), 1)
+    return W + W.T
+
+
+class TestWarmStart:
+    def test_warm_solves_of_grown_problems_reach_the_cold_residual(self):
         rng = np.random.default_rng(64)
-        mid_path_entries = replayed_drops = 0
         for _ in range(30):
             rows, cols = int(rng.integers(6, 12)), int(rng.integers(8, 16))
             A = rng.normal(size=(rows, cols))
             b = rng.normal(size=rows)
-            *_, path = _lawson_hanson(np.ascontiguousarray(A[:, :2]), b, ())
+            x, *_ = _lawson_hanson(np.ascontiguousarray(A[:, :2]), b)
             for k in range(3, cols + 1):
                 grown = np.ascontiguousarray(A[:, :k])
-                x, rnorm, iterations, new_path = _lawson_hanson(grown, b, path)
-                x_cold, rnorm_cold, iterations_cold = nnls_active_set(grown, b)
-                assert np.array_equal(x, x_cold)
-                assert rnorm == rnorm_cold
-                assert iterations == iterations_cold
-                shared = self.shared_prefix(path, new_path)
-                if 0 < shared < len(path) and new_path[shared][0] == k - 1:
-                    mid_path_entries += 1
-                if any(s < shared for s in self.drop_steps(path)):
-                    replayed_drops += 1
-                path = new_path
-        # the problems must cover a new column entering after a replayed
-        # prefix, and a replayed insertion whose inner loop dropped a variable
-        assert mid_path_entries > 0
-        assert replayed_drops > 0
+                x, rnorm, _, converged = _lawson_hanson(grown, b, np.append(x, 0.0), cap=rows)
+                _, rnorm_cold, _ = nnls_active_set(grown, b)
+                assert converged
+                assert x.min() >= 0.0
+                assert abs(rnorm - rnorm_cold) <= 1e-12 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize(
+        "n, weights, seed",
+        [(4, "complete", 434751714), (3, "complete", 1), (3, "positive", 2), (4, "positive", 3), (5, "complete", 4)],
+    )
+    def test_growth_equals_a_cold_solve_every_round(self, n, weights, seed):
+        W = complete_weights(n) if weights == "complete" else _positive_weights(n, seed)
+        J = tensor_coupling(W, scalar_type())
+        base = merge_pools(pair_pi_pool(n), collective_cyclic_pool(n), seed=seed)
+        result = greedy_pool_growth(J, base)
+        assert result.scheme is not None
+        assert json.dumps(search_result_to_dict(result)) == json.dumps(search_result_to_dict(_cold_reference(J, base)))
+
+    def test_a_round_that_falls_back_still_equals_the_cold_reference(self, monkeypatch):
+        # the type's third eigenvalue sits at the search tolerance; a warm
+        # solve there cycles to its budget of m insertions and is redone cold
+        J = tensor_coupling(complete_weights(4), np.diag([1.0, 1.0, 0.5e-9 * np.sqrt(2.0)]))
+        base = merge_pools(pair_pi_pool(4), collective_cyclic_pool(4), seed=0)
+        warm = []
+
+        def recording(A, b, x=None, cap=None):
+            solved = _lawson_hanson(A, b, x, cap)
+            if x is not None:
+                warm.append(solved[3])
+            return solved
+
+        monkeypatch.setattr("spinrev.search._lawson_hanson", recording)
+        result = greedy_pool_growth(J, base)
+        assert False in warm
+        assert json.dumps(search_result_to_dict(result)) == json.dumps(search_result_to_dict(_cold_reference(J, base)))
 
 
 class TestPools:
@@ -298,8 +335,9 @@ class TestGreedyGrowth:
         assert result.iterations == 44
 
     def test_pinned_run_replays_the_previous_path(self, monkeypatch):
-        # a cold re-solve per growth round makes 1,165 lstsq calls here;
-        # replaying the previous round's path up to where it diverges, 275
+        # a cold re-solve per growth round makes 1,165 lstsq calls here; the
+        # R-factor passive solves leave none, and warm-started rounds make
+        # 150 passive solves in all
         calls = []
         lstsq = np.linalg.lstsq
 
@@ -334,7 +372,7 @@ class TestGreedyGrowth:
         monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
         result = greedy_pool_growth(J, base)
         assert result.iterations == 44
-        assert 0 < len(solves) <= 300
+        assert 0 < len(solves) <= 150
         assert fallbacks == []
 
     def test_result_reverifies_at_reported_residual(self):

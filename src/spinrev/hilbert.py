@@ -15,6 +15,7 @@ comes from Lanczos on M^dag M, not from a dense eigen-solve.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ MAX_SPINS = 10
 _FIT_FLOOR = 1e-12
 _FIT_CEILING = 0.1
 _EXACT_CUTOFF = 1e-13
+_LANCZOS_CHECK = 4  # steps between Ritz tests
 _LANCZOS_SEED = 0
 _LANCZOS_TOL = 1e-13
 
@@ -121,18 +123,20 @@ class NotAnInversion(ValueError):
 
 
 def _hermitian_eigh(H):
-    """(eigenvalues, eigenvectors) of a Hermitian matrix; rejects anything else.
+    """(eigenvalues, eigenvectors) of a complex H that the caller knows is
+    Hermitian; nothing is checked here.
 
     A Hermitian H with no imaginary part goes to the real symmetric solver,
     which is several times faster and returns a real U.
     """
-    H = np.asarray(H, dtype=complex)
-    check_symmetric(H, "evolution generator")
     return np.linalg.eigh(H if H.imag.any() else H.real)
 
 
 def evolve(H, t: float) -> np.ndarray:
-    """Unitary exp(-i H t) through a Hermitian eigendecomposition."""
+    """Unitary exp(-i H t) through a Hermitian eigendecomposition; an H that
+    is not finite and Hermitian is rejected."""
+    H = np.asarray(H, dtype=complex)
+    check_symmetric(H, "evolution generator")
     lam, U = _hermitian_eigh(H)
     return (U * np.exp(-1j * lam * t)) @ U.conj().T
 
@@ -159,13 +163,16 @@ def _simulate(J, scheme, epsilons, tol):
 
         U^dag C U = K_N Y,  Y = D_{N-1} K_{N-1} ... D_0 K_0,
 
-    with D_j = exp(-i lam t_j eps) and K_j = U^dag v_j v_{j-1}^dag U
-    (v_{-1} = v_N = 1).  `cycles` holds Y per eps.  Each K_j is built once
-    and applied to one accumulator per eps, so an eps costs one phase
-    scaling and one matmul per step but the last, whose frame K_N is
-    returned unapplied.  At most len(epsilons) + 3 matrices of size
-    2^n x 2^n are alive at once: U, the accumulators, K_j and one scratch
-    buffer.
+    with D_j = exp(-i lam t_j eps) and K_j = U^dag P_j U for the pulse
+    P_j = v_j v_{j-1}^dag (v_{-1} = v_N = 1).  `cycles` holds Y per eps.
+    Each K_j is built once and applied to one accumulator per eps, so an
+    eps costs one phase scaling and one matmul per step but the last, whose
+    frame K_N is returned unapplied.  A pulse whose per-spin factors all
+    equal or negate those of the pulse before it reuses K_{j-1}, negated
+    when an odd number of spins flipped: negation is exact, so the reused
+    frame holds the bits a rebuilt one would.  At most len(epsilons) + 3
+    matrices of size 2^n x 2^n are alive at once: U, the accumulators, K_j
+    and one scratch buffer.
     """
     coupling = _checked(J)
     if scheme.kind is not SchemeKind.INVERSION:
@@ -174,18 +181,25 @@ def _simulate(J, scheme, epsilons, tol):
         result = verify(scheme, coupling, tol)
         if not result.ok:
             raise NotAnInversion(result.residual)
+    # H is built from a checked coupling, so it is Hermitian by construction
     lam, U = _hermitian_eigh(build_hamiltonian(coupling))
     unit = np.broadcast_to(np.eye(2), (scheme.n, 2, 2))
     lifts = [unit, *lift_rotations([step.rotations for step in scheme.steps]), unit]
     scratch, frame = np.empty(U.shape, dtype=complex), np.empty(U.shape, dtype=complex)
     times = [step.t for step in scheme.steps]
-    cycles = []
+    cycles, previous = [], None
     for j, (before, after) in enumerate(zip(lifts, lifts[1:])):
-        # kron of the per-spin v_{j-1} v_j^dag is P^dag for P = v_j v_{j-1}^dag
-        _kron_into(before @ np.conj(np.swapaxes(after, 1, 2)), scratch)
-        _adjoint_times(U, scratch, frame)  # (P U)^dag
-        np.conjugate(frame.T, out=scratch)  # P U
-        _adjoint_times(U, scratch, frame)  # K_j
+        # the per-spin v_{j-1} v_j^dag, whose kron is P_j^dag
+        factors = before @ np.conj(np.swapaxes(after, 1, 2))
+        sign = _frame_sign(factors, previous)
+        previous = factors
+        if sign < 0:
+            np.negative(frame, out=frame)
+        elif sign == 0:
+            _kron_into(factors, scratch)
+            _adjoint_times(U, scratch, frame)  # (P U)^dag
+            np.conjugate(frame.T, out=scratch)  # P U
+            _adjoint_times(U, scratch, frame)  # K_j
         if j == len(times):
             break
         if j == 0:
@@ -196,6 +210,17 @@ def _simulate(J, scheme, epsilons, tol):
             scratch *= np.exp(-1j * lam * (times[j] * eps))[:, None]
             cycles[i], scratch = scratch, cycles[i]
     return lam, U, cycles, frame
+
+
+def _frame_sign(factors, previous) -> int:
+    """+1 or -1 when the (n, 2, 2) `factors` equal `previous` spin by spin up
+    to an exact sign per spin, the product of those signs; 0 otherwise."""
+    if previous is None:
+        return 0
+    same = (factors == previous).all(axis=(1, 2))
+    if not (same | (factors == -previous).all(axis=(1, 2))).all():
+        return 0
+    return -1 if np.count_nonzero(~same) % 2 else 1
 
 
 def _kron_into(mats, out):
@@ -222,33 +247,40 @@ def _adjoint_times(U, X, out):
 def _lanczos_norm(M) -> float:
     """Largest singular value of a square M by Lanczos on M^dag M.
 
-    The Krylov basis is re-orthogonalised in full, twice, so the top Ritz
-    value stays below the top eigenvalue up to rounding.  The start vector
-    comes from a fixed seed, so results repeat run to run.  Stops when the
-    top Ritz pair's residual beta_k |s_k| is at most 1e-13 theta, on
-    breakdown, or after d steps, where the Krylov space is exhausted and
-    theta is exact.
+    The Krylov basis is one array that doubles as it fills, so it holds at
+    most twice the steps taken.  It is re-orthogonalised in full, twice,
+    so the top Ritz value stays below the top eigenvalue up to rounding.
+    The start vector comes from a fixed stdlib seed, so results repeat run
+    to run without loading numpy.random.  Every 4th step the top Ritz pair
+    is tested, and the run stops when its residual beta_k |s_k| is at most
+    1e-13 theta; it also stops on breakdown, or after d steps, where the
+    Krylov space is exhausted and theta is exact.
     """
     d = M.shape[0]
-    rng = np.random.default_rng(_LANCZOS_SEED)
-    q = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    basis = [q / np.linalg.norm(q)]
+    rng = random.Random(_LANCZOS_SEED)
+    q = np.array([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(d)])
+    basis = np.empty((min(d, 8), d), dtype=complex)
+    basis[0] = q / np.linalg.norm(q)
     alpha, beta = [], []
     while True:
-        q = basis[-1]
+        k = len(alpha)
+        q = basis[k]
         w = np.conj(np.conj(M @ q) @ M)  # M^dag M q without a copy of M^dag
         alpha.append(float(np.vdot(q, w).real))
-        V = np.array(basis)
+        V = basis[: k + 1]
         for _ in range(2):
-            w -= (V.conj() @ w) @ V
+            w -= np.conj(V @ np.conj(w)) @ V  # (V^* w) V without a copy of V
         b = float(np.linalg.norm(w))
-        k = len(alpha)
-        T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-        theta = float(np.linalg.eigvalsh(T)[-1])
-        if k == d or b == 0.0 or b * _ritz_tail(T, theta) <= _LANCZOS_TOL * theta:
-            return math.sqrt(max(theta, 0.0))
+        k += 1
+        if k % _LANCZOS_CHECK == 0 or k == d or b == 0.0:
+            T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+            theta = float(np.linalg.eigvalsh(T)[-1])
+            if k == d or b == 0.0 or b * _ritz_tail(T, theta) <= _LANCZOS_TOL * theta:
+                return math.sqrt(max(theta, 0.0))
         beta.append(b)
-        basis.append(w / b)
+        if k == basis.shape[0]:
+            basis = np.concatenate([basis, np.empty((min(k, d - k), d), dtype=complex)])
+        basis[k] = w / b
 
 
 def _ritz_tail(T, theta) -> float:

@@ -30,14 +30,28 @@ class SchemeKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Step:
-    """One scheme step: a relative time and one rotation per spin."""
+    """One scheme step: a relative time and one rotation per spin.
+
+    `rotations` is a read-only float64 array.  A read-only array that owns
+    its data is kept as given; any other input is copied, so writes to the
+    caller's array or its base never reach the step.
+    """
 
     t: float
     rotations: np.ndarray  # shape (n, 3, 3)
 
     def __post_init__(self):
         object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "rotations", np.asarray(self.rotations, dtype=float))
+        rotations = self.rotations
+        if not (
+            type(rotations) is np.ndarray
+            and rotations.dtype == np.float64
+            and rotations.flags.owndata
+            and not rotations.flags.writeable
+        ):
+            rotations = np.array(rotations, dtype=float)
+            rotations.flags.writeable = False
+        object.__setattr__(self, "rotations", rotations)
 
 
 @dataclass(frozen=True)
@@ -381,9 +395,9 @@ def _step_object_hook(obj: dict) -> dict:
     """`json.load` object hook for scheme files: decoded one object at a
     time, each step's "rotations" become one float64 array as soon as the
     step is read, so the lists and float objects of a large scheme are
-    never all alive at once.  Rotations that fail the parse or
-    `_check_json_numbers` stay as decoded, for `scheme_from_dict` to
-    report."""
+    never all alive at once.  The array is read-only, so `Step` keeps it
+    without a copy.  Rotations that fail the parse or `_check_json_numbers`
+    stay as decoded, for `scheme_from_dict` to report."""
     rotations = obj.get("rotations")
     if isinstance(rotations, list):
         try:
@@ -391,6 +405,7 @@ def _step_object_hook(obj: dict) -> dict:
             _check_json_numbers(rotations, array.ndim, "step rotations")
         except (TypeError, ValueError, OverflowError):
             return obj
+        array.flags.writeable = False
         obj["rotations"] = array
     return obj
 

@@ -275,7 +275,7 @@ def _finalize(coupling, assemblies, x, rnorm, iterations, tol):
     # residual is sqrt(2) times the stacked-block residual
     relative = rnorm * np.sqrt(2.0) / norm
     if keep.size and relative <= tol:
-        steps = tuple(Step(float(x[j]), assemblies[j].copy()) for j in keep)
+        steps = tuple(Step(float(x[j]), assemblies[j]) for j in keep)
         result = _verdict(Scheme(SchemeKind.INVERSION, steps), coupling, tol, iterations)
         if result.scheme is not None:
             return result

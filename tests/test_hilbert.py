@@ -25,6 +25,7 @@ from spinrev import (
     synthesize_case2,
     tensor_coupling,
 )
+from spinrev import hilbert
 from spinrev.hilbert import _lanczos_norm
 
 from helpers import random_coupling, random_rotation, random_weights
@@ -344,6 +345,50 @@ class TestErrorScaling:
         assert len(data["errors"]) == 4
 
 
+class TestFrameReuse:
+    """A pulse whose per-spin factors repeat those of the pulse before it,
+    up to exact signs, reuses that pulse's frame instead of building it."""
+
+    @staticmethod
+    def recorded(monkeypatch, J, scheme, eps_list):
+        kron_calls, signs = [], []
+        kron_into, frame_sign = hilbert._kron_into, hilbert._frame_sign
+
+        def counting_kron(mats, out):
+            kron_calls.append(mats.shape)
+            return kron_into(mats, out)
+
+        def recording_sign(factors, previous):
+            signs.append(frame_sign(factors, previous))
+            return signs[-1]
+
+        monkeypatch.setattr(hilbert, "_kron_into", counting_kron)
+        monkeypatch.setattr(hilbert, "_frame_sign", recording_sign)
+        return error_scaling(J, scheme, eps_list), kron_calls, signs
+
+    # the collective two-step scheme's three pulses share their per-spin
+    # factor up to a sign on every spin: an odd n negates the frame
+    @pytest.mark.parametrize("n, flip", [(3, -1), (4, 1)], ids=["n3-negated", "n4-kept"])
+    def test_collective_scheme_builds_one_frame(self, monkeypatch, n, flip):
+        W = complete_weights(n)
+        J = tensor_coupling(W, dipole_type())
+        scheme = synthesize_case1(W, dipole_type())
+        eps_list = [0.2, 0.1, 0.05, 0.025]
+        scaling, kron_calls, signs = self.recorded(monkeypatch, J, scheme, eps_list)
+        assert len(kron_calls) == 1
+        assert signs == [0, 1, flip]
+        assert np.allclose(scaling.errors, hand_built_errors(J, scheme, eps_list), rtol=1e-12, atol=0.0)
+
+    def test_many_step_class_two_builds_every_frame(self, monkeypatch):
+        W = complete_weights(4)
+        A = np.diag([2.0, 1.0, -1.0])
+        scheme = synthesize_case2(W, A)
+        assert len(scheme.steps) == 12
+        _, kron_calls, signs = self.recorded(monkeypatch, tensor_coupling(W, A), scheme, [0.2, 0.1, 0.05])
+        assert len(kron_calls) == 13
+        assert signs == [0] * 13
+
+
 @pytest.mark.parametrize(
     "simulate",
     [
@@ -401,7 +446,7 @@ def test_real_hamiltonian_takes_the_real_solver(monkeypatch, coupling, dtype):
 class TestLanczosNorm:
     def test_matches_dense_norm_on_random_complex(self):
         rng = np.random.default_rng(79)
-        for d in (2, 3, 4, 5, 8, 13, 16, 32, 64):
+        for d in (2, 3, 4, 5, 8, 13, 16, 32, 64, 128):
             M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             self.assert_matches_dense(M)
 
@@ -419,6 +464,17 @@ class TestLanczosNorm:
         M = (Q * np.exp(1j * phases)) @ Q.conj().T - np.eye(d)
         top = np.linalg.svd(M, compute_uv=False)[:4]
         assert np.allclose(top[:3], 2.0, rtol=1e-13) and top[3] < 1.99
+        self.assert_matches_dense(M)
+
+    def test_top_singular_value_in_exact_pairs(self):
+        # the quaternionic form [[A, -conj(B)], [B, conj(A)]] commutes with an
+        # antiunitary that squares to -1, as the cycles of an odd number of
+        # spins do, so every singular value comes twice
+        rng = np.random.default_rng(81)
+        A, B = (rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)) for _ in range(2))
+        M = np.block([[A, -B.conj()], [B, A.conj()]])
+        top = np.linalg.svd(M, compute_uv=False)[:3]
+        assert top[1] >= top[0] * (1.0 - 1e-13) and top[2] < top[0] * 0.99
         self.assert_matches_dense(M)
 
     @staticmethod

@@ -57,13 +57,14 @@ CORE = BASE | {"numpy", "spinrev.coupling", "spinrev.rotations"}
 
 
 def loaded_after(body, *argv):
-    """Run `body` in a fresh interpreter; return (result, the numpy/spinrev modules it loaded)."""
+    """Run `body` in a fresh interpreter; return (result, the numpy, numpy.random
+    and spinrev modules it loaded)."""
     probe = (
         "import sys\n"
         "try:\n"
         f"    {body}\n"
         "finally:\n"
-        "    print('loaded:', *sorted(m for m in sys.modules if m == 'numpy' or m.startswith('spinrev')))\n"
+        "    print('loaded:', *sorted(m for m in sys.modules if m in ('numpy', 'numpy.random') or m.startswith('spinrev')))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
@@ -117,7 +118,8 @@ def inputs(tmp_path_factory):
         (["bounds", "--coupling", "{dipole}"], {"spinrev.bounds"}),
         (
             ["search", "--coupling", "{scalar}", "--out", "{out}"],
-            {"spinrev.schemes", "spinrev.search", "spinrev.bounds"},
+            # only search draws random numbers: numpy.random costs a job ~11 ms and 6 MB
+            {"spinrev.schemes", "spinrev.search", "spinrev.bounds", "numpy.random"},
         ),
         (
             ["simulate", "--coupling", "{dipole}", "--scheme", "{scheme}"],

@@ -79,6 +79,26 @@ class TestSchemeModel:
         with pytest.raises(ValueError, match="at least one step"):
             Scheme(SchemeKind.INVERSION, ())
 
+    def test_keeps_no_alias_of_the_callers_array(self):
+        rotations = np.tile(axis_cycle(), (2, 1, 1))
+        view = np.tile(axis_cycle(), (2, 2, 1, 1))[1]
+        scheme = Scheme(SchemeKind.INVERSION, (Step(1.0, rotations), Step(1.0, view)))
+        rotations[0] = np.eye(3)
+        view[0] = np.eye(3)
+        for step in scheme.steps:
+            assert np.array_equal(step.rotations, np.tile(axis_cycle(), (2, 1, 1)))
+            with pytest.raises(ValueError, match="read-only"):
+                step.rotations[0, 0, 0] = 0.0
+
+    def test_keeps_a_read_only_array_that_owns_its_data(self):
+        rotations = np.array([axis_cycle(), axis_cycle()])
+        rotations.flags.writeable = False
+        assert Step(1.0, rotations).rotations is rotations
+        # a read-only view of a writeable array is copied
+        view = np.tile(axis_cycle(), (2, 1, 1)).view()
+        view.flags.writeable = False
+        assert Step(1.0, view).rotations.base is None
+
 
 def _loop_verdict(steps):
     """The message of the first defect found checking step by step, each
@@ -657,6 +677,9 @@ class TestStreamedReader:
         data = json.loads(text, object_hook=schemes._step_object_hook)
         assert all(type(step["rotations"]) is np.ndarray for step in data["steps"])
         streamed, whole = scheme_from_dict(data), scheme_from_dict(json.loads(text))
+        # the hook's read-only arrays are handed over, not copied
+        for step, entry in zip(streamed.steps, data["steps"]):
+            assert step.rotations is entry["rotations"]
         assert len(streamed.steps) == len(whole.steps)
         for a, b in zip(streamed.steps, whole.steps):
             assert a.t == b.t

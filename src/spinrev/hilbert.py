@@ -7,9 +7,12 @@ scheme run at time scale eps approximates exp(+i H eps) with an error
 quadratic in eps.
 
 Cycles are run in the eigenbasis of H = U diag(lam) U^dag, where every
-evolution is a diagonal phase and exp(+i H eps) is diag(exp(i lam eps));
-a real H is diagonalised by the real symmetric solver.  The error norm
-comes from Lanczos on M^dag M, not from a dense eigen-solve.
+evolution is a diagonal phase and exp(+i H eps) is diag(exp(i lam eps)).
+U is block diagonal on the connected blocks of H's nonzero pattern
+(magnetization sectors of a dipole, parity sectors of a class-2 coupling)
+and is kept as one eigenvector matrix per block; a real H is diagonalised
+by the real symmetric solver.  The error norm comes from Lanczos on
+M^dag M, not from a dense eigen-solve.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ _EXACT_CUTOFF = 1e-13
 _LANCZOS_CHECK = 4  # steps between Ritz tests
 _LANCZOS_SEED = 0
 _LANCZOS_TOL = 1e-13
+_CHUNK = 64  # columns per chunk of a block transform or a cycle update
 
 
 def _axis_action(idx, n, site, axis):
@@ -122,22 +126,13 @@ class NotAnInversion(ValueError):
         self.residual = residual
 
 
-def _hermitian_eigh(H):
-    """(eigenvalues, eigenvectors) of a complex H that the caller knows is
-    Hermitian; nothing is checked here.
-
-    A Hermitian H with no imaginary part goes to the real symmetric solver,
-    which is several times faster and returns a real U.
-    """
-    return np.linalg.eigh(H if H.imag.any() else H.real)
-
-
 def evolve(H, t: float) -> np.ndarray:
     """Unitary exp(-i H t) through a Hermitian eigendecomposition; an H that
-    is not finite and Hermitian is rejected."""
+    is not finite and Hermitian is rejected.  An H with no imaginary part
+    goes to the real symmetric solver."""
     H = np.asarray(H, dtype=complex)
     check_symmetric(H, "evolution generator")
-    lam, U = _hermitian_eigh(H)
+    lam, U = np.linalg.eigh(H if H.imag.any() else H.real)
     return (U * np.exp(-1j * lam * t)) @ U.conj().T
 
 
@@ -149,30 +144,38 @@ def run_cycle(J, scheme: Scheme, epsilon: float, tol: float = 1e-9) -> np.ndarra
     v^dag exp(-i H t eps) v.  The scheme must verify as an inversion of J
     first -- the cycle is only meaningful then -- except for the zero
     coupling, whose cycle is trivially the identity.  The sign choice of
-    each spin-1/2 lift cancels in the conjugation.
+    each spin-1/2 lift cancels in the conjugation.  The cycle K_N Y of
+    `_simulate` is mapped back to U (K_N Y) U^dag by the block transforms.
     """
     if not (0.0 <= epsilon < math.inf):
         raise ValueError("epsilon must be finite and non-negative")
-    _, U, (Y,), last = _simulate(J, scheme, [epsilon], tol)
-    return U @ (last @ Y) @ U.conj().T
+    _, blocks, (Y,), last = _simulate(J, scheme, [epsilon], tol)
+    C = last @ Y
+    del Y, last
+    _block_apply(blocks, C, transpose=False, conj=False)  # U K_N Y
+    _block_apply(blocks, C.T, transpose=False, conj=True)  # (U K_N Y) U^dag, through its transpose
+    return C
 
 
 def _simulate(J, scheme, epsilons, tol):
-    """Gate a simulation, then return (lam, U, cycles, K_N): H = U diag(lam) U^dag
-    and, per eps, the cycle in H's eigenbasis up to its last frame,
+    """Gate a simulation, then return (lam, blocks, cycles, K_N):
+    H = U diag(lam) U^dag with U kept as `blocks` (see `_block_eigh`) and,
+    per eps, the cycle in H's eigenbasis up to its last frame,
 
         U^dag C U = K_N Y,  Y = D_{N-1} K_{N-1} ... D_0 K_0,
 
     with D_j = exp(-i lam t_j eps) and K_j = U^dag P_j U for the pulse
     P_j = v_j v_{j-1}^dag (v_{-1} = v_N = 1).  `cycles` holds Y per eps.
-    Each K_j is built once and applied to one accumulator per eps, so an
-    eps costs one phase scaling and one matmul per step but the last, whose
-    frame K_N is returned unapplied.  A pulse whose per-spin factors all
-    equal or negate those of the pulse before it reuses K_{j-1}, negated
-    when an odd number of spins flipped: negation is exact, so the reused
-    frame holds the bits a rebuilt one would.  At most len(epsilons) + 3
-    matrices of size 2^n x 2^n are alive at once: U, the accumulators, K_j
-    and one scratch buffer.
+    Each K_j is built once, in place, by block transforms of the rows and
+    then the columns of P_j, and applied to one accumulator per eps in
+    column chunks, so an eps costs one phase scaling and one matmul per
+    step but the last, whose frame K_N is returned unapplied.  A pulse
+    whose per-spin factors all equal or negate those of the pulse before
+    it reuses K_{j-1}, negated when an odd number of spins flipped:
+    negation is exact, so the reused frame holds the bits a rebuilt one
+    would.  The only 2^n x 2^n matrices alive are the len(epsilons)
+    accumulators and K_j; every other array is a block of U or a chunk of
+    at most 2^n x 64 entries.
     """
     coupling = _checked(J)
     if scheme.kind is not SchemeKind.INVERSION:
@@ -182,34 +185,35 @@ def _simulate(J, scheme, epsilons, tol):
         if not result.ok:
             raise NotAnInversion(result.residual)
     # H is built from a checked coupling, so it is Hermitian by construction
-    lam, U = _hermitian_eigh(build_hamiltonian(coupling))
+    lam, blocks = _block_eigh(build_hamiltonian(coupling))
+    dim = lam.size
     unit = np.broadcast_to(np.eye(2), (scheme.n, 2, 2))
     lifts = [unit, *lift_rotations([step.rotations for step in scheme.steps]), unit]
-    scratch, frame = np.empty(U.shape, dtype=complex), np.empty(U.shape, dtype=complex)
+    frame = np.empty((dim, dim), dtype=complex)
     times = [step.t for step in scheme.steps]
     cycles, previous = [], None
     for j, (before, after) in enumerate(zip(lifts, lifts[1:])):
-        # the per-spin v_{j-1} v_j^dag, whose kron is P_j^dag
-        factors = before @ np.conj(np.swapaxes(after, 1, 2))
+        # the per-spin v_j v_{j-1}^dag, whose kron is P_j
+        factors = after @ np.conj(np.swapaxes(before, 1, 2))
         sign = _frame_sign(factors, previous)
         previous = factors
         if sign < 0:
             np.negative(frame, out=frame)
         elif sign == 0:
-            _kron_into(factors, scratch)
-            _adjoint_times(U, scratch, frame)  # (P U)^dag
-            np.conjugate(frame.T, out=scratch)  # P U
-            _adjoint_times(U, scratch, frame)  # K_j
+            _kron_into(factors, frame)
+            _block_apply(blocks, frame, transpose=True, conj=True)  # U^dag P
+            _block_apply(blocks, frame.T, transpose=True, conj=False)  # (U^dag P) U, through its transpose
         if j == len(times):
             break
         if j == 0:
             cycles = [frame * np.exp(-1j * lam * (times[0] * eps))[:, None] for eps in epsilons]
             continue
-        for i, eps in enumerate(epsilons):
-            np.matmul(frame, cycles[i], out=scratch)
-            scratch *= np.exp(-1j * lam * (times[j] * eps))[:, None]
-            cycles[i], scratch = scratch, cycles[i]
-    return lam, U, cycles, frame
+        for Y, eps in zip(cycles, epsilons):
+            phase = np.exp(-1j * lam * (times[j] * eps))[:, None]
+            for c in range(0, dim, _CHUNK):
+                cols = Y[:, c : c + _CHUNK]
+                np.multiply(frame @ cols, phase, out=cols)
+    return lam, blocks, cycles, frame
 
 
 def _frame_sign(factors, previous) -> int:
@@ -230,18 +234,78 @@ def _kron_into(mats, out):
     np.multiply(head[:, None, :, None], mats[-1][None, :, None, :], out=out.reshape(m, 2, m, 2))
 
 
-def _adjoint_times(U, X, out):
-    """out = U^dag X with no copy of U; X is overwritten.
+def _components(H):
+    """The connected components of H's nonzero pattern, as one (m, s) stack
+    of index sets per component size s, in ascending order of s.
 
-    A real U multiplies the interleaved real view of X, a real product in
-    place of a complex one; a complex U conjugates around U^T X.
+    Each vertex's label falls to the smallest label among its neighbours,
+    then to its label's label, until nothing changes; a label is always a
+    vertex of the same component no larger than the vertex itself, so the
+    fixed point labels every component by its smallest vertex.
     """
-    if np.isrealobj(U):
-        np.matmul(U.T, X.view(float), out=out.view(float))
-    else:
-        np.conjugate(X, out=X)
-        np.matmul(U.T, X, out=out)
-        np.conjugate(out, out=out)
+    rows, cols = np.nonzero(H)
+    labels = np.arange(H.shape[0])
+    while True:
+        low = labels.copy()
+        np.minimum.at(low, rows, labels[cols])
+        low = low[low]
+        if np.array_equal(low, labels):
+            break
+        labels = low
+    size = np.bincount(labels)[labels]
+    stacks = []
+    for s in np.flatnonzero(np.bincount(size)):
+        members = np.flatnonzero(size == s)
+        stacks.append(members[np.argsort(labels[members], kind="stable")].reshape(-1, s))
+    return stacks
+
+
+def _block_eigh(H):
+    """(lam, blocks) with H = U diag(lam) U^dag for a complex H that the
+    caller knows is Hermitian; nothing is checked here.
+
+    U is block diagonal on the connected components of H's nonzero
+    pattern, which H's dynamics never couple.  `blocks` holds one
+    (idx, V) pair per component size: idx an (m, s) stack of index sets
+    and V the (m, s, s) eigenvectors, with U[idx_b, idx_b] = V_b and
+    lam[idx_b] the block's eigenvalues.  The blocks of one size go to one
+    stacked eigh; a generic H is a single block.  A Hermitian H with no
+    imaginary part goes to the real symmetric solver, which is several
+    times faster and returns a real V.
+    """
+    source = H if H.imag.any() else H.real
+    lam = np.empty(H.shape[0])
+    blocks = []
+    for idx in _components(H):
+        w, V = np.linalg.eigh(source[idx[:, :, None], idx[:, None, :]])
+        lam[idx] = w
+        blocks.append((idx, V))
+    return lam, blocks
+
+
+def _block_apply(blocks, X, transpose, conj):
+    """X <- A X in place, for A = U, U^T, conj(U) or U^dag as `transpose`
+    and `conj` say, U being kept as `blocks` (see `_block_eigh`).
+
+    X may be a transposed view, so that X U = (U^T X^T)^T is the same
+    call on X.T.  Columns are taken _CHUNK at a time and each block's rows
+    gathered, so no temporary exceeds 2^n x _CHUNK entries and no block
+    of U is copied: a real V multiplies the interleaved real view of the
+    gathered rows, a real product in place of a complex one, and conj(V)
+    is applied as conj(V conj(.)).
+    """
+    for c in range(0, X.shape[1], _CHUNK):
+        part = X[:, c : c + _CHUNK]
+        for idx, V in blocks:
+            A = np.swapaxes(V, 1, 2) if transpose else V
+            rows = part[idx]
+            if np.isrealobj(V):
+                part[idx] = np.matmul(A, rows.view(float)).view(complex)
+            elif conj:
+                out = np.matmul(A, np.conjugate(rows, out=rows))
+                part[idx] = np.conjugate(out, out=out)
+            else:
+                part[idx] = np.matmul(A, rows)
 
 
 def _lanczos_norm(M) -> float:
@@ -326,7 +390,10 @@ def error_scaling(J, scheme: Scheme, epsilons, tol: float = 1e-9) -> ErrorScalin
     error is quadratic in eps.  The slope fit only uses samples with
     error in [1e-12, 0.1], dodging the floating-point floor and the
     large-eps breakdown; if every error sits below 1e-13 the cycle is
-    reported exact instead of sloped.
+    reported exact instead of sloped.  The cycles come from `_simulate`,
+    and each accumulator takes its shift K_N^dag E in place, one row
+    chunk of K_N at a time, so the working set stays at the len(epsilons)
+    accumulators, the last frame and 2^n x 64 chunks.
     """
     eps_list = [float(e) for e in epsilons]
     if len(eps_list) < 3:
@@ -334,17 +401,20 @@ def error_scaling(J, scheme: Scheme, epsilons, tol: float = 1e-9) -> ErrorScalin
     # written as not (0 < e < inf) so that a NaN value fails the check
     if not all(0.0 < e < math.inf for e in eps_list) or len(set(eps_list)) != len(eps_list):
         raise ValueError("epsilon values must be finite, positive and distinct")
-    lam, U, cycles, last = _simulate(J, scheme, eps_list, tol)
+    lam, blocks, cycles, last = _simulate(J, scheme, eps_list, tol)
     # ||C - exp(+iH eps)|| = ||K_N Y - E|| = ||Y - K_N^dag E|| with
-    # E = exp(+i lam eps) diagonal, as U and K_N are unitary;
-    # K_N^dag E = conj(K_N^T conj(E)) is formed in one reused buffer
-    shift = np.empty_like(last)
+    # E = exp(+i lam eps) diagonal, as U and K_N are unitary; the columns
+    # of K_N^dag E = conj(K_N^T conj(E)) are formed from row chunks of K_N
+    shift = np.empty((lam.size, min(lam.size, _CHUNK)), dtype=complex)
     for eps, Y in zip(eps_list, cycles):
-        np.multiply(last.T, np.exp(-1j * lam * eps), out=shift)
-        Y -= np.conjugate(shift, out=shift)
+        conj_phase = np.exp(-1j * lam * eps)
+        for c in range(0, lam.size, _CHUNK):
+            np.multiply(last[c : c + _CHUNK].T, conj_phase[c : c + _CHUNK], out=shift)
+            cols = Y[:, c : c + _CHUNK]
+            cols -= np.conjugate(shift, out=shift)
     # freed before the norms, so that their Krylov bases stay under the
     # memory peak of _simulate
-    del U, last, shift
+    del blocks, last, shift
     errors = [_lanczos_norm(Y) for Y in cycles]
     exact = all(err < _EXACT_CUTOFF for err in errors)
     slope = None

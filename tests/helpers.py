@@ -2,7 +2,15 @@
 
 import numpy as np
 
-from spinrev import random_special_unitary, su2_to_so3
+from spinrev import (
+    build_hamiltonian,
+    evolve,
+    kron_all,
+    lift_rotations,
+    operator_norm,
+    random_special_unitary,
+    su2_to_so3,
+)
 from spinrev.schemes import Scheme, SchemeKind, Step
 
 
@@ -38,3 +46,17 @@ def random_scheme(rng, n, n_steps=3, kind=SchemeKind.INVERSION, collective=False
             rotations = np.stack([random_rotation(rng) for _ in range(n)])
         steps.append(Step(float(rng.uniform(0.1, 1.0)), rotations))
     return Scheme(kind, tuple(steps))
+
+
+def hand_built_errors(J, scheme, eps_list):
+    """Dense reference for `error_scaling`: the cycle as a product of lifted
+    conjugated evolutions, each through its own eigen-solve of H."""
+    H = build_hamiltonian(J)
+    errors = []
+    for eps in eps_list:
+        product = np.eye(H.shape[0], dtype=complex)
+        for step in scheme.steps:
+            v = kron_all(lift_rotations(step.rotations))
+            product = (v.conj().T @ evolve(H, step.t * eps) @ v) @ product
+        errors.append(operator_norm(product - evolve(H, -eps)))
+    return errors

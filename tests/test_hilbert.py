@@ -1,5 +1,7 @@
 """Exact Hilbert-space oracle: builds, conjugation, evolution, error scaling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from spinrev import (
 from spinrev import hilbert
 from spinrev.hilbert import _lanczos_norm
 
-from helpers import random_coupling, random_rotation, random_weights
+from helpers import hand_built_errors, random_coupling, random_rotation, random_weights
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -51,18 +53,6 @@ def rotated_traceless_3(seed=0):
     R = random_rotation(np.random.default_rng(seed))
     A = R @ dipole_type() @ R.T
     return W, 0.5 * (A + A.T)
-
-
-def hand_built_errors(J, scheme, eps_list):
-    H = build_hamiltonian(J)
-    errors = []
-    for eps in eps_list:
-        product = np.eye(H.shape[0], dtype=complex)
-        for step in scheme.steps:
-            v = kron_all(lift_rotations(step.rotations))
-            product = (v.conj().T @ evolve(H, step.t * eps) @ v) @ product
-        errors.append(operator_norm(product - evolve(H, -eps)))
-    return errors
 
 
 class TestBuildHamiltonian:
@@ -389,6 +379,19 @@ class TestFrameReuse:
         assert signs == [0] * 13
 
 
+def recorded_eigh(monkeypatch):
+    """The (shape, dtype) of every np.linalg.eigh call from here on."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def recording(M):
+        calls.append((M.shape, M.dtype))
+        return eigh(M)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return calls
+
+
 @pytest.mark.parametrize(
     "simulate",
     [
@@ -398,18 +401,17 @@ class TestFrameReuse:
     ids=["error_scaling", "run_cycle"],
 )
 def test_one_eigendecomposition_per_hamiltonian(monkeypatch, simulate):
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting(M):
-        calls.append(M.shape)
-        return eigh(M)
-
+    # one eigen-solve of H, run on its blocks: the dipole conserves
+    # magnetization (blocks 1, 1, 3, 3 at n = 3), so there is one stacked
+    # call per block size and none on the whole 8 x 8 H
     W, J = seeded_dipole_3()
     scheme = synthesize_case1(W, dipole_type())
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    calls = recorded_eigh(monkeypatch)
     simulate(J, scheme)
-    assert calls == [(8, 8)]
+    sizes = [shape[-1] for shape, _ in calls]
+    assert sum(shape[0] * shape[-1] for shape, _ in calls) == 8
+    assert sizes == sorted(set(sizes)) == [1, 3]
+    assert all(len(shape) == 3 and shape[-2] == shape[-1] for shape, _ in calls)
 
 
 def test_operator_norm_matches_svd():
@@ -429,18 +431,68 @@ def test_operator_norm_matches_svd():
 )
 def test_real_hamiltonian_takes_the_real_solver(monkeypatch, coupling, dtype):
     # only a Hamiltonian with xy/yz cross terms needs the complex solver
-    calls = []
-    eigh = np.linalg.eigh
-
-    def recording(M):
-        calls.append(M.dtype)
-        return eigh(M)
-
     W, A = coupling()
     scheme = synthesize_case1(W, A)
-    monkeypatch.setattr(np.linalg, "eigh", recording)
+    calls = recorded_eigh(monkeypatch)
     error_scaling(tensor_coupling(W, A), scheme, [0.2, 0.1, 0.05])
-    assert calls == [dtype]
+    assert calls
+    assert all(call_dtype == dtype for _, call_dtype in calls)
+
+
+def dense_unitary(blocks, dim):
+    """U with U[idx_b, idx_b] = V_b, from the blocks of `_block_eigh`."""
+    U = np.zeros((dim, dim), dtype=complex)
+    for idx, V in blocks:
+        for rows, block in zip(idx, V):
+            U[np.ix_(rows, rows)] = block
+    return U
+
+
+def rotated_dipole(n, seed=7):
+    R = random_rotation(np.random.default_rng(seed))
+    return tensor_coupling(complete_weights(n), R @ dipole_type() @ R.T)
+
+
+@pytest.mark.parametrize(
+    "coupling, sizes, dtype",
+    [
+        (lambda: tensor_coupling(complete_weights(5), dipole_type()), [1, 1, 5, 5, 10, 10], np.float64),
+        (
+            lambda: tensor_coupling(random_weights(np.random.default_rng(5), 5), np.diag([2.0, 1.0, -1.0])),
+            [16, 16],
+            np.float64,
+        ),
+        (lambda: tensor_coupling(complete_weights(4), scalar_type()), [1, 1, 4, 4, 6], np.float64),
+        (lambda: rotated_dipole(7), [128], np.complex128),
+        (lambda: np.zeros((9, 9)), [1] * 8, np.float64),
+    ],
+    ids=["dipole-n5", "signed-class2-n5", "scalar-n4", "rotated-dipole-n7", "zero-n3"],
+)
+def test_block_eigh_on_the_connected_blocks(coupling, sizes, dtype):
+    # magnetization sectors for the dipole and the scalar type, parity
+    # sectors for the signed class-2 coupling, one block for a rotated type
+    H = build_hamiltonian(coupling())
+    lam, blocks = hilbert._block_eigh(H)
+    assert sorted(s for idx, _ in blocks for s in [idx.shape[1]] * idx.shape[0]) == sizes
+    assert all(V.dtype == dtype for _, V in blocks)
+    U = dense_unitary(blocks, H.shape[0])
+    assert np.abs(U.conj().T @ U - np.eye(H.shape[0])).max() <= 1e-12
+    assert np.abs((U * lam) @ U.conj().T - H).max() <= 1e-12 * max(1.0, np.abs(H).max())
+
+
+def test_error_scaling_working_set():
+    # the len(eps) accumulators, the frame and 2^n x 64 chunks: at most
+    # len(eps) + 2 matrices of 2^n x 2^n complex entries at any time
+    n, eps_list = 8, [0.02, 0.01, 0.005, 0.0025]
+    J = tensor_coupling(complete_weights(n), dipole_type())
+    scheme = synthesize_case1(complete_weights(n), dipole_type())
+    tracemalloc.start()
+    try:
+        error_scaling(J, scheme, eps_list)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (len(eps_list) + 2) * 4**n * 16
 
 
 class TestLanczosNorm:

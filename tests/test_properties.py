@@ -1,5 +1,5 @@
-"""Property tests of the Lawson-Hanson NNLS core, of `spinrev search` and
-of the scheme file writer over generated inputs.
+"""Property tests of the Lawson-Hanson NNLS core, of `spinrev search`, of
+the scheme file writer and of the exact oracle over generated inputs.
 
 The search solves NNLS over columns of equal norm: every column is the
 stacked upper-triangle blocks of a rotated coupling V J V^T, and a block
@@ -32,12 +32,13 @@ with warnings.catch_warnings():
     except ImportError:
         pass
 
-from helpers import random_coupling
+from helpers import hand_built_errors, random_coupling, random_rotation
 from spinrev import (
     check_scheme_against_bounds,
     cli,
     collective_cyclic_pool,
     complete_weights,
+    error_scaling,
     greedy_pool_growth,
     merge_pools,
     pair_pi_pool,
@@ -47,6 +48,7 @@ from spinrev import (
     scheme_from_dict,
     scheme_to_dict,
     search_result_to_dict,
+    synthesize_case1,
     tau_lower_bound,
     tensor_coupling,
     verify,
@@ -317,3 +319,39 @@ def test_written_scheme_is_the_dumped_dict(scheme):
     chunks = list(_scheme_json_chunks(scheme))
     assert len(chunks) == len(scheme.steps) + 2
     assert "".join(chunks) == json.dumps(scheme_to_dict(scheme))
+
+
+@st.composite
+def oracle_problems(draw):
+    """(W, A) at n = 2-4 for the collective class-1 scheme: signed weights
+    with zeros, so that uncoupled spins split H into more blocks, and a
+    traceless type that is diagonal or turned off its eigenframe, which
+    makes H complex."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 4))
+    W = np.triu(rng.uniform(0.2, 1.5, size=(n, n)) * rng.choice([-1.0, 0.0, 1.0], size=(n, n)), 1)
+    if not W.any():
+        k = rng.integers(n - 1)
+        W[k, k + 1] = 1.0
+    a, b = rng.uniform(0.2, 1.5, size=2) * rng.choice([-1.0, 1.0], size=2)
+    A = np.diag([a, b, -a - b])
+    if draw(st.booleans()):
+        R = random_rotation(rng)
+        A = R @ A @ R.T
+        A = 0.5 * (A + A.T)
+    return W + W.T, A
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(oracle_problems())
+def test_error_scaling_matches_the_dense_cycle(problem):
+    # eps scaled to the coupling keeps errors of a non-commuting cycle
+    # near 1e-3, far above rounding; a commuting cycle (every n = 2 one)
+    # has errors at rounding on both sides, hence the absolute floor
+    W, A = problem
+    J = tensor_coupling(W, A)
+    scheme = synthesize_case1(W, A)
+    scale = float(np.abs(W).max() * np.abs(np.linalg.eigvalsh(A)).max())
+    eps_list = [0.2 / scale, 0.1 / scale, 0.05 / scale]
+    errors = error_scaling(J, scheme, eps_list).errors
+    assert np.allclose(errors, hand_built_errors(J, scheme, eps_list), rtol=1e-11, atol=1e-13)

@@ -12,7 +12,8 @@ U is block diagonal on the connected blocks of H's nonzero pattern
 (magnetization sectors of a dipole, parity sectors of a class-2 coupling)
 and is kept as one eigenvector matrix per block; a real H is diagonalised
 by the real symmetric solver.  The error norm comes from Lanczos on
-M^dag M, not from a dense eigen-solve.
+M^dag M, not from a dense eigen-solve.  An odd-n cycle whose couplings
+are all axis-diagonal is run and normed on its even parity sector only.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def run_cycle(J, scheme: Scheme, epsilon: float, tol: float = 1e-9) -> np.ndarra
     """
     if not (0.0 <= epsilon < math.inf):
         raise ValueError("epsilon must be finite and non-negative")
-    _, blocks, (Y,), last = _simulate(J, scheme, [epsilon], tol)
+    _, blocks, (Y,), last = _simulate(_gated(J, scheme, tol), scheme, [epsilon], slice(None))
     C = last @ Y
     del Y, last
     _block_apply(blocks, C, transpose=False, conj=False)  # U K_N Y
@@ -157,26 +158,9 @@ def run_cycle(J, scheme: Scheme, epsilon: float, tol: float = 1e-9) -> np.ndarra
     return C
 
 
-def _simulate(J, scheme, epsilons, tol):
-    """Gate a simulation, then return (lam, blocks, cycles, K_N):
-    H = U diag(lam) U^dag with U kept as `blocks` (see `_block_eigh`) and,
-    per eps, the cycle in H's eigenbasis up to its last frame,
-
-        U^dag C U = K_N Y,  Y = D_{N-1} K_{N-1} ... D_0 K_0,
-
-    with D_j = exp(-i lam t_j eps) and K_j = U^dag P_j U for the pulse
-    P_j = v_j v_{j-1}^dag (v_{-1} = v_N = 1).  `cycles` holds Y per eps.
-    Each K_j is built once, in place, by block transforms of the rows and
-    then the columns of P_j, and applied to one accumulator per eps in
-    column chunks, so an eps costs one phase scaling and one matmul per
-    step but the last, whose frame K_N is returned unapplied.  A pulse
-    whose per-spin factors all equal or negate those of the pulse before
-    it reuses K_{j-1}, negated when an odd number of spins flipped:
-    negation is exact, so the reused frame holds the bits a rebuilt one
-    would.  The only 2^n x 2^n matrices alive are the len(epsilons)
-    accumulators and K_j; every other array is a block of U or a chunk of
-    at most 2^n x 64 entries.
-    """
+def _gated(J, scheme, tol):
+    """The checked coupling, once `scheme` is known to invert it at `tol`;
+    the zero coupling, whose cycle is the identity, needs no verification."""
     coupling = _checked(J)
     if scheme.kind is not SchemeKind.INVERSION:
         raise ValueError("cycle simulation expects an inversion scheme")
@@ -184,6 +168,32 @@ def _simulate(J, scheme, epsilons, tol):
         result = verify(scheme, coupling, tol)
         if not result.ok:
             raise NotAnInversion(result.residual)
+    return coupling
+
+
+def _simulate(coupling, scheme, epsilons, cols):
+    """Return (lam, blocks, cycles, K_N) for a gated coupling (see `_gated`):
+    H = U diag(lam) U^dag with U kept as `blocks` (see `_block_eigh`) and,
+    per eps, the columns `cols` of the cycle in H's eigenbasis up to its
+    last frame,
+
+        U^dag C U = K_N Y,  Y = D_{N-1} K_{N-1} ... D_0 K_0,
+
+    with D_j = exp(-i lam t_j eps) and K_j = U^dag P_j U for the pulse
+    P_j = v_j v_{j-1}^dag (v_{-1} = v_N = 1).  `cycles` holds Y[:, cols]
+    per eps, `cols` being slice(None) for every column or an index array
+    (see `_parity_sector`).  Each K_j is built once, in place, by block
+    transforms of the rows and then the columns of P_j, and applied to
+    one accumulator per eps in column chunks, so an eps costs one phase
+    scaling and one matmul of 2^n x 2^n by 2^n x len(cols) per step but
+    the last, whose frame K_N is returned unapplied.  A pulse whose
+    per-spin factors all equal or negate those of the pulse before it
+    reuses K_{j-1}, negated when an odd number of spins flipped: negation
+    is exact, so the reused frame holds the bits a rebuilt one would.  The
+    only large arrays alive are K_j and the len(epsilons) accumulators of
+    2^n x len(cols); every other array is a block of U or a chunk of at
+    most 2^n x 64 entries.
+    """
     # H is built from a checked coupling, so it is Hermitian by construction
     lam, blocks = _block_eigh(build_hamiltonian(coupling))
     dim = lam.size
@@ -206,13 +216,14 @@ def _simulate(J, scheme, epsilons, tol):
         if j == len(times):
             break
         if j == 0:
-            cycles = [frame * np.exp(-1j * lam * (times[0] * eps))[:, None] for eps in epsilons]
+            # frame[:, cols] is a view of every column, else a copy of the sector's
+            cycles = [np.multiply(frame[:, cols], np.exp(-1j * lam * (times[0] * eps))[:, None]) for eps in epsilons]
             continue
         for Y, eps in zip(cycles, epsilons):
             phase = np.exp(-1j * lam * (times[j] * eps))[:, None]
-            for c in range(0, dim, _CHUNK):
-                cols = Y[:, c : c + _CHUNK]
-                np.multiply(frame @ cols, phase, out=cols)
+            for c in range(0, Y.shape[1], _CHUNK):
+                part = Y[:, c : c + _CHUNK]
+                np.multiply(frame @ part, phase, out=part)
     return lam, blocks, cycles, frame
 
 
@@ -308,8 +319,28 @@ def _block_apply(blocks, X, transpose, conj):
                 part[idx] = np.matmul(A, rows)
 
 
+def _parity_sector(coupling, scheme):
+    """The columns on which the error of `scheme`'s cycle is normed: the
+    even-popcount basis states when n is odd and J and every conjugated
+    coupling have exactly zero off-diagonal entries in their 3x3 blocks,
+    else slice(None), every column (see `error_scaling`)."""
+    n = coupling.n
+    if n % 2 == 0:
+        return slice(None)
+    off = np.tile(~np.eye(3, dtype=bool), (n, n))
+    conjugated = conjugate(np.stack([step.rotations for step in scheme.steps]), coupling.J)
+    if coupling.J[off].any() or conjugated[:, off].any():
+        return slice(None)
+    idx = np.arange(1 << n)
+    parity = np.zeros_like(idx)
+    for site in range(n):
+        parity ^= idx >> site
+    return np.flatnonzero((parity & 1) == 0)
+
+
 def _lanczos_norm(M) -> float:
-    """Largest singular value of a square M by Lanczos on M^dag M.
+    """Largest singular value of M by Lanczos on M^dag M, whose Krylov
+    space lies in the span of M's columns: a tall M costs its width.
 
     The Krylov basis is one array that doubles as it fills, so it holds at
     most twice the steps taken.  It is re-orthogonalised in full, twice,
@@ -317,10 +348,10 @@ def _lanczos_norm(M) -> float:
     The start vector comes from a fixed stdlib seed, so results repeat run
     to run without loading numpy.random.  Every 4th step the top Ritz pair
     is tested, and the run stops when its residual beta_k |s_k| is at most
-    1e-13 theta; it also stops on breakdown, or after d steps, where the
-    Krylov space is exhausted and theta is exact.
+    1e-13 theta; it also stops on breakdown, or after d steps, d being
+    M's width, where the Krylov space is exhausted and theta is exact.
     """
-    d = M.shape[0]
+    d = M.shape[1]
     rng = random.Random(_LANCZOS_SEED)
     q = np.array([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(d)])
     basis = np.empty((min(d, 8), d), dtype=complex)
@@ -390,10 +421,24 @@ def error_scaling(J, scheme: Scheme, epsilons, tol: float = 1e-9) -> ErrorScalin
     error is quadratic in eps.  The slope fit only uses samples with
     error in [1e-12, 0.1], dodging the floating-point floor and the
     large-eps breakdown; if every error sits below 1e-13 the cycle is
-    reported exact instead of sloped.  The cycles come from `_simulate`,
-    and each accumulator takes its shift K_N^dag E in place, one row
-    chunk of K_N at a time, so the working set stays at the len(epsilons)
-    accumulators, the last frame and 2^n x 64 chunks.
+    reported exact instead of sloped.
+
+    For odd n, when J and every conjugated coupling V_j J V_j^T have
+    diagonal 3x3 blocks (`_parity_sector`), only the even parity sector
+    is run.  Then each conjugated Hamiltonian, H and exp(+i H eps) hold
+    only xx, yy and zz terms, which commute with Z^(x)n and with X^(x)n,
+    so the error operator does too: it is block diagonal by Z parity, and
+    X^(x)n, which anticommutes with Z^(x)n for odd n, maps its even block
+    onto its odd one, so the even block has the norm of the whole.  U's
+    blocks lie inside parity sectors, so in H's eigenbasis that block is
+    the error's even-popcount columns, and a cycle costs half its
+    matmuls and the norm half its width; any other input runs on every
+    column.
+
+    The cycles come from `_simulate`, and each accumulator takes its
+    shift K_N^dag E in place, one row chunk of K_N at a time, so the
+    working set stays at the len(epsilons) accumulators of 2^n x
+    len(cols), the last frame and 2^n x 64 chunks.
     """
     eps_list = [float(e) for e in epsilons]
     if len(eps_list) < 3:
@@ -401,17 +446,22 @@ def error_scaling(J, scheme: Scheme, epsilons, tol: float = 1e-9) -> ErrorScalin
     # written as not (0 < e < inf) so that a NaN value fails the check
     if not all(0.0 < e < math.inf for e in eps_list) or len(set(eps_list)) != len(eps_list):
         raise ValueError("epsilon values must be finite, positive and distinct")
-    lam, blocks, cycles, last = _simulate(J, scheme, eps_list, tol)
+    coupling = _gated(J, scheme, tol)
+    cols = _parity_sector(coupling, scheme)
+    lam, blocks, cycles, last = _simulate(coupling, scheme, eps_list, cols)
     # ||C - exp(+iH eps)|| = ||K_N Y - E|| = ||Y - K_N^dag E|| with
     # E = exp(+i lam eps) diagonal, as U and K_N are unitary; the columns
     # of K_N^dag E = conj(K_N^T conj(E)) are formed from row chunks of K_N
-    shift = np.empty((lam.size, min(lam.size, _CHUNK)), dtype=complex)
+    width = cycles[0].shape[1]
+    shift = np.empty((lam.size, min(width, _CHUNK)), dtype=complex)
     for eps, Y in zip(eps_list, cycles):
         conj_phase = np.exp(-1j * lam * eps)
-        for c in range(0, lam.size, _CHUNK):
-            np.multiply(last[c : c + _CHUNK].T, conj_phase[c : c + _CHUNK], out=shift)
-            cols = Y[:, c : c + _CHUNK]
-            cols -= np.conjugate(shift, out=shift)
+        for c in range(0, width, _CHUNK):
+            # every column: a slice of K_N's rows, not a gathered copy
+            rows = slice(c, c + _CHUNK) if isinstance(cols, slice) else cols[c : c + _CHUNK]
+            np.multiply(last[rows].T, conj_phase[rows], out=shift)
+            part = Y[:, c : c + _CHUNK]
+            part -= np.conjugate(shift, out=shift)
     # freed before the norms, so that their Krylov bases stay under the
     # memory peak of _simulate
     del blocks, last, shift

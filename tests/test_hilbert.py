@@ -495,6 +495,21 @@ def test_error_scaling_working_set():
     assert peak <= (len(eps_list) + 2) * 4**n * 16
 
 
+def test_odd_axis_diagonal_working_set():
+    # an odd-n dipole cycle runs on the even parity sector: len(eps)
+    # accumulators of 2^n x 2^(n-1), the frame and 2^n x 64 chunks
+    n, eps_list = 9, [0.02, 0.01, 0.005, 0.0025]
+    J = tensor_coupling(complete_weights(n), dipole_type())
+    scheme = synthesize_case1(complete_weights(n), dipole_type())
+    tracemalloc.start()
+    try:
+        error_scaling(J, scheme, eps_list)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (len(eps_list) / 2 + 2) * 4**n * 16
+
+
 class TestLanczosNorm:
     def test_matches_dense_norm_on_random_complex(self):
         rng = np.random.default_rng(79)
@@ -528,6 +543,12 @@ class TestLanczosNorm:
         top = np.linalg.svd(M, compute_uv=False)[:3]
         assert top[1] >= top[0] * (1.0 - 1e-13) and top[2] < top[0] * 0.99
         self.assert_matches_dense(M)
+
+    def test_tall_matrix(self):
+        # the Krylov space lies in the span of the columns
+        rng = np.random.default_rng(82)
+        M = rng.normal(size=(128, 40)) + 1j * rng.normal(size=(128, 40))
+        assert abs(_lanczos_norm(M) - np.linalg.norm(M, 2)) <= 1e-12 * np.linalg.norm(M, 2)
 
     @staticmethod
     def assert_matches_dense(M):

@@ -11,10 +11,12 @@ derandomized and their counts bounded, so each run checks the same cases.
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,8 +34,9 @@ with warnings.catch_warnings():
     except ImportError:
         pass
 
-from helpers import hand_built_errors, random_coupling, random_rotation
+from helpers import hand_built_errors, random_coupling, random_rotation, random_weights
 from spinrev import (
+    axis_cycle,
     check_scheme_against_bounds,
     cli,
     collective_cyclic_pool,
@@ -49,18 +52,22 @@ from spinrev import (
     scheme_to_dict,
     search_result_to_dict,
     synthesize_case1,
+    synthesize_case2,
     tau_lower_bound,
     tensor_coupling,
     verify,
 )
+from spinrev import hilbert
 from spinrev.schemes import Scheme, SchemeKind, Step, _scheme_json_chunks
 from spinrev.search import (
     _lawson_hanson,
     _upper_block_columns,
     _upper_blocks,
+    find_inversion_nnls,
     minimize_tau,
     nnls_active_set,
     octahedral_group,
+    user_pool,
 )
 
 bounded = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -354,4 +361,66 @@ def test_error_scaling_matches_the_dense_cycle(problem):
     scale = float(np.abs(W).max() * np.abs(np.linalg.eigvalsh(A)).max())
     eps_list = [0.2 / scale, 0.1 / scale, 0.05 / scale]
     errors = error_scaling(J, scheme, eps_list).errors
+    assert np.allclose(errors, hand_built_errors(J, scheme, eps_list), rtol=1e-11, atol=1e-13)
+
+
+@st.composite
+def odd_cycles(draw):
+    """(W, A, scheme, width) at n = 3 or 5, `width` the columns the error
+    is normed on.  Axis-diagonal cycles take the even parity sector:
+    signed weights with zeros, a diagonal type of class 1 or 2 and its
+    synthesized scheme.  Two kinds take every column: a class-1 type
+    turned off its eigenframe, and an NNLS scheme over assemblies that
+    cycle the axes of spin 0, spin 1 and the rest by different powers, so
+    that some conjugated block leaves the diagonal."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([3, 5]))
+    kind = draw(st.sampled_from(["class1", "class2", "rotated", "mixed"]))
+    W = np.triu(rng.uniform(0.2, 1.5, size=(n, n)) * rng.choice([-1.0, 0.0, 1.0], size=(n, n)), 1)
+    if not W.any():
+        k = rng.integers(n - 1)
+        W[k, k + 1] = 1.0
+    W = W + W.T
+    a, b = rng.uniform(0.2, 1.5, size=2) * rng.choice([-1.0, 1.0], size=2)
+    if kind == "class2":
+        A = np.diag(rng.permutation([a, -b if a * b > 0 else b, rng.uniform(-1.5, 1.5)]))
+        return W, A, synthesize_case2(W, A), 2 ** (n - 1)
+    A = np.diag([a, b, -a - b])
+    if kind == "class1":
+        return W, A, synthesize_case1(W, A), 2 ** (n - 1)
+    if kind == "rotated":
+        R = random_rotation(rng)
+        A = R @ A @ R.T
+        A = 0.5 * (A + A.T)
+        return W, A, synthesize_case1(W, A), 2**n
+    W = random_weights(rng, n)
+    powers = [np.eye(3), axis_cycle(), axis_cycle().T]
+    pool = [
+        np.stack([powers[x], powers[y]] + [powers[z]] * (n - 2))
+        for x, y, z in itertools.product(range(3), repeat=3)
+        if len({x, y, z}) > 1
+    ]
+    return W, A, find_inversion_nnls(tensor_coupling(W, A), user_pool(pool)).scheme, 2**n
+
+
+@settings(derandomize=True, max_examples=24, deadline=None, database=None)
+@given(odd_cycles())
+def test_odd_cycles_norm_the_even_sector_only_when_it_is_exact(problem):
+    # the accumulators reach the norm whole: their width is the sector's
+    # half for axis-diagonal cycles and 2^n for every other one, and the
+    # errors match the dense cycle on all columns either way
+    W, A, scheme, width = problem
+    J = tensor_coupling(W, A)
+    scale = float(np.abs(W).max() * np.abs(np.linalg.eigvalsh(A)).max())
+    eps_list = [0.2 / scale, 0.1 / scale, 0.05 / scale]
+    shapes = []
+    norm = hilbert._lanczos_norm
+
+    def spy(M):
+        shapes.append(M.shape)
+        return norm(M)
+
+    with mock.patch.object(hilbert, "_lanczos_norm", spy):
+        errors = error_scaling(J, scheme, eps_list).errors
+    assert shapes == [(2 ** scheme.n, width)] * len(eps_list)
     assert np.allclose(errors, hand_built_errors(J, scheme, eps_list), rtol=1e-11, atol=1e-13)

@@ -11,9 +11,14 @@ evolution is a diagonal phase and exp(+i H eps) is diag(exp(i lam eps)).
 U is block diagonal on the connected blocks of H's nonzero pattern
 (magnetization sectors of a dipole, parity sectors of a class-2 coupling)
 and is kept as one eigenvector matrix per block; a real H is diagonalised
-by the real symmetric solver.  The error norm comes from Lanczos on
-M^dag M, not from a dense eigen-solve.  An odd-n cycle whose couplings
-are all axis-diagonal is run and normed on its even parity sector only.
+by the real symmetric solver.  Each pulse is applied to the cycle's
+accumulator as U, then its n per-spin 2x2 factors, then U^dag, so no
+2^n x 2^n pulse frame is ever formed, and the eps values run one at a
+time.  The error norm comes from Lanczos on M^dag M, not from a dense
+eigen-solve.  An odd-n cycle whose couplings are all axis-diagonal is run
+and normed on its even parity sector only, and a factored coupling whose
+type is off its axes is simulated in the type's eigenframe, where H is
+real and blocked.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 
 from .coupling import _checked
 from .rotations import check_symmetric, so3_to_su2
-from .schemes import Scheme, SchemeKind, conjugate, verify
+from .schemes import Scheme, SchemeKind, Step, conjugate, verify
 
 MAX_SPINS = 10
 
@@ -36,7 +41,7 @@ _EXACT_CUTOFF = 1e-13
 _LANCZOS_CHECK = 4  # steps between Ritz tests
 _LANCZOS_SEED = 0
 _LANCZOS_TOL = 1e-13
-_CHUNK = 64  # columns per chunk of a block transform or a cycle update
+_CHUNK = 64  # columns per chunk of a block transform or a pulse
 
 
 def _axis_action(idx, n, site, axis):
@@ -145,16 +150,17 @@ def run_cycle(J, scheme: Scheme, epsilon: float, tol: float = 1e-9) -> np.ndarra
     v^dag exp(-i H t eps) v.  The scheme must verify as an inversion of J
     first -- the cycle is only meaningful then -- except for the zero
     coupling, whose cycle is trivially the identity.  The sign choice of
-    each spin-1/2 lift cancels in the conjugation.  The cycle K_N Y of
-    `_simulate` is mapped back to U (K_N Y) U^dag by the block transforms.
+    each spin-1/2 lift cancels in the conjugation.  The cycle is run in
+    J's own frame (no eigenframe turn, unlike `error_scaling`), and its
+    eigenbasis form U^dag C U from `_simulate` is mapped back to C by the
+    block transforms.
     """
     if not (0.0 <= epsilon < math.inf):
         raise ValueError("epsilon must be finite and non-negative")
-    _, blocks, (Y,), last = _simulate(_gated(J, scheme, tol), scheme, [epsilon], slice(None))
-    C = last @ Y
-    del Y, last
-    _block_apply(blocks, C, transpose=False, conj=False)  # U K_N Y
-    _block_apply(blocks, C.T, transpose=False, conj=True)  # (U K_N Y) U^dag, through its transpose
+    _, blocks, cycle = _simulate(_gated(J, scheme, tol), scheme, slice(None))
+    C = cycle(epsilon)
+    _block_apply(blocks, C, transpose=False, conj=False)  # U (U^dag C U)
+    _block_apply(blocks, C.T, transpose=False, conj=True)  # (C U) U^dag, through its transpose
     return C
 
 
@@ -171,78 +177,86 @@ def _gated(J, scheme, tol):
     return coupling
 
 
-def _simulate(coupling, scheme, epsilons, cols):
-    """Return (lam, blocks, cycles, K_N) for a gated coupling (see `_gated`):
-    H = U diag(lam) U^dag with U kept as `blocks` (see `_block_eigh`) and,
-    per eps, the columns `cols` of the cycle in H's eigenbasis up to its
-    last frame,
+def _eigenframe(coupling, scheme):
+    """(coupling, scheme) turned into the eigenframe of a factored type A =
+    Q diag(mu) Q^T with an off-diagonal entry: W (x) diag(mu) and the step
+    rotations Q^T R Q.  Every conjugated coupling turns by the same Q^T on
+    each spin, R' diag(mu) R'^T = Q^T (R A R^T) Q, so the cycle and exp(+iH
+    eps) are conjugated by one global unitary and the error norm is
+    unchanged; H becomes real, with its parity blocks.  Any other input is
+    returned as is."""
+    A = coupling.A
+    if not coupling.factored or not (A - np.diag(np.diag(A))).any():
+        return coupling, scheme
+    Q, mu = coupling.spectrum.eigenvectors, coupling.spectrum.eigenvalues
+    steps = tuple(Step(step.t, Q.T @ step.rotations @ Q) for step in scheme.steps)
+    return _checked(np.kron(coupling.W, np.diag(mu))), Scheme(scheme.kind, steps)
 
-        U^dag C U = K_N Y,  Y = D_{N-1} K_{N-1} ... D_0 K_0,
+
+def _simulate(coupling, scheme, cols):
+    """Return (lam, blocks, cycle) for a gated coupling (see `_gated`):
+    H = U diag(lam) U^dag with U kept as `blocks` (see `_block_eigh`), and
+    `cycle(eps)` a new array holding the columns `cols` of the cycle in
+    H's eigenbasis,
+
+        U^dag C U = K_N D_{N-1} K_{N-1} ... D_0 K_0,
 
     with D_j = exp(-i lam t_j eps) and K_j = U^dag P_j U for the pulse
-    P_j = v_j v_{j-1}^dag (v_{-1} = v_N = 1).  `cycles` holds Y[:, cols]
-    per eps, `cols` being slice(None) for every column or an index array
-    (see `_parity_sector`).  Each K_j is built once, in place, by block
-    transforms of the rows and then the columns of P_j, and applied to
-    one accumulator per eps in column chunks, so an eps costs one phase
-    scaling and one matmul of 2^n x 2^n by 2^n x len(cols) per step but
-    the last, whose frame K_N is returned unapplied.  A pulse whose
-    per-spin factors all equal or negate those of the pulse before it
-    reuses K_{j-1}, negated when an odd number of spins flipped: negation
-    is exact, so the reused frame holds the bits a rebuilt one would.  The
-    only large arrays alive are K_j and the len(epsilons) accumulators of
-    2^n x len(cols); every other array is a block of U or a chunk of at
-    most 2^n x 64 entries.
+    P_j = v_j v_{j-1}^dag (v_{-1} = v_N = 1).  `cols` is slice(None) for
+    every column or an index array (see `_parity_sector`).  No K_j is
+    formed: each pulse is applied to the accumulator by `_pulse`, as U,
+    then P_j as its n per-spin 2x2 factors, then U^dag.  Only the first
+    pulse's columns K_0[:, cols] are computed once, here; each call copies
+    them into its own accumulator of 2^n x len(cols), so the large arrays
+    alive during a call are that start and one accumulator, plus what the
+    caller still holds.
     """
     # H is built from a checked coupling, so it is Hermitian by construction
     lam, blocks = _block_eigh(build_hamiltonian(coupling))
-    dim = lam.size
     unit = np.broadcast_to(np.eye(2), (scheme.n, 2, 2))
     lifts = [unit, *lift_rotations([step.rotations for step in scheme.steps]), unit]
-    frame = np.empty((dim, dim), dtype=complex)
+    # the per-spin v_j v_{j-1}^dag, whose kron is P_j
+    pulses = [after @ np.conj(np.swapaxes(before, 1, 2)) for before, after in zip(lifts, lifts[1:])]
     times = [step.t for step in scheme.steps]
-    cycles, previous = [], None
-    for j, (before, after) in enumerate(zip(lifts, lifts[1:])):
-        # the per-spin v_j v_{j-1}^dag, whose kron is P_j
-        factors = after @ np.conj(np.swapaxes(before, 1, 2))
-        sign = _frame_sign(factors, previous)
-        previous = factors
-        if sign < 0:
-            np.negative(frame, out=frame)
-        elif sign == 0:
-            _kron_into(factors, frame)
-            _block_apply(blocks, frame, transpose=True, conj=True)  # U^dag P
-            _block_apply(blocks, frame.T, transpose=True, conj=False)  # (U^dag P) U, through its transpose
-        if j == len(times):
-            break
-        if j == 0:
-            # frame[:, cols] is a view of every column, else a copy of the sector's
-            cycles = [np.multiply(frame[:, cols], np.exp(-1j * lam * (times[0] * eps))[:, None]) for eps in epsilons]
-            continue
-        for Y, eps in zip(cycles, epsilons):
-            phase = np.exp(-1j * lam * (times[j] * eps))[:, None]
-            for c in range(0, Y.shape[1], _CHUNK):
-                part = Y[:, c : c + _CHUNK]
-                np.multiply(frame @ part, phase, out=part)
-    return lam, blocks, cycles, frame
+    basis = np.arange(lam.size)[cols]
+    start = np.zeros((lam.size, basis.size), dtype=complex)
+    start[basis, np.arange(basis.size)] = 1.0  # the identity's columns cols
+    _pulse(blocks, pulses[0], start)
+
+    def cycle(eps):
+        Y = np.multiply(start, np.exp(-1j * lam * (times[0] * eps))[:, None])
+        for t, factors in zip(times[1:], pulses[1:]):
+            _pulse(blocks, factors, Y, np.exp(-1j * lam * (t * eps)))
+        _pulse(blocks, pulses[-1], Y)
+        return Y
+
+    return lam, blocks, cycle
 
 
-def _frame_sign(factors, previous) -> int:
-    """+1 or -1 when the (n, 2, 2) `factors` equal `previous` spin by spin up
-    to an exact sign per spin, the product of those signs; 0 otherwise."""
-    if previous is None:
-        return 0
-    same = (factors == previous).all(axis=(1, 2))
-    if not (same | (factors == -previous).all(axis=(1, 2))).all():
-        return 0
-    return -1 if np.count_nonzero(~same) % 2 else 1
+def _pulse(blocks, factors, X, phase=None):
+    """X <- diag(phase) U^dag P U X in place, P = kron_all(factors) for
+    (n, 2, 2) per-spin `factors` and U kept as `blocks`; no phase when it
+    is None.  Each chunk of _CHUNK columns takes all three factors in turn,
+    so no temporary exceeds 2^n x _CHUNK entries."""
+    for c in range(0, X.shape[1], _CHUNK):
+        part = X[:, c : c + _CHUNK]
+        _block_apply(blocks, part, transpose=False, conj=False)  # U
+        _kron_apply(factors, part)
+        _block_apply(blocks, part, transpose=True, conj=True)  # U^dag
+        if phase is not None:
+            part *= phase[:, None]
 
 
-def _kron_into(mats, out):
-    """kron_all(mats) of (n, 2, 2) factors written into `out` (2^n x 2^n)."""
-    head = kron_all(mats[:-1])
-    m = head.shape[0]
-    np.multiply(head[:, None, :, None], mats[-1][None, :, None, :], out=out.reshape(m, 2, m, 2))
+def _kron_apply(factors, X):
+    """X <- kron_all(factors) @ X in place, for (n, 2, 2) `factors` and a
+    2^n-row X (a view is fine).  Spin k is the k-th most significant bit
+    of the row index, so its factor acts on the middle axis of X seen as
+    (2^k, 2, rest): one batched 2 x 2 product per spin, on a contiguous
+    copy of X."""
+    Z = np.array(X)
+    for k, f in enumerate(factors):
+        Z = np.matmul(f, Z.reshape(1 << k, 2, -1))
+    X[...] = Z.reshape(X.shape)
 
 
 def _components(H):
@@ -423,6 +437,13 @@ def error_scaling(J, scheme: Scheme, epsilons, tol: float = 1e-9) -> ErrorScalin
     large-eps breakdown; if every error sits below 1e-13 the cycle is
     reported exact instead of sloped.
 
+    A factored coupling whose type A has an off-diagonal entry is first
+    turned into A's eigenframe (`_eigenframe`), after the scheme is
+    verified on the coupling as given: a global rotation leaves the error
+    unchanged, and there H is real with its parity blocks, where it would
+    otherwise be one complex block.  An axis-aligned type or a raw J is run
+    as given; a raw J with one block costs two dense transforms per pulse.
+
     For odd n, when J and every conjugated coupling V_j J V_j^T have
     diagonal 3x3 blocks (`_parity_sector`), only the even parity sector
     is run.  Then each conjugated Hamiltonian, H and exp(+i H eps) hold
@@ -431,14 +452,15 @@ def error_scaling(J, scheme: Scheme, epsilons, tol: float = 1e-9) -> ErrorScalin
     X^(x)n, which anticommutes with Z^(x)n for odd n, maps its even block
     onto its odd one, so the even block has the norm of the whole.  U's
     blocks lie inside parity sectors, so in H's eigenbasis that block is
-    the error's even-popcount columns, and a cycle costs half its
-    matmuls and the norm half its width; any other input runs on every
-    column.
+    the error's even-popcount rows and columns, and a cycle advances half
+    the columns and the norm sees a quarter of the entries; any other
+    input runs on every column.
 
-    The cycles come from `_simulate`, and each accumulator takes its
-    shift K_N^dag E in place, one row chunk of K_N at a time, so the
-    working set stays at the len(epsilons) accumulators of 2^n x
-    len(cols), the last frame and 2^n x 64 chunks.
+    The cycles come from `_simulate`, one eps at a time, and each is
+    normed on its own block of rows and columns `cols` minus the diagonal
+    E, so the working set after H's eigen-solve is the shared start, one
+    accumulator of 2^n x len(cols), that block and 2^n x 64 chunks,
+    whatever len(epsilons).
     """
     eps_list = [float(e) for e in epsilons]
     if len(eps_list) < 3:
@@ -446,26 +468,17 @@ def error_scaling(J, scheme: Scheme, epsilons, tol: float = 1e-9) -> ErrorScalin
     # written as not (0 < e < inf) so that a NaN value fails the check
     if not all(0.0 < e < math.inf for e in eps_list) or len(set(eps_list)) != len(eps_list):
         raise ValueError("epsilon values must be finite, positive and distinct")
-    coupling = _gated(J, scheme, tol)
+    coupling, scheme = _eigenframe(_gated(J, scheme, tol), scheme)
     cols = _parity_sector(coupling, scheme)
-    lam, blocks, cycles, last = _simulate(coupling, scheme, eps_list, cols)
-    # ||C - exp(+iH eps)|| = ||K_N Y - E|| = ||Y - K_N^dag E|| with
-    # E = exp(+i lam eps) diagonal, as U and K_N are unitary; the columns
-    # of K_N^dag E = conj(K_N^T conj(E)) are formed from row chunks of K_N
-    width = cycles[0].shape[1]
-    shift = np.empty((lam.size, min(width, _CHUNK)), dtype=complex)
-    for eps, Y in zip(eps_list, cycles):
-        conj_phase = np.exp(-1j * lam * eps)
-        for c in range(0, width, _CHUNK):
-            # every column: a slice of K_N's rows, not a gathered copy
-            rows = slice(c, c + _CHUNK) if isinstance(cols, slice) else cols[c : c + _CHUNK]
-            np.multiply(last[rows].T, conj_phase[rows], out=shift)
-            part = Y[:, c : c + _CHUNK]
-            part -= np.conjugate(shift, out=shift)
-    # freed before the norms, so that their Krylov bases stay under the
-    # memory peak of _simulate
-    del blocks, last, shift
-    errors = [_lanczos_norm(Y) for Y in cycles]
+    lam, _, cycle = _simulate(coupling, scheme, cols)
+    errors = []
+    for eps in eps_list:
+        # ||C - exp(+iH eps)|| = ||U^dag C U - E|| with E = exp(+i lam eps)
+        # diagonal; on the sector, the cycle's block of rows and columns cols
+        M = cycle(eps)[cols]
+        M.reshape(-1)[:: M.shape[1] + 1] -= np.exp(1j * lam[cols] * eps)
+        errors.append(_lanczos_norm(M))
+        del M  # before the next eps allocates its accumulator
     exact = all(err < _EXACT_CUTOFF for err in errors)
     slope = None
     usable = [(e, err) for e, err in zip(eps_list, errors) if _FIT_FLOOR <= err <= _FIT_CEILING]

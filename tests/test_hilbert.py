@@ -13,6 +13,7 @@ from spinrev import (
     build_hamiltonian,
     complete_weights,
     conjugation_consistency,
+    coupling_from_dict,
     dipole_type,
     error_scaling,
     evolve,
@@ -21,6 +22,7 @@ from spinrev import (
     octahedral_group,
     operator_norm,
     pi_rotation,
+    random_special_unitary,
     run_cycle,
     scalar_type,
     synthesize_case1,
@@ -335,48 +337,43 @@ class TestErrorScaling:
         assert len(data["errors"]) == 4
 
 
-class TestFrameReuse:
-    """A pulse whose per-spin factors repeat those of the pulse before it,
-    up to exact signs, reuses that pulse's frame instead of building it."""
+class TestPerSpinPulse:
+    """A pulse is applied as U, its n per-spin 2x2 factors, then U^dag,
+    chunk by chunk of columns, never as a 2^n x 2^n frame."""
 
-    @staticmethod
-    def recorded(monkeypatch, J, scheme, eps_list):
-        kron_calls, signs = [], []
-        kron_into, frame_sign = hilbert._kron_into, hilbert._frame_sign
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_kron_apply_matches_the_kron(self, n):
+        rng = np.random.default_rng(90 + n)
+        factors = np.stack([random_special_unitary(rng) for _ in range(n)])
+        P = kron_all(factors)
+        wide = rng.normal(size=(2**n, 70)) + 1j * rng.normal(size=(2**n, 70))
+        before = wide.copy()
+        # whole arrays and a column view of a wider one, as the chunks are
+        for X in (wide.copy(), wide[:, :1].copy(), wide[:, 5:8]):
+            expected = P @ X
+            hilbert._kron_apply(factors, X)
+            assert np.abs(X - expected).max() <= 1e-12
+        assert np.array_equal(np.delete(wide, [5, 6, 7], axis=1), np.delete(before, [5, 6, 7], axis=1))
 
-        def counting_kron(mats, out):
-            kron_calls.append(mats.shape)
-            return kron_into(mats, out)
-
-        def recording_sign(factors, previous):
-            signs.append(frame_sign(factors, previous))
-            return signs[-1]
-
-        monkeypatch.setattr(hilbert, "_kron_into", counting_kron)
-        monkeypatch.setattr(hilbert, "_frame_sign", recording_sign)
-        return error_scaling(J, scheme, eps_list), kron_calls, signs
-
-    # the collective two-step scheme's three pulses share their per-spin
-    # factor up to a sign on every spin: an odd n negates the frame
-    @pytest.mark.parametrize("n, flip", [(3, -1), (4, 1)], ids=["n3-negated", "n4-kept"])
-    def test_collective_scheme_builds_one_frame(self, monkeypatch, n, flip):
-        W = complete_weights(n)
-        J = tensor_coupling(W, dipole_type())
-        scheme = synthesize_case1(W, dipole_type())
-        eps_list = [0.2, 0.1, 0.05, 0.025]
-        scaling, kron_calls, signs = self.recorded(monkeypatch, J, scheme, eps_list)
-        assert len(kron_calls) == 1
-        assert signs == [0, 1, flip]
-        assert np.allclose(scaling.errors, hand_built_errors(J, scheme, eps_list), rtol=1e-12, atol=0.0)
-
-    def test_many_step_class_two_builds_every_frame(self, monkeypatch):
-        W = complete_weights(4)
-        A = np.diag([2.0, 1.0, -1.0])
-        scheme = synthesize_case2(W, A)
-        assert len(scheme.steps) == 12
-        _, kron_calls, signs = self.recorded(monkeypatch, tensor_coupling(W, A), scheme, [0.2, 0.1, 0.05])
-        assert len(kron_calls) == 13
-        assert signs == [0] * 13
+    @pytest.mark.parametrize("chunk", [1, 3, 64, 256])
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_pulse_matches_the_dense_frame(self, monkeypatch, n, chunk):
+        # diag(phase) U^dag P U X for a blocked U (the dipole at n >= 3,
+        # zero coupling at n = 1), at chunk widths below, at and above 2^n
+        monkeypatch.setattr(hilbert, "_CHUNK", chunk)
+        rng = np.random.default_rng(100 + n)
+        if n == 1:
+            H = np.zeros((2, 2), dtype=complex)
+        else:
+            H = build_hamiltonian(tensor_coupling(random_weights(rng, n), dipole_type()))
+        lam, blocks = hilbert._block_eigh(H)
+        U = dense_unitary(blocks, 2**n)
+        factors = np.stack([random_special_unitary(rng) for _ in range(n)])
+        phase = np.exp(1j * rng.uniform(-np.pi, np.pi, size=2**n))
+        X = rng.normal(size=(2**n, 2**n + 5)) + 1j * rng.normal(size=(2**n, 2**n + 5))
+        expected = phase[:, None] * (U.conj().T @ kron_all(factors) @ U @ X)
+        hilbert._pulse(blocks, factors, X, phase)
+        assert np.abs(X - expected).max() <= 1e-12
 
 
 def recorded_eigh(monkeypatch):
@@ -481,8 +478,9 @@ def test_block_eigh_on_the_connected_blocks(coupling, sizes, dtype):
 
 
 def test_error_scaling_working_set():
-    # the len(eps) accumulators, the frame and 2^n x 64 chunks: at most
-    # len(eps) + 2 matrices of 2^n x 2^n complex entries at any time
+    # H while it is diagonalised, then the shared start, one accumulator
+    # and 2^n x 64 chunks, whatever len(eps): at most 3 matrices of
+    # 2^n x 2^n complex entries at any time
     n, eps_list = 8, [0.02, 0.01, 0.005, 0.0025]
     J = tensor_coupling(complete_weights(n), dipole_type())
     scheme = synthesize_case1(complete_weights(n), dipole_type())
@@ -492,12 +490,13 @@ def test_error_scaling_working_set():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (len(eps_list) + 2) * 4**n * 16
+    assert peak <= 3 * 4**n * 16
 
 
 def test_odd_axis_diagonal_working_set():
-    # an odd-n dipole cycle runs on the even parity sector: len(eps)
-    # accumulators of 2^n x 2^(n-1), the frame and 2^n x 64 chunks
+    # an odd-n dipole cycle runs on the even parity sector: after H, the
+    # shared start and one accumulator of 2^n x 2^(n-1), the sector block
+    # being normed and 2^n x 64 chunks
     n, eps_list = 9, [0.02, 0.01, 0.005, 0.0025]
     J = tensor_coupling(complete_weights(n), dipole_type())
     scheme = synthesize_case1(complete_weights(n), dipole_type())
@@ -507,7 +506,51 @@ def test_odd_axis_diagonal_working_set():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (len(eps_list) / 2 + 2) * 4**n * 16
+    assert peak <= 1.5 * 4**n * 16
+
+
+class TestEigenframe:
+    """A factored coupling whose type has off-diagonal entries is simulated
+    in the type's eigenframe; every other input is run as given."""
+
+    @staticmethod
+    def factored(W, A):
+        return coupling_from_dict({"n": len(W), "W": W.tolist(), "A": A.tolist()})
+
+    def test_axis_aligned_and_raw_inputs_run_as_given(self):
+        W = random_weights(np.random.default_rng(83), 4)
+        for A in (dipole_type(), np.diag([2.0, 1.0, -1.0])):
+            coupling = self.factored(W, A)
+            scheme = synthesize_case1(W, A) if np.trace(A) == 0 else synthesize_case2(W, A)
+            turned, turned_scheme = hilbert._eigenframe(coupling, scheme)
+            assert turned is coupling and turned_scheme is scheme
+        raw = hilbert._checked(rotated_dipole(4))
+        assert hilbert._eigenframe(raw, None)[0] is raw
+
+    def test_turned_type_runs_real_and_blocked(self):
+        # the turned coupling is W (x) diag(mu), whose H is real with its
+        # two parity blocks, where the raw J gives one complex block
+        rng = np.random.default_rng(84)
+        W = random_weights(rng, 5)
+        R = random_rotation(rng)
+        A = R @ np.diag([2.0, 1.0, -1.0]) @ R.T
+        A = 0.5 * (A + A.T)
+        coupling = self.factored(W, A)
+        scheme = synthesize_case2(W, A)
+        turned, turned_scheme = hilbert._eigenframe(coupling, scheme)
+        assert np.array_equal(turned.J, np.kron(W, np.diag(coupling.spectrum.eigenvalues)))
+        assert len(turned_scheme.steps) == len(scheme.steps)
+        _, blocks = hilbert._block_eigh(build_hamiltonian(turned))
+        assert [idx.shape for idx, V in blocks] == [(2, 16)] and blocks[0][1].dtype == np.float64
+        eps_list = [0.02, 0.01, 0.005]
+        errors = error_scaling(coupling, scheme, eps_list).errors
+        assert np.allclose(errors, error_scaling(coupling.J, scheme, eps_list).errors, rtol=1e-11, atol=0.0)
+
+    def test_run_cycle_keeps_the_original_frame(self):
+        W, A = rotated_traceless_3(seed=4)
+        scheme = synthesize_case1(W, A)
+        C = run_cycle(self.factored(W, A), scheme, 0.2)
+        assert np.abs(C - run_cycle(tensor_coupling(W, A), scheme, 0.2)).max() <= 1e-13
 
 
 class TestLanczosNorm:

@@ -41,6 +41,7 @@ from spinrev import (
     cli,
     collective_cyclic_pool,
     complete_weights,
+    coupling_from_dict,
     error_scaling,
     greedy_pool_growth,
     merge_pools,
@@ -49,6 +50,7 @@ from spinrev import (
     rotation_about,
     scalar_type,
     scheme_from_dict,
+    scheme_stats,
     scheme_to_dict,
     search_result_to_dict,
     synthesize_case1,
@@ -330,37 +332,47 @@ def test_written_scheme_is_the_dumped_dict(scheme):
 
 @st.composite
 def oracle_problems(draw):
-    """(W, A) at n = 2-4 for the collective class-1 scheme: signed weights
-    with zeros, so that uncoupled spins split H into more blocks, and a
-    traceless type that is diagonal or turned off its eigenframe, which
-    makes H complex."""
+    """(W, A, scheme, factored) at n = 2-4: signed weights with zeros, so
+    that uncoupled spins split H into more blocks; a class-1 (traceless)
+    or class-2 (mixed-sign) type, diagonal or turned off its eigenframe,
+    which makes H complex; its synthesized scheme; and, for a turned type,
+    whether the coupling goes in factored, so that the oracle runs the
+    cycle in A's eigenframe."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 4))
     W = np.triu(rng.uniform(0.2, 1.5, size=(n, n)) * rng.choice([-1.0, 0.0, 1.0], size=(n, n)), 1)
     if not W.any():
         k = rng.integers(n - 1)
         W[k, k + 1] = 1.0
+    W = W + W.T
     a, b = rng.uniform(0.2, 1.5, size=2) * rng.choice([-1.0, 1.0], size=2)
-    A = np.diag([a, b, -a - b])
-    if draw(st.booleans()):
+    class2 = draw(st.booleans())
+    if class2:
+        A = np.diag(rng.permutation([a, -b if a * b > 0 else b, rng.uniform(-1.5, 1.5)]))
+    else:
+        A = np.diag([a, b, -a - b])
+    rotated = draw(st.booleans())
+    if rotated:
         R = random_rotation(rng)
         A = R @ A @ R.T
         A = 0.5 * (A + A.T)
-    return W + W.T, A
+    scheme = synthesize_case2(W, A) if class2 else synthesize_case1(W, A)
+    return W, A, scheme, rotated and draw(st.booleans())
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(oracle_problems())
 def test_error_scaling_matches_the_dense_cycle(problem):
-    # eps scaled to the coupling keeps errors of a non-commuting cycle
-    # near 1e-3, far above rounding; a commuting cycle (every n = 2 one)
-    # has errors at rounding on both sides, hence the absolute floor
-    W, A = problem
+    # eps scaled to the coupling and the scheme's overhead keeps errors of
+    # a non-commuting cycle near 1e-3, far above rounding; a commuting
+    # cycle (every class-1 one at n = 2) has errors at rounding on both
+    # sides, hence the absolute floor
+    W, A, scheme, factored = problem
     J = tensor_coupling(W, A)
-    scheme = synthesize_case1(W, A)
-    scale = float(np.abs(W).max() * np.abs(np.linalg.eigvalsh(A)).max())
-    eps_list = [0.2 / scale, 0.1 / scale, 0.05 / scale]
-    errors = error_scaling(J, scheme, eps_list).errors
+    coupling = coupling_from_dict({"n": len(W), "W": W.tolist(), "A": A.tolist()}) if factored else J
+    scale = float(np.abs(W).max() * np.abs(np.linalg.eigvalsh(A)).max()) * scheme_stats(scheme).tau
+    eps_list = [0.4 / scale, 0.2 / scale, 0.1 / scale]
+    errors = error_scaling(coupling, scheme, eps_list).errors
     assert np.allclose(errors, hand_built_errors(J, scheme, eps_list), rtol=1e-11, atol=1e-13)
 
 
@@ -406,9 +418,9 @@ def odd_cycles(draw):
 @settings(derandomize=True, max_examples=24, deadline=None, database=None)
 @given(odd_cycles())
 def test_odd_cycles_norm_the_even_sector_only_when_it_is_exact(problem):
-    # the accumulators reach the norm whole: their width is the sector's
-    # half for axis-diagonal cycles and 2^n for every other one, and the
-    # errors match the dense cycle on all columns either way
+    # the cycle's own sector block reaches the norm: the sector's half of
+    # the rows and columns for axis-diagonal cycles, all 2^n for every
+    # other one, and the errors match the dense cycle either way
     W, A, scheme, width = problem
     J = tensor_coupling(W, A)
     scale = float(np.abs(W).max() * np.abs(np.linalg.eigvalsh(A)).max())
@@ -422,5 +434,5 @@ def test_odd_cycles_norm_the_even_sector_only_when_it_is_exact(problem):
 
     with mock.patch.object(hilbert, "_lanczos_norm", spy):
         errors = error_scaling(J, scheme, eps_list).errors
-    assert shapes == [(2 ** scheme.n, width)] * len(eps_list)
+    assert shapes == [(width, width)] * len(eps_list)
     assert np.allclose(errors, hand_built_errors(J, scheme, eps_list), rtol=1e-11, atol=1e-13)

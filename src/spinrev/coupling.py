@@ -82,7 +82,11 @@ def tensor_coupling(W, A) -> np.ndarray:
     """Coupling with block (k, l) = w_kl * A, i.e. the Kronecker product W (x) A."""
     W = check_weight_matrix(W)
     A = check_type_matrix(A)
-    return np.kron(W, A)
+    with np.errstate(over="ignore"):
+        J = np.kron(W, A)
+    if not np.isfinite(J).all():
+        raise ValueError("coupling matrix W (x) A overflows float64")
+    return J
 
 
 def complete_weights(n: int) -> np.ndarray:

@@ -15,10 +15,9 @@ by the real symmetric solver.  Each pulse is applied to the cycle's
 accumulator as U, then its n per-spin 2x2 factors, then U^dag, so no
 2^n x 2^n pulse frame is ever formed, and the eps values run one at a
 time.  The error norm comes from Lanczos on M^dag M, not from a dense
-eigen-solve.  An odd-n cycle whose couplings are all axis-diagonal is run
-and normed on its even parity sector only, and a factored coupling whose
-type is off its axes is simulated in the type's eigenframe, where H is
-real and blocked.
+eigen-solve.  `error_scaling` turns J onto the frame where J and every
+conjugated coupling have diagonal 3x3 blocks, when there is one, read
+off J alone, and runs an odd-n cycle there on its even parity sector.
 """
 
 from __future__ import annotations
@@ -29,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import _checked
-from .rotations import check_symmetric, so3_to_su2
+from .coupling import CouplingInput, _checked
+from .rotations import check_symmetric, so3_to_su2, sym_eig
 from .schemes import Scheme, SchemeKind, Step, conjugate, verify
 
 MAX_SPINS = 10
@@ -42,6 +41,7 @@ _LANCZOS_CHECK = 4  # steps between Ritz tests
 _LANCZOS_SEED = 0
 _LANCZOS_TOL = 1e-13
 _CHUNK = 64  # columns per chunk of a block transform or a pulse
+_FRAME_TOL = 1e-11  # share of max|J| below which a turned entry is rounding
 
 
 def _axis_action(idx, n, site, axis):
@@ -151,7 +151,7 @@ def run_cycle(J, scheme: Scheme, epsilon: float, tol: float = 1e-9) -> np.ndarra
     first -- the cycle is only meaningful then -- except for the zero
     coupling, whose cycle is trivially the identity.  The sign choice of
     each spin-1/2 lift cancels in the conjugation.  The cycle is run in
-    J's own frame (no eigenframe turn, unlike `error_scaling`), and its
+    J's own frame (no turn, unlike `error_scaling`), and its
     eigenbasis form U^dag C U from `_simulate` is mapped back to C by the
     block transforms.
     """
@@ -170,27 +170,52 @@ def _gated(J, scheme, tol):
     coupling = _checked(J)
     if scheme.kind is not SchemeKind.INVERSION:
         raise ValueError("cycle simulation expects an inversion scheme")
-    if float(np.linalg.norm(coupling.J)) > 0.0:
+    if coupling.J.any():
         result = verify(scheme, coupling, tol)
         if not result.ok:
             raise NotAnInversion(result.residual)
     return coupling
 
 
-def _eigenframe(coupling, scheme):
-    """(coupling, scheme) turned into the eigenframe of a factored type A =
-    Q diag(mu) Q^T with an off-diagonal entry: W (x) diag(mu) and the step
-    rotations Q^T R Q.  Every conjugated coupling turns by the same Q^T on
-    each spin, R' diag(mu) R'^T = Q^T (R A R^T) Q, so the cycle and exp(+iH
-    eps) are conjugated by one global unitary and the error norm is
-    unchanged; H becomes real, with its parity blocks.  Any other input is
-    returned as is."""
-    A = coupling.A
-    if not coupling.factored or not (A - np.diag(np.diag(A))).any():
-        return coupling, scheme
-    Q, mu = coupling.spectrum.eigenvectors, coupling.spectrum.eigenvalues
-    steps = tuple(Step(step.t, Q.T @ step.rotations @ Q) for step in scheme.steps)
-    return _checked(np.kron(coupling.W, np.diag(mu))), Scheme(scheme.kind, steps)
+def _frame(coupling, scheme):
+    """(coupling, scheme, cols) on which `error_scaling` runs a gated input.
+
+    Input whose J and conjugated couplings V_j J V_j^T have diagonal 3x3
+    blocks comes back as is.  Else Q, from one eigh of a fixed generic
+    combination of those blocks, is accepted if every Q^T B Q is diagonal
+    to _FRAME_TOL max|J|: J becomes its turned diagonals, a pair equal to
+    that tolerance made equal on x and y, and each Q^T R Q that close to
+    a signed permutation becomes one.  `cols` is then the even-popcount
+    states for odd n; other input runs as given on every column.
+    """
+    n, J = coupling.n, coupling.J
+    rotations = np.stack([step.rotations for step in scheme.steps])
+    blocks = np.concatenate([J[None], conjugate(rotations, J)]).reshape(-1, n, 3, n, 3).swapaxes(2, 3)
+    off = ~np.eye(3, dtype=bool)
+    if blocks[..., off].any():
+        flat = blocks.reshape(-1, 3, 3)
+        # incommensurate weights, so that no two joint eigenvalues merge by accident
+        G = np.tensordot(np.sin(np.arange(1, len(flat) + 1)), flat, 1)
+        Q = sym_eig(0.5 * (G + G.T)).eigenvectors
+        turned = Q.T @ blocks @ Q
+        cut = _FRAME_TOL * np.abs(J).max()
+        if np.abs(turned[..., off]).max() > cut:
+            return coupling, scheme, slice(None)
+        d = np.diagonal(turned[0], axis1=-2, axis2=-1)
+        pairs = [[a, b, 3 - a - b] for a, b in ((0, 1), (0, 2), (1, 2)) if np.abs(d[..., a] - d[..., b]).max() <= cut]
+        order = pairs[0] if pairs else [0, 1, 2]
+        Q, d = Q[:, order], d[..., order]
+        if pairs:
+            d[..., :2] = 0.5 * (d[..., :1] + d[..., 1:2])
+        R = Q.T @ rotations @ Q
+        snapped = np.rint(R)
+        R = np.where(np.abs(R - snapped).max(axis=(-2, -1), keepdims=True) <= _FRAME_TOL, snapped, R)
+        coupling = CouplingInput(n, np.einsum("kla,ab->kalb", d, np.eye(3)).reshape(3 * n, 3 * n))
+        scheme = Scheme(scheme.kind, tuple(Step(step.t, r) for step, r in zip(scheme.steps, R)))
+    if n % 2 == 0 or n > MAX_SPINS:  # above the cap, build_hamiltonian refuses
+        return coupling, scheme, slice(None)
+    parity = np.bitwise_xor.reduce(np.arange(1 << n)[:, None] >> np.arange(n), axis=1) & 1
+    return coupling, scheme, np.flatnonzero(parity == 0)
 
 
 def _simulate(coupling, scheme, cols):
@@ -203,7 +228,7 @@ def _simulate(coupling, scheme, cols):
 
     with D_j = exp(-i lam t_j eps) and K_j = U^dag P_j U for the pulse
     P_j = v_j v_{j-1}^dag (v_{-1} = v_N = 1).  `cols` is slice(None) for
-    every column or an index array (see `_parity_sector`).  No K_j is
+    every column or an index array (see `_frame`).  No K_j is
     formed: each pulse is applied to the accumulator by `_pulse`, as U,
     then P_j as its n per-spin 2x2 factors, then U^dag.  Only the first
     pulse's columns K_0[:, cols] are computed once, here; each call copies
@@ -333,25 +358,6 @@ def _block_apply(blocks, X, transpose, conj):
                 part[idx] = np.matmul(A, rows)
 
 
-def _parity_sector(coupling, scheme):
-    """The columns on which the error of `scheme`'s cycle is normed: the
-    even-popcount basis states when n is odd and J and every conjugated
-    coupling have exactly zero off-diagonal entries in their 3x3 blocks,
-    else slice(None), every column (see `error_scaling`)."""
-    n = coupling.n
-    if n % 2 == 0:
-        return slice(None)
-    off = np.tile(~np.eye(3, dtype=bool), (n, n))
-    conjugated = conjugate(np.stack([step.rotations for step in scheme.steps]), coupling.J)
-    if coupling.J[off].any() or conjugated[:, off].any():
-        return slice(None)
-    idx = np.arange(1 << n)
-    parity = np.zeros_like(idx)
-    for site in range(n):
-        parity ^= idx >> site
-    return np.flatnonzero((parity & 1) == 0)
-
-
 def _lanczos_norm(M) -> float:
     """Largest singular value of M by Lanczos on M^dag M, whose Krylov
     space lies in the span of M's columns: a tall M costs its width.
@@ -437,24 +443,18 @@ def error_scaling(J, scheme: Scheme, epsilons, tol: float = 1e-9) -> ErrorScalin
     large-eps breakdown; if every error sits below 1e-13 the cycle is
     reported exact instead of sloped.
 
-    A factored coupling whose type A has an off-diagonal entry is first
-    turned into A's eigenframe (`_eigenframe`), after the scheme is
-    verified on the coupling as given: a global rotation leaves the error
-    unchanged, and there H is real with its parity blocks, where it would
-    otherwise be one complex block.  An axis-aligned type or a raw J is run
-    as given; a raw J with one block costs two dense transforms per pulse.
-
-    For odd n, when J and every conjugated coupling V_j J V_j^T have
-    diagonal 3x3 blocks (`_parity_sector`), only the even parity sector
-    is run.  Then each conjugated Hamiltonian, H and exp(+i H eps) hold
-    only xx, yy and zz terms, which commute with Z^(x)n and with X^(x)n,
-    so the error operator does too: it is block diagonal by Z parity, and
-    X^(x)n, which anticommutes with Z^(x)n for odd n, maps its even block
-    onto its odd one, so the even block has the norm of the whole.  U's
-    blocks lie inside parity sectors, so in H's eigenbasis that block is
-    the error's even-popcount rows and columns, and a cycle advances half
-    the columns and the norm sees a quarter of the entries; any other
-    input runs on every column.
+    The input is first turned by `_frame`, after the scheme is verified
+    on the coupling as given: where J and every conjugated coupling
+    V_j J V_j^T share a frame that makes their 3x3 blocks diagonal, a
+    global rotation turns them onto it, which leaves the error unchanged,
+    and H is real and keeps the blocks of the axis-aligned twin.  There,
+    for odd n, only the even parity sector is run: each conjugated
+    Hamiltonian, H and exp(+i H eps) hold only xx, yy and zz terms, so the
+    error operator commutes with Z^(x)n and X^(x)n; it is block diagonal
+    by Z parity, and X^(x)n, which anticommutes with Z^(x)n for odd n,
+    maps its even block onto its odd one, so the even block has the norm
+    of the whole.  U's blocks lie inside parity sectors, so that block is
+    the error's even-popcount rows and columns in H's eigenbasis too.
 
     The cycles come from `_simulate`, one eps at a time, and each is
     normed on its own block of rows and columns `cols` minus the diagonal
@@ -468,8 +468,7 @@ def error_scaling(J, scheme: Scheme, epsilons, tol: float = 1e-9) -> ErrorScalin
     # written as not (0 < e < inf) so that a NaN value fails the check
     if not all(0.0 < e < math.inf for e in eps_list) or len(set(eps_list)) != len(eps_list):
         raise ValueError("epsilon values must be finite, positive and distinct")
-    coupling, scheme = _eigenframe(_gated(J, scheme, tol), scheme)
-    cols = _parity_sector(coupling, scheme)
+    coupling, scheme, cols = _frame(_gated(J, scheme, tol), scheme)
     lam, _, cycle = _simulate(coupling, scheme, cols)
     errors = []
     for eps in eps_list:

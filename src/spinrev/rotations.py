@@ -54,13 +54,18 @@ def check_rotation(R, tol: float = _ROTATION_TOL) -> np.ndarray:
 def check_symmetric(M, name: str, detail: str = "") -> None:
     """Reject a matrix that is not square, has a non-finite entry, or has
     max|M - M^dag| > 1e-12 max(||M||_F, 1): "symmetric" for real input,
-    "Hermitian" for complex.  `detail` is appended to the symmetry message."""
+    "Hermitian" for complex.  `detail` is appended to the symmetry message.
+    The test runs on M / max|M|, whose gap and norm cannot overflow."""
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     # NaN compares false, so the symmetry test alone would let it through
     if not np.isfinite(M).all():
         raise ValueError(f"{name} has non-finite entries (NaN or infinity)")
-    if np.abs(M - M.conj().T).max(initial=0.0) > 1e-12 * max(float(np.linalg.norm(M)), 1.0):
+    scale = float(np.abs(M).max(initial=0.0))
+    if scale == 0.0:
+        return
+    S = M / scale
+    if np.abs(S - S.conj().T).max() > 1e-12 * max(float(np.linalg.norm(S)), 1.0 / scale):
         kind = "Hermitian" if np.iscomplexobj(M) else "symmetric"
         raise ValueError(f"{name} is not {kind}{detail}")
 

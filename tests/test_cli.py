@@ -759,3 +759,69 @@ class TestOneCheckPerJob:
         assert code == 2
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: --p must be an integer >= 2"]
+
+
+def _raw_asymmetric_doc():
+    # a raw J whose two mirrored entries differ tenfold near overflow
+    J = np.zeros((6, 6))
+    J[0, 3], J[3, 0] = 1e308, 1e307
+    return {"n": 2, "J": J.tolist()}
+
+
+class TestExtremeScales:
+    """Finite inputs at the ends of float64's range get the verdict they
+    get at scale 1, in one stderr line and without a numpy warning."""
+
+    def assert_rejected(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("command", ["bounds", "classify", "synthesize"])
+    def test_asymmetric_weights_near_overflow(self, files, capsys, command):
+        _, write = files
+        path = write("c.json", {"n": 2, "W": [[0.0, 1e308], [1e307, 0.0]], "A": np.diag([0.5, 0.5, -1.0]).tolist()})
+        self.assert_rejected(capsys, [command, "--coupling", path], "weight matrix is not symmetric")
+
+    @pytest.mark.parametrize("command", ["bounds", "search"])
+    def test_asymmetric_raw_coupling_near_overflow(self, files, capsys, command):
+        _, write = files
+        path = write("c.json", _raw_asymmetric_doc())
+        self.assert_rejected(
+            capsys,
+            [command, "--coupling", path],
+            "coupling matrix is not symmetric (block (l,k) must be the transpose of block (k,l))",
+        )
+
+    def test_overflowing_tensor_product_is_named(self, files, capsys):
+        # W and A are finite, their Kronecker product is not
+        _, write = files
+        path = write("c.json", {"n": 2, "W": [[0.0, 1e308], [1e308, 0.0]], "A": np.diag([1e308, 1.0, -2.0]).tolist()})
+        self.assert_rejected(capsys, ["bounds", "--coupling", path], "coupling matrix W (x) A overflows float64")
+
+    def test_simulate_verifies_a_coupling_whose_norm_underflows(self, files, capsys):
+        # ||J||_F underflows to 0 although J is not zero: the oracle's gate
+        # still hands the one-step identity scheme to `verify`, as the
+        # verify subcommand does
+        _, write = files
+        n = 3
+        path = write("c.json", {"n": n, "W": (1e-170 * complete_weights(n)).tolist(), "A": dipole_type().tolist()})
+        scheme = write("s.json", {"kind": "inversion", "n": n, "steps": [{"t": 1.0, "rotations": [np.eye(3).tolist()] * n}]})
+        for command in ("verify", "simulate"):
+            self.assert_rejected(
+                capsys, [command, "--coupling", path, "--scheme", scheme], "zero coupling: verification is undefined"
+            )
+
+    @pytest.mark.parametrize("n", [11, 64, 65])
+    def test_simulate_above_the_spin_cap_names_the_cap(self, files, capsys, n):
+        # the cap is met before the oracle sizes anything by 2^n
+        from spinrev import scheme_to_dict, synthesize_case1
+
+        _, write = files
+        path = write("c.json", coupling_doc(n, dipole_type()))
+        scheme = write("s.json", scheme_to_dict(synthesize_case1(complete_weights(n), dipole_type())))
+        self.assert_rejected(
+            capsys, ["simulate", "--coupling", path, "--scheme", scheme], f"{n} spins exceed the dense-oracle cap of 10"
+        )

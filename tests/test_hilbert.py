@@ -419,19 +419,25 @@ def test_operator_norm_matches_svd():
 
 
 @pytest.mark.parametrize(
-    "coupling,dtype",
+    "coupling,simulate,dtype",
     [
-        (lambda: (seeded_dipole_3()[0], dipole_type()), np.float64),
-        (rotated_traceless_3, np.complex128),
+        (lambda: (seeded_dipole_3()[0], dipole_type()), "error_scaling", np.float64),
+        (rotated_traceless_3, "run_cycle", np.complex128),
+        (rotated_traceless_3, "error_scaling", np.float64),
     ],
-    ids=["real", "complex"],
+    ids=["real", "complex", "turned"],
 )
-def test_real_hamiltonian_takes_the_real_solver(monkeypatch, coupling, dtype):
-    # only a Hamiltonian with xy/yz cross terms needs the complex solver
+def test_real_hamiltonian_takes_the_real_solver(monkeypatch, coupling, simulate, dtype):
+    # only a Hamiltonian with xy/yz cross terms needs the complex solver:
+    # run_cycle keeps them in J's own frame, and error_scaling turns them
+    # away (its frame's eigh of a 3 x 3 combination is real too)
     W, A = coupling()
     scheme = synthesize_case1(W, A)
     calls = recorded_eigh(monkeypatch)
-    error_scaling(tensor_coupling(W, A), scheme, [0.2, 0.1, 0.05])
+    if simulate == "run_cycle":
+        run_cycle(tensor_coupling(W, A), scheme, 0.1)
+    else:
+        error_scaling(tensor_coupling(W, A), scheme, [0.2, 0.1, 0.05])
     assert calls
     assert all(call_dtype == dtype for _, call_dtype in calls)
 
@@ -509,42 +515,90 @@ def test_odd_axis_diagonal_working_set():
     assert peak <= 1.5 * 4**n * 16
 
 
-class TestEigenframe:
-    """A factored coupling whose type has off-diagonal entries is simulated
-    in the type's eigenframe; every other input is run as given."""
+def turned_type(A, R):
+    A = R @ A @ R.T
+    return 0.5 * (A + A.T)
+
+
+def block_sizes(coupling):
+    _, blocks = hilbert._block_eigh(build_hamiltonian(coupling))
+    return sorted(s for idx, _ in blocks for s in [idx.shape[1]] * idx.shape[0])
+
+
+class TestFrame:
+    """error_scaling's frame is read from J and its conjugated couplings
+    alone: axis-diagonal input as given, a commuting family turned onto
+    the axes, raw or factored alike, and anything else as given."""
 
     @staticmethod
     def factored(W, A):
         return coupling_from_dict({"n": len(W), "W": W.tolist(), "A": A.tolist()})
 
-    def test_axis_aligned_and_raw_inputs_run_as_given(self):
+    def test_axis_diagonal_inputs_come_back_as_given(self):
         W = random_weights(np.random.default_rng(83), 4)
         for A in (dipole_type(), np.diag([2.0, 1.0, -1.0])):
-            coupling = self.factored(W, A)
             scheme = synthesize_case1(W, A) if np.trace(A) == 0 else synthesize_case2(W, A)
-            turned, turned_scheme = hilbert._eigenframe(coupling, scheme)
-            assert turned is coupling and turned_scheme is scheme
-        raw = hilbert._checked(rotated_dipole(4))
-        assert hilbert._eigenframe(raw, None)[0] is raw
+            for coupling in (self.factored(W, A), hilbert._checked(tensor_coupling(W, A))):
+                turned, turned_scheme, cols = hilbert._frame(coupling, scheme)
+                assert turned is coupling and turned_scheme is scheme and cols == slice(None)
 
-    def test_turned_type_runs_real_and_blocked(self):
-        # the turned coupling is W (x) diag(mu), whose H is real with its
-        # two parity blocks, where the raw J gives one complex block
+    @pytest.mark.parametrize("diagonal", [[2.0, 1.0, -1.0], [1.0, 0.5, -1.5]], ids=["class2", "class1"])
+    def test_raw_and_factored_types_turn_alike(self, diagonal):
+        # a raw J is turned as its factored twin is: the same diagonal
+        # coupling, whose H is real with its two parity blocks, the same
+        # signed-permutation rotations and the even sector of n = 5
         rng = np.random.default_rng(84)
         W = random_weights(rng, 5)
-        R = random_rotation(rng)
-        A = R @ np.diag([2.0, 1.0, -1.0]) @ R.T
-        A = 0.5 * (A + A.T)
-        coupling = self.factored(W, A)
-        scheme = synthesize_case2(W, A)
-        turned, turned_scheme = hilbert._eigenframe(coupling, scheme)
-        assert np.array_equal(turned.J, np.kron(W, np.diag(coupling.spectrum.eigenvalues)))
-        assert len(turned_scheme.steps) == len(scheme.steps)
-        _, blocks = hilbert._block_eigh(build_hamiltonian(turned))
-        assert [idx.shape for idx, V in blocks] == [(2, 16)] and blocks[0][1].dtype == np.float64
+        A = turned_type(np.diag(diagonal), random_rotation(rng))
+        scheme = synthesize_case2(W, A) if diagonal[0] == 2.0 else synthesize_case1(W, A)
+        raw = hilbert._frame(hilbert._checked(tensor_coupling(W, A)), scheme)
+        factored = hilbert._frame(self.factored(W, A), scheme)
+        assert np.array_equal(raw[0].J, factored[0].J) and np.array_equal(raw[2], factored[2])
+        assert all(np.array_equal(a.rotations, b.rotations) for a, b in zip(raw[1].steps, factored[1].steps))
+        turned, turned_scheme, cols = raw
+        off = np.tile(~np.eye(3, dtype=bool), (5, 5))
+        assert not turned.J[off].any() and len(cols) == 16
+        assert all(set(np.unique(step.rotations)) <= {-1.0, 0.0, 1.0} for step in turned_scheme.steps)
+        assert block_sizes(turned) == [16, 16]
         eps_list = [0.02, 0.01, 0.005]
+        errors = error_scaling(tensor_coupling(W, A), scheme, eps_list).errors
+        assert np.allclose(errors, hand_built_errors(tensor_coupling(W, A), scheme, eps_list), rtol=1e-11, atol=0.0)
+
+    def test_non_commuting_inputs_run_as_given(self):
+        # two pair types that share no eigenframe, and a diagonal type whose
+        # scheme cycles the axes of each spin differently, so that the
+        # conjugated blocks are not symmetric
+        rng = np.random.default_rng(85)
+        W = random_weights(rng, 3)
+        A = np.diag([2.0, 1.0, -1.0])
+        J = tensor_coupling(W, A)
+        J[0:3, 3:6] = W[0, 1] * turned_type(A, random_rotation(rng))
+        J[3:6, 0:3] = J[0:3, 3:6].T
+        mixed = Step(1.0, np.stack([np.eye(3), axis_cycle(), axis_cycle().T]))
+        for coupling, scheme in (
+            (hilbert._checked(J), synthesize_case2(W, A)),
+            (self.factored(W, A), Scheme(SchemeKind.INVERSION, (mixed,))),
+        ):
+            turned, turned_scheme, cols = hilbert._frame(coupling, scheme)
+            assert turned is coupling and turned_scheme is scheme and cols == slice(None)
+
+    @pytest.mark.parametrize("form", ["raw", "factored"])
+    def test_turned_dipole_keeps_the_twins_blocks_and_sector(self, form):
+        # the pair of equal entries lands on x and y, so H keeps the
+        # magnetization blocks of the axis-aligned dipole, and odd n keeps
+        # its even sector of 64 columns
+        n, W = 7, complete_weights(7)
+        A = turned_type(dipole_type(), random_rotation(np.random.default_rng(7)))
+        coupling = self.factored(W, A) if form == "factored" else tensor_coupling(W, A)
+        scheme = synthesize_case1(W, A)
+        twin, twin_scheme = tensor_coupling(W, dipole_type()), synthesize_case1(W, dipole_type())
+        turned, _, cols = hilbert._frame(hilbert._checked(coupling), scheme)
+        twin_turned, _, twin_cols = hilbert._frame(hilbert._checked(twin), twin_scheme)
+        assert block_sizes(turned) == block_sizes(twin_turned) and max(block_sizes(turned)) == 35
+        assert np.array_equal(cols, twin_cols) and len(cols) == 2 ** (n - 1)
+        eps_list = [0.01, 0.005, 0.0025, 0.00125]
         errors = error_scaling(coupling, scheme, eps_list).errors
-        assert np.allclose(errors, error_scaling(coupling.J, scheme, eps_list).errors, rtol=1e-11, atol=0.0)
+        assert np.allclose(errors, error_scaling(twin, twin_scheme, eps_list).errors, rtol=1e-11, atol=0.0)
 
     def test_run_cycle_keeps_the_original_frame(self):
         W, A = rotated_traceless_3(seed=4)

@@ -378,16 +378,18 @@ def test_error_scaling_matches_the_dense_cycle(problem):
 
 @st.composite
 def odd_cycles(draw):
-    """(W, A, scheme, width) at n = 3 or 5, `width` the columns the error
-    is normed on.  Axis-diagonal cycles take the even parity sector:
-    signed weights with zeros, a diagonal type of class 1 or 2 and its
-    synthesized scheme.  Two kinds take every column: a class-1 type
-    turned off its eigenframe, and an NNLS scheme over assemblies that
-    cycle the axes of spin 0, spin 1 and the rest by different powers, so
-    that some conjugated block leaves the diagonal."""
+    """(W, A, scheme, width, factored) at n = 3 or 5, `width` the columns
+    the error is normed on and `factored` whether the coupling is given as
+    W and A.  Cycles that are axis-diagonal in some frame take the even
+    parity sector: signed weights with zeros, a diagonal type of class 1
+    or 2 and its synthesized scheme, and a class-1 type turned off its
+    eigenframe, given raw or factored.  An NNLS scheme over assemblies
+    that cycle the axes of spin 0, spin 1 and the rest by different
+    powers takes every column: its conjugated blocks are not symmetric,
+    so no frame makes them diagonal."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.sampled_from([3, 5]))
-    kind = draw(st.sampled_from(["class1", "class2", "rotated", "mixed"]))
+    kind = draw(st.sampled_from(["class1", "class2", "rotated", "rotated-factored", "mixed"]))
     W = np.triu(rng.uniform(0.2, 1.5, size=(n, n)) * rng.choice([-1.0, 0.0, 1.0], size=(n, n)), 1)
     if not W.any():
         k = rng.integers(n - 1)
@@ -396,15 +398,15 @@ def odd_cycles(draw):
     a, b = rng.uniform(0.2, 1.5, size=2) * rng.choice([-1.0, 1.0], size=2)
     if kind == "class2":
         A = np.diag(rng.permutation([a, -b if a * b > 0 else b, rng.uniform(-1.5, 1.5)]))
-        return W, A, synthesize_case2(W, A), 2 ** (n - 1)
+        return W, A, synthesize_case2(W, A), 2 ** (n - 1), False
     A = np.diag([a, b, -a - b])
     if kind == "class1":
-        return W, A, synthesize_case1(W, A), 2 ** (n - 1)
-    if kind == "rotated":
+        return W, A, synthesize_case1(W, A), 2 ** (n - 1), False
+    if kind.startswith("rotated"):
         R = random_rotation(rng)
         A = R @ A @ R.T
         A = 0.5 * (A + A.T)
-        return W, A, synthesize_case1(W, A), 2**n
+        return W, A, synthesize_case1(W, A), 2 ** (n - 1), kind == "rotated-factored"
     W = random_weights(rng, n)
     powers = [np.eye(3), axis_cycle(), axis_cycle().T]
     pool = [
@@ -412,17 +414,19 @@ def odd_cycles(draw):
         for x, y, z in itertools.product(range(3), repeat=3)
         if len({x, y, z}) > 1
     ]
-    return W, A, find_inversion_nnls(tensor_coupling(W, A), user_pool(pool)).scheme, 2**n
+    return W, A, find_inversion_nnls(tensor_coupling(W, A), user_pool(pool)).scheme, 2**n, False
 
 
 @settings(derandomize=True, max_examples=24, deadline=None, database=None)
 @given(odd_cycles())
 def test_odd_cycles_norm_the_even_sector_only_when_it_is_exact(problem):
     # the cycle's own sector block reaches the norm: the sector's half of
-    # the rows and columns for axis-diagonal cycles, all 2^n for every
-    # other one, and the errors match the dense cycle either way
-    W, A, scheme, width = problem
+    # the rows and columns for cycles that are axis-diagonal in some frame,
+    # all 2^n for every other one, and the errors match the dense cycle
+    # either way
+    W, A, scheme, width, factored = problem
     J = tensor_coupling(W, A)
+    coupling = coupling_from_dict({"n": len(W), "W": W.tolist(), "A": A.tolist()}) if factored else J
     scale = float(np.abs(W).max() * np.abs(np.linalg.eigvalsh(A)).max())
     eps_list = [0.2 / scale, 0.1 / scale, 0.05 / scale]
     shapes = []
@@ -433,6 +437,6 @@ def test_odd_cycles_norm_the_even_sector_only_when_it_is_exact(problem):
         return norm(M)
 
     with mock.patch.object(hilbert, "_lanczos_norm", spy):
-        errors = error_scaling(J, scheme, eps_list).errors
+        errors = error_scaling(coupling, scheme, eps_list).errors
     assert shapes == [(width, width)] * len(eps_list)
     assert np.allclose(errors, hand_built_errors(J, scheme, eps_list), rtol=1e-11, atol=1e-13)

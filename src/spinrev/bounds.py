@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .coupling import CouplingClass, CouplingInput, _checked, _factored, classify_type
+from .rotations import _frobenius
 
 if TYPE_CHECKING:
     from .schemes import Scheme, SchemeStats
@@ -73,16 +74,15 @@ def tau_lower_bound(J) -> float:
 def steps_lower_bound(W, A=None, tol: float = 1e-9) -> int:
     """Step-count bound n-1 for a semidefinite type on the complete graph.
 
-    Stated only for weight matrices whose off-diagonal entries are all 1
-    (any all-nonzero weight pattern rescales to that form); other weights
-    are refused rather than extrapolated.
+    Stated only for weight matrices whose off-diagonal entries all share
+    one nonzero value; other weights are refused rather than extrapolated.
     """
     coupling = _factored(W, A)
     steps = _complete_graph_steps(coupling.W, classify_type(coupling, tol))
     if steps is None:
         raise ValueError(
             "the n-1 step bound applies only to semidefinite type matrices "
-            "on the complete graph (all off-diagonal weights 1)"
+            "on the complete graph (all off-diagonal weights equal)"
         )
     return steps
 
@@ -115,7 +115,7 @@ def bounds_report(J, W=None, A=None, p: int | None = None, tol: float = 1e-9) ->
     if p is not None:
         _check_partition(p)
     coupling = _checked(J)
-    norm = float(np.linalg.norm(coupling.J))
+    norm = _frobenius(coupling.J)
     if norm == 0.0:
         raise ValueError("zero coupling has no overhead bound")
     lam_min, lam_max, tau_low = _spectral_bound(coupling.J)
@@ -210,7 +210,11 @@ def _spectral_bound(J) -> tuple[float, float, float]:
 
 def _complete_graph_steps(W, case: CouplingClass) -> int | None:
     """The step bound n-1 when a type of class `case` is semidefinite and W
-    is the complete graph (off-diagonal weights 1 to 1e-12), else None."""
+    is the complete graph, else None.  W counts as complete when every
+    off-diagonal weight equals w = W[0, 1] != 0 to 1e-12 |w|: W (x) A is
+    then the complete graph's coupling with the semidefinite type w A, so
+    the bound holds at every scale and sign of w."""
     n = W.shape[0]
-    complete = np.abs(W - (np.ones((n, n)) - np.eye(n))).max() <= 1e-12
+    w = W[0, 1]
+    complete = np.abs(W - w * (np.ones((n, n)) - np.eye(n))).max() <= 1e-12 * abs(w) and w != 0.0
     return n - 1 if case is CouplingClass.SEMIDEFINITE and complete else None

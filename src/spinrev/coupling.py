@@ -19,7 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from .rotations import SymSpectrum, check_symmetric, sym_eig
+from .rotations import SymSpectrum, _frobenius, check_symmetric, sym_eig
 
 DEFAULT_CLASSIFY_TOL = 1e-9
 
@@ -126,7 +126,7 @@ def classification_margins(A, tol: float = DEFAULT_CLASSIFY_TOL) -> dict:
     else:
         A = check_type_matrix(A)
         lam = sym_eig(A).eigenvalues
-    scale = float(np.linalg.norm(A))
+    scale = _frobenius(A)
     if scale == 0.0:
         raise ValueError("type matrix is zero: nothing to invert")
     cut = tol * scale

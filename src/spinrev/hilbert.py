@@ -367,9 +367,10 @@ def _lanczos_norm(M) -> float:
     so the top Ritz value stays below the top eigenvalue up to rounding.
     The start vector comes from a fixed stdlib seed, so results repeat run
     to run without loading numpy.random.  Every 4th step the top Ritz pair
-    is tested, and the run stops when its residual beta_k |s_k| is at most
-    1e-13 theta; it also stops on breakdown, or after d steps, d being
-    M's width, where the Krylov space is exhausted and theta is exact.
+    is tested, and the run stops when its residual beta_k |s_k|, s_k the
+    last entry of T's top eigenvector, is at most 1e-13 theta; it also
+    stops on breakdown, or after d steps, d being M's width, where the
+    Krylov space is exhausted and theta is exact.
     """
     d = M.shape[1]
     rng = random.Random(_LANCZOS_SEED)
@@ -388,27 +389,14 @@ def _lanczos_norm(M) -> float:
         b = float(np.linalg.norm(w))
         k += 1
         if k % _LANCZOS_CHECK == 0 or k == d or b == 0.0:
-            T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-            theta = float(np.linalg.eigvalsh(T)[-1])
-            if k == d or b == 0.0 or b * _ritz_tail(T, theta) <= _LANCZOS_TOL * theta:
+            ritz, S = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+            theta = float(ritz[-1])
+            if k == d or b == 0.0 or b * abs(S[-1, -1]) <= _LANCZOS_TOL * theta:
                 return math.sqrt(max(theta, 0.0))
         beta.append(b)
         if k == basis.shape[0]:
             basis = np.concatenate([basis, np.empty((min(k, d - k), d), dtype=complex)])
         basis[k] = w / b
-
-
-def _ritz_tail(T, theta) -> float:
-    """|last component| of the unit eigenvector of tridiagonal T for theta.
-
-    With the last component set to 1, rows 2..k of (T - theta) y = 0 are
-    an upper triangular system with the off-diagonal betas on its
-    diagonal: back substitution from the bottom, which stays accurate when
-    the converged vector lives in the leading rows.
-    """
-    shifted = T - theta * np.eye(T.shape[0])
-    y = np.linalg.solve(shifted[1:, :-1], -shifted[1:, -1])
-    return 1.0 / math.hypot(1.0, *y)
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,15 @@ def check_symmetric(M, name: str, detail: str = "") -> None:
         raise ValueError(f"{name} is not {kind}{detail}")
 
 
+def _frobenius(M) -> float:
+    """||M||_F with no overflow or underflow in its squares: the norm of M
+    divided by the largest power of two 2^e <= max|M|, which is exact,
+    times 2^e.  Zero only for the zero matrix; for max|M| in [1, 2) it is
+    np.linalg.norm(M) itself."""
+    e = int(np.frexp(np.abs(M).max(initial=0.0))[1]) - 1
+    return float(np.linalg.norm(np.ldexp(M, -e))) * 2.0**e
+
+
 def su2_to_so3(u) -> np.ndarray:
     """Bloch-sphere rotation carried by a spin-1/2 unitary.
 

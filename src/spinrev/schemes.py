@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import CouplingClass, _check_json_numbers, _checked, _factored, _is_integer, classify_type
-from .rotations import AXES, AXIS_INDEX, axis_cycle, check_rotation
+from .rotations import AXES, AXIS_INDEX, _frobenius, axis_cycle, check_rotation
 
 
 class SchemeKind(enum.Enum):
@@ -180,14 +180,13 @@ def verify(scheme: Scheme, J, tol: float = 1e-9) -> VerifyResult:
     zero; the residual is normalized by ||J||_F.
     """
     coupling = _checked(J)
-    norm = float(np.linalg.norm(coupling.J))
+    norm = _frobenius(coupling.J)
     if norm == 0.0:
         raise ValueError("zero coupling: verification is undefined")
     avg = average_coupling(scheme, coupling)
     if scheme.kind is SchemeKind.INVERSION:
-        residual = float(np.linalg.norm(avg + coupling.J)) / norm
-    else:
-        residual = float(np.linalg.norm(avg)) / norm
+        avg += coupling.J
+    residual = _frobenius(avg) / norm
     return VerifyResult(residual <= tol, residual)
 
 
@@ -317,13 +316,13 @@ def synthesize_case2(W, A=None, tol: float = 1e-9) -> Scheme:
     n = coupling.n
     lam = coupling.spectrum.eigenvalues
     Q = coupling.spectrum.eigenvectors
-    cut = tol * float(np.linalg.norm(coupling.A))
+    cut = tol * _frobenius(coupling.A)
     steps = []
     for target in range(3):
         a = lam[target]
         if abs(a) <= cut:
             continue
-        opposite = [b for b in range(3) if abs(lam[b]) > cut and lam[b] * a < 0.0]
+        opposite = [b for b in range(3) if abs(lam[b]) > cut and (lam[b] < 0.0) != (a < 0.0)]
         pivot = min(opposite, key=lambda b: (-abs(lam[b]), b))
         frame = Q @ _plane_quarter_turn(pivot, target)
         scale = abs(a / lam[pivot])
@@ -333,9 +332,7 @@ def synthesize_case2(W, A=None, tol: float = 1e-9) -> Scheme:
 
 
 def _plane_quarter_turn(src: int, dst: int) -> np.ndarray:
-    """Rotation mapping coordinate axis src onto axis dst."""
-    if src == dst:
-        return np.eye(3)
+    """Rotation mapping coordinate axis src onto a different axis dst."""
     G = np.zeros((3, 3))
     G[dst, src] = 1.0
     G[src, dst] = -1.0

@@ -268,8 +268,8 @@ def _upper_block_columns(J, assemblies):
     return np.ascontiguousarray(_upper_blocks(conjugate(np.asarray(assemblies), J)).T)
 
 
-def _finalize(coupling, assemblies, x, rnorm, iterations, tol):
-    norm = float(np.linalg.norm(coupling.J))
+def _finalize(coupling, scaled, assemblies, x, rnorm, iterations, tol):
+    norm = float(np.linalg.norm(scaled))
     keep = np.flatnonzero(x > _PRUNE_TOL)
     # the lower blocks mirror the upper ones, so the full Frobenius
     # residual is sqrt(2) times the stacked-block residual
@@ -296,15 +296,21 @@ def _verdict(scheme, coupling, tol, iterations=0) -> SearchResult:
 
 def _problem(J, assemblies):
     """Resolve a nonzero coupling (checked once when raw) against a pool of
-    its spin count, and return (coupling, columns, target): the search
-    minimizes ||columns x - target|| over x >= 0."""
+    its spin count, and return (coupling, scaled, columns, target): the
+    search minimizes ||columns x - target|| over x >= 0, both built from
+    `scaled`, J divided by the largest power of two <= max|J|.  That is
+    exact and changes no step time, and keeps the solves' squares and
+    absolute floors where they are for max|J| = 1 at every scale of J;
+    found schemes are verified on `coupling`, as given."""
     coupling = _checked(J)
-    if float(np.linalg.norm(coupling.J)) == 0.0:
+    top = float(np.abs(coupling.J).max())
+    if top == 0.0:
         raise ValueError("zero coupling: nothing to invert")
     n = assemblies[0].shape[0]
     if n != coupling.n:
         raise ValueError(f"dimension mismatch: pool addresses {n} spins, coupling has {coupling.n}")
-    return coupling, _upper_block_columns(coupling.J, assemblies), -_upper_blocks(coupling.J)
+    scaled = np.ldexp(coupling.J, 1 - int(np.frexp(top)[1]))
+    return coupling, scaled, _upper_block_columns(scaled, assemblies), -_upper_blocks(scaled)
 
 
 def find_inversion_nnls(J, pool: CandidatePool, tol: float = 1e-9) -> SearchResult:
@@ -315,9 +321,9 @@ def find_inversion_nnls(J, pool: CandidatePool, tol: float = 1e-9) -> SearchResu
     scheme when the relative residual reaches tol.  Deterministic for a
     fixed pool order.
     """
-    coupling, columns, target = _problem(J, pool.assemblies)
+    coupling, scaled, columns, target = _problem(J, pool.assemblies)
     x, rnorm, iterations = nnls_active_set(columns, target)
-    return _finalize(coupling, pool.assemblies, x, rnorm, iterations, tol)
+    return _finalize(coupling, scaled, pool.assemblies, x, rnorm, iterations, tol)
 
 
 def greedy_pool_growth(
@@ -349,19 +355,19 @@ def greedy_pool_growth(
     and the search ends on the previous pool, solved cold, with
     `iterations` rounds and a pool below `max_pool`.
     """
-    coupling, columns, target = _problem(J, base_pool.assemblies)
+    coupling, scaled, columns, target = _problem(J, base_pool.assemblies)
     if max_pool < len(base_pool.assemblies):
         raise ValueError("max_pool is smaller than the base pool")
     rng = np.random.default_rng(base_pool.seed if seed is None else seed)
     group = octahedral_group()
-    norm = float(np.linalg.norm(coupling.J))
+    norm = float(np.linalg.norm(scaled))
     assemblies = list(base_pool.assemblies)
     x, rnorm, _, _ = _lawson_hanson(columns, target)
     growth_rounds = 0
     while rnorm * np.sqrt(2.0) / norm > target_tol and len(assemblies) < max_pool:
         resid = columns @ x - target
         candidates = group[rng.integers(0, len(group), size=(_BATCH, base_pool.n))]
-        candidate_columns = _upper_block_columns(coupling.J, candidates)
+        candidate_columns = _upper_block_columns(scaled, candidates)
         best = int(np.argmin(candidate_columns.T @ resid))
         grown = np.column_stack([columns, candidate_columns[:, best]])
         bound = rnorm + 1e-9 * max(rnorm, 1.0)
@@ -378,7 +384,7 @@ def greedy_pool_growth(
         assemblies.append(candidates[best])
         columns, x, rnorm = grown, x_new, new_rnorm
         growth_rounds += 1
-    return _finalize(coupling, assemblies, x, rnorm, growth_rounds, target_tol)
+    return _finalize(coupling, scaled, assemblies, x, rnorm, growth_rounds, target_tol)
 
 
 def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int = 0) -> SearchResult:
@@ -416,7 +422,7 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
     if scheme is None or scheme.kind is not SchemeKind.INVERSION:
         raise ValueError("phase 2 needs an inversion scheme")
     start_rots = np.array([step.rotations for step in scheme.steps])
-    coupling, columns, target = _problem(J, start_rots)
+    coupling, scaled, columns, target = _problem(J, start_rots)
     rows, size = columns.shape
     Q, R = np.linalg.qr(columns, mode="complete")
     diag = np.abs(np.diagonal(R))
@@ -433,7 +439,7 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
     x = np.maximum(inverse @ target, 0.0)
     tau_low = _spectral_bound(coupling.J)[2]
     group = octahedral_group()
-    price, exact = _pricer(coupling.J, seed)
+    price, exact = _pricer(scaled, seed)
     budget = (_EXACT_PIVOTS_PER_ROW if exact else _PIVOTS_PER_ROW) * rows
     pool = np.empty((rows, 0))
     pool_rots = np.empty((0,) + start_rots.shape[1:])
@@ -450,7 +456,7 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
         if not len(found):
             certified = exact
             break
-        new = _upper_block_columns(coupling.J, group[found])
+        new = _upper_block_columns(scaled, group[found])
         pool = np.column_stack([pool, new])
         pool_rots = np.concatenate([pool_rots, group[found]])
         weights = np.concatenate([weights, 1.0 + np.sum((inverse @ new) ** 2, axis=0)])
@@ -521,7 +527,7 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
             return replace(start, iterations=pivots, certified=False)
         times = np.where(artificial | (times <= _PRUNE_TOL), 0.0, times)
         rnorm = float(np.linalg.norm(basis @ times - target))
-        result = _finalize(coupling, basis_rots, times, rnorm, pivots, tol)
+        result = _finalize(coupling, scaled, basis_rots, times, rnorm, pivots, tol)
         if result.scheme is not None and result.tau < start.tau:
             return replace(result, certified=certified)
         certified = certified and result.scheme is not None

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -232,13 +233,16 @@ class TestBounds:
 
 
 class TestSearch:
-    def test_heisenberg_pair(self, files, capsys):
+    @pytest.mark.parametrize("pool", ["auto", "octahedral-random"])
+    def test_heisenberg_pair(self, files, capsys, pool):
         tmp, write = files
         path = write("c.json", coupling_doc(2, scalar_type()))
         out_path = str(tmp / "found.json")
-        code, out = run(capsys, ["search", "--coupling", path, "--seed", "42", "--out", out_path])
+        code = main(["search", "--coupling", path, "--seed", "42", "--out", out_path, "--pool", pool])
+        out, err = capsys.readouterr()
         payload = json.loads(out)
         assert code == 0
+        assert err == ""
         assert payload["found"] is True
         assert payload["meta"]["seed"] == 42
         assert payload["meta"]["residual"] <= 1e-9
@@ -267,20 +271,18 @@ class TestSearch:
     def test_an_nnls_solve_cut_by_its_cap_ends_the_search(self, files, capsys):
         # the type's third eigenvalue sits at the search tolerance; a growth
         # round's cold solve there ends at its insertion cap, which ends
-        # phase 1 instead of failing its monotonicity self-check
+        # phase 1 (exit 1) instead of failing its monotonicity self-check
         tmp, write = files
         A = np.diag([1.0, 1.0, -1.5e-9 * np.sqrt(2.0)])
         path = write("c.json", coupling_doc(4, A))
         out_path = tmp / "found.json"
         code = main(["search", "--coupling", path, "--seed", "0", "--out", str(out_path)])
         captured = capsys.readouterr()
-        assert code in (0, 1), captured.err
-        if code == 0:
-            scheme = scheme_from_dict(json.loads(out_path.read_text()))
-            assert verify(scheme, np.kron(complete_weights(4), A), tol=1e-9).ok
-        else:
-            assert "exhausted its pool budget" not in captured.err
-            assert "insertion cap" in captured.err
+        assert code == 1, captured.err
+        assert json.loads(captured.out)["found"] is False
+        assert "exhausted its pool budget" not in captured.err
+        assert "insertion cap" in captured.err
+        assert not out_path.exists()
 
     def test_negative_seed_exits_two_naming_the_flag(self, files, capsys):
         _, write = files
@@ -349,6 +351,8 @@ class TestSimulate:
             (coupling, identity, ["--eps", "0.1,0.2"], 2, "", "error: need at least three epsilon values"),
             (coupling, decoupling, [], 2, "", "error: cycle simulation expects an inversion scheme"),
             (zero, identity, [], 2, "", "error: zero coupling: verification is undefined"),
+            (coupling, identity, ["--eps", "0.1,abc,0.05"], 2, "",
+             "error: --eps must be a comma-separated float list, got '0.1,abc,0.05'"),
         ]
         for path, scheme, extra, code, out, err in cases:
             assert main(["simulate", "--coupling", path, "--scheme", scheme, *extra]) == code
@@ -490,11 +494,22 @@ class TestInputDiscipline:
         assert len(captured.err.splitlines()) == 1
         assert str(bad) in captured.err
 
-    def test_invalid_coupling(self, files, capsys):
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"n": 2, "W": [[0, 1], [1, 0.5]], "A": np.eye(3).tolist()}, "weight matrix diagonal must be exactly zero"),
+            ({"n": 2}, 'coupling file needs either "W" and "A" or "J"'),
+        ],
+        ids=["weights", "no-matrix"],
+    )
+    def test_invalid_coupling(self, files, capsys, doc, message):
         _, write = files
-        path = write("c.json", {"n": 2, "W": [[0, 1], [1, 0.5]], "A": np.eye(3).tolist()})
-        code, _ = run(capsys, ["classify", "--coupling", path])
+        path = write("c.json", doc)
+        code = main(["classify", "--coupling", path])
+        captured = capsys.readouterr()
         assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
 
 
 def test_module_entry_point(files):
@@ -761,6 +776,10 @@ class TestOneCheckPerJob:
         assert captured.err.splitlines() == ["error: --p must be an integer >= 2"]
 
 
+def _reject(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 def _raw_asymmetric_doc():
     # a raw J whose two mirrored entries differ tenfold near overflow
     J = np.zeros((6, 6))
@@ -802,17 +821,65 @@ class TestExtremeScales:
         self.assert_rejected(capsys, ["bounds", "--coupling", path], "coupling matrix W (x) A overflows float64")
 
     def test_simulate_verifies_a_coupling_whose_norm_underflows(self, files, capsys):
-        # ||J||_F underflows to 0 although J is not zero: the oracle's gate
-        # still hands the one-step identity scheme to `verify`, as the
-        # verify subcommand does
+        # the squares of J's entries underflow to 0 although J is not zero:
+        # the one-step identity scheme leaves J as it is, so it misses -J by
+        # 2 ||J||_F, in `verify` and in the oracle's gate alike
         _, write = files
         n = 3
         path = write("c.json", {"n": n, "W": (1e-170 * complete_weights(n)).tolist(), "A": dipole_type().tolist()})
         scheme = write("s.json", {"kind": "inversion", "n": n, "steps": [{"t": 1.0, "rotations": [np.eye(3).tolist()] * n}]})
         for command in ("verify", "simulate"):
-            self.assert_rejected(
-                capsys, [command, "--coupling", path, "--scheme", scheme], "zero coupling: verification is undefined"
-            )
+            code = main([command, "--coupling", path, "--scheme", scheme])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert json.loads(captured.out)["residual"] == 2.0
+            assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("A", [dipole_type(), scalar_type()], ids=["dipole", "identity"])
+    def test_every_subcommand_keeps_its_scale_one_verdict(self, files, capsys, A):
+        # W and, apart, A scaled so far that ||J||_F^2 underflows or
+        # overflows: each job prints strict JSON, warns nothing, writes no
+        # more stderr than at scale 1 and reaches the scale-1 verdict
+        tmp, write = files
+        n = 3
+        scheme, found = str(tmp / "s.json"), str(tmp / "f.json")
+        jobs = {
+            "classify": ["classify"],
+            "synthesize": ["synthesize", "--out", scheme],
+            "bounds": ["bounds"],
+            "search": ["search", "--out", found],
+            "verify": ["verify", "--scheme", found],
+        }
+        if np.trace(A) == 0.0:
+            jobs["verify-synthesized"] = ["verify", "--scheme", scheme]
+            jobs["simulate"] = ["simulate", "--scheme", scheme]
+
+        def verdicts(W, A):
+            """{job: (exit, stderr lines, verdict fields)} and {job: tau}."""
+            path = write("c.json", {"n": n, "W": W.tolist(), "A": A.tolist()})
+            out, taus = {}, {}
+            for name, (command, *extra) in jobs.items():
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    code = main([command, "--coupling", path, *extra])
+                captured = capsys.readouterr()
+                assert caught == [], (name, [str(w.message) for w in caught])
+                printed = json.loads(captured.out, parse_constant=_reject) if captured.out else {}
+                # not "N": a search at another scale may stop at another optimal vertex
+                keys = ("case", "steps_lower", "ok", "collective", "found", "certified")
+                out[name] = (code, len(captured.err.splitlines()), {k: printed[k] for k in keys if k in printed})
+                taus[name] = printed.get("meta", printed).get("tau", printed.get("tau_lower"))
+            return out, taus
+
+        W = complete_weights(n)
+        reference, reference_taus = verdicts(W, A)
+        assert reference["search"][0] == 0 and reference["verify"][2]["ok"]
+        for scale in (1e-170, 1e160):
+            for scaled in ((scale * W, A), (W, scale * A)):
+                got, taus = verdicts(*scaled)
+                assert got == reference
+                for name, tau in reference_taus.items():
+                    assert tau is None or abs(taus[name] - tau) <= 1e-9 * tau, name
 
     @pytest.mark.parametrize("n", [11, 64, 65])
     def test_simulate_above_the_spin_cap_names_the_cap(self, files, capsys, n):

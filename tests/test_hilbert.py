@@ -311,23 +311,18 @@ class TestErrorScaling:
         assert np.allclose(errors, hand_built_errors(J, scheme, eps_list), rtol=1e-12, atol=0.0)
 
     def test_no_dense_norm(self, monkeypatch):
-        # the error norm comes from Lanczos: eigvalsh only ever sees the
-        # small real tridiagonal, never a 2^n x 2^n matrix
+        # the error norm comes from Lanczos: its eigen-solves only ever see
+        # the small real tridiagonal, never a 2^n x 2^n matrix, and H's
+        # blocks go to stacked calls
         rng = np.random.default_rng(78)
         W = random_weights(rng, 6)
         J = tensor_coupling(W, dipole_type())
         scheme = synthesize_case1(W, dipole_type())
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def recording(M):
-            calls.append((M.shape, M.dtype))
-            return eigvalsh(M)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        calls = recorded_eigh(monkeypatch)
         error_scaling(J, scheme, [0.2, 0.1, 0.05, 0.025])
-        assert calls
-        assert all(shape[0] < 64 and dtype == np.float64 for shape, dtype in calls)
+        assert any(len(shape) == 2 for shape, _, _ in calls)
+        assert all(shape[-1] < 64 for shape, _, _ in calls)
+        assert all(dtype == np.float64 and tri for shape, dtype, tri in calls if len(shape) == 2)
 
     def test_serialization(self):
         W, J = seeded_dipole_3()
@@ -377,12 +372,13 @@ class TestPerSpinPulse:
 
 
 def recorded_eigh(monkeypatch):
-    """The (shape, dtype) of every np.linalg.eigh call from here on."""
+    """The (shape, dtype, tridiagonal) of every np.linalg.eigh call from
+    here on, `tridiagonal` telling Lanczos's k x k matrix T apart."""
     calls = []
     eigh = np.linalg.eigh
 
     def recording(M):
-        calls.append((M.shape, M.dtype))
+        calls.append((M.shape, M.dtype, M.ndim == 2 and not (np.triu(M, 2).any() or np.tril(M, -2).any())))
         return eigh(M)
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
@@ -405,10 +401,13 @@ def test_one_eigendecomposition_per_hamiltonian(monkeypatch, simulate):
     scheme = synthesize_case1(W, dipole_type())
     calls = recorded_eigh(monkeypatch)
     simulate(J, scheme)
-    sizes = [shape[-1] for shape, _ in calls]
-    assert sum(shape[0] * shape[-1] for shape, _ in calls) == 8
+    # the 2-d calls are the Lanczos norm's tridiagonals
+    assert all(tri for shape, _, tri in calls if len(shape) == 2)
+    stacked = [shape for shape, _, _ in calls if len(shape) != 2]
+    sizes = [shape[-1] for shape in stacked]
+    assert sum(shape[0] * shape[-1] for shape in stacked) == 8
     assert sizes == sorted(set(sizes)) == [1, 3]
-    assert all(len(shape) == 3 and shape[-2] == shape[-1] for shape, _ in calls)
+    assert all(len(shape) == 3 and shape[-2] == shape[-1] for shape in stacked)
 
 
 def test_operator_norm_matches_svd():
@@ -439,7 +438,7 @@ def test_real_hamiltonian_takes_the_real_solver(monkeypatch, coupling, simulate,
     else:
         error_scaling(tensor_coupling(W, A), scheme, [0.2, 0.1, 0.05])
     assert calls
-    assert all(call_dtype == dtype for _, call_dtype in calls)
+    assert all(call_dtype == dtype for _, call_dtype, _ in calls)
 
 
 def dense_unitary(blocks, dim):
@@ -508,11 +507,12 @@ def test_odd_axis_diagonal_working_set():
     scheme = synthesize_case1(complete_weights(n), dipole_type())
     tracemalloc.start()
     try:
-        error_scaling(J, scheme, eps_list)
+        scaling = error_scaling(J, scheme, eps_list)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * 4**n * 16
+    assert len(scaling.errors) == 4 and 1.8 <= scaling.slope <= 2.2
 
 
 def turned_type(A, R):
@@ -597,8 +597,14 @@ class TestFrame:
         assert block_sizes(turned) == block_sizes(twin_turned) and max(block_sizes(turned)) == 35
         assert np.array_equal(cols, twin_cols) and len(cols) == 2 ** (n - 1)
         eps_list = [0.01, 0.005, 0.0025, 0.00125]
-        errors = error_scaling(coupling, scheme, eps_list).errors
-        assert np.allclose(errors, error_scaling(twin, twin_scheme, eps_list).errors, rtol=1e-11, atol=0.0)
+        scaling = error_scaling(coupling, scheme, eps_list)
+        assert np.allclose(scaling.errors, error_scaling(twin, twin_scheme, eps_list).errors, rtol=1e-11, atol=0.0)
+        assert 1.8 <= scaling.slope <= 2.2
+        # even n takes the same turn, with the twin's blocks on every column
+        W = complete_weights(6)
+        coupling = self.factored(W, A) if form == "factored" else tensor_coupling(W, A)
+        turned, _, cols = hilbert._frame(hilbert._checked(coupling), synthesize_case1(W, A))
+        assert block_sizes(turned) == block_sizes(tensor_coupling(W, dipole_type())) and cols == slice(None)
 
     def test_run_cycle_keeps_the_original_frame(self):
         W, A = rotated_traceless_3(seed=4)

@@ -144,22 +144,22 @@ class TestNnls:
 
 def _cold_reference(J, base, target_tol=1e-9, max_pool=500):
     """`greedy_pool_growth` with every round solved cold by `nnls_active_set`."""
-    coupling, columns, target = _problem(J, base.assemblies)
+    coupling, scaled, columns, target = _problem(J, base.assemblies)
     rng = np.random.default_rng(base.seed)
     group = octahedral_group()
-    norm = float(np.linalg.norm(coupling.J))
+    norm = float(np.linalg.norm(scaled))
     assemblies = list(base.assemblies)
     x, rnorm, _ = nnls_active_set(columns, target)
     rounds = 0
     while rnorm * np.sqrt(2.0) / norm > target_tol and len(assemblies) < max_pool:
         candidates = group[rng.integers(0, len(group), size=(_BATCH, base.n))]
-        candidate_columns = _upper_block_columns(coupling.J, candidates)
+        candidate_columns = _upper_block_columns(scaled, candidates)
         best = int(np.argmin(candidate_columns.T @ (columns @ x - target)))
         assemblies.append(candidates[best])
         columns = np.column_stack([columns, candidate_columns[:, best]])
         x, rnorm, _ = nnls_active_set(columns, target)
         rounds += 1
-    return _finalize(coupling, assemblies, x, rnorm, rounds, target_tol)
+    return _finalize(coupling, scaled, assemblies, x, rnorm, rounds, target_tol)
 
 
 def _positive_weights(n, seed):

@@ -126,7 +126,7 @@ def bounds_report(J, W=None, A=None, p: int | None = None, tol: float = 1e-9) ->
         if W is None or A is None:
             raise ValueError("factored bounds need both W and A")
         factors = _factored(W, A)
-        if factors.J.shape != coupling.J.shape or np.abs(factors.J - coupling.J).max() > 1e-12 * max(norm, 1.0):
+        if factors.J.shape != coupling.J.shape or np.abs(factors.J - coupling.J).max() > 1e-12 * norm:
             raise ValueError("coupling matrix J does not equal W (x) A")
         coupling = factors
     if coupling.factored:

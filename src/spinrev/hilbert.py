@@ -85,10 +85,17 @@ def build_hamiltonian(J) -> np.ndarray:
 
 
 def operator_norm(M) -> float:
-    """Largest singular value, via the top eigenvalue of M^dag M."""
-    M = np.asarray(M, dtype=complex)
+    """Largest singular value, via the top eigenvalue of M^dag M.
+
+    M is first divided by the largest power of two 2^e at or below its
+    largest real or imaginary part, which is exact, so M^dag M neither
+    underflows nor overflows; for that part in [1, 2) nothing is scaled.
+    """
+    parts = np.ascontiguousarray(M, dtype=complex).view(float)
+    e = int(np.frexp(np.abs(parts).max(initial=0.0))[1]) - 1
+    M = np.ldexp(parts, -e).view(complex)
     lam = np.linalg.eigvalsh(M.conj().T @ M)
-    return float(np.sqrt(max(float(lam[-1]), 0.0)))
+    return float(np.sqrt(max(float(lam[-1]), 0.0))) * 2.0**e
 
 
 def lift_rotations(rotations) -> np.ndarray:

@@ -381,7 +381,8 @@ def greedy_pool_growth(
                 break
             if new_rnorm > bound:
                 raise RuntimeError("NNLS objective increased while the pool grew; active-set defect")
-        assemblies.append(candidates[best])
+        # a copy: the view candidates[best] would keep the whole batch alive
+        assemblies.append(candidates[best].copy())
         columns, x, rnorm = grown, x_new, new_rnorm
         growth_rounds += 1
     return _finalize(coupling, scaled, assemblies, x, rnorm, growth_rounds, target_tol)
@@ -415,8 +416,9 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
     when tau reached `tau_lower_bound`.  The result is the start unless
     the simplex's scheme verifies at `tol` with a smaller tau; a basis that
     rounding leaves singular (`LinAlgError` from the refactor or the final
-    solve) also returns the start, uncertified.  `iterations` counts
-    pivots.  Deterministic for a fixed seed.
+    solve, or an improving column that no row bounds, which 1^T t >= 0
+    rules out in exact arithmetic) also returns the start, uncertified.
+    `iterations` counts pivots.  Deterministic for a fixed seed.
     """
     scheme = start.scheme if isinstance(start, SearchResult) else start
     if scheme is None or scheme.kind is not SchemeKind.INVERSION:
@@ -477,7 +479,9 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
                 ratios = np.divide(x, alpha, out=np.full(rows, np.inf), where=up)
                 theta = float(ratios.min())
                 if theta == np.inf:
-                    raise RuntimeError("phase-2 LP is unbounded although tau >= 0; simplex defect")
+                    # no entry of alpha passed the tolerance, so 1 - cost @ alpha > 0
+                    # and the negative reduced cost is rounding from a singular basis
+                    return replace(start, iterations=pivots, certified=False)
                 # of the tied rows (degenerate ones tie at 0) the largest pivot
                 r = int(np.argmax(np.where(ratios == theta, alpha, 0.0)))
             alpha_r = alpha[r]

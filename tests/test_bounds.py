@@ -157,6 +157,10 @@ class TestBoundsReport:
             bounds_report(tensor_coupling(W, dipole_type()), W, scalar_type())
         with pytest.raises(ValueError, match="does not equal W"):
             bounds_report(tensor_coupling(complete_weights(4), scalar_type()), W, scalar_type())
+        # the same mismatch, W doubled, at every scale of J
+        for c in (1e-170, 1e-7, 1.0, 1e160):
+            with pytest.raises(ValueError, match="does not equal W"):
+                bounds_report(c * tensor_coupling(W, dipole_type()), 2 * c * W, dipole_type())
         # rounding-level differences pass
         J = tensor_coupling(W, scalar_type()) * (1.0 + 1e-15)
         assert bounds_report(J, W, scalar_type()).case.value == "3"

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -256,6 +257,23 @@ class TestSearch:
         _, first = run(capsys, argv)
         _, second = run(capsys, argv)
         assert first == second
+
+    def test_phase_one_keeps_only_the_assemblies_it_grows(self, files, capsys):
+        # each chosen assembly is kept as its own (n, 3, 3) array, not as a
+        # view holding its round's whole (64, n, 3, 3) candidate batch: about
+        # 80 growth rounds at n = 5 would keep 1.9 MB of batches
+        _, write = files
+        run(capsys, ["search", "--coupling", write("w.json", coupling_doc(2, scalar_type())), "--seed", "1"])
+        path = write("c.json", coupling_doc(5, scalar_type()))
+        tracemalloc.start()
+        try:
+            code = main(["search", "--coupling", path, "--seed", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["found"] is True
+        assert peak <= 1.5e6
 
     def test_budget_exhaustion_exits_one(self, files, capsys):
         _, write = files
@@ -579,6 +597,21 @@ class TestSearchPhaseTwo:
         code, out = run(capsys, argv)
         assert code == 1
         assert json.loads(out)["certified"] is False
+
+    def test_an_improving_column_that_no_row_bounds_returns_the_start(self, files, capsys):
+        # the type's third eigenvalue sits at the search tolerance; rounding
+        # leaves phase 2's basis singular (condition 2.5e16) and its reduced
+        # costs offer a column whose step no row bounds, which 1^T t >= 0
+        # rules out, so phase 1's verified scheme comes back uncertified
+        tmp, write = files
+        path = write("c.json", coupling_doc(3, np.diag([1.0, 1.0, 1.5e-9 * np.sqrt(2.0)])))
+        out_path = str(tmp / "found.json")
+        code, out = run(capsys, ["search", "--coupling", path, "--seed", "0", "--out", out_path])
+        assert code == 0
+        assert json.loads(out)["certified"] is False
+        code, out = run(capsys, ["verify", "--coupling", path, "--scheme", out_path])
+        assert code == 0
+        assert json.loads(out)["ok"] is True
 
     def test_phase_two_defect_exits_three(self, files, capsys, monkeypatch):
         tmp, write = files

@@ -415,6 +415,17 @@ def test_operator_norm_matches_svd():
     for _ in range(10):
         M = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         assert abs(operator_norm(M) - np.linalg.svd(M, compute_uv=False)[0]) <= 1e-10
+    # M^dag M would underflow at the small scale and overflow at the large one
+    for c in (1e-170, 1e160):
+        assert abs(operator_norm(c * np.eye(4)) - c) <= 1e-15 * c
+        assert abs(operator_norm(c * M) - c * np.linalg.svd(M, compute_uv=False)[0]) <= 1e-12 * c
+    # scaling J by a power of two scales every rounding error with it
+    J = random_coupling(rng, 3)
+    haar = np.stack([random_rotation(rng) for _ in range(3)])
+    gap = conjugation_consistency(J, haar)
+    assert 0.0 < gap <= 1e-9
+    for k in (-565, 532):  # 2^-565 ~ 1.4e-170, 2^532 ~ 1.4e160
+        assert conjugation_consistency(2.0**k * J, haar) == gap
 
 
 @pytest.mark.parametrize(

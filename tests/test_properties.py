@@ -14,6 +14,7 @@ import io
 import itertools
 import json
 import os
+import pathlib
 import tempfile
 import warnings
 from unittest import mock
@@ -275,7 +276,14 @@ def test_cli_search_finds_verified_schemes_within_both_bounds(types, data):
         coupling, out = os.path.join(tmp, "c.json"), os.path.join(tmp, "found.json")
         with open(coupling, "w") as handle:
             json.dump({"n": n, "W": W.tolist(), "A": A.tolist()}, handle)
-        code, printed = _cli(["search", "--coupling", coupling, "--seed", str(seed), "--out", out])
+        runs = []
+        for name in ("found.json", "again.json"):
+            path = os.path.join(tmp, name)
+            code, printed = _cli(["search", "--coupling", coupling, "--seed", str(seed), "--out", path])
+            written = pathlib.Path(path).read_bytes() if os.path.exists(path) else None
+            runs.append((code, printed, written))
+        # the same document and seed give the same stdout and the same file bytes
+        assert runs[0] == runs[1]
         assert code in (0, 1)
         printed = json.loads(printed)
         if code == 1:

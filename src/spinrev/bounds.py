@@ -156,19 +156,32 @@ def bounds_report(J, W=None, A=None, p: int | None = None, tol: float = 1e-9) ->
 
 
 def audit_stats_against_bounds(stats: SchemeStats, W, A=None, tol: float = 1e-9) -> BoundsAudit:
-    """Margins of claimed scheme statistics over the applicable bounds.
+    """Margins of claimed scheme statistics over the bounds that a scheme
+    verified at `tol` must meet; verification is the caller's job.
 
-    Verification is the caller's job; a *verified* scheme below a lower
-    bound means a software defect, never a better scheme.  W is raw
-    factors or a CouplingInput; an unfactored one gets the spectral
+    Such a scheme averages J to -J + E with ||E||_2 <= tol ||J||_F.  By
+    Weyl's inequality its tau may then fall below tau_lower by
+    tol ||J||_F / |lambda_min| (by 1e-9, the rounding floor, at least),
+    and the rank argument behind the n-1 step bound holds only while
+    tol ||J||_F < |w| a, a the smallest magnitude among the eigenvalues
+    of A that the classifier counts; else `steps_lower` is None.  A
+    verified scheme below what E allows means a software defect.  W is
+    raw factors or a CouplingInput; an unfactored one gets the spectral
     overhead bound only, and `steps_lower` None.
     """
     coupling = W if isinstance(W, CouplingInput) and A is None else _factored(W, A)
     report = bounds_report(coupling, tol=tol)
+    error = tol * _frobenius(coupling.J)
     tau_margin = stats.tau - report.tau_lower
-    steps_low = _complete_graph_steps(coupling.W, report.case) if coupling.factored else None
+    steps_low = None
+    if coupling.factored:
+        magnitudes = np.abs(coupling.spectrum.eigenvalues)
+        counted = magnitudes[magnitudes > tol * _frobenius(coupling.A)]
+        if counted.size and error < abs(coupling.W[0, 1]) * counted.min():
+            steps_low = _complete_graph_steps(coupling.W, report.case)
     steps_margin = None if steps_low is None else stats.n_steps - steps_low
-    passed = tau_margin >= -_AUDIT_SLACK and (steps_margin is None or steps_margin >= 0)
+    allowed = max(_AUDIT_SLACK, error / abs(report.lambda_min))
+    passed = tau_margin >= -allowed and (steps_margin is None or steps_margin >= 0)
     return BoundsAudit(
         passed=passed,
         tau=stats.tau,

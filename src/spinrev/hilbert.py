@@ -155,8 +155,7 @@ def run_cycle(J, scheme: Scheme, epsilon: float, tol: float = 1e-9) -> np.ndarra
     Steps act in list order (step 1 first in time, rightmost in the
     product), each contributing the exact conjugated evolution
     v^dag exp(-i H t eps) v.  The scheme must verify as an inversion of J
-    first -- the cycle is only meaningful then -- except for the zero
-    coupling, whose cycle is trivially the identity.  The sign choice of
+    first -- the cycle is only meaningful then.  The sign choice of
     each spin-1/2 lift cancels in the conjugation.  The cycle is run in
     J's own frame (no turn, unlike `error_scaling`), and its
     eigenbasis form U^dag C U from `_simulate` is mapped back to C by the
@@ -172,15 +171,14 @@ def run_cycle(J, scheme: Scheme, epsilon: float, tol: float = 1e-9) -> np.ndarra
 
 
 def _gated(J, scheme, tol):
-    """The checked coupling, once `scheme` is known to invert it at `tol`;
-    the zero coupling, whose cycle is the identity, needs no verification."""
+    """The checked coupling, once `verify` accepts `scheme` as its inversion
+    at `tol`; `verify` refuses the zero coupling."""
     coupling = _checked(J)
     if scheme.kind is not SchemeKind.INVERSION:
         raise ValueError("cycle simulation expects an inversion scheme")
-    if coupling.J.any():
-        result = verify(scheme, coupling, tol)
-        if not result.ok:
-            raise NotAnInversion(result.residual)
+    result = verify(scheme, coupling, tol)
+    if not result.ok:
+        raise NotAnInversion(result.residual)
     return coupling
 
 

@@ -209,20 +209,9 @@ def decoupling_to_inversion(scheme: Scheme) -> Scheme:
         raise ValueError("expected a decoupling scheme")
     if len(scheme.steps) < 2:
         raise ValueError("conversion needs at least 2 steps")
-    first = scheme.steps[0]
-    identity_first = bool(
-        np.array_equal(first.rotations, np.tile(np.eye(3), (scheme.n, 1, 1)))
-    )
-    folded = []
-    for step in scheme.steps[1:]:
-        if identity_first:
-            rotations = step.rotations
-        else:
-            rotations = np.matmul(
-                np.transpose(first.rotations, (0, 2, 1)), step.rotations
-            )
-        folded.append(Step(step.t / first.t, rotations))
-    return Scheme(SchemeKind.INVERSION, tuple(folded))
+    first, rest = scheme.steps[0], scheme.steps[1:]
+    rotations = np.matmul(np.swapaxes(first.rotations, 1, 2), np.stack([step.rotations for step in rest]))
+    return Scheme(SchemeKind.INVERSION, tuple(Step(step.t / first.t, r) for step, r in zip(rest, rotations)))
 
 
 def synthesize_case1(W, A=None, tol: float = 1e-9) -> Scheme:

@@ -553,7 +553,7 @@ def _pricer(J, seed: int):
     order = len(group)
     n = n_spins(J)
     first, second = np.triu_indices(n, 1)
-    blocks = np.swapaxes(J.reshape(n, 3, n, 3), 1, 2)[first, second]
+    blocks = _upper_blocks(J).reshape(-1, 3, 3)
     # T_kl[r, s] = <O_r^T Y_kl, J_kl O_s^T>: the right factors depend on J only
     right = np.matmul(blocks[:, None], np.swapaxes(group, 1, 2)[None]).reshape(-1, order, 9)
     right = np.ascontiguousarray(np.swapaxes(right, 1, 2))

@@ -218,6 +218,23 @@ class TestAudit:
         assert audit.tau_margin < 0.0
         assert audit.steps_margin == 2 - 3
 
+    def test_a_loose_tol_allows_the_error_verify_allowed(self):
+        # n = 4 complete scalar: tau_lower 3, lambda_min -1, ||J||_F = 6, |w| a = 1
+        W = complete_weights(4)
+        cases = [
+            (1e-9, 2.5, 3, False, 3),
+            (0.1, 2.5, 3, True, 3),  # tau may fall by 0.1 * 6 / 1
+            (0.1, 2.3, 3, False, 3),
+            (0.1, 3.0, 2, False, 3),  # 0.6 < 1: the n-1 step bound still holds
+            (0.2, 3.0, 2, True, None),  # 1.2 >= 1: it no longer does
+        ]
+        for tol, tau, n_steps, passed, steps_lower in cases:
+            stats = SchemeStats(n_steps=n_steps, tau=tau, collective=False)
+            audit = audit_stats_against_bounds(stats, W, scalar_type(), tol)
+            assert (audit.passed, audit.steps_lower) == (passed, steps_lower)
+            assert audit.tau_margin == tau - audit.tau_lower
+            assert audit.tau_lower == pytest.approx(3.0, abs=1e-12)
+
     def test_unfactored_coupling_gets_the_spectral_bound_only(self):
         from spinrev.coupling import _checked
 

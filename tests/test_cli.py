@@ -184,7 +184,7 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
-    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "1", "10"])
     def test_nonpositive_tolerance_exits_two(self, files, capsys, tol):
         _, write = files
         path = write("c.json", coupling_doc(2, dipole_type()))
@@ -301,6 +301,19 @@ class TestSearch:
         assert "exhausted its pool budget" not in captured.err
         assert "insertion cap" in captured.err
         assert not out_path.exists()
+
+    def test_a_loose_tol_finds_what_verify_accepts_at_it(self, files, capsys):
+        # tau 0.74 in 3 steps sits far below the exact bound tau 3, but at
+        # tol 0.9 the averaging error allows it: exit 0, not an internal defect
+        tmp, write = files
+        path = write("c.json", coupling_doc(4, scalar_type()))
+        out_path = str(tmp / "found.json")
+        code, out = run(capsys, ["search", "--coupling", path, "--tol", "0.9", "--seed", "0", "--out", out_path])
+        assert code == 0
+        assert json.loads(out)["meta"]["tau"] < 3.0
+        code, out = run(capsys, ["verify", "--coupling", path, "--scheme", out_path, "--tol", "0.9"])
+        assert code == 0
+        assert json.loads(out)["ok"] is True
 
     def test_negative_seed_exits_two_naming_the_flag(self, files, capsys):
         _, write = files

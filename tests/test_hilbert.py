@@ -178,10 +178,12 @@ class TestRunCycle:
         with pytest.raises(ValueError, match="finite and non-negative"):
             run_cycle(J, scheme, epsilon)
 
-    def test_zero_coupling_gives_identity(self):
+    def test_zero_coupling_is_refused(self):
+        # the gate is `verify`, which refuses J = 0 for run_cycle and error_scaling alike
         scheme = Scheme(SchemeKind.INVERSION, (Step(1.0, np.tile(np.eye(3), (2, 1, 1))),))
-        C = run_cycle(np.zeros((6, 6)), scheme, 0.3)
-        assert np.abs(C - np.eye(4)).max() <= 1e-12
+        for simulate in (lambda J: run_cycle(J, scheme, 0.3), lambda J: error_scaling(J, scheme, [0.1, 0.05, 0.025])):
+            with pytest.raises(ValueError, match="^zero coupling: verification is undefined$"):
+                simulate(np.zeros((6, 6)))
 
     def test_unverified_scheme_is_rejected(self):
         J = tensor_coupling(complete_weights(2), scalar_type())

@@ -271,6 +271,9 @@ def _cli(argv):
 @given(data=st.data())
 def test_cli_search_finds_verified_schemes_within_both_bounds(types, data):
     W, A, seed = data.draw(search_documents(types))
+    # a scheme verified at a loose tol may sit below the exact bounds by what
+    # its averaging error allows, and no further
+    tol = data.draw(st.sampled_from(["1e-9", "1e-6", "1e-3", "0.3", "0.7", "0.95"]))
     n = W.shape[0]
     with tempfile.TemporaryDirectory() as tmp:
         coupling, out = os.path.join(tmp, "c.json"), os.path.join(tmp, "found.json")
@@ -279,7 +282,7 @@ def test_cli_search_finds_verified_schemes_within_both_bounds(types, data):
         runs = []
         for name in ("found.json", "again.json"):
             path = os.path.join(tmp, name)
-            code, printed = _cli(["search", "--coupling", coupling, "--seed", str(seed), "--out", path])
+            code, printed = _cli(["search", "--coupling", coupling, "--seed", str(seed), "--tol", tol, "--out", path])
             written = pathlib.Path(path).read_bytes() if os.path.exists(path) else None
             runs.append((code, printed, written))
         # the same document and seed give the same stdout and the same file bytes
@@ -289,14 +292,14 @@ def test_cli_search_finds_verified_schemes_within_both_bounds(types, data):
         if code == 1:
             assert printed["found"] is False
             return
-        code, verified = _cli(["verify", "--coupling", coupling, "--scheme", out])
+        code, verified = _cli(["verify", "--coupling", coupling, "--scheme", out, "--tol", tol])
         assert code == 0
         verified = json.loads(verified)
         assert verified["ok"] is True
         assert printed["meta"]["tau"] == verified["tau"]
         with open(out) as handle:
             scheme = scheme_from_dict(json.load(handle))
-    assert check_scheme_against_bounds(scheme, W, A).passed
+    assert check_scheme_against_bounds(scheme, W, A, float(tol)).passed
 
 
 @st.composite

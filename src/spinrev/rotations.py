@@ -43,10 +43,26 @@ def check_rotation(R, tol: float = _ROTATION_TOL) -> np.ndarray:
     R = np.asarray(R, dtype=float)
     if R.ndim < 2 or R.shape[-2:] != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {R.shape}")
+    # E[k, i] is entry (k, i) of every matrix in the stack: the checks run
+    # as elementwise products over the whole stack, not 3x3 matmuls
+    E = np.ascontiguousarray(R.reshape(-1, 9).T).reshape(3, 3, -1)
+    # G[0] holds the squared norms of the columns, G[1] the dots of
+    # columns (0, 1), (1, 2), (2, 0): max|G - [1 0]| is max|R^T R - 1|.
+    # A huge or infinite entry makes G inf or NaN, which fails below, so
+    # numpy's overflow warnings would only add lines to that error
+    G = np.zeros((2,) + E.shape[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in E:
+            G[0] += row * row
+            G[1] += row * row[[1, 2, 0]]
+    G[0] -= 1.0
     # written as not (err <= tol) so that a NaN error fails the check
-    if not (np.abs(np.matmul(np.swapaxes(R, -1, -2), R) - np.eye(3)).max(initial=0.0) <= tol):
+    if not (np.abs(G).max(initial=0.0) <= tol):
         raise ValueError("matrix is not orthogonal: R^T R deviates from the identity")
-    if not (np.abs(np.linalg.det(R) - 1.0).max(initial=0.0) <= tol):
+    # the determinant as the triple product of the rows, r0 . (r1 x r2)
+    (a, b, c), (d, e, f), (g, h, i) = E
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if not (np.abs(det - 1.0).max(initial=0.0) <= tol):
         raise ValueError("orthogonal matrix has determinant -1, not a rotation")
     return R
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -136,7 +137,8 @@ class VerifyResult:
 
 
 def block_diag_rotations(rotations) -> np.ndarray:
-    """3n x 3n block-diagonal assembly, one 3x3 rotation per spin (dense reference for `conjugate`)."""
+    """3n x 3n block-diagonal assembly, one 3x3 rotation per spin (dense
+    reference for `conjugate` and `average_coupling`)."""
     rotations = np.asarray(rotations, dtype=float)
     n = rotations.shape[0]
     V = np.zeros((3 * n, 3 * n))
@@ -160,17 +162,46 @@ def conjugate(rotations, J) -> np.ndarray:
     return np.matmul(rotations, JVt.reshape(batch + (n, 3, 3 * n))).reshape(batch + (3 * n, 3 * n))
 
 
+# Gram entries per spin chunk of `average_coupling`: its (9c, 9n)
+# temporaries stay near 0.5 MB each
+_GRAM_ENTRIES = 1 << 16
+
+
 def average_coupling(scheme: Scheme, J) -> np.ndarray:
-    """Time-weighted average sum_j t_j V_j J V_j^T over the scheme's steps."""
+    """Time-weighted average sum_j t_j V_j J V_j^T over the scheme's steps.
+
+    Block (k, l) of the average is sum_j t_j R_jk J_kl R_jl^T, linear in
+    J_kl through the Gram block M_kl = sum_j t_j R_jk (x) R_jl.  With the
+    steps' rotations stacked as X, one 9n-wide row per step, M is
+    X^T diag(t) X: one BLAS-3 product, formed a chunk of row spins at a
+    time and contracted with J's 3x3 blocks,
+    avg[k,a,l,b] = sum_cd M[k,a,c,l,b,d] J[k,c,l,d].  J is symmetric, so
+    the average is too: each chunk forms the blocks l >= k and copies the
+    transposes of the blocks above it from the chunks before.
+    """
     coupling = _checked(J)
-    if coupling.n != scheme.n:
+    n = coupling.n
+    if n != scheme.n:
         raise ValueError(
-            f"dimension mismatch: scheme addresses {scheme.n} spins, coupling has {coupling.n}"
+            f"dimension mismatch: scheme addresses {scheme.n} spins, coupling has {n}"
         )
-    out = np.zeros_like(coupling.J)
-    for step in scheme.steps:
-        out += step.t * conjugate(step.rotations, coupling.J)
-    return out
+    t = np.array([step.t for step in scheme.steps])
+    X = np.stack([step.rotations for step in scheme.steps]).reshape(len(t), 9 * n)
+    J6 = coupling.J.reshape(n, 1, 3, n, 1, 3)
+    out = np.empty((n, 3, n, 3))
+    chunk = max(1, _GRAM_ENTRIES // (81 * n))
+    for k0 in range(0, n, chunk):
+        k1 = min(n, k0 + chunk)
+        M = ((X[:, 9 * k0 : 9 * k1].T * t) @ X[:, 9 * k0 :]).reshape(k1 - k0, 3, 3, n - k0, 3, 3)
+        M *= J6[k0:k1, :, :, k0:]
+        # the sums over d, then c, as slice adds: numpy reduces short
+        # strided axes far slower
+        T = M[..., 0] + M[..., 1]
+        T += M[..., 2]
+        np.add(T[:, :, 0], T[:, :, 1], out=out[k0:k1, :, k0:])
+        out[k0:k1, :, k0:] += T[:, :, 2]
+        out[k0:k1, :, :k0] = out[:k0, :, k0:k1].transpose(2, 3, 0, 1)
+    return out.reshape(3 * n, 3 * n)
 
 
 def verify(scheme: Scheme, J, tol: float = 1e-9) -> VerifyResult:
@@ -381,19 +412,43 @@ def _step_object_hook(obj: dict) -> dict:
     """`json.load` object hook for scheme files: decoded one object at a
     time, each step's "rotations" become one float64 array as soon as the
     step is read, so the lists and float objects of a large scheme are
-    never all alive at once.  The array is read-only, so `Step` keeps it
-    without a copy.  Rotations that fail the parse or `_check_json_numbers`
-    stay as decoded, for `scheme_from_dict` to report."""
+    never all alive at once.  The array owns its data and is read-only,
+    so `Step` keeps it without a copy.  Rotations that are not a (k, 3, 3)
+    nest of int and float leaves stay as decoded, for `scheme_from_dict`
+    to report."""
     rotations = obj.get("rotations")
-    if isinstance(rotations, list):
-        try:
-            array = np.asarray(rotations, dtype=float)
-            _check_json_numbers(rotations, array.ndim, "step rotations")
-        except (TypeError, ValueError, OverflowError):
-            return obj
-        array.flags.writeable = False
-        obj["rotations"] = array
+    if type(rotations) is list:
+        array = _rotation_array(rotations)
+        if array is not None:
+            obj["rotations"] = array
     return obj
+
+
+def _rotation_array(spins: list) -> np.ndarray | None:
+    """A non-empty (k, 3, 3) nest of int and float leaves as one read-only
+    float64 array, None for anything else.
+
+    C-level `set(map(...))` passes check the nest and `chain` flattens it,
+    so no Python loop runs per leaf.  The upper levels need only their
+    lengths checked: a decoded dict or string of length 3 yields strings,
+    which the leaf check rejects, as it rejects bool (JSON true)."""
+    level = spins
+    try:
+        for _ in range(2):
+            if set(map(len, level)) != {3}:
+                return None
+            level = list(chain.from_iterable(level))
+    except TypeError:  # a scalar where a list belongs
+        return None
+    if not set(map(type, level)) <= {int, float}:
+        return None
+    try:
+        array = np.array(level, dtype=float)
+    except OverflowError:  # an integer beyond float range
+        return None
+    array.shape = (len(spins), 3, 3)
+    array.flags.writeable = False
+    return array
 
 
 def scheme_from_dict(data) -> Scheme:

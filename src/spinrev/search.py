@@ -106,11 +106,15 @@ def pair_pi_pool(n: int, seed: int = 0) -> CandidatePool:
 
 
 def random_octahedral_pool(n: int, size: int, seed: int = 0) -> CandidatePool:
-    """Seeded uniform draws of per-spin octahedral assemblies."""
+    """Seeded uniform draws of per-spin octahedral assemblies.
+
+    The draws come from a stream spawned from `seed`, not from `seed`
+    itself: `greedy_pool_growth` draws its candidate batches from
+    `default_rng(seed)`, and the pool must not be its first batch."""
     if size < 1:
         raise ValueError("pool size must be at least 1")
     group = octahedral_group()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     picks = rng.integers(0, len(group), size=(size, n))
     return CandidatePool(tuple(group[row] for row in picks), seed)
 

@@ -16,7 +16,6 @@ import json
 import os
 import pathlib
 import tempfile
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -24,16 +23,6 @@ import pytest
 import scipy.optimize
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
-
-# On a failure Hypothesis imports libcst to print the example as a patch,
-# and libcst warns on import; `filterwarnings = error` would turn that into
-# a pytest INTERNALERROR that hides the failure, so import it quietly here
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", DeprecationWarning)
-    try:
-        import hypothesis.extra._patching  # noqa: F401
-    except ImportError:
-        pass
 
 from helpers import hand_built_errors, random_coupling, random_rotation, random_weights
 from spinrev import (

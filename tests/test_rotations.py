@@ -14,7 +14,7 @@ from spinrev import (
     su2_to_so3,
     sym_eig,
 )
-from spinrev.rotations import SIGMA_X, SIGMA_Y, SIGMA_Z
+from spinrev.rotations import SIGMA_X, SIGMA_Y, SIGMA_Z, check_rotation
 from spinrev.search import octahedral_group
 
 from helpers import random_rotation
@@ -162,6 +162,51 @@ class TestStackedLift:
         mats[7] = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(ValueError, match="determinant"):
             so3_to_su2(mats)
+
+
+class TestCheckRotation:
+    """The stacked check against R^T R and LAPACK's det, one matrix at a time."""
+
+    def _verdict(self, R, tol):
+        try:
+            check_rotation(R, tol)
+        except ValueError as err:
+            return str(err)
+        return None
+
+    def _reference(self, R, tol):
+        if not np.abs(R.T @ R - np.eye(3)).max() <= tol:
+            return "matrix is not orthogonal: R^T R deviates from the identity"
+        if not abs(np.linalg.det(R) - 1.0) <= tol:
+            return "orthogonal matrix has determinant -1, not a rotation"
+        return None
+
+    def test_verdicts_match_the_reference(self):
+        rng = np.random.default_rng(19)
+        mats = [random_rotation(rng) for _ in range(40)] + list(octahedral_group())
+        mats += [-R for R in mats[:10]]
+        mats += [np.full((3, 3), np.nan), np.full((3, 3), np.inf), np.diag([1.0, 1.0, -1.0])]
+        # unit columns that are not orthogonal
+        mats += [R @ np.array([[1.0, 0.6, 0.0], [0.0, 0.8, 0.0], [0.0, 0.0, 1.0]]) for R in mats[:5]]
+        for delta in (1e-14, 1e-10, 1e-6):
+            for R in mats[:20]:
+                bent = R.copy()
+                bent[rng.integers(3), rng.integers(3)] += delta
+                mats.append(bent)
+        for R in mats:
+            assert self._verdict(R, 1e-12) == self._reference(R, 1e-12)
+
+    def test_one_bad_matrix_anywhere_in_a_stack(self):
+        rng = np.random.default_rng(20)
+        stack = np.array([random_rotation(rng) for _ in range(2 * 3 * 5)]).reshape(2, 3, 5, 3, 3)
+        assert check_rotation(stack, 1e-12) is not None
+        for where, bad, message in [((0, 0, 0), np.diag([1.0, -1.0, 1.0]), "determinant"),
+                                    ((1, 2, 4), 2.0 * np.eye(3), "not orthogonal"),
+                                    ((1, 0, 3), np.full((3, 3), np.nan), "not orthogonal")]:
+            broken = stack.copy()
+            broken[where] = bad
+            with pytest.raises(ValueError, match=message):
+                check_rotation(broken, 1e-12)
 
 
 class TestAxisCycle:

@@ -2,9 +2,12 @@
 
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinrev import (
     Scheme,
@@ -15,6 +18,7 @@ from spinrev import (
     block_diag_rotations,
     complete_weights,
     conjugate,
+    coupling_from_dict,
     decoupling_to_inversion,
     dipole_type,
     hadamard_matrix,
@@ -35,6 +39,20 @@ from spinrev import cli, schemes
 from spinrev.rotations import check_rotation
 
 from helpers import random_coupling, random_rotation, random_scheme, random_weights
+
+
+def _haar_rotations(rng, shape):
+    """Haar-random rotations of the given stack shape, from uniform unit quaternions."""
+    w, x, y, z = np.moveaxis(rng.normal(size=shape + (4,)), -1, 0)
+    s = 2.0 / (w * w + x * x + y * y + z * z)
+    return np.stack(
+        [
+            np.stack([1 - s * (y * y + z * z), s * (x * y - z * w), s * (x * z + y * w)], -1),
+            np.stack([s * (x * y + z * w), 1 - s * (x * x + z * z), s * (y * z - x * w)], -1),
+            np.stack([s * (x * z - y * w), s * (y * z + x * w), 1 - s * (x * x + y * y)], -1),
+        ],
+        -2,
+    )
 
 
 def identity_steps(n):
@@ -252,6 +270,35 @@ class TestAverageCoupling:
         J = tensor_coupling(complete_weights(3), scalar_type())
         with pytest.raises(ValueError, match="mismatch"):
             average_coupling(cyclic_scheme(2), J)
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(
+        n=st.integers(2, 7),
+        n_steps=st.integers(1, 64),
+        haar=st.booleans(),
+        factored=st.booleans(),
+        kind=st.sampled_from(SchemeKind),
+        chunk=st.integers(1, 7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_dense_sum_of_conjugates(self, n, n_steps, haar, factored, kind, chunk, seed):
+        # `chunk` row spins per Gram chunk: below n, the blocks under the
+        # diagonal are copied across chunks
+        rng = np.random.default_rng(seed)
+        shape = (n_steps, n)
+        rotations = _haar_rotations(rng, shape) if haar else octahedral_group()[rng.integers(0, 24, size=shape)]
+        times = 10.0 ** rng.uniform(-6.0, 6.0, size=n_steps)
+        scheme = Scheme(kind, tuple(Step(t, R) for t, R in zip(times, rotations)))
+        if factored:
+            A = rng.normal(size=(3, 3))
+            coupling = coupling_from_dict({"n": n, "W": random_weights(rng, n).tolist(), "A": (A + A.T).tolist()})
+            J = coupling.J
+        else:
+            coupling = J = random_coupling(rng, n)
+        dense = sum(t * V @ J @ V.T for t, V in zip(times, map(block_diag_rotations, rotations)))
+        with mock.patch.object(schemes, "_GRAM_ENTRIES", 81 * n * chunk):
+            gap = np.abs(average_coupling(scheme, coupling) - dense).max()
+        assert gap <= 1e-13 * times.sum() * np.linalg.norm(J)
 
     def test_linearity(self):
         rng = np.random.default_rng(33)
@@ -609,6 +656,13 @@ INVALID_DOCUMENTS = [
     (lambda d: _replace_unit_entry(d["steps"][0]["rotations"], True), "only numbers"),
     (lambda d: d["steps"][0].update(t=10**400), "positive and finite"),
     (lambda d: _replace_unit_entry(d["steps"][0]["rotations"], 10**400), "numeric"),
+    (lambda d: d["steps"][1]["rotations"][-1][-1].__setitem__(-1, -(10**400)), "numeric"),
+    # rows of lengths 4, 2 and 3: nine leaves, but not a 3x3 matrix
+    (lambda d: _move_last_entry(d["steps"][0]["rotations"][1], 1, 0), "numeric"),
+    (lambda d: d["steps"][0].update(rotations=_nest_leaves(d["steps"][0]["rotations"])), "per spin"),
+    (lambda d: _mix_bool_and_string(d["steps"][0]["rotations"][1]), "only numbers"),
+    (lambda d: _replace_unit_entry(d["steps"][0]["rotations"], 1e200), "orthogonal"),
+    (lambda d: _replace_unit_entry(d["steps"][1]["rotations"], float("inf")), "orthogonal"),
 ]
 
 
@@ -730,6 +784,21 @@ def _replace_unit_entry(rotations, value):
                 if x == 1.0:
                     row[j] = value
                     return
+
+
+def _move_last_entry(R, src, dst):
+    R[dst].append(R[src].pop())
+
+
+def _nest_leaves(rotations):
+    # a 4-deep nest: each leaf x becomes [x]
+    return [[[[x] for x in row] for row in R] for R in rotations]
+
+
+def _mix_bool_and_string(R):
+    # one spin holding a JSON true and a numeric string
+    _replace_unit_entry([R], True)
+    R[2][2] = str(R[2][2])
 
 
 class TestNumpyScalarTimes:

@@ -231,6 +231,14 @@ class TestPools:
         for x, y in zip(a.assemblies, b.assemblies):
             assert np.array_equal(x, y)
 
+    @pytest.mark.parametrize("n,seed", [(3, 0), (4, 5), (5, 123)])
+    def test_random_pool_is_not_the_first_growth_batch(self, n, seed):
+        # `greedy_pool_growth` draws its batches from default_rng(seed); a
+        # pool drawn from that stream too would be offered to itself
+        pool = np.stack(random_octahedral_pool(n, 32, seed).assemblies)
+        picks = np.random.default_rng(seed).integers(0, 24, size=(_BATCH, n))
+        assert not np.array_equal(pool, octahedral_group()[picks[:32]])
+
     def test_user_pool_rejects_nan_rotation(self):
         bad = np.tile(axis_cycle(), (2, 1, 1))
         bad[0, 2, 1] = np.nan

@@ -30,7 +30,7 @@ import numpy as np
 
 from .coupling import CouplingInput, _checked
 from .rotations import check_symmetric, so3_to_su2, sym_eig
-from .schemes import Scheme, SchemeKind, Step, conjugate, verify
+from .schemes import Scheme, SchemeKind, conjugate, verify
 
 MAX_SPINS = 10
 
@@ -194,8 +194,7 @@ def _frame(coupling, scheme):
     states for odd n; other input runs as given on every column.
     """
     n, J = coupling.n, coupling.J
-    rotations = np.stack([step.rotations for step in scheme.steps])
-    blocks = np.concatenate([J[None], conjugate(rotations, J)]).reshape(-1, n, 3, n, 3).swapaxes(2, 3)
+    blocks = np.concatenate([J[None], conjugate(scheme.rotations, J)]).reshape(-1, n, 3, n, 3).swapaxes(2, 3)
     off = ~np.eye(3, dtype=bool)
     if blocks[..., off].any():
         flat = blocks.reshape(-1, 3, 3)
@@ -212,11 +211,11 @@ def _frame(coupling, scheme):
         Q, d = Q[:, order], d[..., order]
         if pairs:
             d[..., :2] = 0.5 * (d[..., :1] + d[..., 1:2])
-        R = Q.T @ rotations @ Q
+        R = Q.T @ scheme.rotations @ Q
         snapped = np.rint(R)
         R = np.where(np.abs(R - snapped).max(axis=(-2, -1), keepdims=True) <= _FRAME_TOL, snapped, R)
         coupling = CouplingInput(n, np.einsum("kla,ab->kalb", d, np.eye(3)).reshape(3 * n, 3 * n))
-        scheme = Scheme(scheme.kind, tuple(Step(step.t, r) for step, r in zip(scheme.steps, R)))
+        scheme = Scheme._from_arrays(scheme.kind, scheme.times, R)
     if n % 2 == 0 or n > MAX_SPINS:  # above the cap, build_hamiltonian refuses
         return coupling, scheme, slice(None)
     parity = np.bitwise_xor.reduce(np.arange(1 << n)[:, None] >> np.arange(n), axis=1) & 1
@@ -244,10 +243,10 @@ def _simulate(coupling, scheme, cols):
     # H is built from a checked coupling, so it is Hermitian by construction
     lam, blocks = _block_eigh(build_hamiltonian(coupling))
     unit = np.broadcast_to(np.eye(2), (scheme.n, 2, 2))
-    lifts = [unit, *lift_rotations([step.rotations for step in scheme.steps]), unit]
+    lifts = [unit, *lift_rotations(scheme.rotations), unit]
     # the per-spin v_j v_{j-1}^dag, whose kron is P_j
     pulses = [after @ np.conj(np.swapaxes(before, 1, 2)) for before, after in zip(lifts, lifts[1:])]
-    times = [step.t for step in scheme.steps]
+    times = scheme.times.tolist()
     basis = np.arange(lam.size)[cols]
     start = np.zeros((lam.size, basis.size), dtype=complex)
     start[basis, np.arange(basis.size)] = 1.0  # the identity's columns cols

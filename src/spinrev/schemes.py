@@ -1,9 +1,10 @@
 """Pulse schemes acting on coupling matrices.
 
 A scheme is an ordered list of steps, each a relative time and one
-rotation per spin.  The block-diagonal assembly of a step's rotations
-conjugates the coupling, and the time-weighted sum of the conjugates is
-the first-order average; inversion schemes average the coupling to its
+rotation per spin, held as one array of times and one of rotations.
+The block-diagonal assembly of a step's rotations conjugates the
+coupling, and the time-weighted sum of the conjugates is the
+first-order average; inversion schemes average the coupling to its
 negative, decoupling schemes to zero.  Constructive synthesizers cover
 traceless type matrices (two collective steps of unit time) and
 mixed-sign type matrices (Hadamard sign fragments with selective
@@ -33,72 +34,74 @@ class SchemeKind(enum.Enum):
 class Step:
     """One scheme step: a relative time and one rotation per spin.
 
-    `rotations` is a read-only float64 array.  A read-only array that owns
-    its data is kept as given; any other input is copied, so writes to the
-    caller's array or its base never reach the step.
-    """
+    `Scheme.steps` yields read-only views of the scheme's arrays;
+    `Scheme(kind, steps)` copies each step into arrays of its own."""
 
     t: float
     rotations: np.ndarray  # shape (n, 3, 3)
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", float(self.t))
-        rotations = self.rotations
-        if not (
-            type(rotations) is np.ndarray
-            and rotations.dtype == np.float64
-            and rotations.flags.owndata
-            and not rotations.flags.writeable
-        ):
-            rotations = np.array(rotations, dtype=float)
-            rotations.flags.writeable = False
-        object.__setattr__(self, "rotations", rotations)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Scheme:
-    """A pulse scheme; construction validates every step.
-
-    Schemes are treated as immutable after construction.
+    """A pulse scheme: step times (S,) and rotations (S, n, 3, 3), float64
+    arrays that the scheme owns and keeps read-only.  Construction
+    validates every step; the error raised is always the first defect in
+    step order.
     """
 
     kind: SchemeKind
-    steps: tuple[Step, ...]
+    times: np.ndarray  # shape (S,)
+    rotations: np.ndarray  # shape (S, n, 3, 3)
 
-    def __post_init__(self):
-        if not isinstance(self.kind, SchemeKind):
+    def __init__(self, kind: SchemeKind, steps) -> None:
+        """The scheme of a sequence of `Step`s, copied into one array."""
+        if not isinstance(kind, SchemeKind):
             raise ValueError("scheme kind must be SchemeKind.INVERSION or SchemeKind.DECOUPLING")
-        if len(self.steps) == 0:
+        if len(steps) == 0:
             raise ValueError("scheme needs at least one step")
-        # rotations wait in `pending` for one stacked check per chunk; a step
-        # with a structural defect first checks the steps before it, so the
-        # error raised is always the first defect in step order
-        pending = []
-        for step in self.steps:
-            defect = self._defect(step)
-            if defect is not None:
-                _check_step_rotations(pending)
-                raise ValueError(defect)
-            pending.append(step.rotations)
-            if len(pending) * self.n >= _CHECK_ROTATIONS:
-                _check_step_rotations(pending)
-                pending = []
-        _check_step_rotations(pending)
+        times, rotations = np.empty(len(steps)), None
+        for j, step in enumerate(steps):
+            times[j], rots = step.t, np.asarray(step.rotations, dtype=float)
+            if not np.isfinite(times[j]) or times[j] <= 0.0:
+                defect = "step times must be positive and finite"
+            elif rots.ndim != 3 or rots.shape[1:] != (3, 3):
+                defect = "step rotations must have shape (n, 3, 3)"
+            elif rotations is not None and rots.shape[0] != rotations.shape[1]:
+                defect = "every step must address the same number of spins"
+            else:
+                if rotations is None:
+                    rotations = np.empty((len(steps),) + rots.shape)
+                rotations[j] = rots
+                continue
+            if j:  # the steps before it passed, so `rotations` holds them
+                _check_rotations(rotations[:j])
+            raise ValueError(defect)
+        self.__dict__.update(vars(Scheme._from_arrays(kind, times, rotations)))
 
-    def _defect(self, step: Step) -> str | None:
-        """The message for a step's time or shape defect, None if it has none."""
-        if not np.isfinite(step.t) or step.t <= 0.0:
-            return "step times must be positive and finite"
-        rots = step.rotations
-        if rots.ndim != 3 or rots.shape[1:] != (3, 3):
-            return "step rotations must have shape (n, 3, 3)"
-        if rots.shape[0] != self.n:
-            return "every step must address the same number of spins"
-        return None
+    @classmethod
+    def _from_arrays(cls, kind: SchemeKind, times: np.ndarray, rotations: np.ndarray) -> Scheme:
+        """The scheme of (S,) `times` and (S, n, 3, 3) `rotations`, which the
+        caller hands over and no longer writes: float64 arrays that own
+        their data are kept, anything else is copied.  The rotations of the
+        steps before the first bad time are checked before that time."""
+        times, rotations = (np.require(a, float, ["C", "O"]) for a in (times, rotations))
+        bad = np.flatnonzero(~(np.isfinite(times) & (times > 0.0)))
+        _check_rotations(rotations[: bad[0] if bad.size else None])
+        if bad.size:
+            raise ValueError("step times must be positive and finite")
+        times.flags.writeable = rotations.flags.writeable = False
+        scheme = cls.__new__(cls)
+        scheme.__dict__.update(kind=kind, times=times, rotations=rotations)
+        return scheme
 
     @property
     def n(self) -> int:
-        return self.steps[0].rotations.shape[0]
+        return self.rotations.shape[1]
+
+    @property
+    def steps(self) -> tuple[Step, ...]:
+        """One `Step` per step, its rotations a read-only view of the scheme's."""
+        return tuple(map(Step, self.times.tolist(), self.rotations))
 
 
 # rotations per stacked `check_rotation` call: its (k, 3, 3) temporaries
@@ -106,19 +109,21 @@ class Scheme:
 _CHECK_ROTATIONS = 1024
 
 
-def _check_step_rotations(stacks: list) -> None:
-    """`check_rotation` over several steps' (n, 3, 3) rotations in one call.
+def _check_rotations(rotations: np.ndarray) -> None:
+    """`check_rotation` over an (S, n, 3, 3) stack, in chunks of whole
+    steps that hold about _CHECK_ROTATIONS rotations each.
 
-    On a failure the steps are checked again one at a time, so the error
-    names the first failing step's defect, as a per-step check would."""
-    if not stacks:
-        return
-    try:
-        check_rotation(np.concatenate(stacks), tol=1e-12)
-    except ValueError:
-        for rots in stacks:
-            check_rotation(rots, tol=1e-12)
-        raise
+    On a failure the chunk's steps are checked again one at a time, so the
+    error names the first failing step's defect, as a per-step check would."""
+    per = -(-_CHECK_ROTATIONS // max(rotations.shape[1], 1))
+    for j in range(0, len(rotations), per):
+        chunk = rotations[j : j + per]
+        try:
+            check_rotation(chunk.reshape(-1, 3, 3), tol=1e-12)
+        except ValueError:
+            for rots in chunk:
+                check_rotation(rots, tol=1e-12)
+            raise
 
 
 @dataclass(frozen=True)
@@ -172,7 +177,7 @@ def average_coupling(scheme: Scheme, J) -> np.ndarray:
 
     Block (k, l) of the average is sum_j t_j R_jk J_kl R_jl^T, linear in
     J_kl through the Gram block M_kl = sum_j t_j R_jk (x) R_jl.  With the
-    steps' rotations stacked as X, one 9n-wide row per step, M is
+    scheme's rotations read as X, one 9n-wide row per step, M is
     X^T diag(t) X: one BLAS-3 product, formed a chunk of row spins at a
     time and contracted with J's 3x3 blocks,
     avg[k,a,l,b] = sum_cd M[k,a,c,l,b,d] J[k,c,l,d].  J is symmetric, so
@@ -185,8 +190,8 @@ def average_coupling(scheme: Scheme, J) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: scheme addresses {scheme.n} spins, coupling has {n}"
         )
-    t = np.array([step.t for step in scheme.steps])
-    X = np.stack([step.rotations for step in scheme.steps]).reshape(len(t), 9 * n)
+    t = scheme.times
+    X = scheme.rotations.reshape(len(t), 9 * n)
     J6 = coupling.J.reshape(n, 1, 3, n, 1, 3)
     out = np.empty((n, 3, n, 3))
     chunk = max(1, _GRAM_ENTRIES // (81 * n))
@@ -225,8 +230,8 @@ def inversion_to_decoupling(scheme: Scheme) -> Scheme:
     """Prepend an identity step of unit time, so the averages sum to zero."""
     if scheme.kind is not SchemeKind.INVERSION:
         raise ValueError("expected an inversion scheme")
-    first = Step(1.0, np.tile(np.eye(3), (scheme.n, 1, 1)))
-    return Scheme(SchemeKind.DECOUPLING, (first,) + scheme.steps)
+    rotations = np.concatenate([np.tile(np.eye(3), (1, scheme.n, 1, 1)), scheme.rotations])
+    return Scheme._from_arrays(SchemeKind.DECOUPLING, np.append(1.0, scheme.times), rotations)
 
 
 def decoupling_to_inversion(scheme: Scheme) -> Scheme:
@@ -238,11 +243,11 @@ def decoupling_to_inversion(scheme: Scheme) -> Scheme:
     """
     if scheme.kind is not SchemeKind.DECOUPLING:
         raise ValueError("expected a decoupling scheme")
-    if len(scheme.steps) < 2:
+    times, rotations = scheme.times, scheme.rotations
+    if len(times) < 2:
         raise ValueError("conversion needs at least 2 steps")
-    first, rest = scheme.steps[0], scheme.steps[1:]
-    rotations = np.matmul(np.swapaxes(first.rotations, 1, 2), np.stack([step.rotations for step in rest]))
-    return Scheme(SchemeKind.INVERSION, tuple(Step(step.t / first.t, r) for step, r in zip(rest, rotations)))
+    turned = np.matmul(np.swapaxes(rotations[0], 1, 2), rotations[1:])
+    return Scheme._from_arrays(SchemeKind.INVERSION, times[1:] / times[0], turned)
 
 
 def synthesize_case1(W, A=None, tol: float = 1e-9) -> Scheme:
@@ -260,11 +265,8 @@ def synthesize_case1(W, A=None, tol: float = 1e-9) -> Scheme:
     n = coupling.n
     Q = coupling.spectrum.eigenvectors
     S = axis_cycle()
-    steps = []
-    for power in (S, S @ S):
-        R = Q @ power @ Q.T
-        steps.append(Step(1.0, np.tile(R, (n, 1, 1))))
-    return Scheme(SchemeKind.INVERSION, tuple(steps))
+    R = np.stack([Q @ power @ Q.T for power in (S, S @ S)])
+    return Scheme._from_arrays(SchemeKind.INVERSION, np.ones(2), np.repeat(R[:, None], n, axis=1))
 
 
 def hadamard_matrix(m: int) -> np.ndarray:
@@ -303,7 +305,7 @@ def selective_decoupling(n: int, axis: str = "z") -> Scheme:
     if n < 2:
         raise ValueError("need at least 2 spins")
     stack = _sign_fragment(n, axis)
-    return Scheme(SchemeKind.DECOUPLING, tuple(Step(1.0 / len(stack), rots) for rots in stack))
+    return Scheme._from_arrays(SchemeKind.DECOUPLING, np.full(len(stack), 1.0 / len(stack)), stack)
 
 
 def _sign_fragment(n: int, axis: str) -> np.ndarray:
@@ -337,7 +339,7 @@ def synthesize_case2(W, A=None, tol: float = 1e-9) -> Scheme:
     lam = coupling.spectrum.eigenvalues
     Q = coupling.spectrum.eigenvectors
     cut = tol * _frobenius(coupling.A)
-    steps = []
+    times, stacks = [], []
     for target in range(3):
         a = lam[target]
         if abs(a) <= cut:
@@ -346,9 +348,9 @@ def synthesize_case2(W, A=None, tol: float = 1e-9) -> Scheme:
         pivot = min(opposite, key=lambda b: (-abs(lam[b]), b))
         frame = Q @ _plane_quarter_turn(pivot, target)
         scale = abs(a / lam[pivot])
-        stack = np.matmul(np.matmul(frame, _sign_fragment(n, AXES[pivot])), Q.T)
-        steps.extend(Step(1.0 / len(stack) * scale, rots) for rots in stack)
-    return Scheme(SchemeKind.INVERSION, tuple(steps))
+        stacks.append(np.matmul(np.matmul(frame, _sign_fragment(n, AXES[pivot])), Q.T))
+        times.append(np.full(len(stacks[-1]), 1.0 / len(stacks[-1]) * scale))
+    return Scheme._from_arrays(SchemeKind.INVERSION, np.concatenate(times), np.concatenate(stacks))
 
 
 def _plane_quarter_turn(src: int, dst: int) -> np.ndarray:
@@ -363,12 +365,10 @@ def _plane_quarter_turn(src: int, dst: int) -> np.ndarray:
 def scheme_stats(scheme: Scheme) -> SchemeStats:
     """Step count, total relative time, and whether every step applies one
     common rotation to all spins (to 1e-12)."""
-    tau = float(sum(step.t for step in scheme.steps))
-    collective = all(
-        float(np.abs(step.rotations - step.rotations[0]).max()) <= 1e-12
-        for step in scheme.steps
-    )
-    return SchemeStats(len(scheme.steps), tau, collective)
+    times = scheme.times.tolist()
+    tau = float(sum(times))  # a Python sum in step order, not np.sum
+    collective = all(float(np.abs(R - R[0]).max()) <= 1e-12 for R in scheme.rotations)
+    return SchemeStats(len(times), tau, collective)
 
 
 def scheme_to_dict(scheme: Scheme) -> dict:
@@ -378,8 +378,7 @@ def scheme_to_dict(scheme: Scheme) -> dict:
         "kind": scheme.kind.value,
         "n": scheme.n,
         "steps": [
-            {"t": float(step.t), "rotations": np.asarray(step.rotations).tolist()}
-            for step in scheme.steps
+            {"t": t, "rotations": R.tolist()} for t, R in zip(scheme.times.tolist(), scheme.rotations)
         ],
     }
 
@@ -392,10 +391,10 @@ def _scheme_json_chunks(scheme: Scheme):
     the cache is keyed by the matrix's bytes, so 0.0 and -0.0 stay apart."""
     encoded = _EncodedRotations()
     yield f'{{"kind": {json.dumps(scheme.kind.value)}, "n": {scheme.n}, "steps": ['
-    for i, step in enumerate(scheme.steps):
-        raw = step.rotations.tobytes()
+    for i, (t, R) in enumerate(zip(scheme.times.tolist(), scheme.rotations)):
+        raw = R.tobytes()
         rotations = ", ".join([encoded[raw[k : k + 72]] for k in range(0, len(raw), 72)])
-        chunk = f'{{"t": {json.dumps(step.t)}, "rotations": [{rotations}]}}'
+        chunk = f'{{"t": {json.dumps(t)}, "rotations": [{rotations}]}}'
         yield chunk if i == 0 else ", " + chunk
     yield "]}"
 
@@ -412,10 +411,9 @@ def _step_object_hook(obj: dict) -> dict:
     """`json.load` object hook for scheme files: decoded one object at a
     time, each step's "rotations" become one float64 array as soon as the
     step is read, so the lists and float objects of a large scheme are
-    never all alive at once.  The array owns its data and is read-only,
-    so `Step` keeps it without a copy.  Rotations that are not a (k, 3, 3)
-    nest of int and float leaves stay as decoded, for `scheme_from_dict`
-    to report."""
+    never all alive at once.  Rotations that are not a (k, 3, 3) nest of
+    int and float leaves stay as decoded, for `scheme_from_dict` to
+    report."""
     rotations = obj.get("rotations")
     if type(rotations) is list:
         array = _rotation_array(rotations)
@@ -425,8 +423,8 @@ def _step_object_hook(obj: dict) -> dict:
 
 
 def _rotation_array(spins: list) -> np.ndarray | None:
-    """A non-empty (k, 3, 3) nest of int and float leaves as one read-only
-    float64 array, None for anything else.
+    """A non-empty (k, 3, 3) nest of int and float leaves as one float64
+    array, None for anything else.
 
     C-level `set(map(...))` passes check the nest and `chain` flattens it,
     so no Python loop runs per leaf.  The upper levels need only their
@@ -447,7 +445,6 @@ def _rotation_array(spins: list) -> np.ndarray | None:
     except OverflowError:  # an integer beyond float range
         return None
     array.shape = (len(spins), 3, 3)
-    array.flags.writeable = False
     return array
 
 
@@ -455,7 +452,8 @@ def scheme_from_dict(data) -> Scheme:
     """Parse the scheme JSON form; unknown keys are ignored.
 
     Step rotations may be nested lists or, as `_step_object_hook` leaves
-    them, numeric arrays; both take the same checks."""
+    them, numeric arrays; both take the same checks, and each step is
+    copied into the scheme's one array as it is read."""
     if not isinstance(data, dict):
         raise ValueError("scheme file must hold a JSON object")
     for key in ("kind", "n", "steps"):
@@ -471,23 +469,26 @@ def scheme_from_dict(data) -> Scheme:
     n = int(n)
     if not isinstance(data["steps"], list) or not data["steps"]:
         raise ValueError('scheme "steps" must be a non-empty list')
-    steps = []
-    for entry in data["steps"]:
+    entries = data["steps"]
+    times, rotations = np.empty(len(entries)), None
+    for j, entry in enumerate(entries):
         if not isinstance(entry, dict) or "t" not in entry or "rotations" not in entry:
             raise ValueError('each step needs "t" and "rotations"')
         try:
-            rotations = np.asarray(entry["rotations"], dtype=float)
+            rots = np.asarray(entry["rotations"], dtype=float)
         except (TypeError, ValueError, OverflowError):
             raise ValueError("step rotations must be numeric 3x3 matrices") from None
-        if rotations.shape != (n, 3, 3):
+        if rots.shape != (n, 3, 3):
             raise ValueError(
-                f"step must list one 3x3 rotation per spin (expected shape {(n, 3, 3)}, got {rotations.shape})"
+                f"step must list one 3x3 rotation per spin (expected shape {(n, 3, 3)}, got {rots.shape})"
             )
         _check_json_numbers(entry["rotations"], 3, "step rotations")
         _check_json_numbers(entry["t"], 0, 'step "t"')
         try:
-            t = float(entry["t"])
+            times[j] = float(entry["t"])
         except OverflowError:  # an integer beyond float range
             raise ValueError("step times must be positive and finite") from None
-        steps.append(Step(t, rotations))
-    return Scheme(kind, tuple(steps))
+        if rotations is None:  # sized once a step has shown that "n" spins are there
+            rotations = np.empty((len(entries), n, 3, 3))
+        rotations[j] = rots
+    return Scheme._from_arrays(kind, times, rotations)

@@ -26,7 +26,6 @@ from .rotations import axis_cycle, check_rotation
 from .schemes import (
     Scheme,
     SchemeKind,
-    Step,
     conjugate,
     pi_rotation,
     scheme_stats,
@@ -279,8 +278,8 @@ def _finalize(coupling, scaled, assemblies, x, rnorm, iterations, tol):
     # residual is sqrt(2) times the stacked-block residual
     relative = rnorm * np.sqrt(2.0) / norm
     if keep.size and relative <= tol:
-        steps = tuple(Step(float(x[j]), assemblies[j]) for j in keep)
-        result = _verdict(Scheme(SchemeKind.INVERSION, steps), coupling, tol, iterations)
+        scheme = Scheme._from_arrays(SchemeKind.INVERSION, x[keep], np.array([assemblies[j] for j in keep]))
+        result = _verdict(scheme, coupling, tol, iterations)
         if result.scheme is not None:
             return result
         relative = result.residual
@@ -427,7 +426,7 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
     scheme = start.scheme if isinstance(start, SearchResult) else start
     if scheme is None or scheme.kind is not SchemeKind.INVERSION:
         raise ValueError("phase 2 needs an inversion scheme")
-    start_rots = np.array([step.rotations for step in scheme.steps])
+    start_rots = scheme.rotations
     coupling, scaled, columns, target = _problem(J, start_rots)
     rows, size = columns.shape
     Q, R = np.linalg.qr(columns, mode="complete")

@@ -26,14 +26,18 @@ from hypothesis import strategies as st
 
 from helpers import hand_built_errors, random_coupling, random_rotation, random_weights
 from spinrev import (
+    CouplingClass,
     axis_cycle,
     check_scheme_against_bounds,
+    classify_type,
     cli,
     collective_cyclic_pool,
     complete_weights,
     coupling_from_dict,
+    decoupling_to_inversion,
     error_scaling,
     greedy_pool_growth,
+    inversion_to_decoupling,
     merge_pools,
     pair_pi_pool,
     pi_rotation,
@@ -328,6 +332,82 @@ def test_written_scheme_is_the_dumped_dict(scheme):
     chunks = list(_scheme_json_chunks(scheme))
     assert len(chunks) == len(scheme.steps) + 2
     assert "".join(chunks) == json.dumps(scheme_to_dict(scheme))
+
+
+@bounded
+@given(written_schemes())
+def test_conversions_and_the_step_constructor_round_trip(scheme):
+    # rebuilt from its steps (the benchmark replay's probe), a scheme has
+    # the same bytes and the same JSON form
+    again = Scheme(scheme.kind, scheme.steps)
+    assert again.kind is scheme.kind
+    assert again.times.tobytes() == scheme.times.tobytes()
+    assert again.rotations.tobytes() == scheme.rotations.tobytes()
+    assert json.dumps(scheme_to_dict(again)) == json.dumps(scheme_to_dict(scheme))
+    # an identity step prepended, then folded away: t_j / 1 and I R_j
+    inversion = Scheme(SchemeKind.INVERSION, scheme.steps)
+    back = decoupling_to_inversion(inversion_to_decoupling(inversion))
+    assert back.kind is SchemeKind.INVERSION
+    for got, want in ((back.times, scheme.times), (back.rotations, scheme.rotations)):
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+
+@st.composite
+def collective_types(draw):
+    """(W, A, label) at n = 2-4: signed weights and a type of a drawn class,
+    turned off its eigenframe by a generic rotation.  Traceless types
+    (class 1) have two free eigenvalues; mixed-sign (class 2) and
+    semidefinite (class 3) ones, zeros among them, keep |tr A| at least
+    a tenth of their largest eigenvalue."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    label = draw(st.sampled_from(list(CouplingClass)))
+    while True:
+        lam = rng.uniform(0.2, 2.0, size=3) * rng.choice([-1.0, 0.0, 1.0], size=3)
+        if label is CouplingClass.TRACELESS:
+            lam[2] = -(lam[0] + lam[1])
+        if not np.any(lam):
+            continue
+        mixed = set(np.sign(lam[lam != 0.0])) == {-1.0, 1.0}
+        if label is CouplingClass.TRACELESS or (
+            abs(lam.sum()) >= 0.1 * np.abs(lam).max() and mixed == (label is CouplingClass.MIXED_SIGN)
+        ):
+            break
+    Q = rotation_about(rng.normal(size=3), rng.uniform(-np.pi, np.pi))
+    A = Q @ np.diag(lam) @ Q.T
+    return random_weights(rng, draw(st.integers(2, 4))), 0.5 * (A + A.T), label
+
+
+@bounded
+@given(collective_types())
+def test_collective_schemes_invert_only_traceless_types(problem):
+    # the paper's "spins have to be addressed separately": a collective
+    # step turns W (x) A into W (x) R A R^T, so a collective scheme averages
+    # it to W (x) A' with tr A' = tau tr A, and -A needs tr A = 0.  Over
+    # the 24 collective octahedral assemblies in A's eigenframe the
+    # inversion LP is feasible exactly for the traceless types.
+    W, A, label = problem
+    assert classify_type(A) is label
+    n = W.shape[0]
+    Q = np.linalg.eigh(A)[1]
+    frames = Q @ octahedral_group() @ Q.T
+    assemblies = np.repeat(frames[:, None], n, axis=1)
+    J = tensor_coupling(W, A)
+    lp = scipy.optimize.linprog(
+        np.ones(len(assemblies)),
+        A_eq=_upper_block_columns(J, assemblies),
+        b_eq=-_upper_blocks(J),
+        bounds=(0, None),
+        method="highs",
+    )
+    if label is not CouplingClass.TRACELESS:
+        assert lp.status == 2  # infeasible
+        return
+    assert lp.status == 0
+    keep = lp.x > 1e-12
+    found = Scheme(SchemeKind.INVERSION, [Step(t, R) for t, R in zip(lp.x[keep], assemblies[keep])])
+    assert scheme_stats(found).collective
+    assert verify(found, J, 1e-7).ok
 
 
 @st.composite

@@ -109,13 +109,38 @@ class TestSchemeModel:
                 step.rotations[0, 0, 0] = 0.0
 
     def test_keeps_a_read_only_array_that_owns_its_data(self):
-        rotations = np.array([axis_cycle(), axis_cycle()])
-        rotations.flags.writeable = False
-        assert Step(1.0, rotations).rotations is rotations
-        # a read-only view of a writeable array is copied
-        view = np.tile(axis_cycle(), (2, 1, 1)).view()
+        # whatever the steps hand in (a read-only array that owns its data,
+        # a read-only view of a writeable array, nested lists), the scheme
+        # keeps two float64 arrays of its own
+        owned = np.array([axis_cycle(), axis_cycle()])
+        owned.flags.writeable = False
+        base = np.tile(axis_cycle(), (2, 1, 1))
+        view = base.view()
         view.flags.writeable = False
-        assert Step(1.0, view).rotations.base is None
+        scheme = Scheme(SchemeKind.INVERSION, (Step(1.0, owned), Step(2.0, view), Step(0.5, base.tolist())))
+        made = (
+            scheme,
+            Scheme(scheme.kind, scheme.steps),
+            inversion_to_decoupling(scheme),
+            decoupling_to_inversion(inversion_to_decoupling(scheme)),
+            scheme_from_dict(scheme_to_dict(scheme)),
+            synthesize_case1(complete_weights(2), dipole_type()),
+            synthesize_case2(complete_weights(3), np.diag([2.0, 1.0, -1.0])),
+            selective_decoupling(3),
+        )
+        for s in made:
+            for array in (s.times, s.rotations):
+                assert array.dtype == np.float64 and array.flags.c_contiguous
+                assert array.flags.owndata and not array.flags.writeable
+                for caller in (owned, base):
+                    assert not np.shares_memory(array, caller)
+                if s is not scheme:
+                    assert not np.shares_memory(array, scheme.rotations)
+            # its steps are read-only views that cannot be made writeable
+            step = s.steps[-1]
+            assert np.shares_memory(step.rotations, s.rotations)
+            with pytest.raises(ValueError):
+                step.rotations.flags.writeable = True
 
 
 def _loop_verdict(steps):
@@ -367,6 +392,28 @@ class TestVerify:
     def test_rejects_zero_coupling(self):
         with pytest.raises(ValueError, match="zero"):
             verify(cyclic_scheme(2), np.zeros((6, 6)))
+
+    def test_holds_no_second_copy_of_the_rotations(self, tmp_path):
+        # the Gram average reads the scheme's rotations in place, so a scheme
+        # 4x as long raises verify's traced peak by about one copy of the
+        # added rotations (the time-scaled rows of the product), not two
+        W, A = complete_weights(24), np.diag([2.0, 1.0, -1.0])
+        path = tmp_path / "s.json"
+        cli._write_scheme(str(path), synthesize_case2(W, A))
+        scheme = cli._load_scheme(str(path))
+        longer = Scheme(scheme.kind, [Step(step.t / 4, step.rotations) for step in scheme.steps] * 4)
+        J = tensor_coupling(W, A)
+
+        def peak(s):
+            tracemalloc.start()
+            try:
+                assert verify(s, J).ok
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        added = 72 * 3 * len(scheme.steps) * scheme.n  # float64 bytes of the 3x more rotations
+        assert (peak(longer) - peak(scheme)) / added < 1.5
 
     def test_frame_covariance(self):
         # rotating every step rotation and the type matrix by a common
@@ -731,9 +778,9 @@ class TestStreamedReader:
         data = json.loads(text, object_hook=schemes._step_object_hook)
         assert all(type(step["rotations"]) is np.ndarray for step in data["steps"])
         streamed, whole = scheme_from_dict(data), scheme_from_dict(json.loads(text))
-        # the hook's read-only arrays are handed over, not copied
+        # each step's array is copied, unchanged, into the scheme's one array
         for step, entry in zip(streamed.steps, data["steps"]):
-            assert step.rotations is entry["rotations"]
+            assert step.rotations.tobytes() == entry["rotations"].tobytes()
         assert len(streamed.steps) == len(whole.steps)
         for a, b in zip(streamed.steps, whole.steps):
             assert a.t == b.t

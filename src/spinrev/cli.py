@@ -28,10 +28,13 @@ def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _load_json(path: str, object_hook=None):
+def _load_json(path: str, loads=json.loads):
+    """`loads` of the file's text; a file that cannot be read, is not UTF-8
+    or is not JSON raises a ValueError that names it."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle, object_hook=object_hook)
+            text = handle.read()
+        return loads(text)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -64,9 +67,9 @@ def _load_coupling(path: str):
 
 
 def _load_scheme(path: str):
-    from .schemes import _step_object_hook, scheme_from_dict
+    from .schemes import _read_scheme
 
-    return scheme_from_dict(_load_json(path, _step_object_hook))
+    return _load_json(path, _read_scheme)
 
 
 def _parse_eps(text: str) -> list[float]:

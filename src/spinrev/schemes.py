@@ -448,6 +448,68 @@ def _rotation_array(spins: list) -> np.ndarray | None:
     return array
 
 
+def _read_scheme(text: str) -> Scheme:
+    """The scheme of a scheme file's text: by `_read_own_layout` when it is
+    in the writer's layout, else by `scheme_from_dict`, decoded a step at
+    a time by `_step_object_hook`."""
+    scheme = _read_own_layout(text)
+    if scheme is None:
+        scheme = scheme_from_dict(json.loads(text, object_hook=_step_object_hook))
+    return scheme
+
+
+def _read_own_layout(text: str) -> Scheme | None:
+    """The scheme of text in the exact layout of `_scheme_json_chunks`,
+    None for any other text.
+
+    Each step's rotation list is split on the writer's "]], [[" separator
+    and each distinct rotation text gets a one-byte code; one `json.loads`
+    parses the distinct texts and one `np.take` copies them to their
+    steps.  Other spacing or key order, a rotation text that is not a
+    3x3 nest of finite numbers, a step of other than "n" rotations, a
+    time that is not finite and positive, or more than 256 distinct
+    rotation texts (a file that repeats few) gives None.  So what this
+    reads, `scheme_from_dict` reads as the same arrays."""
+    kinds = {f'{{"kind": "{kind.value}"': kind for kind in SchemeKind}
+    start = text.find(', "steps": [{"t": ')
+    head, _, n = text[: max(start, 0)].partition(', "n": ')
+    if head not in kinds or not text.endswith("]]]}]}"):
+        return None
+    codes, picks, t_texts = {}, bytearray(), []
+    pos, end = start + 18, len(text) - 6
+    while True:  # a step at a time: splitting the whole text would copy it
+        stop = text.find(']]]}, {"t": ', pos, end)
+        spins = text[pos : stop if stop >= 0 else end].split("]], [[")
+        t, sep, spins[0] = spins[0].partition(', "rotations": [[[')
+        if not sep or str(len(spins)) != n:  # "n" as the writer spells it
+            return None
+        for spin in dict.fromkeys(spins):
+            codes.setdefault(spin, len(codes))
+        if len(codes) > 256:  # a code is one byte
+            return None
+        picks.extend(map(codes.__getitem__, spins))
+        t_texts.append(t)
+        if stop < 0:
+            break
+        pos = stop + 12
+    try:
+        distinct = _rotation_array(json.loads("[[[" + "]], [[".join(codes) + "]]]"))
+        times = json.loads("[" + ", ".join(t_texts) + "]")
+        if len(times) != len(t_texts) or not set(map(type, times)) <= {int, float}:
+            return None
+        times = np.array(list(map(float, times)))
+    except (ValueError, OverflowError):  # not JSON; an integer beyond float range
+        return None
+    if distinct is None or len(distinct) != len(codes) or not np.isfinite(distinct).all():
+        return None
+    if not np.all((times > 0.0) & (times < np.inf)):
+        return None
+    rotations = np.empty((len(times), len(spins), 3, 3))
+    # mode="clip" writes straight to `out`; "raise" would buffer a copy
+    np.take(distinct, np.frombuffer(picks, np.uint8), axis=0, out=rotations.reshape(-1, 3, 3), mode="clip")
+    return Scheme._from_arrays(kinds[head], times, rotations)
+
+
 def scheme_from_dict(data) -> Scheme:
     """Parse the scheme JSON form; unknown keys are ignored.
 

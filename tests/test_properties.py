@@ -54,7 +54,7 @@ from spinrev import (
     verify,
 )
 from spinrev import hilbert
-from spinrev.schemes import Scheme, SchemeKind, Step, _scheme_json_chunks
+from spinrev.schemes import Scheme, SchemeKind, Step, _read_own_layout, _scheme_json_chunks
 from spinrev.search import (
     _lawson_hanson,
     _upper_block_columns,
@@ -332,6 +332,18 @@ def test_written_scheme_is_the_dumped_dict(scheme):
     chunks = list(_scheme_json_chunks(scheme))
     assert len(chunks) == len(scheme.steps) + 2
     assert "".join(chunks) == json.dumps(scheme_to_dict(scheme))
+
+
+@bounded
+@given(written_schemes())
+def test_written_scheme_reads_back_by_its_own_layout(scheme):
+    # the own-layout reader takes the file, with the general reader's bytes
+    text = "".join(_scheme_json_chunks(scheme))
+    own, general = _read_own_layout(text), scheme_from_dict(json.loads(text))
+    assert own is not None
+    assert own.kind is general.kind is scheme.kind
+    assert own.times.tobytes() == general.times.tobytes() == scheme.times.tobytes()
+    assert own.rotations.tobytes() == general.rotations.tobytes() == scheme.rotations.tobytes()
 
 
 @bounded

@@ -770,7 +770,8 @@ class TestSerialization:
 
 
 class TestStreamedReader:
-    """Scheme files are decoded one step at a time (`_step_object_hook`)."""
+    """Scheme files not in the writer's layout are decoded one step at a
+    time (`_step_object_hook`)."""
 
     def test_hook_turns_each_step_into_one_array(self):
         scheme = synthesize_case2(complete_weights(5), np.diag([2.0, 1.0, -1.0]))
@@ -800,6 +801,9 @@ class TestStreamedReader:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert fragment in captured.err
+        # json.dumps writes the writer's layout: the own-layout reader either
+        # refuses the file or raises what the general reader raises
+        assert captured.err == f"error: {_general_reader_error(scheme.read_text())}\n"
 
     def test_reading_a_class2_file_holds_about_one_copy(self, tmp_path):
         # the whole decoded tree of lists and floats is ~5x the file plus
@@ -817,6 +821,158 @@ class TestStreamedReader:
             tracemalloc.stop()
         assert len(loaded.steps) == 96
         assert peak <= 2 * (path.stat().st_size + float_bytes)
+
+
+def _general_reader_error(text):
+    with pytest.raises(ValueError) as err:
+        scheme_from_dict(json.loads(text, object_hook=schemes._step_object_hook))
+    return str(err.value)
+
+
+def _own_layout_scheme(route):
+    W = complete_weights(3)
+    if route == "class-1":
+        return synthesize_case1(W, dipole_type())
+    if route == "class-2-turned":
+        Q = random_rotation(np.random.default_rng(7))
+        A = Q @ np.diag([2.0, 1.0, -1.0]) @ Q.T
+        return synthesize_case2(W, 0.5 * (A + A.T))
+    if route == "search":
+        from spinrev import greedy_pool_growth, pair_pi_pool
+
+        return greedy_pool_growth(tensor_coupling(W, scalar_type()), pair_pi_pool(3, seed=7)).scheme
+    if route == "class-2":
+        return synthesize_case2(W, np.diag([2.0, 1.0, -1.0]))
+    if route == "decoupling":
+        return inversion_to_decoupling(_own_layout_scheme("class-2"))
+    if route == "negative-zeros":
+        R = pi_rotation("z")
+        R[0, 1] = R[1, 2] = R[2, 0] = -0.0
+        spins = np.stack([R, pi_rotation("z"), np.eye(3)])
+        return Scheme(SchemeKind.INVERSION, (Step(1.0, spins), Step(0.25, spins[::-1])))
+    assert route == "one-spin"
+    return Scheme(SchemeKind.DECOUPLING, (Step(1.0, identity_steps(1)), Step(3.0, pi_rotation("x")[None])))
+
+
+def _set_first(text, key, literal):
+    # the first number after `key` in the text spelled as `literal`
+    head, key, rest = text.partition(key)
+    return head + key + literal + rest[rest.index(","):]
+
+
+def _reordered(text):
+    data = json.loads(text)
+    steps = [{"rotations": step["rotations"], "t": step["t"]} for step in data["steps"]]
+    return json.dumps({"steps": steps, "n": data["n"], "kind": data["kind"]})
+
+
+_FIRST_T, _FIRST_ENTRY = '{"t": ', '"rotations": [[['
+
+# writer's text -> a near variant that the own-layout reader must refuse
+NEAR_LAYOUT_TEXTS = {
+    "indented": lambda text: json.dumps(json.loads(text), indent=1),
+    "compact": lambda text: json.dumps(json.loads(text), separators=(",", ":")),
+    "trailing-newline": lambda text: text + "\n",
+    "key-order": _reordered,
+    "spaced-separator": lambda text: text.replace("]], [[", "]],  [[", 1),
+    "nan-entry": lambda text: _set_first(text, _FIRST_ENTRY, "NaN"),
+    "infinite-entry": lambda text: _set_first(text, _FIRST_ENTRY, "-Infinity"),
+    "true-entry": lambda text: _set_first(text, _FIRST_ENTRY, "true"),
+    "string-entry": lambda text: _set_first(text, _FIRST_ENTRY, '"0.0"'),
+    "huge-integer-entry": lambda text: _set_first(text, _FIRST_ENTRY, str(10**400)),
+    "overflowing-entry": lambda text: _set_first(text, _FIRST_ENTRY, "1e400"),
+    "ragged-rows": lambda text: text.replace("], [", ", ", 1),
+    "nested-entry": lambda text: _set_first(text, _FIRST_ENTRY, "[0.0]"),
+    "extra-rotation": lambda text: text.replace("]]]}", "]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}", 1),
+    # n pieces when split on "]], [[", n + 1 rotations to JSON
+    "unspaced-extra-rotation": lambda text: text.replace("]]]}", "]],[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}", 1),
+    "nan-time": lambda text: _set_first(text, _FIRST_T, "NaN"),
+    "infinite-time": lambda text: _set_first(text, _FIRST_T, "Infinity"),
+    "overflowing-time": lambda text: _set_first(text, _FIRST_T, "1e400"),
+    "huge-integer-time": lambda text: _set_first(text, _FIRST_T, str(10**400)),
+    "negative-time": lambda text: _set_first(text, _FIRST_T, "-0.5"),
+    "zero-time": lambda text: _set_first(text, _FIRST_T, "0"),
+    "true-time": lambda text: _set_first(text, _FIRST_T, "true"),
+    "list-time": lambda text: _set_first(text, _FIRST_T, "[0.5]"),
+    "zero-spins": lambda text: text.replace('"n": 3', '"n": 0', 1),
+    "padded-spins": lambda text: text.replace('"n": 3', '"n": 03', 1),
+    "huge-spins": lambda text: text.replace('"n": 3', '"n": ' + "3" * 5000, 1),
+    "other-kind": lambda text: text.replace('"inversion"', '"Inversion"', 1),
+    "empty-steps": lambda text: text.partition(_FIRST_T)[0] + "]}",
+}
+
+
+class TestOwnLayoutReader:
+    """`_read_own_layout` takes what `cli._write_scheme` writes and hands
+    everything else to the general reader."""
+
+    @pytest.mark.parametrize(
+        "route", ["class-1", "class-2-turned", "search", "decoupling", "negative-zeros", "one-spin"]
+    )
+    def test_takes_every_written_file_as_the_general_reader_does(self, tmp_path, route):
+        scheme = _own_layout_scheme(route)
+        path = tmp_path / "s.json"
+        cli._write_scheme(str(path), scheme)
+        text = path.read_text()
+        # fails, rather than falling back, if the writer's layout changes
+        own = schemes._read_own_layout(text)
+        assert own is not None
+        general = scheme_from_dict(json.loads(text))
+        for got in (own, cli._load_scheme(str(path))):
+            assert got.kind is general.kind is scheme.kind
+            assert got.times.tobytes() == general.times.tobytes() == scheme.times.tobytes()
+            assert got.rotations.tobytes() == general.rotations.tobytes() == scheme.rotations.tobytes()
+
+    def test_takes_other_spellings_of_the_same_numbers(self):
+        text = "".join(schemes._scheme_json_chunks(_own_layout_scheme("class-2")))
+        spelled = _set_first(_set_first(text, _FIRST_T, "5E-1"), _FIRST_ENTRY, "-0").replace("1.0", "1", 3)
+        own, general = schemes._read_own_layout(spelled), scheme_from_dict(json.loads(spelled))
+        assert own is not None
+        assert own.times.tobytes() == general.times.tobytes()
+        assert own.rotations.tobytes() == general.rotations.tobytes()
+
+    @pytest.mark.parametrize("variant", sorted(NEAR_LAYOUT_TEXTS))
+    def test_near_layouts_go_to_the_general_reader(self, tmp_path, capsys, variant):
+        text = "".join(schemes._scheme_json_chunks(_own_layout_scheme("class-2")))
+        text = NEAR_LAYOUT_TEXTS[variant](text)
+        assert schemes._read_own_layout(text) is None
+        coupling, scheme = tmp_path / "c.json", tmp_path / "s.json"
+        coupling.write_text(json.dumps({"n": 3, "W": complete_weights(3).tolist(), "A": np.diag([2, 1, -1]).tolist()}))
+        scheme.write_text(text)
+        code = cli.main(["verify", "--coupling", str(coupling), "--scheme", str(scheme)])
+        captured = capsys.readouterr()
+        try:
+            general = scheme_from_dict(json.loads(text))
+        except json.JSONDecodeError as exc:
+            assert (code, captured.out, captured.err) == (2, "", f"error: {scheme} is not valid JSON: {exc}\n")
+        except ValueError as exc:
+            assert (code, captured.out, captured.err) == (2, "", f"error: {exc}\n")
+        else:
+            assert code == 0 and json.loads(captured.out)["ok"] is True
+            loaded = cli._load_scheme(str(scheme))
+            assert loaded.times.tobytes() == general.times.tobytes()
+            assert loaded.rotations.tobytes() == general.rotations.tobytes()
+
+    def test_a_ragged_rotation_is_refused_not_read_flat(self):
+        # rows of 4, 2 and 3 numbers: nine per rotation, but not a 3x3
+        # matrix; read flat it would pass as a matrix and fail as "not orthogonal"
+        data = scheme_to_dict(cyclic_scheme(2))
+        _move_last_entry(data["steps"][0]["rotations"][1], 1, 0)
+        assert list(map(len, data["steps"][0]["rotations"][1])) == [4, 2, 3]
+        text = json.dumps(data)
+        assert schemes._read_own_layout(text) is None
+        with pytest.raises(ValueError, match="numeric") as err:
+            schemes._read_scheme(text)
+        assert "orthogonal" not in str(err.value)
+
+    def test_falls_back_once_a_file_repeats_few_rotations(self):
+        rng = np.random.default_rng(11)
+        distinct = Scheme._from_arrays(SchemeKind.INVERSION, np.ones(4), _haar_rotations(rng, (4, 65)))
+        text = "".join(schemes._scheme_json_chunks(distinct))
+        assert schemes._read_own_layout(text) is None
+        few = Scheme._from_arrays(SchemeKind.INVERSION, np.ones(4), _haar_rotations(rng, (4, 64)))
+        assert schemes._read_own_layout("".join(schemes._scheme_json_chunks(few))) is not None
+        assert schemes._read_scheme(text).rotations.tobytes() == distinct.rotations.tobytes()
 
 
 def _as_strings(rotations):

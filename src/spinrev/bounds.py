@@ -1,16 +1,21 @@
 """Spectral lower bounds on inversion schemes, and a consistency audit.
 
-Overhead: for any inversion, summing lambda_min over the conjugated terms
-gives tau * lambda_min(J) <= lambda_min(sum_j t_j V_j J V_j^T)
-= lambda_min(-J) = -lambda_max(J); a nonzero coupling is traceless, so
-lambda_min < 0 and tau >= -lambda_max/lambda_min follows by dividing.
+A scheme of steps (t_j, V_j) inverts J when sum_j t_j V_j J V_j^T = -J,
+at overhead tau = sum_j t_j.  Negating that identity shows that every
+inversion of J also inverts -J, so each bound below holds with J and -J
+swapped, and the larger of the two applies.
 
-Step count: a semidefinite type matrix on the complete coupling graph
-needs at least n-1 steps.  Adding the one-spin terms sum_j t_j V_j
-(1 (x) A) V_j^T to both sides of the inversion condition turns the weight
-factor into the rank-one all-ones matrix, capping the left-hand rank at
-N*rank(A), while the right-hand side keeps at least (n-1)*rank(A)
-positive eigenvalues.  For mixed-sign types the bound
+Overhead: summing lambda_min over the conjugated terms gives
+tau * lambda_min(J) <= lambda_min(-J) = -lambda_max(J); a nonzero coupling
+is traceless, so lambda_min < 0 < lambda_max, and tau >= rho =
+-lambda_max/lambda_min follows by dividing; -J gives tau >= 1/rho.
+
+Step count: each term t_j V_j J V_j^T has J's inertia (nu+, nu-), and
+positive inertia is subadditive, so the N terms reach at most N nu+
+positive eigenvalues, while their sum -J has nu-; -J gives N nu- >= nu+.
+So N >= ceil(max(nu-/nu+, nu+/nu-)) for every coupling, raw or factored.
+A semidefinite type of rank r on the complete graph has nu+ = r and
+nu- = (n-1) r: the paper's n-1 steps.  For mixed-sign types the bound
 N >= ceil(log n / log p) holds against any partition of the rotation
 group into p classes that preserve the trace sign of the type matrix
 under cross-conjugation; p is supplied by the caller.
@@ -62,29 +67,21 @@ class BoundsAudit:
     tau_lower: float
     tau_margin: float
     n_steps: int
-    steps_lower: int | None
-    steps_margin: int | None
+    steps_lower: int
+    steps_margin: int
 
 
 def tau_lower_bound(J) -> float:
-    """Overhead bound -lambda_max/lambda_min; holds for every inversion of J."""
+    """Overhead bound max(rho, 1/rho), rho = -lambda_max/lambda_min; holds
+    for every inversion of J."""
     return bounds_report(J).tau_lower
 
 
-def steps_lower_bound(W, A=None, tol: float = 1e-9) -> int:
-    """Step-count bound n-1 for a semidefinite type on the complete graph.
-
-    Stated only for weight matrices whose off-diagonal entries all share
-    one nonzero value; other weights are refused rather than extrapolated.
-    """
-    coupling = _factored(W, A)
-    steps = _complete_graph_steps(coupling.W, classify_type(coupling, tol))
-    if steps is None:
-        raise ValueError(
-            "the n-1 step bound applies only to semidefinite type matrices "
-            "on the complete graph (all off-diagonal weights equal)"
-        )
-    return steps
+def steps_lower_bound(W, A=None) -> int:
+    """Step-count bound ceil(max(nu-/nu+, nu+/nu-)) from the inertia of
+    J = W (x) A, or of a coupling J (raw or a CouplingInput) given alone;
+    holds for every inversion of J."""
+    return bounds_report(W if A is None else _factored(W, A)).steps_lower
 
 
 def steps_lower_bound_case2(n: int, p: int) -> int:
@@ -109,19 +106,29 @@ def bounds_report(J, W=None, A=None, p: int | None = None, tol: float = 1e-9) ->
     """Assemble every applicable bound for a coupling.
 
     J is a raw matrix or a CouplingInput; raw factors W and A, given
-    beside a raw J, must match it.  Raw couplings (no W/A factors) get the
-    spectral overhead bound only.
+    beside a raw J, must match it.  Every coupling gets the overhead and
+    the inertia step bound; a factored one also gets its type class, and
+    a mixed-sign type the partition bound when p is given.
     """
+    return _report(J, W, A, p, tol)[0]
+
+
+def _report(J, W=None, A=None, p: int | None = None, tol: float = 1e-9) -> tuple[BoundsReport, np.ndarray]:
+    """`bounds_report`, and the eigenvalues of J it was computed from."""
     if p is not None:
         _check_partition(p)
     coupling = _checked(J)
     norm = _frobenius(coupling.J)
     if norm == 0.0:
         raise ValueError("zero coupling has no overhead bound")
-    lam_min, lam_max, tau_low = _spectral_bound(coupling.J)
-    notes = [f"any inversion scheme needs overhead tau >= -lambda_max/lambda_min = {tau_low:.9g}"]
+    lam = np.linalg.eigvalsh(coupling.J)
+    lam_min, lam_max, tau_low = _spectral_bound(lam)
+    steps_low = _inertia_steps(lam)
+    notes = [
+        f"any inversion scheme needs overhead tau >= max(rho, 1/rho), rho = -lambda_max/lambda_min: {tau_low:.9g}",
+        f"any inversion scheme needs step count N >= ceil(max(nu-/nu+, nu+/nu-)) = {steps_low} by the inertia of J",
+    ]
     case = None
-    steps_low = 1
     if W is not None or A is not None:
         if W is None or A is None:
             raise ValueError("factored bounds need both W and A")
@@ -131,21 +138,13 @@ def bounds_report(J, W=None, A=None, p: int | None = None, tol: float = 1e-9) ->
         coupling = factors
     if coupling.factored:
         case = classify_type(coupling, tol)
-        if (complete_steps := _complete_graph_steps(coupling.W, case)) is not None:
-            steps_low = complete_steps
+        if case is CouplingClass.MIXED_SIGN and p is not None:
+            partition = steps_lower_bound_case2(coupling.n, p)
+            steps_low = max(steps_low, partition)
             notes.append(
-                f"semidefinite type on the complete graph: at least n-1 = {steps_low} steps"
+                f"mixed-sign type with partition size p={p}: at least ceil(log n/log p) = {partition} steps"
             )
-        elif case is CouplingClass.MIXED_SIGN and p is not None:
-            steps_low = steps_lower_bound_case2(coupling.n, p)
-            notes.append(
-                f"mixed-sign type with partition size p={p}: at least ceil(log n/log p) = {steps_low} steps"
-            )
-        else:
-            notes.append("no class-specific step bound applies; trivial bound 1")
-    else:
-        notes.append("coupling factors unknown: only the spectral overhead bound applies")
-    return BoundsReport(
+    report = BoundsReport(
         case=case,
         tau_lower=tau_low,
         steps_lower=steps_low,
@@ -153,6 +152,7 @@ def bounds_report(J, W=None, A=None, p: int | None = None, tol: float = 1e-9) ->
         lambda_max=lam_max,
         notes=tuple(notes),
     )
+    return report, lam
 
 
 def audit_stats_against_bounds(stats: SchemeStats, W, A=None, tol: float = 1e-9) -> BoundsAudit:
@@ -161,35 +161,27 @@ def audit_stats_against_bounds(stats: SchemeStats, W, A=None, tol: float = 1e-9)
 
     Such a scheme averages J to -J + E with ||E||_2 <= tol ||J||_F.  By
     Weyl's inequality its tau may then fall below tau_lower by
-    tol ||J||_F / |lambda_min| (by 1e-9, the rounding floor, at least),
-    and the rank argument behind the n-1 step bound holds only while
-    tol ||J||_F < |w| a, a the smallest magnitude among the eigenvalues
-    of A that the classifier counts; else `steps_lower` is None.  A
-    verified scheme below what E allows means a software defect.  W is
-    raw factors or a CouplingInput; an unfactored one gets the spectral
-    overhead bound only, and `steps_lower` None.
+    tol ||J||_F / min(lambda_max, |lambda_min|), the magnitude that the
+    binding side divides by (|lambda_min| for rho >= 1, lambda_max for
+    1/rho), and by 1e-9, the rounding floor, at least; the step bound
+    counts J's inertia past what E allows.  A verified scheme below
+    either bound means a software defect.  W is raw factors or a
+    CouplingInput, factored or raw.
     """
     coupling = W if isinstance(W, CouplingInput) and A is None else _factored(W, A)
-    report = bounds_report(coupling, tol=tol)
+    report, lam = _report(coupling, tol=tol)
     error = tol * _frobenius(coupling.J)
     tau_margin = stats.tau - report.tau_lower
-    steps_low = None
-    if coupling.factored:
-        magnitudes = np.abs(coupling.spectrum.eigenvalues)
-        counted = magnitudes[magnitudes > tol * _frobenius(coupling.A)]
-        if counted.size and error < abs(coupling.W[0, 1]) * counted.min():
-            steps_low = _complete_graph_steps(coupling.W, report.case)
-    steps_margin = None if steps_low is None else stats.n_steps - steps_low
-    allowed = max(_AUDIT_SLACK, error / abs(report.lambda_min))
-    passed = tau_margin >= -allowed and (steps_margin is None or steps_margin >= 0)
+    steps_low = _inertia_steps(lam, error, stats.tau)
+    allowed = max(_AUDIT_SLACK, error / min(report.lambda_max, -report.lambda_min))
     return BoundsAudit(
-        passed=passed,
+        passed=tau_margin >= -allowed and stats.n_steps >= steps_low,
         tau=stats.tau,
         tau_lower=report.tau_lower,
         tau_margin=tau_margin,
         n_steps=stats.n_steps,
         steps_lower=steps_low,
-        steps_margin=steps_margin,
+        steps_margin=stats.n_steps - steps_low,
     )
 
 
@@ -213,21 +205,30 @@ def _check_partition(p) -> None:
         raise ValueError("partition size p must be an integer >= 2")
 
 
-def _spectral_bound(J) -> tuple[float, float, float]:
-    """(lambda_min, lambda_max, tau_lower) of a nonzero checked J (a
-    CouplingInput's); the one place of the overhead formula."""
-    lam = np.linalg.eigvalsh(J)
+def _spectral_bound(lam) -> tuple[float, float, float]:
+    """(lambda_min, lambda_max, tau_lower) from the ascending eigenvalues
+    of a nonzero checked J; the one place of the overhead formula."""
     lam_min, lam_max = float(lam[0]), float(lam[-1])
-    return lam_min, lam_max, -lam_max / lam_min
+    rho = -lam_max / lam_min
+    return lam_min, lam_max, max(rho, 1.0 / rho)
 
 
-def _complete_graph_steps(W, case: CouplingClass) -> int | None:
-    """The step bound n-1 when a type of class `case` is semidefinite and W
-    is the complete graph, else None.  W counts as complete when every
-    off-diagonal weight equals w = W[0, 1] != 0 to 1e-12 |w|: W (x) A is
-    then the complete graph's coupling with the semidefinite type w A, so
-    the bound holds at every scale and sign of w."""
-    n = W.shape[0]
-    w = W[0, 1]
-    complete = np.abs(W - w * (np.ones((n, n)) - np.eye(n))).max() <= 1e-12 * abs(w) and w != 0.0
-    return n - 1 if case is CouplingClass.SEMIDEFINITE and complete else None
+def _inertia_steps(lam, error: float = 0.0, tau: float = 0.0) -> int:
+    """The step bound ceil(max(nu-/nu+, nu+/nu-)) from J's eigenvalues, for
+    a scheme of overhead tau that averages J to -J + E, ||E||_2 <= error;
+    the one place of the step formula.
+
+    Eigenvalues within r = 1e-12 ||J||_F of zero count as zero: J = J' + R
+    with ||R||_2 <= r and J' of the counted inertia, and the scheme averages
+    J' to -J' + E' with ||E'||_2 <= error + (1 + tau) r.  By Weyl's
+    inequality -J' + E' has at least as many positive (negative)
+    eigenvalues as -J' has beyond that, so the side that an inversion must
+    reach counts only those, and the side that its terms supply counts
+    every eigenvalue beyond r."""
+    r = 1e-12 * _frobenius(lam)
+    cut = error + (1.0 + tau) * r
+    steps = 1
+    # each sign: the N terms supply at most N * supplied of what -J' + E' reaches
+    for reached, supplied in ((lam < -cut, lam > r), (lam > cut, lam < -r)):
+        steps = max(steps, -(-np.count_nonzero(reached) // max(np.count_nonzero(supplied), 1)))
+    return int(steps)

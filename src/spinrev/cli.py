@@ -29,8 +29,9 @@ def _diag(message: str) -> None:
 
 
 def _load_json(path: str, loads=json.loads):
-    """`loads` of the file's text; a file that cannot be read, is not UTF-8
-    or is not JSON raises a ValueError that names it."""
+    """`loads` of the file's text; a file that cannot be read, is not UTF-8,
+    is not JSON or nests deeper than the decoder recurses raises a
+    ValueError that names it."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -41,6 +42,8 @@ def _load_json(path: str, loads=json.loads):
         raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{path} nests JSON too deeply to decode") from None
 
 
 def _write_scheme(path: str, scheme) -> None:

@@ -242,12 +242,8 @@ def _check_json_numbers(value, ndim: int, field: str) -> None:
     number.  float() and np.asarray(..., dtype=float) read true as 1.0 and
     "2.5" as 2.5, and bool is an int subclass, so the test is on the leaf
     types, in one pass over the leaves: int, float and numpy integer and
-    floating scalars pass, bool and np.bool_ do not.  An ndarray of integer
-    or float dtype passes as a whole (the scheme reader hands over each
-    step's rotations as one); bool, string and complex arrays fail, and
-    object arrays are walked like lists."""
-    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
-        return
+    floating scalars pass, bool and np.bool_ do not.  An ndarray is walked
+    like a list, so only integer and float dtypes pass."""
     leaves = [value] if ndim == 0 else value
     for _ in range(ndim - 1):
         leaves = chain.from_iterable(leaves)

@@ -407,21 +407,6 @@ class _EncodedRotations(dict):
         return text
 
 
-def _step_object_hook(obj: dict) -> dict:
-    """`json.load` object hook for scheme files: decoded one object at a
-    time, each step's "rotations" become one float64 array as soon as the
-    step is read, so the lists and float objects of a large scheme are
-    never all alive at once.  Rotations that are not a (k, 3, 3) nest of
-    int and float leaves stay as decoded, for `scheme_from_dict` to
-    report."""
-    rotations = obj.get("rotations")
-    if type(rotations) is list:
-        array = _rotation_array(rotations)
-        if array is not None:
-            obj["rotations"] = array
-    return obj
-
-
 def _rotation_array(spins: list) -> np.ndarray | None:
     """A non-empty (k, 3, 3) nest of int and float leaves as one float64
     array, None for anything else.
@@ -450,12 +435,9 @@ def _rotation_array(spins: list) -> np.ndarray | None:
 
 def _read_scheme(text: str) -> Scheme:
     """The scheme of a scheme file's text: by `_read_own_layout` when it is
-    in the writer's layout, else by `scheme_from_dict`, decoded a step at
-    a time by `_step_object_hook`."""
+    in the writer's layout, else by `scheme_from_dict` of the decoded text."""
     scheme = _read_own_layout(text)
-    if scheme is None:
-        scheme = scheme_from_dict(json.loads(text, object_hook=_step_object_hook))
-    return scheme
+    return scheme_from_dict(json.loads(text)) if scheme is None else scheme
 
 
 def _read_own_layout(text: str) -> Scheme | None:
@@ -513,9 +495,9 @@ def _read_own_layout(text: str) -> Scheme | None:
 def scheme_from_dict(data) -> Scheme:
     """Parse the scheme JSON form; unknown keys are ignored.
 
-    Step rotations may be nested lists or, as `_step_object_hook` leaves
-    them, numeric arrays; both take the same checks, and each step is
-    copied into the scheme's one array as it is read."""
+    Step rotations may be nested lists or numeric arrays; both take the
+    same checks, and each step is copied into the scheme's one array as
+    it is read."""
     if not isinstance(data, dict):
         raise ValueError("scheme file must hold a JSON object")
     for key in ("kind", "n", "steps"):

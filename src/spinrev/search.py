@@ -442,7 +442,7 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
     artificial = np.arange(rows) >= size
     inverse = np.linalg.inv(basis)
     x = np.maximum(inverse @ target, 0.0)
-    tau_low = _spectral_bound(coupling.J)[2]
+    tau_low = _spectral_bound(np.linalg.eigvalsh(coupling.J))[2]
     group = octahedral_group()
     price, exact = _pricer(scaled, seed)
     budget = (_EXACT_PIVOTS_PER_ROW if exact else _PIVOTS_PER_ROW) * rows

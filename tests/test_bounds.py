@@ -36,9 +36,10 @@ class TestTauLowerBound:
 
     def test_three_spin_dipole_values(self):
         # complete graph: W eigs {2,-1,-1} x A eigs {1,1,-2} -> lam_max 2,
-        # lam_min -4, bound 0.5; the 3-chain has a symmetric spectrum -> 1
+        # lam_min -4, rho 0.5, so -J's bound 1/rho = 2 binds, which the
+        # 2-step collective scheme meets; the 3-chain has a symmetric spectrum -> 1
         J = tensor_coupling(complete_weights(3), dipole_type())
-        assert abs(tau_lower_bound(J) - 0.5) <= 1e-12
+        assert tau_lower_bound(J) == pytest.approx(2.0, abs=1e-12)
         chain = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         assert abs(tau_lower_bound(tensor_coupling(chain, dipole_type())) - 1.0) <= 1e-12
 
@@ -77,15 +78,17 @@ class TestStepsLowerBound:
         # the bound is n-1 independent of rank(A)
         assert steps_lower_bound(complete_weights(5), np.diag([1.0, 1.0, 0.0])) == 4
 
-    def test_rejects_other_classes(self):
-        with pytest.raises(ValueError, match="semidefinite"):
-            steps_lower_bound(complete_weights(4), dipole_type())
+    def test_every_class_gets_the_inertia_bound(self):
+        # no class is refused: W eigs {3,-1,-1,-1} x A eigs {1,1,-2} give
+        # nu+ = 2 + 3 = 5 and nu- = 1 + 6 = 7, so ceil(7/5) = 2 steps
+        assert steps_lower_bound(complete_weights(4), dipole_type()) == 2
 
-    def test_rejects_non_complete_weights(self):
+    def test_non_complete_weights_get_the_inertia_bound(self):
+        # any W: one weakened pair keeps W's one positive and n-1 negative
+        # eigenvalues, so the scalar type still needs n-1 steps
         W = complete_weights(4)
         W[0, 1] = W[1, 0] = 0.5
-        with pytest.raises(ValueError, match="complete"):
-            steps_lower_bound(W, scalar_type())
+        assert steps_lower_bound(W, scalar_type()) == 3
 
 
 class TestStepsLowerBoundCase2:
@@ -117,7 +120,8 @@ class TestBoundsReport:
         assert report.steps_lower == 5
         assert report.lambda_min < 0.0 < report.lambda_max
 
-    def test_dipole_has_no_step_bound(self):
+    def test_dipole_needs_two_steps(self):
+        # W eigs {5, -1 x 5} x A eigs {1, 1, -2}: nu+ = 7, nu- = 11
         n = 6
         report = bounds_report(
             tensor_coupling(complete_weights(n), dipole_type()),
@@ -125,8 +129,8 @@ class TestBoundsReport:
             dipole_type(),
         )
         assert report.case.value == "1"
-        assert report.steps_lower == 1
-        assert any("no class-specific" in note for note in report.notes)
+        assert report.steps_lower == 2
+        assert any("inertia" in note for note in report.notes)
 
     def test_mixed_sign_with_partition(self):
         n = 9
@@ -135,11 +139,12 @@ class TestBoundsReport:
         assert report.case.value == "2"
         assert report.steps_lower == 2  # ceil(log 9 / log 3)
 
-    def test_raw_coupling_keeps_only_the_spectral_bound(self):
-        report = bounds_report(tensor_coupling(complete_weights(2), scalar_type()))
+    def test_raw_coupling_gets_both_bounds(self):
+        # the step bound needs no factors: the raw 4-spin scalar J has nu+ = 3, nu- = 9
+        report = bounds_report(tensor_coupling(complete_weights(4), scalar_type()))
         assert report.case is None
-        assert report.steps_lower == 1
-        assert any("factors unknown" in note for note in report.notes)
+        assert report.tau_lower == pytest.approx(3.0, abs=1e-12)
+        assert report.steps_lower == 3
 
     def test_serialization_keys(self):
         report = bounds_report(
@@ -191,7 +196,8 @@ class TestAudit:
         assert audit.passed
         assert audit.tau == 2.0
         assert audit.tau_margin >= 0.0
-        assert audit.steps_lower is None
+        # both bounds are met exactly: tau 2 and 2 steps
+        assert audit.steps_lower == 2 and audit.steps_margin == 0
 
     def test_heisenberg_search_witness_passes(self):
         from spinrev import find_inversion_nnls, pair_pi_pool
@@ -219,14 +225,15 @@ class TestAudit:
         assert audit.steps_margin == 2 - 3
 
     def test_a_loose_tol_allows_the_error_verify_allowed(self):
-        # n = 4 complete scalar: tau_lower 3, lambda_min -1, ||J||_F = 6, |w| a = 1
+        # n = 4 complete scalar: tau_lower 3, J's eigenvalues 3 (x 3) and
+        # -1 (x 9), ||J||_F = 6
         W = complete_weights(4)
         cases = [
             (1e-9, 2.5, 3, False, 3),
             (0.1, 2.5, 3, True, 3),  # tau may fall by 0.1 * 6 / 1
             (0.1, 2.3, 3, False, 3),
-            (0.1, 3.0, 2, False, 3),  # 0.6 < 1: the n-1 step bound still holds
-            (0.2, 3.0, 2, True, None),  # 1.2 >= 1: it no longer does
+            (0.1, 3.0, 2, False, 3),  # 0.6 < 1: -J + E keeps all 9 positive eigenvalues
+            (0.2, 3.0, 2, True, 1),  # 1.2 > 1: it keeps none, and 3 negative ones need 1 step
         ]
         for tol, tau, n_steps, passed, steps_lower in cases:
             stats = SchemeStats(n_steps=n_steps, tau=tau, collective=False)
@@ -235,17 +242,17 @@ class TestAudit:
             assert audit.tau_margin == tau - audit.tau_lower
             assert audit.tau_lower == pytest.approx(3.0, abs=1e-12)
 
-    def test_unfactored_coupling_gets_the_spectral_bound_only(self):
+    def test_unfactored_coupling_gets_both_bounds(self):
         from spinrev.coupling import _checked
 
         J = tensor_coupling(complete_weights(4), scalar_type())
-        for tau, passed in ((3.5, True), (2.5, False)):
-            stats = SchemeStats(n_steps=2, tau=tau, collective=False)
+        for n_steps, tau, passed in ((3, 3.5, True), (3, 2.5, False), (2, 3.5, False)):
+            stats = SchemeStats(n_steps=n_steps, tau=tau, collective=False)
             audit = audit_stats_against_bounds(stats, _checked(J))
             assert audit.passed is passed
             assert audit.tau_lower == tau_lower_bound(J)
             assert audit.tau_margin == tau - tau_lower_bound(J)
-            assert audit.steps_lower is None and audit.steps_margin is None
+            assert audit.steps_lower == 3 and audit.steps_margin == n_steps - 3
 
     def test_one_report_decides_tau_and_class(self, monkeypatch):
         import spinrev.bounds

@@ -204,14 +204,14 @@ class TestBounds:
         assert payload["tau_lower"] == pytest.approx(5.0, abs=1e-9)
         assert payload["steps_lower"] == 5
 
-    def test_dipole_spectral_only(self, files, capsys):
+    def test_dipole_needs_two_steps(self, files, capsys):
         _, write = files
         path = write("c.json", coupling_doc(6, dipole_type()))
         code, out = run(capsys, ["bounds", "--coupling", path])
         payload = json.loads(out)
         assert code == 0
         assert payload["case"] == "1"
-        assert payload["steps_lower"] == 1
+        assert payload["steps_lower"] == 2
         assert payload["tau_lower"] > 0.0
 
     def test_partition_bound_flag(self, files, capsys):
@@ -221,6 +221,17 @@ class TestBounds:
         payload = json.loads(out)
         assert code == 0
         assert payload["steps_lower"] == 3  # ceil(log 10 / log 3)
+
+    def test_raw_coupling_gets_the_step_bound(self, files, capsys):
+        # the 4-spin complete scalar J given raw: nu+ = 3, nu- = 9
+        _, write = files
+        J = np.kron(complete_weights(4), scalar_type())
+        path = write("c.json", {"n": 4, "J": J.tolist()})
+        code, out = run(capsys, ["bounds", "--coupling", path])
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["case"] is None
+        assert payload["steps_lower"] == 3
 
     def test_raw_coupling_accepted(self, files, capsys):
         _, write = files
@@ -415,6 +426,24 @@ class TestInputDiscipline:
     def test_unreadable_file(self, capsys):
         code, _ = run(capsys, ["classify", "--coupling", "/nonexistent/file.json"])
         assert code == 2
+
+    @pytest.mark.parametrize("broken", ["coupling", "scheme"])
+    def test_json_nested_past_the_decoders_depth_exits_two(self, files, capsys, broken):
+        # the decoder's RecursionError is a RuntimeError, which would read as exit 3
+        from spinrev import scheme_to_dict, synthesize_case1
+
+        _, write = files
+        paths = {
+            "coupling": write("c.json", coupling_doc(2, dipole_type())),
+            "scheme": write("s.json", scheme_to_dict(synthesize_case1(complete_weights(2), dipole_type()))),
+        }
+        with open(paths[broken], "w") as handle:
+            handle.write("[" * 100_000 + "]" * 100_000)
+        code = main(["verify", "--coupling", paths["coupling"], "--scheme", paths["scheme"]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {paths[broken]} nests JSON too deeply to decode"]
 
     @pytest.mark.parametrize(
         "command,A",
@@ -661,7 +690,7 @@ class TestSearchPhaseTwo:
         "target,planted",
         [
             # phase 2 finds a 3-step scheme, below a planted n+1 = 5
-            ("spinrev.bounds._complete_graph_steps", lambda W, case: W.shape[0] + 1),
+            ("spinrev.bounds._inertia_steps", lambda lam, *allowance: lam.size // 3 + 1),
             # `minimize_tau` holds its own reference, so only the audit sees it
             ("spinrev.bounds._spectral_bound", lambda J: (-1.0, 1.0, 1e6)),
         ],

@@ -273,8 +273,9 @@ class TestCheckedCoupling:
         J = tensor_coupling(self.W, self.A)
         assert verify(scheme, coupling) == verify(scheme, J)
         assert bounds_report(coupling, p=2) == bounds_report(J, self.W, self.A, p=2)
-        with pytest.raises(ValueError, match="semidefinite"):
-            steps_lower_bound(coupling)
+        # every form gets the inertia bound: nu+ = 4, nu- = 5
+        assert steps_lower_bound(coupling) == steps_lower_bound(self.W, self.A) == 2
+        assert steps_lower_bound(self.parsed()["raw"]) == 2
 
     def test_raw_coupling_is_refused_where_factors_are_needed(self):
         from spinrev import synthesize_case1

@@ -27,7 +27,9 @@ from hypothesis import strategies as st
 from helpers import hand_built_errors, random_coupling, random_rotation, random_weights
 from spinrev import (
     CouplingClass,
+    audit_stats_against_bounds,
     axis_cycle,
+    bounds_report,
     check_scheme_against_bounds,
     classify_type,
     cli,
@@ -47,6 +49,7 @@ from spinrev import (
     scheme_stats,
     scheme_to_dict,
     search_result_to_dict,
+    steps_lower_bound,
     synthesize_case1,
     synthesize_case2,
     tau_lower_bound,
@@ -54,6 +57,7 @@ from spinrev import (
     verify,
 )
 from spinrev import hilbert
+from spinrev.coupling import _checked, _factored
 from spinrev.schemes import Scheme, SchemeKind, Step, _read_own_layout, _scheme_json_chunks
 from spinrev.search import (
     _lawson_hanson,
@@ -532,3 +536,191 @@ def test_odd_cycles_norm_the_even_sector_only_when_it_is_exact(problem):
         errors = error_scaling(coupling, scheme, eps_list).errors
     assert shapes == [(width, width)] * len(eps_list)
     assert np.allclose(errors, hand_built_errors(J, scheme, eps_list), rtol=1e-11, atol=1e-13)
+
+
+@st.composite
+def bound_problems(draw):
+    """(W, A, J, tol) at n = 2-4 and tol in [1e-9, 0.95]: complete,
+    random positive or signed-with-zeros weights times a traceless,
+    mixed-sign or semidefinite type turned off its eigenframe, or a raw J
+    with W and A None."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tol = draw(st.sampled_from([1e-9, 1e-6, 1e-3, 0.01, 0.03, 0.1, 0.3, 0.7, 0.95]))
+    weights = draw(st.sampled_from(["complete", "positive", "zeros", "raw"]))
+    # zeros leave at least one of the n(n-1)/2 pairs coupled, so n >= 3
+    n = draw(st.integers(3 if weights == "zeros" else 2, 4))
+    if weights == "raw":
+        return None, None, random_coupling(rng, n), tol
+    W = complete_weights(n)
+    if weights != "complete":
+        W = np.triu(rng.uniform(0.2, 1.5, size=(n, n)), 1)
+        if weights == "zeros":
+            W *= rng.choice([-1.0, 1.0], size=(n, n))
+            pairs = np.flatnonzero(W)
+            W.flat[rng.choice(pairs, size=rng.integers(1, pairs.size), replace=False)] = 0.0
+        W = W + W.T
+    # traceless, mixed-sign, and semidefinite of rank 3, 2 and 1
+    lam = draw(
+        st.sampled_from([[1.0, 1.0, -2.0], [2.0, 1.0, -1.0], [1.0, 1.0, 1.0], [1.0, 0.5, 0.0], [-1.0, 0.0, 0.0]])
+    )
+    Q = random_rotation(rng)
+    A = Q @ np.diag(lam) @ Q.T
+    A = 0.5 * (A + A.T)
+    return W, A, tensor_coupling(W, A), tol
+
+
+def _verified_schemes(W, A, J, tol, seed):
+    """(scheme, tol) pairs verified at their tol: the synthesized scheme of
+    a class-1 or class-2 type, both search phases' schemes, and a plant:
+    NNLS times over the first 1, 2 and 3 of three octahedral assemblies,
+    drawn from phase 2's scheme or at random, each verified at the tol of
+    its own residual when that is at most 0.95.  Plants are where few
+    steps meet a loose tol."""
+    n = J.shape[0] // 3
+    found = []
+    if W is not None and classify_type(A) is not CouplingClass.SEMIDEFINITE:
+        synthesize = synthesize_case1 if classify_type(A) is CouplingClass.TRACELESS else synthesize_case2
+        found.append((synthesize(W, A), tol))
+    rng = np.random.default_rng(seed)
+    assemblies = octahedral_group()[rng.integers(24, size=(3, n))]
+    start = greedy_pool_growth(J, merge_pools(pair_pi_pool(n), collective_cyclic_pool(n)), tol, 120, seed)
+    if start.scheme is not None:
+        tuned = minimize_tau(J, start, tol, seed).scheme
+        found += [(start.scheme, tol), (tuned, tol)]
+        assemblies = tuned.rotations[rng.permutation(len(tuned.rotations))[:3]]
+    for k in range(1, len(assemblies) + 1):
+        x = nnls_active_set(_upper_block_columns(J, assemblies[:k]), -_upper_blocks(J))[0]
+        if np.any(x > 0.0):
+            planted = Scheme._from_arrays(SchemeKind.INVERSION, x[x > 0.0], assemblies[:k][x > 0.0])
+            residual = verify(planted, J, 0.95).residual
+            if residual <= 0.95 / (1.0 + 1e-9):
+                found.append((planted, max(tol, residual * (1.0 + 1e-9))))
+    return [(scheme, at) for scheme, at in found if verify(scheme, J, at).ok]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(bound_problems(), st.integers(0, 2**31 - 1))
+def test_no_verified_scheme_beats_either_bound(problem, seed):
+    # the audit allows the error verify allowed: tau down to the Weyl
+    # allowance, and the inertia counted past it; every inversion of J
+    # inverts -J, whose bounds are J's
+    W, A, J, tol = problem
+    for scheme, at in _verified_schemes(W, A, J, tol, seed):
+        stats = scheme_stats(scheme)
+        for sign in (1.0, -1.0):
+            coupling = _checked(sign * J) if W is None else _factored(W, sign * A)
+            assert verify(scheme, coupling, at).ok
+            audit = audit_stats_against_bounds(stats, coupling, tol=at)
+            assert audit.passed, (sign, at, audit)
+            # an error allowance can only relax the exact step bound
+            assert audit.steps_lower <= steps_lower_bound(coupling)
+
+
+@bounded
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_semidefinite_types_on_the_complete_graph_need_n_minus_one_steps(n, seed):
+    # the paper's case: W (x) A with nu+ = rank A and nu- = (n-1) rank A,
+    # at any weight and either sign of the type, however A is turned
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.05, 1.0, size=3) * (rng.random(3) < 0.7)
+    lam[rng.integers(3)] = rng.uniform(0.05, 1.0)
+    Q = random_rotation(rng)
+    A = Q @ np.diag(lam * rng.choice([-1.0, 1.0])) @ Q.T
+    A = 0.5 * (A + A.T)
+    W = complete_weights(n) * rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)
+    assert classify_type(A) is CouplingClass.SEMIDEFINITE
+    assert steps_lower_bound(W, A) == n - 1
+    assert bounds_report(tensor_coupling(W, A)).steps_lower == n - 1
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _mutated(draw, value):
+    """`value` with one part replaced: an arbitrary JSON value, a matrix
+    entry, a dropped row or key, or a nesting level added or removed."""
+    how = draw(st.sampled_from(["whole", "entry", "row", "key", "nest"]))
+    if how == "whole" or not isinstance(value, (list, dict)) or not value:
+        return draw(json_values)
+    if isinstance(value, dict):
+        key = draw(st.sampled_from(sorted(value)))
+        if how == "key":
+            return {k: v for k, v in value.items() if k != key}
+        return {**value, key: draw(_mutated(value[key]))}
+    i = draw(st.integers(0, len(value) - 1))
+    if how == "row":
+        return value[:i] + value[i + 1 :]
+    if how == "nest":
+        return [value] if draw(st.booleans()) else value[i]
+    return value[:i] + [draw(_mutated(value[i]))] + value[i + 1 :]
+
+
+@st.composite
+def malformed_files(draw):
+    """(command, {"coupling", "scheme"} texts, the one to nest deeply or
+    None): a valid 2- or 3-spin coupling
+    and its scheme, one of which is broken as a JSON document, as the
+    writer's text (a cut, a changed character, deep nesting) or, for the
+    coupling, by scaling it to overflow or to zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 3))
+    W, A = random_weights(rng, n), draw(st.sampled_from([np.diag([1.0, 1.0, -2.0]), np.diag([2.0, 1.0, -1.0])]))
+    coupling = {"n": n, "W": W.tolist(), "A": A.tolist()}
+    if draw(st.booleans()):
+        coupling = {"n": n, "J": tensor_coupling(W, A).tolist()}
+    scheme = (synthesize_case1 if np.trace(A) == 0.0 else synthesize_case2)(W, A)
+    texts = {"coupling": json.dumps(coupling), "scheme": "".join(_scheme_json_chunks(scheme))}
+    broken = draw(st.sampled_from(["coupling", "scheme"]))
+    how = draw(st.sampled_from(["document", "document", "cut", "character", "deep", "scale"]))
+    text = texts[broken]
+    if how == "document":
+        text = json.dumps(draw(_mutated(json.loads(text))))
+    elif how == "cut":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    elif how == "character":
+        i = draw(st.integers(0, len(text) - 1))
+        text = text[:i] + draw(st.sampled_from(list('0-.e[]{},": x'))) + text[i + 1 :]
+    elif how == "deep":
+        pass  # nested in the test, past any recursion limit of the decoder
+    else:
+        key = "J" if "J" in coupling else draw(st.sampled_from(["W", "A"]))
+        broken, factor = "coupling", draw(st.sampled_from([0.0, 1e200, 1e-200]))
+        text = json.dumps({**coupling, key: (factor * np.array(coupling[key])).tolist()})
+    texts[broken] = text
+    commands = ["verify", "simulate"] if broken == "scheme" else COMMANDS
+    return draw(st.sampled_from(commands)), texts, broken if how == "deep" else None
+
+
+COMMANDS = ["classify", "synthesize", "verify", "bounds", "search", "simulate"]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(malformed_files())
+def test_malformed_files_exit_two_with_one_line_and_never_three(files):
+    # a broken input is handled or refused: exit 0, 1 or 2, never the
+    # self-check's 3, no traceback, and a refusal is one stderr line
+    command, texts, deep = files
+    if deep:
+        texts = {**texts, deep: "[" * 100_000 + texts[deep] + "]" * 100_000}
+    with tempfile.TemporaryDirectory() as tmp:
+        coupling, scheme = os.path.join(tmp, "c.json"), os.path.join(tmp, "s.json")
+        pathlib.Path(coupling).write_text(texts["coupling"])
+        pathlib.Path(scheme).write_text(texts["scheme"])
+        argv = [command, "--coupling", coupling]
+        argv += ["--scheme", scheme] if command in ("verify", "simulate") else []
+        argv += ["--max-pool", "60"] if command == "search" else []
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 1, 2), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
+    else:
+        json.loads(out.getvalue())

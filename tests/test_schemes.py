@@ -770,22 +770,8 @@ class TestSerialization:
 
 
 class TestStreamedReader:
-    """Scheme files not in the writer's layout are decoded one step at a
-    time (`_step_object_hook`)."""
-
-    def test_hook_turns_each_step_into_one_array(self):
-        scheme = synthesize_case2(complete_weights(5), np.diag([2.0, 1.0, -1.0]))
-        text = "".join(schemes._scheme_json_chunks(scheme))
-        data = json.loads(text, object_hook=schemes._step_object_hook)
-        assert all(type(step["rotations"]) is np.ndarray for step in data["steps"])
-        streamed, whole = scheme_from_dict(data), scheme_from_dict(json.loads(text))
-        # each step's array is copied, unchanged, into the scheme's one array
-        for step, entry in zip(streamed.steps, data["steps"]):
-            assert step.rotations.tobytes() == entry["rotations"].tobytes()
-        assert len(streamed.steps) == len(whole.steps)
-        for a, b in zip(streamed.steps, whole.steps):
-            assert a.t == b.t
-            assert a.rotations.tobytes() == b.rotations.tobytes()
+    """Scheme files in the writer's layout are read by `_read_own_layout`;
+    any other text is decoded whole and read by `scheme_from_dict`."""
 
     @pytest.mark.parametrize("mutate,fragment", INVALID_DOCUMENTS)
     def test_invalid_files_are_rejected_by_verify(self, tmp_path, capsys, mutate, fragment):
@@ -825,7 +811,7 @@ class TestStreamedReader:
 
 def _general_reader_error(text):
     with pytest.raises(ValueError) as err:
-        scheme_from_dict(json.loads(text, object_hook=schemes._step_object_hook))
+        scheme_from_dict(json.loads(text))
     return str(err.value)
 
 

@@ -10,6 +10,7 @@ constructive scheme for the coupling class, search ended without a scheme),
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -266,5 +267,28 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> None:
+    """Process entry of the `spinrev` command and of `python -m spinrev.cli`.
+
+    Runs `main()` on `sys.argv`, flushes stdout, then freezes every live
+    object before `sys.exit`: atexit and the stdio flush still run, but the
+    interpreter's shutdown collections skip numpy's and spinrev's objects.
+    A reader that closed stdout early gets exit 1 and one stderr line.
+    """
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse's --help and usage errors
+            code = exc.code
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's descriptor goes to devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _diag("error: stdout was closed before the output was written")
+        code = 1
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

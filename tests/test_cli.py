@@ -1,16 +1,30 @@
 """Command-line interface: JSON contracts and the exit-code discipline."""
 
+import gc
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spinrev import axis_cycle, complete_weights, dipole_type, scalar_type, scheme_from_dict, verify
+from spinrev import (
+    axis_cycle,
+    complete_weights,
+    dipole_type,
+    scalar_type,
+    scheme_from_dict,
+    scheme_to_dict,
+    synthesize_case2,
+    verify,
+)
 from spinrev.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
@@ -582,6 +596,105 @@ def test_module_entry_point(files):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["case"] == "1"
+
+
+MIXED = {"n": 3, "W": [[0, 1, -1], [1, 0, 1], [-1, 1, 0]], "A": [[2, 0, 0], [0, 1, 0], [0, 0, -1]]}
+
+
+class TestProcessEntry:
+    """`python -m spinrev.cli` runs `cli.run()`: `main()`, then a stdout flush
+    and `gc.freeze()` before `sys.exit`. The process prints what `main()`
+    prints in process, and only `run()` freezes."""
+
+    @pytest.fixture
+    def env(self, monkeypatch):
+        # argparse wraps --help at the terminal width; COLUMNS fixes it on both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+    @pytest.fixture
+    def paths(self, files):
+        tmp, write = files
+        dipole = {"n": 3, "W": complete_weights(3).tolist(), "A": dipole_type().tolist()}
+        # a scheme written for the signed coupling, read against the complete-graph one
+        scheme = synthesize_case2(np.array(MIXED["W"], float), np.array(MIXED["A"], float))
+        return {
+            "mixed": write("mixed.json", MIXED),
+            "dipole": write("dipole.json", dipole),
+            "scheme": write("scheme.json", scheme_to_dict(scheme)),
+            "out": str(tmp / "out.json"),
+            "missing": str(tmp / "missing.json"),
+        }
+
+    def module(self, env, argv, **kwargs):
+        kwargs.setdefault("stdout", subprocess.PIPE)
+        return subprocess.run(
+            [sys.executable, "-m", "spinrev.cli", *argv], stderr=subprocess.PIPE, env=env, timeout=120, **kwargs
+        )
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["bounds", "--coupling", "{mixed}"], 0),
+            (["synthesize", "--coupling", "{mixed}", "--out", "{out}"], 0),
+            (["verify", "--coupling", "{dipole}", "--scheme", "{scheme}"], 1),
+            (["bounds", "--no-such-flag"], 2),
+            (["bounds", "--coupling", "{mixed}", "--tol", "1"], 2),
+            (["bounds", "--coupling", "{missing}"], 2),
+            (["--help"], 0),
+        ],
+        ids=["bounds", "synthesize-out", "verify-other-coupling", "bad-flag", "tol-1", "unreadable", "help"],
+    )
+    def test_module_prints_what_main_prints(self, paths, env, capsys, argv, code):
+        argv = [arg.format(**paths) for arg in argv]
+        result = self.module(env, argv)
+        out = Path(paths["out"])
+        written = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        before = gc.get_freeze_count()
+        try:
+            in_process = main(argv)
+        except SystemExit as exc:  # argparse's --help and usage errors
+            in_process = exc.code
+        assert gc.get_freeze_count() == before
+        captured = capsys.readouterr()
+        assert result.returncode == in_process == code
+        assert result.stdout == captured.out.encode()
+        assert result.stderr == captured.err.encode()
+        if written is not None:
+            assert out.read_bytes() == written
+
+    def test_run_freezes_before_exit(self, paths, env):
+        # atexit handlers run after run()'s freeze, since normal finalization still runs
+        probe = (
+            "import atexit, gc\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+            "from spinrev.cli import run\n"
+            "run()\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe, "bounds", "--coupling", paths["mixed"]],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        report, frozen = result.stdout.splitlines()
+        assert json.loads(report)["steps_lower"] == 2
+        label, count = frozen.split()
+        assert label == "frozen" and int(count) > 0
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_1_without_traceback(self, paths, env, unbuffered):
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = self.module(env, ["bounds", "--coupling", paths["mixed"]], stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1
+        assert result.stderr.decode().splitlines() == ["error: stdout was closed before the output was written"]
 
 
 class TestSearchPhaseTwo:

@@ -76,6 +76,7 @@ def loaded_after(body, *argv):
 
 
 CLI = "from spinrev.cli import main; sys.exit(main(sys.argv[1:]))"
+RUN = "from spinrev.cli import run; run()"
 
 
 @pytest.mark.parametrize(
@@ -84,8 +85,10 @@ CLI = "from spinrev.cli import main; sys.exit(main(sys.argv[1:]))"
         ("import spinrev, spinrev.cli", [], 0),
         (CLI, ["--help"], 0),
         (CLI, ["bounds", "--no-such-flag"], 2),
+        (RUN, ["--help"], 0),
+        (RUN, ["bounds", "--no-such-flag"], 2),
     ],
-    ids=["import", "help", "bad-flag"],
+    ids=["import", "help", "bad-flag", "run-help", "run-bad-flag"],
 )
 def test_package_and_cli_load_nothing_heavy(body, argv, code):
     result, loaded = loaded_after(body, *argv)

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .coupling import CouplingClass, CouplingInput, _checked, _factored, classify_type
+from .coupling import CouplingClass, CouplingInput, _checked, _factored, _is_integer, classify_type
 from .rotations import _frobenius
 
 if TYPE_CHECKING:
@@ -91,7 +91,7 @@ def steps_lower_bound_case2(n: int, p: int) -> int:
     step, preserving a block-trace sign that an inversion must flip.
     Computed by exact integer powers, so exact powers of p never round up.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
+    if not _is_integer(n) or n < 2:
         raise ValueError("need at least 2 spins")
     _check_partition(p)
     steps = 0
@@ -110,18 +110,10 @@ def bounds_report(J, W=None, A=None, p: int | None = None, tol: float = 1e-9) ->
     the inertia step bound; a factored one also gets its type class, and
     a mixed-sign type the partition bound when p is given.
     """
-    return _report(J, W, A, p, tol)[0]
-
-
-def _report(J, W=None, A=None, p: int | None = None, tol: float = 1e-9) -> tuple[BoundsReport, np.ndarray]:
-    """`bounds_report`, and the eigenvalues of J it was computed from."""
     if p is not None:
         _check_partition(p)
     coupling = _checked(J)
-    norm = _frobenius(coupling.J)
-    if norm == 0.0:
-        raise ValueError("zero coupling has no overhead bound")
-    lam = np.linalg.eigvalsh(coupling.J)
+    lam, norm = _spectrum(coupling)
     lam_min, lam_max, tau_low = _spectral_bound(lam)
     steps_low = _inertia_steps(lam)
     notes = [
@@ -144,7 +136,7 @@ def _report(J, W=None, A=None, p: int | None = None, tol: float = 1e-9) -> tuple
             notes.append(
                 f"mixed-sign type with partition size p={p}: at least ceil(log n/log p) = {partition} steps"
             )
-    report = BoundsReport(
+    return BoundsReport(
         case=case,
         tau_lower=tau_low,
         steps_lower=steps_low,
@@ -152,7 +144,6 @@ def _report(J, W=None, A=None, p: int | None = None, tol: float = 1e-9) -> tuple
         lambda_max=lam_max,
         notes=tuple(notes),
     )
-    return report, lam
 
 
 def audit_stats_against_bounds(stats: SchemeStats, W, A=None, tol: float = 1e-9) -> BoundsAudit:
@@ -169,15 +160,16 @@ def audit_stats_against_bounds(stats: SchemeStats, W, A=None, tol: float = 1e-9)
     CouplingInput, factored or raw.
     """
     coupling = W if isinstance(W, CouplingInput) and A is None else _factored(W, A)
-    report, lam = _report(coupling, tol=tol)
-    error = tol * _frobenius(coupling.J)
-    tau_margin = stats.tau - report.tau_lower
+    lam, norm = _spectrum(coupling)
+    lam_min, lam_max, tau_low = _spectral_bound(lam)
+    error = tol * norm
+    tau_margin = stats.tau - tau_low
     steps_low = _inertia_steps(lam, error, stats.tau)
-    allowed = max(_AUDIT_SLACK, error / min(report.lambda_max, -report.lambda_min))
+    allowed = max(_AUDIT_SLACK, error / min(lam_max, -lam_min))
     return BoundsAudit(
         passed=tau_margin >= -allowed and stats.n_steps >= steps_low,
         tau=stats.tau,
-        tau_lower=report.tau_lower,
+        tau_lower=tau_low,
         tau_margin=tau_margin,
         n_steps=stats.n_steps,
         steps_lower=steps_low,
@@ -201,8 +193,17 @@ def check_scheme_against_bounds(scheme: Scheme, W, A=None, tol: float = 1e-9) ->
 
 
 def _check_partition(p) -> None:
-    if not isinstance(p, (int, np.integer)) or p < 2:
+    if not _is_integer(p) or p < 2:
         raise ValueError("partition size p must be an integer >= 2")
+
+
+def _spectrum(coupling) -> tuple[np.ndarray, float]:
+    """(ascending eigenvalues, Frobenius norm) of a checked J; a zero J has
+    no bound."""
+    norm = _frobenius(coupling.J)
+    if norm == 0.0:
+        raise ValueError("zero coupling has no overhead bound")
+    return np.linalg.eigvalsh(coupling.J), norm
 
 
 def _spectral_bound(lam) -> tuple[float, float, float]:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -271,7 +270,7 @@ def synthesize_case1(W, A=None, tol: float = 1e-9) -> Scheme:
 
 def hadamard_matrix(m: int) -> np.ndarray:
     """Sylvester sign matrix of power-of-two order m (entries +-1, H H^T = m 1)."""
-    if not isinstance(m, (int, np.integer)) or m < 1 or (m & (m - 1)) != 0:
+    if not _is_integer(m) or m < 1 or (m & (m - 1)) != 0:
         raise ValueError("Hadamard order must be a positive power of two")
     H = np.array([[1]], dtype=int)
     while H.shape[0] < m:
@@ -407,32 +406,6 @@ class _EncodedRotations(dict):
         return text
 
 
-def _rotation_array(spins: list) -> np.ndarray | None:
-    """A non-empty (k, 3, 3) nest of int and float leaves as one float64
-    array, None for anything else.
-
-    C-level `set(map(...))` passes check the nest and `chain` flattens it,
-    so no Python loop runs per leaf.  The upper levels need only their
-    lengths checked: a decoded dict or string of length 3 yields strings,
-    which the leaf check rejects, as it rejects bool (JSON true)."""
-    level = spins
-    try:
-        for _ in range(2):
-            if set(map(len, level)) != {3}:
-                return None
-            level = list(chain.from_iterable(level))
-    except TypeError:  # a scalar where a list belongs
-        return None
-    if not set(map(type, level)) <= {int, float}:
-        return None
-    try:
-        array = np.array(level, dtype=float)
-    except OverflowError:  # an integer beyond float range
-        return None
-    array.shape = (len(spins), 3, 3)
-    return array
-
-
 def _read_scheme(text: str) -> Scheme:
     """The scheme of a scheme file's text: by `_read_own_layout` when it is
     in the writer's layout, else by `scheme_from_dict` of the decoded text."""
@@ -474,15 +447,15 @@ def _read_own_layout(text: str) -> Scheme | None:
         if stop < 0:
             break
         pos = stop + 12
-    try:
-        distinct = _rotation_array(json.loads("[[[" + "]], [[".join(codes) + "]]]"))
+    try:  # the general reader's leaf rule
+        distinct = json.loads("[[[" + "]], [[".join(codes) + "]]]")
         times = json.loads("[" + ", ".join(t_texts) + "]")
-        if len(times) != len(t_texts) or not set(map(type, times)) <= {int, float}:
-            return None
-        times = np.array(list(map(float, times)))
-    except (ValueError, OverflowError):  # not JSON; an integer beyond float range
+        _check_json_numbers(distinct, 3, "step rotations")
+        _check_json_numbers(times, 1, 'step "t"')
+        distinct, times = np.array(distinct, dtype=float), np.array(times, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # not JSON, not numbers or ragged; an integer past float
         return None
-    if distinct is None or len(distinct) != len(codes) or not np.isfinite(distinct).all():
+    if distinct.shape != (len(codes), 3, 3) or times.shape != (len(t_texts),) or not np.isfinite(distinct).all():
         return None
     if not np.all((times > 0.0) & (times < np.inf)):
         return None

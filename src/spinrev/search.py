@@ -22,7 +22,7 @@ import numpy as np
 
 from .bounds import _spectral_bound, audit_stats_against_bounds
 from .coupling import _checked, n_spins
-from .rotations import axis_cycle, check_rotation
+from .rotations import AXES, axis_cycle, check_rotation
 from .schemes import (
     Scheme,
     SchemeKind,
@@ -66,42 +66,43 @@ def octahedral_group() -> np.ndarray:
     return np.array(mats)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidatePool:
-    """Per-spin rotation assemblies that may become scheme steps."""
+    """Per-spin rotation assemblies that may become scheme steps: one
+    (P, n, 3, 3) float64 array, copied from the input, that the pool owns
+    and keeps read-only."""
 
-    assemblies: tuple[np.ndarray, ...]  # each of shape (n, 3, 3)
+    assemblies: np.ndarray  # shape (P, n, 3, 3)
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.assemblies) == 0:
-            raise ValueError("candidate pool must hold at least one assembly")
-        n = self.assemblies[0].shape[0]
-        if any(assembly.shape != (n, 3, 3) for assembly in self.assemblies):
-            raise ValueError("every assembly must have shape (n, 3, 3)")
-        check_rotation(np.stack(self.assemblies), tol=1e-12)
+        try:
+            assemblies = np.array(self.assemblies, dtype=float)
+        except (TypeError, ValueError):  # ragged or not numeric
+            assemblies = np.empty(0)
+        if assemblies.ndim != 4 or assemblies.shape[2:] != (3, 3) or len(assemblies) == 0:
+            raise ValueError("candidate pool must hold at least one assembly, all of one shape (n, 3, 3)")
+        check_rotation(assemblies, tol=1e-12)
+        assemblies.flags.writeable = False
+        object.__setattr__(self, "assemblies", assemblies)
 
     @property
     def n(self) -> int:
-        return self.assemblies[0].shape[0]
+        return self.assemblies.shape[1]
 
 
 def collective_cyclic_pool(n: int, seed: int = 0) -> CandidatePool:
     """The two collective axis-cycle assemblies (first and second powers)."""
     S = axis_cycle()
-    assemblies = (np.tile(S, (n, 1, 1)), np.tile(S @ S, (n, 1, 1)))
-    return CandidatePool(assemblies, seed)
+    return CandidatePool(np.repeat(np.stack([S, S @ S])[:, None], n, axis=1), seed)
 
 
 def pair_pi_pool(n: int, seed: int = 0) -> CandidatePool:
     """Half turns on a single spin, one assembly per (spin, axis) pair."""
-    assemblies = []
+    assemblies = np.tile(np.eye(3), (n, 3, n, 1, 1))  # (spin, axis, n, 3, 3)
     for k in range(n):
-        for axis in ("x", "y", "z"):
-            rotations = np.tile(np.eye(3), (n, 1, 1))
-            rotations[k] = pi_rotation(axis)
-            assemblies.append(rotations)
-    return CandidatePool(tuple(assemblies), seed)
+        assemblies[k, :, k] = [pi_rotation(axis) for axis in AXES]
+    return CandidatePool(assemblies.reshape(3 * n, n, 3, 3), seed)
 
 
 def random_octahedral_pool(n: int, size: int, seed: int = 0) -> CandidatePool:
@@ -114,17 +115,15 @@ def random_octahedral_pool(n: int, size: int, seed: int = 0) -> CandidatePool:
         raise ValueError("pool size must be at least 1")
     group = octahedral_group()
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    picks = rng.integers(0, len(group), size=(size, n))
-    return CandidatePool(tuple(group[row] for row in picks), seed)
+    return CandidatePool(group[rng.integers(0, len(group), size=(size, n))], seed)
 
 
 def user_pool(assemblies, seed: int = 0) -> CandidatePool:
-    return CandidatePool(tuple(np.asarray(a, dtype=float) for a in assemblies), seed)
+    return CandidatePool(assemblies, seed)
 
 
 def merge_pools(*pools: CandidatePool, seed: int = 0) -> CandidatePool:
-    assemblies = tuple(a for pool in pools for a in pool.assemblies)
-    return CandidatePool(assemblies, seed)
+    return CandidatePool(np.concatenate([pool.assemblies for pool in pools]), seed)
 
 
 def nnls_active_set(A, b):
@@ -268,7 +267,7 @@ def _upper_block_columns(J, assemblies):
     """Stack vec(V J V^T) over the k < l blocks, one column per assembly."""
     # kept C-ordered (rows, pool): a transposed view would change the BLAS
     # summation order of A^T r, and with it which of tied candidates wins
-    return np.ascontiguousarray(_upper_blocks(conjugate(np.asarray(assemblies), J)).T)
+    return np.ascontiguousarray(_upper_blocks(conjugate(assemblies, J)).T)
 
 
 def _finalize(coupling, scaled, assemblies, x, rnorm, iterations, tol):
@@ -278,7 +277,7 @@ def _finalize(coupling, scaled, assemblies, x, rnorm, iterations, tol):
     # residual is sqrt(2) times the stacked-block residual
     relative = rnorm * np.sqrt(2.0) / norm
     if keep.size and relative <= tol:
-        scheme = Scheme._from_arrays(SchemeKind.INVERSION, x[keep], np.array([assemblies[j] for j in keep]))
+        scheme = Scheme._from_arrays(SchemeKind.INVERSION, x[keep], assemblies[keep])
         result = _verdict(scheme, coupling, tol, iterations)
         if result.scheme is not None:
             return result
@@ -309,7 +308,7 @@ def _problem(J, assemblies):
     top = float(np.abs(coupling.J).max())
     if top == 0.0:
         raise ValueError("zero coupling: nothing to invert")
-    n = assemblies[0].shape[0]
+    n = assemblies.shape[1]
     if n != coupling.n:
         raise ValueError(f"dimension mismatch: pool addresses {n} spins, coupling has {coupling.n}")
     scaled = np.ldexp(coupling.J, 1 - int(np.frexp(top)[1]))
@@ -364,18 +363,18 @@ def greedy_pool_growth(
     rng = np.random.default_rng(base_pool.seed if seed is None else seed)
     group = octahedral_group()
     norm = float(np.linalg.norm(scaled))
-    assemblies = list(base_pool.assemblies)
+    base_size = len(base_pool.assemblies)
+    picked = []  # each grown assembly as its row of indices into `group`
     x, rnorm, _, _ = _lawson_hanson(columns, target)
-    growth_rounds = 0
-    while rnorm * np.sqrt(2.0) / norm > target_tol and len(assemblies) < max_pool:
+    while rnorm * np.sqrt(2.0) / norm > target_tol and base_size + len(picked) < max_pool:
         resid = columns @ x - target
-        candidates = group[rng.integers(0, len(group), size=(_BATCH, base_pool.n))]
-        candidate_columns = _upper_block_columns(scaled, candidates)
+        picks = rng.integers(0, len(group), size=(_BATCH, base_pool.n))
+        candidate_columns = _upper_block_columns(scaled, group[picks])
         best = int(np.argmin(candidate_columns.T @ resid))
         grown = np.column_stack([columns, candidate_columns[:, best]])
         bound = rnorm + 1e-9 * max(rnorm, 1.0)
         x_new, new_rnorm, _, converged = _lawson_hanson(grown, target, np.append(x, 0.0), cap=grown.shape[0])
-        read = new_rnorm * np.sqrt(2.0) / norm <= target_tol or len(assemblies) + 1 == max_pool
+        read = new_rnorm * np.sqrt(2.0) / norm <= target_tol or base_size + len(picked) + 1 == max_pool
         if not converged or new_rnorm > bound or read:
             x_new, new_rnorm, _, converged = _lawson_hanson(grown, target)
             if not converged:
@@ -384,11 +383,11 @@ def greedy_pool_growth(
                 break
             if new_rnorm > bound:
                 raise RuntimeError("NNLS objective increased while the pool grew; active-set defect")
-        # a copy: the view candidates[best] would keep the whole batch alive
-        assemblies.append(candidates[best].copy())
+        picked.append(picks[best].tolist())
         columns, x, rnorm = grown, x_new, new_rnorm
-        growth_rounds += 1
-    return _finalize(coupling, scaled, assemblies, x, rnorm, growth_rounds, target_tol)
+    grown_assemblies = group[np.array(picked, dtype=np.intp).reshape(-1, base_pool.n)]
+    assemblies = np.concatenate([base_pool.assemblies, grown_assemblies])
+    return _finalize(coupling, scaled, assemblies, x, rnorm, len(picked), target_tol)
 
 
 def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int = 0) -> SearchResult:

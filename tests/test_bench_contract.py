@@ -54,3 +54,23 @@ def test_replay_runs_jobs_and_probes(tmp_path):
     assert counts["synthesize"] == {"rotations.validated": 3 * steps, "schemes.steps": steps}
     assert counts["verify"] == {}
     assert counts["simulate"] == {"hilbert.dim": 8}
+
+
+def test_replay_runs_the_search_job_and_its_probe(tmp_path):
+    # the search job and its fixed-pool probe call the pool API: base pools,
+    # `greedy_pool_growth`, `random_octahedral_pool` and `find_inversion_nnls`
+    replay = _replay_module()
+    coupling, scheme = str(tmp_path / "c.json"), str(tmp_path / "s.json")
+    W = [[0.0 if k == l else 1.0 for l in range(4)] for k in range(4)]
+    Path(coupling).write_text(json.dumps({"n": 4, "W": W, "A": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}))
+    runner = replay.Replay(replay.NullTracer())
+    state = runner.job("search", ["--coupling", coupling, "--seed", "5", "--out", scheme])
+    counts = runner.probe("search", state)
+    assert (state["rounds"], state["pool_size"]) == (45, 59)
+    assert counts == {
+        "rotations.validated": 4 * 54,
+        "schemes.steps": 54,
+        "search.rounds": 45,
+        "search.fixed_pool_insertions": 26,
+    }
+    assert json.loads(Path(scheme).read_text())["n"] == 4

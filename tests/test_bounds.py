@@ -254,7 +254,8 @@ class TestAudit:
             assert audit.tau_margin == tau - tau_lower_bound(J)
             assert audit.steps_lower == 3 and audit.steps_margin == n_steps - 3
 
-    def test_one_report_decides_tau_and_class(self, monkeypatch):
+    def test_the_audit_reads_the_spectrum_alone(self, monkeypatch):
+        # no audit field reads the type's class, so the audit classifies nothing
         import spinrev.bounds
 
         real = spinrev.bounds.classify_type
@@ -267,8 +268,16 @@ class TestAudit:
         monkeypatch.setattr(spinrev.bounds, "classify_type", counting)
         stats = SchemeStats(n_steps=3, tau=3.0, collective=False)
         audit = audit_stats_against_bounds(stats, complete_weights(4), scalar_type())
-        assert audit.passed and audit.steps_lower == 3
-        assert len(calls) == 1
+        assert calls == []
+        report = bounds_report(tensor_coupling(complete_weights(4), scalar_type()))
+        assert audit.passed
+        assert (audit.tau, audit.tau_lower, audit.tau_margin) == (3.0, report.tau_lower, 3.0 - report.tau_lower)
+        assert (audit.n_steps, audit.steps_lower, audit.steps_margin) == (3, 3, 0)
+
+    def test_a_zero_coupling_is_refused(self):
+        stats = SchemeStats(n_steps=3, tau=3.0, collective=False)
+        with pytest.raises(ValueError, match="zero coupling"):
+            audit_stats_against_bounds(stats, np.zeros((3, 3)), scalar_type())
 
     def test_decoupling_schemes_are_rejected(self):
         rng = np.random.default_rng(52)

@@ -284,9 +284,9 @@ class TestSearch:
         assert first == second
 
     def test_phase_one_keeps_only_the_assemblies_it_grows(self, files, capsys):
-        # each chosen assembly is kept as its own (n, 3, 3) array, not as a
-        # view holding its round's whole (64, n, 3, 3) candidate batch: about
-        # 80 growth rounds at n = 5 would keep 1.9 MB of batches
+        # each chosen assembly is kept as its row of octahedral indices, not
+        # as a view holding its round's whole (64, n, 3, 3) candidate batch:
+        # about 80 growth rounds at n = 5 would keep 1.9 MB of batches
         _, write = files
         run(capsys, ["search", "--coupling", write("w.json", coupling_doc(2, scalar_type())), "--seed", "1"])
         path = write("c.json", coupling_doc(5, scalar_type()))

@@ -551,7 +551,7 @@ class TestHadamard:
         H = hadamard_matrix(4)
         assert np.array_equal(H @ H.T, 4 * np.eye(4, dtype=int))
 
-    @pytest.mark.parametrize("bad", [0, 3, 6, -2])
+    @pytest.mark.parametrize("bad", [0, 3, 6, -2, True])  # a bool is no integer order
     def test_rejects_non_powers_of_two(self, bad):
         with pytest.raises(ValueError, match="power of two"):
             hadamard_matrix(bad)
@@ -846,6 +846,12 @@ def _set_first(text, key, literal):
     return head + key + literal + rest[rest.index(","):]
 
 
+def _set_first_row(text, literal):
+    # the first row of the first rotation in the text spelled as `literal`
+    head, key, rest = text.partition('"rotations": [[')
+    return head + key + literal + rest[rest.index("]") + 1 :]
+
+
 def _reordered(text):
     data = json.loads(text)
     steps = [{"rotations": step["rotations"], "t": step["t"]} for step in data["steps"]]
@@ -869,6 +875,9 @@ NEAR_LAYOUT_TEXTS = {
     "overflowing-entry": lambda text: _set_first(text, _FIRST_ENTRY, "1e400"),
     "ragged-rows": lambda text: text.replace("], [", ", ", 1),
     "nested-entry": lambda text: _set_first(text, _FIRST_ENTRY, "[0.0]"),
+    # rows of length 3 whose items are strings: the keys, the characters
+    "object-row": lambda text: _set_first_row(text, '{"a": 1, "b": 0, "c": 0}'),
+    "string-row": lambda text: _set_first_row(text, '"abc"'),
     "extra-rotation": lambda text: text.replace("]]]}", "]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}", 1),
     # n pieces when split on "]], [[", n + 1 rotations to JSON
     "unspaced-extra-rotation": lambda text: text.replace("]]]}", "]],[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}", 1),

@@ -148,14 +148,14 @@ def _cold_reference(J, base, target_tol=1e-9, max_pool=500):
     rng = np.random.default_rng(base.seed)
     group = octahedral_group()
     norm = float(np.linalg.norm(scaled))
-    assemblies = list(base.assemblies)
+    assemblies = base.assemblies
     x, rnorm, _ = nnls_active_set(columns, target)
     rounds = 0
     while rnorm * np.sqrt(2.0) / norm > target_tol and len(assemblies) < max_pool:
         candidates = group[rng.integers(0, len(group), size=(_BATCH, base.n))]
         candidate_columns = _upper_block_columns(scaled, candidates)
         best = int(np.argmin(candidate_columns.T @ (columns @ x - target)))
-        assemblies.append(candidates[best])
+        assemblies = np.concatenate([assemblies, candidates[best : best + 1]])
         columns = np.column_stack([columns, candidate_columns[:, best]])
         x, rnorm, _ = nnls_active_set(columns, target)
         rounds += 1
@@ -244,6 +244,31 @@ class TestPools:
         bad[0, 2, 1] = np.nan
         with pytest.raises(ValueError, match="not orthogonal"):
             user_pool([bad])
+
+    @pytest.mark.parametrize("build", ["pair-pi", "collective-cyclic", "random", "merged", "user"])
+    def test_every_builder_gives_one_read_only_array_of_its_own(self, build):
+        source = np.stack([np.tile(np.eye(3), (3, 1, 1)), np.tile(axis_cycle(), (3, 1, 1))])
+        pool, size = {
+            "pair-pi": lambda: (pair_pi_pool(3), 9),
+            "collective-cyclic": lambda: (collective_cyclic_pool(3), 2),
+            "random": lambda: (random_octahedral_pool(3, 5, seed=1), 5),
+            "merged": lambda: (merge_pools(pair_pi_pool(3), collective_cyclic_pool(3)), 11),
+            "user": lambda: (user_pool(source), 2),
+        }[build]()
+        assemblies = pool.assemblies
+        assert type(assemblies) is np.ndarray and assemblies.dtype == np.float64
+        assert assemblies.shape == (size, 3, 3, 3) and pool.n == 3
+        assert assemblies.flags.owndata and not assemblies.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            assemblies[0, 0] = np.eye(3)
+        source[0, 0] = pi_rotation("x")
+        if build == "user":
+            assert np.array_equal(assemblies[0, 0], np.eye(3))
+
+    def test_a_ragged_user_pool_is_refused_with_the_shape_rule(self):
+        ragged = [np.tile(np.eye(3), (2, 1, 1)), np.tile(np.eye(3), (3, 1, 1))]
+        with pytest.raises(ValueError, match=r"shape \(n, 3, 3\)"):
+            user_pool(ragged)
 
     def test_user_and_merge(self):
         pool = merge_pools(pair_pi_pool(2), collective_cyclic_pool(2))

@@ -203,7 +203,7 @@ def _spectrum(coupling) -> tuple[np.ndarray, float]:
     norm = _frobenius(coupling.J)
     if norm == 0.0:
         raise ValueError("zero coupling has no overhead bound")
-    return np.linalg.eigvalsh(coupling.J), norm
+    return coupling.eigenvalues, norm
 
 
 def _spectral_bound(lam) -> tuple[float, float, float]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -149,8 +150,9 @@ def classification_margins(A, tol: float = DEFAULT_CLASSIFY_TOL) -> dict:
 @dataclass(frozen=True)
 class CouplingInput:
     """A checked coupling: the full matrix, plus factors and A's spectrum
-    if given, as read-only copies.  Made by `coupling_from_dict`,
-    `_checked` and `_factored`; building one by hand skips the checks."""
+    if given, as read-only copies, and J's eigenvalues once asked for.
+    Made by `coupling_from_dict`, `_checked` and `_factored`; building one
+    by hand skips the checks."""
 
     n: int
     J: np.ndarray
@@ -161,6 +163,14 @@ class CouplingInput:
     @property
     def factored(self) -> bool:
         return self.W is not None
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """J's eigenvalues, ascending and read-only, solved on first use: every
+        bound and audit of one job reads this one solve."""
+        lam = np.linalg.eigvalsh(self.J)
+        lam.setflags(write=False)
+        return lam
 
 
 def _checked(J) -> CouplingInput:

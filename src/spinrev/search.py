@@ -37,8 +37,7 @@ _PRUNE_TOL = 1e-12
 _DUAL_TOL = 1e-12  # relative tolerance of the NNLS dual feasibility test
 _BATCH = 64  # random assemblies drawn per growth round
 # phase 2 (`minimize_tau`)
-_PIVOTS_PER_ROW = 3  # simplex pivot budget per row of the LP under ascent pricing
-_EXACT_PIVOTS_PER_ROW = 20  # the same under enumeration, which runs to a certificate
+_PIVOTS_PER_ROW = 20  # simplex pivot budget per row of the LP
 _PRICE_TOP = 32  # improving assemblies that join the pool per pricing round
 _ENUMERATE_MAX = 24**3  # price by enumeration up to this many assemblies
 _ASCENT_STARTS = 64  # seeded starts of the coordinate ascent beyond that
@@ -409,18 +408,24 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
     block of J is a multiple of I (then only R_k R_l^T matters); beyond
     that it runs a per-spin coordinate ascent from `_ASCENT_STARTS` starts
     drawn from `seed`.  The run, and so the pool, stops after a pricing
-    round that no pivot follows or at the pivot budget:
-    `_EXACT_PIVOTS_PER_ROW` per row of C under enumeration, so that the
-    run ends at a certificate rather than wherever the budget falls, and
-    `_PIVOTS_PER_ROW` under ascent, which can certify only by reaching the
-    bound.  `certified` is true when enumeration finds no improving
-    assembly, which proves tau minimal over every octahedral scheme, or
-    when tau reached `tau_lower_bound`.  The result is the start unless
-    the simplex's scheme verifies at `tol` with a smaller tau; a basis that
-    rounding leaves singular (`LinAlgError` from the refactor or the final
-    solve, or an improving column that no row bounds, which 1^T t >= 0
-    rules out in exact arithmetic) also returns the start, uncertified.
-    `iterations` counts pivots.  Deterministic for a fixed seed.
+    round that no pivot follows or at the pivot budget, `_PIVOTS_PER_ROW`
+    per row of C for either pricer; runs end when pricing finds nothing
+    (under enumeration at a certificate) well before it at n <= 5.
+    `certified` is true when enumeration finds no improving assembly,
+    which proves tau minimal over every octahedral scheme, or when tau
+    reached `tau_lower_bound`.
+
+    At each refactor the basic times are a checkpoint: the lowest-tau one
+    whose LP residual is within `tol` is kept.  The run ends on the final
+    basis's times unless they miss `tol` or a checkpoint's tau is lower by
+    more than `_PRICE_TOL` * max(tau, 1); a basis that rounding leaves
+    singular (`LinAlgError` from the refactor or the final solve, or an
+    improving column that no row bounds, which 1^T t >= 0 rules out in
+    exact arithmetic) leaves only the checkpoint.  A checkpoint is
+    certified only by reaching the bound.  Only that one point is
+    verified, and the result is the start unless it verifies at `tol`
+    with a smaller tau.  `iterations` counts pivots.  Deterministic for a
+    fixed seed.
     """
     scheme = start.scheme if isinstance(start, SearchResult) else start
     if scheme is None or scheme.kind is not SchemeKind.INVERSION:
@@ -441,19 +446,47 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
     artificial = np.arange(rows) >= size
     inverse = np.linalg.inv(basis)
     x = np.maximum(inverse @ target, 0.0)
-    tau_low = _spectral_bound(np.linalg.eigvalsh(coupling.J))[2]
+    tau_low = _spectral_bound(coupling.eigenvalues)[2]
+    reached = tau_low + _PRICE_TOL * max(tau_low, 1.0)  # tau at or below this meets the bound
+    norm = float(np.linalg.norm(scaled))
     group = octahedral_group()
     price, exact = _pricer(scaled, seed)
-    budget = (_EXACT_PIVOTS_PER_ROW if exact else _PIVOTS_PER_ROW) * rows
+    budget = _PIVOTS_PER_ROW * rows
     pool = np.empty((rows, 0))
     pool_rots = np.empty((0,) + start_rots.shape[1:])
     weights = np.empty(0)
     pivots = 0
+    best = None  # the lowest-tau checkpoint within tol, as `point` gives it
+
+    def point(basic):
+        # (tau, times, rotations, rnorm) of the basis: artificial and pruned
+        # times dropped, and the stacked-block residual that `_finalize` reads
+        times = np.where(artificial | (basic <= _PRUNE_TOL), 0.0, basic)
+        return float(times.sum()), times, basis_rots.copy(), float(np.linalg.norm(basis @ times - target))
+
+    def fits(lp_point):
+        return lp_point[3] * np.sqrt(2.0) / norm <= tol
+
+    def settle(final, certified):
+        # the final point unless it misses tol or the best checkpoint is lower
+        # by more than rounding; only the point handed over is verified
+        if final is not None and not fits(final):
+            final, certified = None, False
+        if best is not None and (final is None or best[0] < final[0] - _PRICE_TOL * max(final[0], 1.0)):
+            final, certified = best, best[0] <= reached
+        if final is not None:
+            _, times, rots, rnorm = final
+            result = _finalize(coupling, scaled, rots, times, rnorm, pivots, tol)
+            if result.scheme is not None and result.tau < start.tau:
+                return replace(result, certified=certified)
+            certified = certified and result.scheme is not None
+        return replace(start, iterations=pivots, certified=certified)
+
     while True:
         # artificial columns cost 0, the start's and entered columns 1
         cost = np.where(artificial, 0.0, 1.0)
         y = cost @ inverse
-        certified = float(cost @ x) <= tau_low + _PRICE_TOL * max(tau_low, 1.0)
+        certified = float(cost @ x) <= reached
         if certified or pivots >= budget:
             break
         found = price(y)
@@ -483,7 +516,7 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
                 if theta == np.inf:
                     # no entry of alpha passed the tolerance, so 1 - cost @ alpha > 0
                     # and the negative reduced cost is rounding from a singular basis
-                    return replace(start, iterations=pivots, certified=False)
+                    return settle(None, False)
                 # of the tied rows (degenerate ones tie at 0) the largest pivot
                 r = int(np.argmax(np.where(ratios == theta, alpha, 0.0)))
             alpha_r = alpha[r]
@@ -519,25 +552,21 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
                 try:
                     inverse = np.linalg.inv(basis)
                 except np.linalg.LinAlgError:  # the basis turned singular to rounding
-                    return replace(start, iterations=pivots, certified=False)
+                    return settle(None, False)
                 x = np.maximum(inverse @ target, 0.0)
                 reduced = 1.0 - (np.where(artificial, 0.0, 1.0) @ inverse) @ pool
+                checkpoint = point(x)
+                if fits(checkpoint) and checkpoint[0] < (start.tau if best is None else best[0]):
+                    best = checkpoint
         # priced columns that did not enter sat within rounding of the
         # threshold, and pricing the same y again would find them again
         if pivots == before:
             break
-    if pivots:
-        try:
-            times = np.linalg.solve(basis, target)
-        except np.linalg.LinAlgError:
-            return replace(start, iterations=pivots, certified=False)
-        times = np.where(artificial | (times <= _PRUNE_TOL), 0.0, times)
-        rnorm = float(np.linalg.norm(basis @ times - target))
-        result = _finalize(coupling, scaled, basis_rots, times, rnorm, pivots, tol)
-        if result.scheme is not None and result.tau < start.tau:
-            return replace(result, certified=certified)
-        certified = certified and result.scheme is not None
-    return replace(start, iterations=pivots, certified=certified)
+    try:
+        final = point(np.linalg.solve(basis, target)) if pivots else None
+    except np.linalg.LinAlgError:
+        final, certified = None, False
+    return settle(final, certified)
 
 
 def _pricer(J, seed: int):

@@ -735,15 +735,38 @@ class TestSearchPhaseTwo:
         assert abs(payload["meta"]["tau"] - 3.0) <= 1e-9
         assert len(payload["steps"]) == 7
 
-    def test_uncertified_when_the_budget_ends_first(self, files, capsys):
-        # ascent pricing at n=5 stops at its budget, short of the optimum 5
+    def test_five_spin_complete_scalar_reaches_the_octahedral_optimum(self, files, capsys):
+        # ascent pricing runs until it finds nothing, at tau 5, and cannot prove it
         _, write = files
         path = write("c.json", coupling_doc(5, scalar_type()))
+        code, out = run(capsys, ["search", "--coupling", path])
+        payload = json.loads(out)
+        assert code == 0
+        assert abs(payload["meta"]["tau"] - 5.0) <= 1e-9
+        assert payload["certified"] is False
+
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    @pytest.mark.parametrize("alpha", [-0.1, 0.0, 0.5])
+    def test_four_spin_anisotropic_types_are_certified_at_three(self, files, capsys, alpha, seed):
+        # enumeration runs to its certificate, n-1 = 3, on types that are not
+        # multiples of I
+        _, write = files
+        path = write("c.json", coupling_doc(4, np.diag([1.0, 1.0, alpha])))
+        code, out = run(capsys, ["search", "--coupling", path, "--seed", seed])
+        payload = json.loads(out)
+        assert code == 0
+        assert abs(payload["meta"]["tau"] - 3.0) <= 1e-9
+        assert payload["certified"] is True
+
+    def test_uncertified_when_the_budget_ends_first(self, files, capsys):
+        # ascent pricing at n=6 stops at its budget, above the bound 5
+        _, write = files
+        path = write("c.json", coupling_doc(6, scalar_type()))
         code, out = run(capsys, ["search", "--coupling", path, "--seed", "1"])
         payload = json.loads(out)
         assert code == 0
         assert payload["certified"] is False
-        assert 5.0 < payload["meta"]["tau"] < 14.0
+        assert 5.0 < payload["meta"]["tau"] < 6.0
 
     def test_no_scheme_is_not_certified(self, files, capsys):
         _, write = files
@@ -936,6 +959,28 @@ class TestOneCheckPerJob:
         assert code == 0
         assert len(schemes) in counts
         assert len(set(schemes)) == len(schemes)
+
+    @pytest.mark.parametrize(
+        "command, form", [(command, form) for command in COMMANDS for form in ("factored", "raw")] + [("search", "scalar")]
+    )
+    def test_each_coupling_spectrum_is_solved_at_most_once(self, mixed, files, capsys, monkeypatch, command, form):
+        # both search phases' audits and phase 2's certificate bound read one
+        # eigvalsh of J; the 4-spin scalar search re-times its phase-1 scheme,
+        # so its phase 2 audits a second scheme
+        real = np.linalg.eigvalsh
+        shapes = []
+
+        def counting(M, *args, **kwargs):
+            shapes.append(np.shape(M))
+            return real(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        _, write = files
+        n, coupling = (4, write("scalar.json", coupling_doc(4, scalar_type()))) if form == "scalar" else (3, mixed[form])
+        code, _ = run(capsys, _job_argv(command, coupling, mixed["scheme"]))
+        if command == "search":
+            assert code == 0
+        assert shapes.count((3 * n, 3 * n)) <= 1, shapes
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_edge_document_is_rejected_by_every_subcommand(self, files, capsys, command):

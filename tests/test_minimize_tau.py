@@ -27,13 +27,6 @@ from spinrev.schemes import Scheme, SchemeKind, Step
 from spinrev.search import _PRICE_TOP, _pricer, _upper_block_columns, _upper_blocks, minimize_tau
 
 
-@pytest.fixture
-def unbudgeted(monkeypatch):
-    # the n=5 optimum takes 875 of 1,800 pivots under ascent pricing; the
-    # exact-pricing runs stay inside their own 20 a row (n=4: 355 of 1,080)
-    monkeypatch.setattr("spinrev.search._PIVOTS_PER_ROW", 20)
-
-
 def _auto_pool(n):
     return merge_pools(pair_pi_pool(n), collective_cyclic_pool(n))
 
@@ -56,7 +49,7 @@ def _every_assembly(n, fix_first=False):
     return group[picks]
 
 
-def test_matches_highs_over_the_full_four_spin_pool(unbudgeted):
+def test_matches_highs_over_the_full_four_spin_pool():
     # spin 0 held at the identity: 24^3 = 13,824 columns, every octahedral
     # scheme of a scalar coupling up to a common right rotation
     J = tensor_coupling(complete_weights(4), scalar_type())
@@ -72,7 +65,7 @@ def test_matches_highs_over_the_full_four_spin_pool(unbudgeted):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_short_start_is_completed_by_zero_level_artificials(seed, unbudgeted):
+def test_short_start_is_completed_by_zero_level_artificials(seed):
     # the pair-pi start has 3 steps against 9 rows at n=2; the artificial
     # columns that fill the basis must all leave, since the optimum has 9
     J = random_coupling(np.random.default_rng(seed), 2)
@@ -95,7 +88,7 @@ def test_an_optimal_start_comes_back_unchanged():
     assert result.certified
 
 
-def test_five_spins_reach_the_octahedral_optimum(unbudgeted):
+def test_five_spins_reach_the_octahedral_optimum():
     # tau* = 5 at n=5 is certified by an exact LP over the whole group; the
     # ascent pricing reaches it but cannot prove it
     J = tensor_coupling(complete_weights(5), scalar_type())
@@ -114,20 +107,22 @@ def test_budgets_hold(monkeypatch):
     assert full.certified
     assert abs(full.tau - 3.0) <= 1e-9
     assert full.iterations < 20 * 54
-    monkeypatch.setattr("spinrev.search._EXACT_PIVOTS_PER_ROW", 3)
+    monkeypatch.setattr("spinrev.search._PIVOTS_PER_ROW", 3)
     budgeted = minimize_tau(J, start.scheme, seed=7)
     assert budgeted.iterations == 3 * 54
-    monkeypatch.setattr("spinrev.search._EXACT_PIVOTS_PER_ROW", 1)
+    monkeypatch.setattr("spinrev.search._PIVOTS_PER_ROW", 1)
     few = minimize_tau(J, start.scheme, seed=7)
     assert few.iterations == 54
     assert full.tau < budgeted.tau < few.tau < start.tau
 
 
 def test_ascent_pricing_stops_at_its_own_budget():
-    J = tensor_coupling(complete_weights(5), scalar_type())
-    start = greedy_pool_growth(J, _auto_pool(5), seed=7)
+    # at n=6 ascent pricing still finds improving columns after 20 pivots
+    # a row, and ends above the bound 5, which it cannot certify
+    J = tensor_coupling(complete_weights(6), scalar_type())
+    start = greedy_pool_growth(J, _auto_pool(6), seed=7)
     result = minimize_tau(J, start.scheme, seed=7)
-    assert result.iterations == 3 * 90
+    assert result.iterations == 20 * 135
     assert not result.certified
     assert 5.0 < result.tau < start.tau
 
@@ -214,9 +209,14 @@ def test_phase_one_result_and_its_bare_scheme_give_the_same_json(n):
 def test_a_singular_basis_ends_phase_two_at_its_start(monkeypatch, call):
     # a basis that rounding leaves singular is a numerical breakdown, not
     # invalid input: the refactor's inverse or the final solve failing
-    # hands back the verified start, uncertified
+    # hands back the best checkpoint, the lowest-tau refactor point within
+    # tol, or the verified start when there is none
     J = tensor_coupling(complete_weights(4), scalar_type())
     start = greedy_pool_growth(J, _auto_pool(4), seed=7)
+    monkeypatch.setattr("spinrev.search._REFACTOR", 54)
+    monkeypatch.setattr("spinrev.search._PIVOTS_PER_ROW", 3)
+    cut = minimize_tau(J, start, seed=7)  # ends at its budget, on a refactor
+    assert (cut.iterations, cut.certified) == (3 * 54, False)
     real = getattr(np.linalg, call)
     calls = []
 
@@ -226,15 +226,26 @@ def test_a_singular_basis_ends_phase_two_at_its_start(monkeypatch, call):
             return real(*args)
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr("spinrev.search._REFACTOR", 5)
     monkeypatch.setattr(np.linalg, call, singular)
     result = minimize_tau(J, start, seed=7)
-    assert result.scheme is start.scheme
-    assert (result.tau, result.residual) == (start.tau, start.residual)
     assert not result.certified
-    # the refactor fails at pivot 5; the solve after the last pivot
-    assert result.iterations == 5 if call == "inv" else result.iterations > 5
-    assert len(calls) == (2 if call == "inv" else 1)
+    if call == "inv":
+        # the first refactor fails, before any checkpoint
+        assert result.scheme is start.scheme
+        assert (result.tau, result.residual) == (start.tau, start.residual)
+        assert result.iterations == 54
+        assert len(calls) == 2
+        return
+    # the last checkpoint is where the budget ended
+    assert result.iterations == 3 * 54
+    assert len(calls) == 1
+    assert abs(result.tau - cut.tau) <= 1e-9
+    assert result.tau < start.tau - 1.0
+    assert verify(result.scheme, J, 1e-9).ok
+    monkeypatch.setattr("spinrev.search._REFACTOR", 1000)  # no refactor, so no checkpoint
+    bare = minimize_tau(J, start, seed=7)
+    assert bare.scheme is start.scheme
+    assert not bare.certified
 
 
 @pytest.mark.parametrize("c", [-1.5, 0.5])
@@ -256,3 +267,21 @@ def test_cli_search_at_the_type_boundary_returns_the_phase_one_scheme(tmp_path, 
     assert verified["ok"] is True
     assert verified["tau"] == printed["meta"]["tau"]
     assert len(scheme_from_dict(json.loads(out.read_text())).steps) == verified["N"]
+
+
+@pytest.mark.parametrize("c, seed, ceiling", [(0.5, 0, 5.507), (0.5, 1, 5.711), (1.5, 3, 5.375)])
+def test_cli_search_at_the_type_boundary_keeps_its_best_checkpoint(tmp_path, capsys, c, seed, ceiling):
+    # on these 4-spin inputs the final basis is singular to rounding or its
+    # scheme misses tol, after 600-1,080 pivots; the best refactor point
+    # within tol (tau 3) is what the search prints, not phase 1's start at
+    # tau 11-13. The ceilings are what a 3-pivot-a-row budget reached
+    coupling, out = tmp_path / "c.json", tmp_path / "found.json"
+    A = np.diag([1.0, 1.0, c * 1e-9 * np.sqrt(2.0)])
+    coupling.write_text(json.dumps({"n": 4, "W": complete_weights(4).tolist(), "A": A.tolist()}))
+    code = cli.main(["search", "--coupling", str(coupling), "--seed", str(seed), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    printed = json.loads(captured.out)
+    assert printed["meta"]["tau"] <= ceiling
+    assert cli.main(["verify", "--coupling", str(coupling), "--scheme", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["tau"] == printed["meta"]["tau"]

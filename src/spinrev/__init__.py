@@ -30,7 +30,6 @@ _EXPORTS = {
         "classification_margins",
         "classify_type",
         "complete_weights",
-        "coupling_block",
         "coupling_from_dict",
         "dipole_type",
         "n_spins",
@@ -90,7 +89,6 @@ _EXPORTS = {
         "pair_pi_pool",
         "random_octahedral_pool",
         "search_result_to_dict",
-        "user_pool",
     ),
 }
 
@@ -100,7 +98,7 @@ __all__ = sorted(_OWNER)
 
 
 def __getattr__(name):
-    if name in _EXPORTS:  # a submodule: `import spinrev; spinrev.search.user_pool` works
+    if name in _EXPORTS:  # a submodule: `import spinrev; spinrev.search.merge_pools` works
         return importlib.import_module(f".{name}", __name__)
     module = _OWNER.get(name)
     if module is None:

@@ -28,8 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .coupling import CouplingClass, CouplingInput, _checked, _factored, _is_integer, classify_type
-from .rotations import _frobenius
+from .coupling import CouplingClass, _checked, _factored, _is_integer, _resolved, classify_type
 
 if TYPE_CHECKING:
     from .schemes import Scheme, SchemeStats
@@ -81,7 +80,7 @@ def steps_lower_bound(W, A=None) -> int:
     """Step-count bound ceil(max(nu-/nu+, nu+/nu-)) from the inertia of
     J = W (x) A, or of a coupling J (raw or a CouplingInput) given alone;
     holds for every inversion of J."""
-    return bounds_report(W if A is None else _factored(W, A)).steps_lower
+    return bounds_report(_resolved(W, A)).steps_lower
 
 
 def steps_lower_bound_case2(n: int, p: int) -> int:
@@ -113,9 +112,8 @@ def bounds_report(J, W=None, A=None, p: int | None = None, tol: float = 1e-9) ->
     if p is not None:
         _check_partition(p)
     coupling = _checked(J)
-    lam, norm = _spectrum(coupling)
-    lam_min, lam_max, tau_low = _spectral_bound(lam)
-    steps_low = _inertia_steps(lam)
+    lam_min, lam_max, tau_low = _spectral_bound(coupling)
+    steps_low = _inertia_steps(coupling.eigenvalues, coupling.norm)
     notes = [
         f"any inversion scheme needs overhead tau >= max(rho, 1/rho), rho = -lambda_max/lambda_min: {tau_low:.9g}",
         f"any inversion scheme needs step count N >= ceil(max(nu-/nu+, nu+/nu-)) = {steps_low} by the inertia of J",
@@ -125,7 +123,7 @@ def bounds_report(J, W=None, A=None, p: int | None = None, tol: float = 1e-9) ->
         if W is None or A is None:
             raise ValueError("factored bounds need both W and A")
         factors = _factored(W, A)
-        if factors.J.shape != coupling.J.shape or np.abs(factors.J - coupling.J).max() > 1e-12 * norm:
+        if factors.J.shape != coupling.J.shape or np.abs(factors.J - coupling.J).max() > 1e-12 * coupling.norm:
             raise ValueError("coupling matrix J does not equal W (x) A")
         coupling = factors
     if coupling.factored:
@@ -156,15 +154,14 @@ def audit_stats_against_bounds(stats: SchemeStats, W, A=None, tol: float = 1e-9)
     binding side divides by (|lambda_min| for rho >= 1, lambda_max for
     1/rho), and by 1e-9, the rounding floor, at least; the step bound
     counts J's inertia past what E allows.  A verified scheme below
-    either bound means a software defect.  W is raw factors or a
-    CouplingInput, factored or raw.
+    either bound means a software defect.  W and A are raw factors, or W
+    is a coupling given alone: a raw J or a CouplingInput.
     """
-    coupling = W if isinstance(W, CouplingInput) and A is None else _factored(W, A)
-    lam, norm = _spectrum(coupling)
-    lam_min, lam_max, tau_low = _spectral_bound(lam)
-    error = tol * norm
+    coupling = _resolved(W, A)
+    lam_min, lam_max, tau_low = _spectral_bound(coupling)
+    error = tol * coupling.norm
     tau_margin = stats.tau - tau_low
-    steps_low = _inertia_steps(lam, error, stats.tau)
+    steps_low = _inertia_steps(coupling.eigenvalues, coupling.norm, error, stats.tau)
     allowed = max(_AUDIT_SLACK, error / min(lam_max, -lam_min))
     return BoundsAudit(
         passed=tau_margin >= -allowed and stats.n_steps >= steps_low,
@@ -178,12 +175,13 @@ def audit_stats_against_bounds(stats: SchemeStats, W, A=None, tol: float = 1e-9)
 
 
 def check_scheme_against_bounds(scheme: Scheme, W, A=None, tol: float = 1e-9) -> BoundsAudit:
-    """Verify a scheme as an inversion of W (x) A, then audit its margins."""
+    """Verify a scheme as an inversion of W (x) A, or of a coupling given
+    alone, then audit its margins."""
     from .schemes import SchemeKind, scheme_stats, verify
 
     if scheme.kind is not SchemeKind.INVERSION:
         raise ValueError("bounds audit applies to inversion schemes")
-    coupling = _factored(W, A)
+    coupling = _resolved(W, A)
     result = verify(scheme, coupling, tol)
     if not result.ok:
         raise ValueError(
@@ -197,27 +195,21 @@ def _check_partition(p) -> None:
         raise ValueError("partition size p must be an integer >= 2")
 
 
-def _spectrum(coupling) -> tuple[np.ndarray, float]:
-    """(ascending eigenvalues, Frobenius norm) of a checked J; a zero J has
-    no bound."""
-    norm = _frobenius(coupling.J)
-    if norm == 0.0:
+def _spectral_bound(coupling) -> tuple[float, float, float]:
+    """(lambda_min, lambda_max, tau_lower) of a checked coupling; the one
+    place of the overhead formula.  A zero J has no bound."""
+    if coupling.norm == 0.0:
         raise ValueError("zero coupling has no overhead bound")
-    return coupling.eigenvalues, norm
-
-
-def _spectral_bound(lam) -> tuple[float, float, float]:
-    """(lambda_min, lambda_max, tau_lower) from the ascending eigenvalues
-    of a nonzero checked J; the one place of the overhead formula."""
+    lam = coupling.eigenvalues
     lam_min, lam_max = float(lam[0]), float(lam[-1])
     rho = -lam_max / lam_min
     return lam_min, lam_max, max(rho, 1.0 / rho)
 
 
-def _inertia_steps(lam, error: float = 0.0, tau: float = 0.0) -> int:
-    """The step bound ceil(max(nu-/nu+, nu+/nu-)) from J's eigenvalues, for
-    a scheme of overhead tau that averages J to -J + E, ||E||_2 <= error;
-    the one place of the step formula.
+def _inertia_steps(lam, norm: float, error: float = 0.0, tau: float = 0.0) -> int:
+    """The step bound ceil(max(nu-/nu+, nu+/nu-)) from J's eigenvalues and
+    ||J||_F, for a scheme of overhead tau that averages J to -J + E,
+    ||E||_2 <= error; the one place of the step formula.
 
     Eigenvalues within r = 1e-12 ||J||_F of zero count as zero: J = J' + R
     with ||R||_2 <= r and J' of the counted inertia, and the scheme averages
@@ -226,7 +218,7 @@ def _inertia_steps(lam, error: float = 0.0, tau: float = 0.0) -> int:
     eigenvalues as -J' has beyond that, so the side that an inversion must
     reach counts only those, and the side that its terms supply counts
     every eigenvalue beyond r."""
-    r = 1e-12 * _frobenius(lam)
+    r = 1e-12 * norm
     cut = error + (1.0 + tau) * r
     steps = 1
     # each sign: the N terms supply at most N * supplied of what -J' + E' reaches

@@ -74,11 +74,6 @@ def n_spins(J) -> int:
     return np.asarray(J).shape[0] // 3
 
 
-def coupling_block(J, k: int, l: int) -> np.ndarray:
-    """The 3x3 interaction tensor between spins k and l."""
-    return np.asarray(J)[3 * k : 3 * k + 3, 3 * l : 3 * l + 3]
-
-
 def tensor_coupling(W, A) -> np.ndarray:
     """Coupling with block (k, l) = w_kl * A, i.e. the Kronecker product W (x) A."""
     W = check_weight_matrix(W)
@@ -149,51 +144,66 @@ def classification_margins(A, tol: float = DEFAULT_CLASSIFY_TOL) -> dict:
 
 @dataclass(frozen=True)
 class CouplingInput:
-    """A checked coupling: the full matrix, plus factors and A's spectrum
-    if given, as read-only copies, and J's eigenvalues once asked for.
+    """A checked coupling: read-only copies of the full matrix J and, when
+    factored, of W and A.  What they determine is read off them on first
+    use and kept read-only: n, ||J||_F, J's eigenvalues and A's spectrum.
     Made by `coupling_from_dict`, `_checked` and `_factored`; building one
     by hand skips the checks."""
 
-    n: int
     J: np.ndarray
     W: np.ndarray | None = None
     A: np.ndarray | None = None
-    spectrum: SymSpectrum | None = None  # of A
+
+    @property
+    def n(self) -> int:
+        return self.J.shape[0] // 3
 
     @property
     def factored(self) -> bool:
         return self.W is not None
 
     @cached_property
+    def norm(self) -> float:
+        """||J||_F, taken once for every verdict of one job."""
+        return _frobenius(self.J)
+
+    @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """J's eigenvalues, ascending and read-only, solved on first use: every
-        bound and audit of one job reads this one solve."""
-        lam = np.linalg.eigvalsh(self.J)
-        lam.setflags(write=False)
-        return lam
+        """J's eigenvalues, ascending: every bound and audit of one job
+        reads this one solve."""
+        return _read_only(np.linalg.eigvalsh(self.J))
+
+    @cached_property
+    def spectrum(self) -> SymSpectrum | None:
+        """A's canonical `sym_eig` spectrum, or None for a raw J."""
+        if self.A is None:
+            return None
+        spectrum = sym_eig(self.A)
+        return SymSpectrum(_read_only(spectrum.eigenvalues), _read_only(spectrum.eigenvectors))
 
 
 def _checked(J) -> CouplingInput:
     """A CouplingInput as is, or a raw J checked once."""
     if isinstance(J, CouplingInput):
         return J
-    J = _read_only(check_coupling_matrix(J))
-    return CouplingInput(n_spins(J), J)
+    return CouplingInput(_read_only(check_coupling_matrix(J)))
 
 
 def _factored(W, A=None) -> CouplingInput:
     """A factored CouplingInput as is, or raw W and A checked once each,
-    with J = W (x) A checked and A's spectrum computed."""
+    with J = W (x) A checked."""
     if isinstance(W, CouplingInput):
         if A is not None or not W.factored:
             raise ValueError("expected a factored coupling, or W and A")
         return W
     J = _read_only(check_coupling_matrix(tensor_coupling(W, A)))
-    W, A = _read_only(W), _read_only(A)
-    spectrum = sym_eig(A)
-    for M in (spectrum.eigenvalues, spectrum.eigenvectors):
-        M.setflags(write=False)
-    return CouplingInput(W.shape[0], J, W, A, spectrum)
+    return CouplingInput(J, _read_only(W), _read_only(A))
+
+
+def _resolved(W, A=None) -> CouplingInput:
+    """Raw W and A, or a coupling given alone (raw J or a CouplingInput,
+    factored or not), as a CouplingInput."""
+    return _checked(W) if A is None else _factored(W, A)
 
 
 def _read_only(M) -> np.ndarray:

@@ -214,7 +214,7 @@ def _frame(coupling, scheme):
         R = Q.T @ scheme.rotations @ Q
         snapped = np.rint(R)
         R = np.where(np.abs(R - snapped).max(axis=(-2, -1), keepdims=True) <= _FRAME_TOL, snapped, R)
-        coupling = CouplingInput(n, np.einsum("kla,ab->kalb", d, np.eye(3)).reshape(3 * n, 3 * n))
+        coupling = CouplingInput(np.einsum("kla,ab->kalb", d, np.eye(3)).reshape(3 * n, 3 * n))
         scheme = Scheme._from_arrays(scheme.kind, scheme.times, R)
     if n % 2 == 0 or n > MAX_SPINS:  # above the cap, build_hamiltonian refuses
         return coupling, scheme, slice(None)

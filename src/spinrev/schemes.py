@@ -215,13 +215,12 @@ def verify(scheme: Scheme, J, tol: float = 1e-9) -> VerifyResult:
     zero; the residual is normalized by ||J||_F.
     """
     coupling = _checked(J)
-    norm = _frobenius(coupling.J)
-    if norm == 0.0:
+    if coupling.norm == 0.0:
         raise ValueError("zero coupling: verification is undefined")
     avg = average_coupling(scheme, coupling)
     if scheme.kind is SchemeKind.INVERSION:
         avg += coupling.J
-    residual = _frobenius(avg) / norm
+    residual = _frobenius(avg) / coupling.norm
     return VerifyResult(residual <= tol, residual)
 
 

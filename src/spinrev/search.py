@@ -117,10 +117,6 @@ def random_octahedral_pool(n: int, size: int, seed: int = 0) -> CandidatePool:
     return CandidatePool(group[rng.integers(0, len(group), size=(size, n))], seed)
 
 
-def user_pool(assemblies, seed: int = 0) -> CandidatePool:
-    return CandidatePool(assemblies, seed)
-
-
 def merge_pools(*pools: CandidatePool, seed: int = 0) -> CandidatePool:
     return CandidatePool(np.concatenate([pool.assemblies for pool in pools]), seed)
 
@@ -446,7 +442,7 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
     artificial = np.arange(rows) >= size
     inverse = np.linalg.inv(basis)
     x = np.maximum(inverse @ target, 0.0)
-    tau_low = _spectral_bound(coupling.eigenvalues)[2]
+    tau_low = _spectral_bound(coupling)[2]
     reached = tau_low + _PRICE_TOL * max(tau_low, 1.0)  # tau at or below this meets the bound
     norm = float(np.linalg.norm(scaled))
     group = octahedral_group()

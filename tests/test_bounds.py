@@ -11,6 +11,7 @@ from spinrev import (
     complete_weights,
     dipole_type,
     scalar_type,
+    scheme_stats,
     steps_lower_bound,
     steps_lower_bound_case2,
     synthesize_case1,
@@ -253,6 +254,20 @@ class TestAudit:
             assert audit.tau_lower == tau_lower_bound(J)
             assert audit.tau_margin == tau - tau_lower_bound(J)
             assert audit.steps_lower == 3 and audit.steps_margin == n_steps - 3
+
+    @pytest.mark.parametrize("form", ["raw", "checked", "factored"])
+    def test_every_coupling_form_gets_the_same_audit(self, form):
+        # the 3-spin complete dipole and its 2-step scheme meet both bounds
+        from spinrev.coupling import _checked
+
+        W, A = complete_weights(3), dipole_type()
+        J = tensor_coupling(W, A)
+        coupling = {"raw": (J,), "checked": (_checked(J),), "factored": (W, A)}[form]
+        scheme = synthesize_case1(W, A)
+        audit = audit_stats_against_bounds(scheme_stats(scheme), *coupling)
+        assert audit == audit_stats_against_bounds(scheme_stats(scheme), W, A)
+        assert audit.passed and audit.steps_lower == 2 and audit.steps_margin == 0
+        assert check_scheme_against_bounds(scheme, *coupling) == audit
 
     def test_the_audit_reads_the_spectrum_alone(self, monkeypatch):
         # no audit field reads the type's class, so the audit classifies nothing

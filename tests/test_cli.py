@@ -883,6 +883,9 @@ COMMANDS = ["classify", "synthesize", "verify", "bounds", "search", "simulate"]
 # averages of a scheme per job: `search` averages phase 1's scheme, and
 # phase 2's when it improves on it
 AVERAGES = {"classify": (0,), "synthesize": (0,), "verify": (1,), "bounds": (0,), "search": (1, 2), "simulate": (1,)}
+# every subcommand on the class-2 coupling, factored and raw, and a
+# search on the 4-spin scalar one, whose phase 2 re-times its scheme
+JOB_FORMS = [(command, form) for command in COMMANDS for form in ("factored", "raw")] + [("search", "scalar")]
 
 
 class TestOneCheckPerJob:
@@ -981,6 +984,54 @@ class TestOneCheckPerJob:
         if command == "search":
             assert code == 0
         assert shapes.count((3 * n, 3 * n)) <= 1, shapes
+
+    def run_job(self, mixed, files, capsys, command, form):
+        # the class-2 coupling in either form, or the 4-spin scalar one
+        _, write = files
+        coupling = write("scalar.json", coupling_doc(4, scalar_type())) if form == "scalar" else mixed[form]
+        code, _ = run(capsys, _job_argv(command, coupling, mixed["scheme"]))
+        assert code == (2 if form == "raw" and command in ("classify", "synthesize") else 0)
+
+    @pytest.mark.parametrize("command, form", JOB_FORMS)
+    def test_each_type_spectrum_is_solved_only_where_read(self, mixed, files, capsys, monkeypatch, command, form):
+        # A's spectrum is solved on first use: the class and the synthesizers
+        # read it, so `classify`, `synthesize` and `bounds` solve it once and
+        # the other subcommands never
+        import spinrev.coupling
+
+        real = spinrev.coupling.sym_eig
+        calls = []
+
+        def counting(M):
+            calls.append(np.shape(M))
+            return real(M)
+
+        monkeypatch.setattr(spinrev.coupling, "sym_eig", counting)
+        self.run_job(mixed, files, capsys, command, form)
+        assert len(calls) <= (1 if command in ("classify", "synthesize", "bounds") else 0), calls
+
+    @pytest.mark.parametrize("command, form", JOB_FORMS)
+    def test_each_coupling_norm_is_taken_at_most_once(self, mixed, files, capsys, monkeypatch, command, form):
+        # `verify`'s residual scale, the audits' allowance and the step
+        # bound's zero cut all read the coupling's one ||J||_F
+        import spinrev
+
+        n, A = (4, scalar_type()) if form == "scalar" else (3, np.diag([2.0, 1.0, -1.0]))
+        J = np.kron(complete_weights(n), A)
+        real = spinrev.rotations._frobenius
+        norms = []
+
+        def counting(M):
+            if np.shape(M) == J.shape and np.array_equal(M, J):
+                norms.append(M)
+            return real(M)
+
+        for name in ("rotations", "coupling", "schemes", "bounds", "search", "hilbert"):
+            module = getattr(spinrev, name)
+            if hasattr(module, "_frobenius"):
+                monkeypatch.setattr(module, "_frobenius", counting)
+        self.run_job(mixed, files, capsys, command, form)
+        assert len(norms) == (0 if command in ("classify", "synthesize") else 1)
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_edge_document_is_rejected_by_every_subcommand(self, files, capsys, command):

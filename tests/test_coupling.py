@@ -7,7 +7,6 @@ from spinrev import (
     CouplingClass,
     classify_type,
     complete_weights,
-    coupling_block,
     coupling_from_dict,
     dipole_type,
     evolve,
@@ -31,9 +30,9 @@ class TestTensorCoupling:
         W = np.array([[0.0, 1.0], [1.0, 0.0]])
         J = tensor_coupling(W, dipole_type())
         assert J.shape == (6, 6)
-        assert np.array_equal(coupling_block(J, 0, 1), dipole_type())
-        assert np.array_equal(coupling_block(J, 1, 0), dipole_type())
-        assert np.array_equal(coupling_block(J, 0, 0), np.zeros((3, 3)))
+        assert np.array_equal(J[0:3, 3:6], dipole_type())
+        assert np.array_equal(J[3:6, 0:3], dipole_type())
+        assert np.array_equal(J[0:3, 0:3], np.zeros((3, 3)))
 
     def test_zero_type_gives_zero_coupling(self):
         J = tensor_coupling(complete_weights(3), np.zeros((3, 3)))
@@ -250,6 +249,23 @@ class TestCheckedCoupling:
         for M in (spectrum.eigenvalues, spectrum.eigenvectors):
             with pytest.raises(ValueError, match="read-only"):
                 M[0] = 5.0
+
+    def test_only_the_arrays_are_fields_and_the_rest_is_read_off_them(self):
+        # a hand-built coupling cannot carry an n or a spectrum that
+        # disagrees with its arrays
+        import dataclasses
+
+        from spinrev import CouplingInput
+
+        assert [field.name for field in dataclasses.fields(CouplingInput)] == ["J", "W", "A"]
+        J = tensor_coupling(self.W, self.A)
+        coupling = CouplingInput(J)
+        assert coupling.n == J.shape[0] // 3 == 3
+        assert coupling.norm == pytest.approx(np.linalg.norm(J), rel=1e-15)
+        assert coupling.spectrum is None
+        # A's spectrum: `test_spectrum_is_read_only`
+        with pytest.raises(ValueError, match="read-only"):
+            coupling.eigenvalues[0] = 5.0
 
     def test_parse_copies_the_callers_arrays(self):
         W, A = self.W.copy(), self.A.copy()

@@ -26,7 +26,7 @@ PUBLIC = {
     ],
     "coupling": [
         "CouplingClass", "CouplingInput", "classification_margins", "classify_type",
-        "complete_weights", "coupling_block", "coupling_from_dict", "dipole_type", "n_spins",
+        "complete_weights", "coupling_from_dict", "dipole_type", "n_spins",
         "scalar_type", "tensor_coupling",
     ],
     "hilbert": [
@@ -47,7 +47,6 @@ PUBLIC = {
         "CandidatePool", "SearchResult", "collective_cyclic_pool",
         "find_inversion_nnls", "greedy_pool_growth", "merge_pools", "nnls_active_set",
         "octahedral_group", "pair_pi_pool", "random_octahedral_pool", "search_result_to_dict",
-        "user_pool",
     ],
 }
 PUBLIC_NAMES = sorted(name for names in PUBLIC.values() for name in names)

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from helpers import hand_built_errors, random_coupling, random_rotation, random_weights
 from spinrev import (
+    CandidatePool,
     CouplingClass,
     audit_stats_against_bounds,
     axis_cycle,
@@ -67,7 +68,6 @@ from spinrev.search import (
     minimize_tau,
     nnls_active_set,
     octahedral_group,
-    user_pool,
 )
 
 bounded = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -510,7 +510,7 @@ def odd_cycles(draw):
         for x, y, z in itertools.product(range(3), repeat=3)
         if len({x, y, z}) > 1
     ]
-    return W, A, find_inversion_nnls(tensor_coupling(W, A), user_pool(pool)).scheme, 2**n, False
+    return W, A, find_inversion_nnls(tensor_coupling(W, A), CandidatePool(pool)).scheme, 2**n, False
 
 
 @settings(derandomize=True, max_examples=24, deadline=None, database=None)

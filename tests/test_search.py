@@ -23,7 +23,6 @@ from spinrev import (
     search_result_to_dict,
     tau_lower_bound,
     tensor_coupling,
-    user_pool,
     verify,
 )
 from spinrev.search import (
@@ -243,7 +242,7 @@ class TestPools:
         bad = np.tile(axis_cycle(), (2, 1, 1))
         bad[0, 2, 1] = np.nan
         with pytest.raises(ValueError, match="not orthogonal"):
-            user_pool([bad])
+            CandidatePool([bad])
 
     @pytest.mark.parametrize("build", ["pair-pi", "collective-cyclic", "random", "merged", "user"])
     def test_every_builder_gives_one_read_only_array_of_its_own(self, build):
@@ -253,7 +252,7 @@ class TestPools:
             "collective-cyclic": lambda: (collective_cyclic_pool(3), 2),
             "random": lambda: (random_octahedral_pool(3, 5, seed=1), 5),
             "merged": lambda: (merge_pools(pair_pi_pool(3), collective_cyclic_pool(3)), 11),
-            "user": lambda: (user_pool(source), 2),
+            "user": lambda: (CandidatePool(source), 2),
         }[build]()
         assemblies = pool.assemblies
         assert type(assemblies) is np.ndarray and assemblies.dtype == np.float64
@@ -268,12 +267,12 @@ class TestPools:
     def test_a_ragged_user_pool_is_refused_with_the_shape_rule(self):
         ragged = [np.tile(np.eye(3), (2, 1, 1)), np.tile(np.eye(3), (3, 1, 1))]
         with pytest.raises(ValueError, match=r"shape \(n, 3, 3\)"):
-            user_pool(ragged)
+            CandidatePool(ragged)
 
     def test_user_and_merge(self):
         pool = merge_pools(pair_pi_pool(2), collective_cyclic_pool(2))
         assert len(pool.assemblies) == 8
-        assert user_pool([np.tile(np.eye(3), (2, 1, 1))]).n == 2
+        assert CandidatePool([np.tile(np.eye(3), (2, 1, 1))]).n == 2
 
 
 class TestFindInversion:

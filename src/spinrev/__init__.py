@@ -32,7 +32,6 @@ _EXPORTS = {
         "complete_weights",
         "coupling_from_dict",
         "dipole_type",
-        "n_spins",
         "scalar_type",
         "tensor_coupling",
     ),
@@ -45,7 +44,6 @@ _EXPORTS = {
         "kron_all",
         "lift_rotations",
         "operator_norm",
-        "run_cycle",
     ),
     "rotations": (
         "SymSpectrum",
@@ -63,7 +61,6 @@ _EXPORTS = {
         "Step",
         "VerifyResult",
         "average_coupling",
-        "block_diag_rotations",
         "conjugate",
         "decoupling_to_inversion",
         "hadamard_matrix",

@@ -70,10 +70,6 @@ def check_coupling_matrix(J) -> np.ndarray:
     return J
 
 
-def n_spins(J) -> int:
-    return np.asarray(J).shape[0] // 3
-
-
 def tensor_coupling(W, A) -> np.ndarray:
     """Coupling with block (k, l) = w_kl * A, i.e. the Kronecker product W (x) A."""
     W = check_weight_matrix(W)

@@ -40,7 +40,7 @@ _EXACT_CUTOFF = 1e-13
 _LANCZOS_CHECK = 4  # steps between Ritz tests
 _LANCZOS_SEED = 0
 _LANCZOS_TOL = 1e-13
-_CHUNK = 64  # columns per chunk of a block transform or a pulse
+_CHUNK = 64  # columns per chunk of a pulse
 _FRAME_TOL = 1e-11  # share of max|J| below which a turned entry is rounding
 
 
@@ -149,27 +149,6 @@ def evolve(H, t: float) -> np.ndarray:
     return (U * np.exp(-1j * lam * t)) @ U.conj().T
 
 
-def run_cycle(J, scheme: Scheme, epsilon: float, tol: float = 1e-9) -> np.ndarray:
-    """One pulse cycle at time scale epsilon.
-
-    Steps act in list order (step 1 first in time, rightmost in the
-    product), each contributing the exact conjugated evolution
-    v^dag exp(-i H t eps) v.  The scheme must verify as an inversion of J
-    first -- the cycle is only meaningful then.  The sign choice of
-    each spin-1/2 lift cancels in the conjugation.  The cycle is run in
-    J's own frame (no turn, unlike `error_scaling`), and its
-    eigenbasis form U^dag C U from `_simulate` is mapped back to C by the
-    block transforms.
-    """
-    if not (0.0 <= epsilon < math.inf):
-        raise ValueError("epsilon must be finite and non-negative")
-    _, blocks, cycle = _simulate(_gated(J, scheme, tol), scheme, slice(None))
-    C = cycle(epsilon)
-    _block_apply(blocks, C, transpose=False, conj=False)  # U (U^dag C U)
-    _block_apply(blocks, C.T, transpose=False, conj=True)  # (C U) U^dag, through its transpose
-    return C
-
-
 def _gated(J, scheme, tol):
     """The checked coupling, once `verify` accepts `scheme` as its inversion
     at `tol`; `verify` refuses the zero coupling."""
@@ -223,8 +202,8 @@ def _frame(coupling, scheme):
 
 
 def _simulate(coupling, scheme, cols):
-    """Return (lam, blocks, cycle) for a gated coupling (see `_gated`):
-    H = U diag(lam) U^dag with U kept as `blocks` (see `_block_eigh`), and
+    """Return (lam, cycle) for a gated coupling (see `_gated`):
+    H = U diag(lam) U^dag with U kept as blocks (see `_block_eigh`), and
     `cycle(eps)` a new array holding the columns `cols` of the cycle in
     H's eigenbasis,
 
@@ -259,7 +238,7 @@ def _simulate(coupling, scheme, cols):
         _pulse(blocks, pulses[-1], Y)
         return Y
 
-    return lam, blocks, cycle
+    return lam, cycle
 
 
 def _pulse(blocks, factors, X, phase=None):
@@ -269,9 +248,9 @@ def _pulse(blocks, factors, X, phase=None):
     so no temporary exceeds 2^n x _CHUNK entries."""
     for c in range(0, X.shape[1], _CHUNK):
         part = X[:, c : c + _CHUNK]
-        _block_apply(blocks, part, transpose=False, conj=False)  # U
+        _block_apply(blocks, part, adjoint=False)  # U
         _kron_apply(factors, part)
-        _block_apply(blocks, part, transpose=True, conj=True)  # U^dag
+        _block_apply(blocks, part, adjoint=True)  # U^dag
         if phase is not None:
             part *= phase[:, None]
 
@@ -337,29 +316,25 @@ def _block_eigh(H):
     return lam, blocks
 
 
-def _block_apply(blocks, X, transpose, conj):
-    """X <- A X in place, for A = U, U^T, conj(U) or U^dag as `transpose`
-    and `conj` say, U being kept as `blocks` (see `_block_eigh`).
+def _block_apply(blocks, X, adjoint):
+    """X <- U X, or U^dag X when `adjoint`, in place, for U kept as
+    `blocks` (see `_block_eigh`) and a view X of at most _CHUNK columns.
 
-    X may be a transposed view, so that X U = (U^T X^T)^T is the same
-    call on X.T.  Columns are taken _CHUNK at a time and each block's rows
-    gathered, so no temporary exceeds 2^n x _CHUNK entries and no block
-    of U is copied: a real V multiplies the interleaved real view of the
-    gathered rows, a real product in place of a complex one, and conj(V)
-    is applied as conj(V conj(.)).
+    Each block's rows are gathered, so no temporary exceeds 2^n x _CHUNK
+    entries and no block of U is copied: a real V multiplies the
+    interleaved real view of the gathered rows, a real product in place
+    of a complex one, and a complex V^dag is applied as conj(V^T conj(.)).
     """
-    for c in range(0, X.shape[1], _CHUNK):
-        part = X[:, c : c + _CHUNK]
-        for idx, V in blocks:
-            A = np.swapaxes(V, 1, 2) if transpose else V
-            rows = part[idx]
-            if np.isrealobj(V):
-                part[idx] = np.matmul(A, rows.view(float)).view(complex)
-            elif conj:
-                out = np.matmul(A, np.conjugate(rows, out=rows))
-                part[idx] = np.conjugate(out, out=out)
-            else:
-                part[idx] = np.matmul(A, rows)
+    for idx, V in blocks:
+        A = np.swapaxes(V, 1, 2) if adjoint else V
+        rows = X[idx]
+        if np.isrealobj(V):
+            X[idx] = np.matmul(A, rows.view(float)).view(complex)
+        elif adjoint:
+            out = np.matmul(A, np.conjugate(rows, out=rows))
+            X[idx] = np.conjugate(out, out=out)
+        else:
+            X[idx] = np.matmul(A, rows)
 
 
 def _lanczos_norm(M) -> float:
@@ -461,7 +436,7 @@ def error_scaling(J, scheme: Scheme, epsilons, tol: float = 1e-9) -> ErrorScalin
     if not all(0.0 < e < math.inf for e in eps_list) or len(set(eps_list)) != len(eps_list):
         raise ValueError("epsilon values must be finite, positive and distinct")
     coupling, scheme, cols = _frame(_gated(J, scheme, tol), scheme)
-    lam, _, cycle = _simulate(coupling, scheme, cols)
+    lam, cycle = _simulate(coupling, scheme, cols)
     errors = []
     for eps in eps_list:
         # ||C - exp(+iH eps)|| = ||U^dag C U - E|| with E = exp(+i lam eps)

@@ -140,19 +140,9 @@ class VerifyResult:
     residual: float
 
 
-def block_diag_rotations(rotations) -> np.ndarray:
-    """3n x 3n block-diagonal assembly, one 3x3 rotation per spin (dense
-    reference for `conjugate` and `average_coupling`)."""
-    rotations = np.asarray(rotations, dtype=float)
-    n = rotations.shape[0]
-    V = np.zeros((3 * n, 3 * n))
-    for k in range(n):
-        V[3 * k : 3 * k + 3, 3 * k : 3 * k + 3] = rotations[k]
-    return V
-
-
 def conjugate(rotations, J) -> np.ndarray:
-    """V J V^T for V = block_diag_rotations(rotations), in O(n^2) per assembly.
+    """V J V^T for V the 3n x 3n block-diagonal matrix whose block k is
+    rotation k of an assembly, in O(n^2) per assembly.
 
     `rotations` is (..., n, 3, 3), leading axes a batch; J is symmetric
     3n x 3n.  Row block k of V J is R_k times row block k of J, and
@@ -469,7 +459,9 @@ def scheme_from_dict(data) -> Scheme:
 
     Step rotations may be nested lists or numeric arrays; both take the
     same checks, and each step is copied into the scheme's one array as
-    it is read."""
+    it is read.  The error raised is the first defect in step order, as
+    `Scheme` reports it: a step's structural defect only once the steps
+    before it have passed."""
     if not isinstance(data, dict):
         raise ValueError("scheme file must hold a JSON object")
     for key in ("kind", "n", "steps"):
@@ -488,22 +480,27 @@ def scheme_from_dict(data) -> Scheme:
     entries = data["steps"]
     times, rotations = np.empty(len(entries)), None
     for j, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "t" not in entry or "rotations" not in entry:
-            raise ValueError('each step needs "t" and "rotations"')
         try:
-            rots = np.asarray(entry["rotations"], dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError("step rotations must be numeric 3x3 matrices") from None
-        if rots.shape != (n, 3, 3):
-            raise ValueError(
-                f"step must list one 3x3 rotation per spin (expected shape {(n, 3, 3)}, got {rots.shape})"
-            )
-        _check_json_numbers(entry["rotations"], 3, "step rotations")
-        _check_json_numbers(entry["t"], 0, 'step "t"')
-        try:
-            times[j] = float(entry["t"])
-        except OverflowError:  # an integer beyond float range
-            raise ValueError("step times must be positive and finite") from None
+            if not isinstance(entry, dict) or "t" not in entry or "rotations" not in entry:
+                raise ValueError('each step needs "t" and "rotations"')
+            try:
+                rots = np.asarray(entry["rotations"], dtype=float)
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError("step rotations must be numeric 3x3 matrices") from None
+            if rots.shape != (n, 3, 3):
+                raise ValueError(
+                    f"step must list one 3x3 rotation per spin (expected shape {(n, 3, 3)}, got {rots.shape})"
+                )
+            _check_json_numbers(entry["rotations"], 3, "step rotations")
+            _check_json_numbers(entry["t"], 0, 'step "t"')
+            try:
+                times[j] = float(entry["t"])
+            except OverflowError:  # an integer beyond float range
+                raise ValueError("step times must be positive and finite") from None
+        except ValueError:
+            if j:  # the steps before it were read whole: a defect there comes first
+                Scheme._from_arrays(kind, times[:j], rotations[:j])
+            raise
         if rotations is None:  # sized once a step has shown that "n" spins are there
             rotations = np.empty((len(entries), n, 3, 3))
         rotations[j] = rots

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import _spectral_bound, audit_stats_against_bounds
-from .coupling import _checked, n_spins
+from .coupling import _checked
 from .rotations import AXES, axis_cycle, check_rotation
 from .schemes import (
     Scheme,
@@ -265,8 +265,7 @@ def _upper_block_columns(J, assemblies):
     return np.ascontiguousarray(_upper_blocks(conjugate(assemblies, J)).T)
 
 
-def _finalize(coupling, scaled, assemblies, x, rnorm, iterations, tol):
-    norm = float(np.linalg.norm(scaled))
+def _finalize(coupling, norm, assemblies, x, rnorm, iterations, tol):
     keep = np.flatnonzero(x > _PRUNE_TOL)
     # the lower blocks mirror the upper ones, so the full Frobenius
     # residual is sqrt(2) times the stacked-block residual
@@ -293,9 +292,10 @@ def _verdict(scheme, coupling, tol, iterations=0) -> SearchResult:
 
 def _problem(J, assemblies):
     """Resolve a nonzero coupling (checked once when raw) against a pool of
-    its spin count, and return (coupling, scaled, columns, target): the
-    search minimizes ||columns x - target|| over x >= 0, both built from
-    `scaled`, J divided by the largest power of two <= max|J|.  That is
+    its spin count, and return (coupling, scaled, norm, columns, target):
+    the search minimizes ||columns x - target|| over x >= 0, both built
+    from `scaled`, J divided by the largest power of two <= max|J|, and
+    reads its residuals relative to norm = ||scaled||_F.  That scaling is
     exact and changes no step time, and keeps the solves' squares and
     absolute floors where they are for max|J| = 1 at every scale of J;
     found schemes are verified on `coupling`, as given."""
@@ -307,7 +307,8 @@ def _problem(J, assemblies):
     if n != coupling.n:
         raise ValueError(f"dimension mismatch: pool addresses {n} spins, coupling has {coupling.n}")
     scaled = np.ldexp(coupling.J, 1 - int(np.frexp(top)[1]))
-    return coupling, scaled, _upper_block_columns(scaled, assemblies), -_upper_blocks(scaled)
+    norm = float(np.linalg.norm(scaled))
+    return coupling, scaled, norm, _upper_block_columns(scaled, assemblies), -_upper_blocks(scaled)
 
 
 def find_inversion_nnls(J, pool: CandidatePool, tol: float = 1e-9) -> SearchResult:
@@ -318,9 +319,9 @@ def find_inversion_nnls(J, pool: CandidatePool, tol: float = 1e-9) -> SearchResu
     scheme when the relative residual reaches tol.  Deterministic for a
     fixed pool order.
     """
-    coupling, scaled, columns, target = _problem(J, pool.assemblies)
+    coupling, _, norm, columns, target = _problem(J, pool.assemblies)
     x, rnorm, iterations = nnls_active_set(columns, target)
-    return _finalize(coupling, scaled, pool.assemblies, x, rnorm, iterations, tol)
+    return _finalize(coupling, norm, pool.assemblies, x, rnorm, iterations, tol)
 
 
 def greedy_pool_growth(
@@ -352,12 +353,11 @@ def greedy_pool_growth(
     and the search ends on the previous pool, solved cold, with
     `iterations` rounds and a pool below `max_pool`.
     """
-    coupling, scaled, columns, target = _problem(J, base_pool.assemblies)
+    coupling, scaled, norm, columns, target = _problem(J, base_pool.assemblies)
     if max_pool < len(base_pool.assemblies):
         raise ValueError("max_pool is smaller than the base pool")
     rng = np.random.default_rng(base_pool.seed if seed is None else seed)
     group = octahedral_group()
-    norm = float(np.linalg.norm(scaled))
     base_size = len(base_pool.assemblies)
     picked = []  # each grown assembly as its row of indices into `group`
     x, rnorm, _, _ = _lawson_hanson(columns, target)
@@ -382,7 +382,7 @@ def greedy_pool_growth(
         columns, x, rnorm = grown, x_new, new_rnorm
     grown_assemblies = group[np.array(picked, dtype=np.intp).reshape(-1, base_pool.n)]
     assemblies = np.concatenate([base_pool.assemblies, grown_assemblies])
-    return _finalize(coupling, scaled, assemblies, x, rnorm, len(picked), target_tol)
+    return _finalize(coupling, norm, assemblies, x, rnorm, len(picked), target_tol)
 
 
 def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int = 0) -> SearchResult:
@@ -427,7 +427,7 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
     if scheme is None or scheme.kind is not SchemeKind.INVERSION:
         raise ValueError("phase 2 needs an inversion scheme")
     start_rots = scheme.rotations
-    coupling, scaled, columns, target = _problem(J, start_rots)
+    coupling, scaled, norm, columns, target = _problem(J, start_rots)
     rows, size = columns.shape
     Q, R = np.linalg.qr(columns, mode="complete")
     diag = np.abs(np.diagonal(R))
@@ -444,7 +444,6 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
     x = np.maximum(inverse @ target, 0.0)
     tau_low = _spectral_bound(coupling)[2]
     reached = tau_low + _PRICE_TOL * max(tau_low, 1.0)  # tau at or below this meets the bound
-    norm = float(np.linalg.norm(scaled))
     group = octahedral_group()
     price, exact = _pricer(scaled, seed)
     budget = _PIVOTS_PER_ROW * rows
@@ -472,7 +471,7 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
             final, certified = best, best[0] <= reached
         if final is not None:
             _, times, rots, rnorm = final
-            result = _finalize(coupling, scaled, rots, times, rnorm, pivots, tol)
+            result = _finalize(coupling, norm, rots, times, rnorm, pivots, tol)
             if result.scheme is not None and result.tau < start.tau:
                 return replace(result, certified=certified)
             certified = certified and result.scheme is not None
@@ -578,7 +577,7 @@ def _pricer(J, seed: int):
     """
     group = octahedral_group()
     order = len(group)
-    n = n_spins(J)
+    n = J.shape[0] // 3
     first, second = np.triu_indices(n, 1)
     blocks = _upper_blocks(J).reshape(-1, 3, 3)
     # T_kl[r, s] = <O_r^T Y_kl, J_kl O_s^T>: the right factors depend on J only

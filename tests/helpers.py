@@ -1,4 +1,4 @@
-"""Shared seeded generators for test inputs."""
+"""Shared seeded generators for test inputs, and dense references."""
 
 import numpy as np
 
@@ -48,15 +48,33 @@ def random_scheme(rng, n, n_steps=3, kind=SchemeKind.INVERSION, collective=False
     return Scheme(kind, tuple(steps))
 
 
-def hand_built_errors(J, scheme, eps_list):
-    """Dense reference for `error_scaling`: the cycle as a product of lifted
-    conjugated evolutions, each through its own eigen-solve of H."""
+def block_diag_rotations(rotations):
+    """3n x 3n block-diagonal assembly, one 3x3 rotation per spin (dense
+    reference for `conjugate` and `average_coupling`)."""
+    rotations = np.asarray(rotations, dtype=float)
+    n = rotations.shape[0]
+    V = np.zeros((3 * n, 3 * n))
+    for k in range(n):
+        V[3 * k : 3 * k + 3, 3 * k : 3 * k + 3] = rotations[k]
+    return V
+
+
+def cycle(J, scheme, eps, lifts=None):
+    """Dense reference for one pulse cycle at time scale eps: the product of
+    the steps' v^dag exp(-i H t eps) v, step 1 first in time (rightmost),
+    each evolution through its own eigen-solve of H.  v is the kron of the
+    step's spin-1/2 lifts: `lifts`, (S, n, 2, 2), when given, else those
+    of `lift_rotations`."""
     H = build_hamiltonian(J)
-    errors = []
-    for eps in eps_list:
-        product = np.eye(H.shape[0], dtype=complex)
-        for step in scheme.steps:
-            v = kron_all(lift_rotations(step.rotations))
-            product = (v.conj().T @ evolve(H, step.t * eps) @ v) @ product
-        errors.append(operator_norm(product - evolve(H, -eps)))
-    return errors
+    lifts = lift_rotations(scheme.rotations) if lifts is None else lifts
+    product = np.eye(H.shape[0], dtype=complex)
+    for t, step_lifts in zip(scheme.times, lifts):
+        v = kron_all(step_lifts)
+        product = (v.conj().T @ evolve(H, t * eps) @ v) @ product
+    return product
+
+
+def hand_built_errors(J, scheme, eps_list):
+    """Dense reference for `error_scaling`: ||cycle - exp(+i H eps)||."""
+    H = build_hamiltonian(J)
+    return [operator_norm(cycle(J, scheme, eps) - evolve(H, -eps)) for eps in eps_list]

@@ -20,7 +20,7 @@ from spinrev import (
 )
 from spinrev.schemes import Scheme, SchemeKind, Step
 
-from helpers import random_rotation, random_scheme
+from helpers import block_diag_rotations, random_rotation, random_scheme
 
 
 class TestTauLowerBound:
@@ -52,8 +52,6 @@ class TestTauLowerBound:
         rng = np.random.default_rng(51)
         J = tensor_coupling(complete_weights(3), dipole_type())
         base = tau_lower_bound(J)
-        from spinrev import block_diag_rotations
-
         for _ in range(5):
             V = block_diag_rotations(np.stack([random_rotation(rng) for _ in range(3)]))
             assert abs(tau_lower_bound(V @ J @ V.T) - base) <= 1e-9

@@ -1033,6 +1033,26 @@ class TestOneCheckPerJob:
         self.run_job(mixed, files, capsys, command, form)
         assert len(norms) == (0 if command in ("classify", "synthesize") else 1)
 
+    @pytest.mark.parametrize("form", ["factored", "raw", "scalar"])
+    def test_each_search_phase_takes_the_scaled_norm_once(self, mixed, files, capsys, monkeypatch, form):
+        # `_problem` takes ||scaled J||_F once per phase and hands it to the
+        # residual tests and `_finalize`; the other norms search takes are
+        # of residual vectors
+        import spinrev.search
+
+        real = np.linalg.norm
+        matrices = []
+
+        def counting(x, *args, **kwargs):
+            if np.ndim(x) == 2 and sys._getframe(1).f_code.co_filename == spinrev.search.__file__:
+                matrices.append(np.shape(x))
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting)
+        self.run_job(mixed, files, capsys, "search", form)
+        n = 4 if form == "scalar" else 3
+        assert matrices == [(3 * n, 3 * n)] * 2
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_edge_document_is_rejected_by_every_subcommand(self, files, capsys, command):
         from spinrev import scheme_to_dict, synthesize_case1

@@ -23,7 +23,6 @@ from spinrev import (
     operator_norm,
     pi_rotation,
     random_special_unitary,
-    run_cycle,
     scalar_type,
     synthesize_case1,
     synthesize_case2,
@@ -32,7 +31,7 @@ from spinrev import (
 from spinrev import hilbert
 from spinrev.hilbert import _lanczos_norm
 
-from helpers import hand_built_errors, random_coupling, random_rotation, random_weights
+from helpers import cycle, hand_built_errors, random_coupling, random_rotation, random_weights
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -55,6 +54,24 @@ def rotated_traceless_3(seed=0):
     R = random_rotation(np.random.default_rng(seed))
     A = R @ dipole_type() @ R.T
     return W, 0.5 * (A + A.T)
+
+
+def mixed_pair_types():
+    """(J, scheme): a raw 3-spin J whose three pair types share no frame,
+    with xy cross terms that make H complex, and the collective axis cycle,
+    which inverts every traceless pair type whose three off-diagonal
+    entries sum to zero."""
+    types = {
+        (0, 1): [[1.0, 1.0, 0.0], [1.0, -1.0, -1.0], [0.0, -1.0, 0.0]],
+        (0, 2): [[0.0, 1.0, 1.0], [1.0, 0.0, -2.0], [1.0, -2.0, 0.0]],
+        (1, 2): np.diag([1.0, 1.0, -2.0]),
+    }
+    J = np.zeros((9, 9))
+    for (k, l), B in types.items():
+        J[3 * k : 3 * k + 3, 3 * l : 3 * l + 3] = B
+        J[3 * l : 3 * l + 3, 3 * k : 3 * k + 3] = np.transpose(B)
+    S = axis_cycle()
+    return J, Scheme(SchemeKind.INVERSION, (Step(1.0, np.tile(S, (3, 1, 1))), Step(1.0, np.tile(S @ S, (3, 1, 1)))))
 
 
 class TestBuildHamiltonian:
@@ -145,90 +162,12 @@ class TestEvolve:
             evolve(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), 1.0)
 
 
-class TestRunCycle:
-    def test_two_spin_cycle_is_unitary_and_reverses_evolution(self):
-        # with two spins the three collective-axis terms commute, so the
-        # cycle matches exp(+iH eps) at machine precision for every eps
-        W = complete_weights(2)
-        J = tensor_coupling(W, dipole_type())
-        scheme = synthesize_case1(W, dipole_type())
-        H = build_hamiltonian(J)
-        for eps in (0.2, 0.1, 0.05):
-            C = run_cycle(J, scheme, eps)
-            assert np.abs(C.conj().T @ C - np.eye(4)).max() <= 1e-10
-            assert operator_norm(C - evolve(H, -eps)) <= 1e-12
-
-    def test_three_spin_cycle_error_vanishes_with_epsilon(self):
-        W, J = seeded_dipole_3()
-        scheme = synthesize_case1(W, dipole_type())
-        H = build_hamiltonian(J)
-        errors = [operator_norm(run_cycle(J, scheme, eps) - evolve(H, -eps)) for eps in (0.2, 0.1, 0.05)]
-        assert errors[0] > errors[1] > errors[2]
-
-    def test_zero_epsilon_is_identity(self):
-        W = complete_weights(2)
-        scheme = synthesize_case1(W, dipole_type())
-        C = run_cycle(tensor_coupling(W, dipole_type()), scheme, 0.0)
-        assert np.abs(C - np.eye(4)).max() <= 1e-12
-
-    @pytest.mark.parametrize("epsilon", [-0.1, float("nan"), float("inf")])
-    def test_epsilon_must_be_finite_and_non_negative(self, epsilon):
-        W, J = seeded_dipole_3()
-        scheme = synthesize_case1(W, dipole_type())
-        with pytest.raises(ValueError, match="finite and non-negative"):
-            run_cycle(J, scheme, epsilon)
-
-    def test_zero_coupling_is_refused(self):
-        # the gate is `verify`, which refuses J = 0 for run_cycle and error_scaling alike
-        scheme = Scheme(SchemeKind.INVERSION, (Step(1.0, np.tile(np.eye(3), (2, 1, 1))),))
-        for simulate in (lambda J: run_cycle(J, scheme, 0.3), lambda J: error_scaling(J, scheme, [0.1, 0.05, 0.025])):
-            with pytest.raises(ValueError, match="^zero coupling: verification is undefined$"):
-                simulate(np.zeros((6, 6)))
-
-    def test_unverified_scheme_is_rejected(self):
-        J = tensor_coupling(complete_weights(2), scalar_type())
-        scheme = Scheme(SchemeKind.INVERSION, (Step(1.0, np.tile(np.eye(3), (2, 1, 1))),))
-        with pytest.raises(ValueError, match="does not invert"):
-            run_cycle(J, scheme, 0.1)
-
-    def test_matches_hand_built_product_in_step_order(self):
-        # step 1 acts first in time, i.e. rightmost in the product
-        W, J = seeded_dipole_3(seed=5)
-        scheme = synthesize_case1(W, dipole_type())
-        H = build_hamiltonian(J)
-        eps = 0.3
-        product = np.eye(8, dtype=complex)
-        for step in scheme.steps:
-            v = kron_all(lift_rotations(step.rotations))
-            product = (v.conj().T @ evolve(H, step.t * eps) @ v) @ product
-        assert np.abs(run_cycle(J, scheme, eps) - product).max() <= 1e-12
-        # the reversed product differs for this non-commuting pair of steps
-        reversed_product = np.eye(8, dtype=complex)
-        for step in reversed(scheme.steps):
-            v = kron_all(lift_rotations(step.rotations))
-            reversed_product = (v.conj().T @ evolve(H, step.t * eps) @ v) @ reversed_product
-        assert np.abs(product - reversed_product).max() > 1e-6
-
-    def test_scheme_lifted_in_one_call_matches_each_step(self):
-        scheme = synthesize_case2(complete_weights(4), np.diag([2.0, 1.0, -1.0]))
-        stacked = lift_rotations([step.rotations for step in scheme.steps])
-        assert stacked.shape == (len(scheme.steps), 4, 2, 2)
-        for lifts, step in zip(stacked, scheme.steps):
-            assert lifts.tobytes() == lift_rotations(step.rotations).tobytes()
-
-    def test_independent_of_lift_signs(self):
-        W, J = seeded_dipole_3()
-        scheme = synthesize_case1(W, dipole_type())
-        eps = 0.1
-        C1 = run_cycle(J, scheme, eps)
-        H = build_hamiltonian(J)
-        C2 = np.eye(8, dtype=complex)
-        for i, step in enumerate(scheme.steps):
-            lifts = lift_rotations(step.rotations)
-            lifts[i % scheme.n] = -lifts[i % scheme.n]  # flip one lift per step
-            v = kron_all(lifts)
-            C2 = (v.conj().T @ evolve(H, step.t * eps) @ v) @ C2
-        assert np.abs(C1 - C2).max() <= 1e-12
+def test_scheme_lifted_in_one_call_matches_each_step():
+    scheme = synthesize_case2(complete_weights(4), np.diag([2.0, 1.0, -1.0]))
+    stacked = lift_rotations([step.rotations for step in scheme.steps])
+    assert stacked.shape == (len(scheme.steps), 4, 2, 2)
+    for lifts, step in zip(stacked, scheme.steps):
+        assert lifts.tobytes() == lift_rotations(step.rotations).tobytes()
 
 
 class TestErrorScaling:
@@ -255,6 +194,43 @@ class TestErrorScaling:
         ratios = [err / e**2 for e, err in zip(scaling.epsilons, scaling.errors)]
         assert max(ratios) / min(ratios) <= 3.0
 
+    def test_two_spin_dipole_cycle_is_exact(self):
+        # with two spins the three collective-axis terms commute, so the
+        # cycle matches exp(+iH eps) at machine precision for every eps
+        W = complete_weights(2)
+        scaling = error_scaling(tensor_coupling(W, dipole_type()), synthesize_case1(W, dipole_type()), [0.2, 0.1, 0.05])
+        assert scaling.exact and max(scaling.errors) <= 1e-14
+
+    def test_steps_act_in_list_order(self):
+        # step 1 acts first in time, i.e. rightmost in the product.  The
+        # error norm cannot tell the order: time reversal, which fixes H and
+        # every spin-1/2 lift, maps each cycle onto the adjoint of its
+        # reverse and exp(+iH eps) onto its adjoint.  So the cycle itself is
+        # compared, in H's eigenbasis, U^dag C U
+        W, J = seeded_dipole_3(seed=5)
+        scheme = synthesize_case1(W, dipole_type())
+        reverse = Scheme(scheme.kind, scheme.steps[::-1])
+        eps = 0.3
+        assert np.allclose(hand_built_errors(J, scheme, [eps]), hand_built_errors(J, reverse, [eps]), rtol=1e-12, atol=0.0)
+        _, blocks = hilbert._block_eigh(build_hamiltonian(J))
+        U = dense_unitary(blocks, 8)
+        _, simulated = hilbert._simulate(hilbert._gated(J, scheme, 1e-9), scheme, slice(None))
+        product = cycle(J, scheme, eps)
+        assert np.abs(simulated(eps) - U.conj().T @ product @ U).max() <= 1e-12
+        # the reversed product differs for this non-commuting pair of steps
+        assert np.abs(product - cycle(J, reverse, eps)).max() > 1e-6
+
+    def test_independent_of_lift_signs(self):
+        W, J = seeded_dipole_3()
+        scheme = synthesize_case1(W, dipole_type())
+        eps_list = [0.2, 0.1, 0.05]
+        lifts = lift_rotations(scheme.rotations)
+        for i in range(len(lifts)):
+            lifts[i, i % scheme.n] *= -1.0  # flip one lift per step
+        H = build_hamiltonian(J)
+        flipped = [operator_norm(cycle(J, scheme, eps, lifts) - evolve(H, -eps)) for eps in eps_list]
+        assert np.allclose(error_scaling(J, scheme, eps_list).errors, flipped, rtol=1e-12, atol=0.0)
+
     def test_commuting_cycle_reports_exact(self):
         # zz coupling inverted by a half turn of one spin about x: the
         # single conjugated term commutes with itself, so there is no
@@ -275,15 +251,21 @@ class TestErrorScaling:
             error_scaling(J, scheme, [0.1, 0.05])
         with pytest.raises(ValueError, match="distinct"):
             error_scaling(J, scheme, [0.1, 0.1, 0.05])
-        for bad in ([float("nan"), 0.1, 0.05], [float("inf"), 0.1, 0.05]):
-            with pytest.raises(ValueError, match="finite"):
-                error_scaling(J, scheme, bad)
+        for bad in (float("nan"), float("inf"), -0.1, 0.0):
+            with pytest.raises(ValueError, match="^epsilon values must be finite, positive and distinct$"):
+                error_scaling(J, scheme, [bad, 0.1, 0.05])
 
     def test_unverified_scheme_is_rejected(self):
         J = tensor_coupling(complete_weights(2), scalar_type())
         scheme = Scheme(SchemeKind.INVERSION, (Step(1.0, np.tile(np.eye(3), (2, 1, 1))),))
         with pytest.raises(ValueError, match="does not invert"):
             error_scaling(J, scheme, [0.2, 0.1, 0.05])
+
+    def test_zero_coupling_is_refused(self):
+        # the gate is `verify`, which refuses J = 0
+        scheme = Scheme(SchemeKind.INVERSION, (Step(1.0, np.tile(np.eye(3), (2, 1, 1))),))
+        with pytest.raises(ValueError, match="^zero coupling: verification is undefined$"):
+            error_scaling(np.zeros((6, 6)), scheme, [0.1, 0.05, 0.025])
 
     def test_many_step_class_two_matches_hand_built_product(self):
         W = complete_weights(4)
@@ -292,25 +274,18 @@ class TestErrorScaling:
         scheme = synthesize_case2(W, A)
         assert len(scheme.steps) == 12
         eps_list = [0.2, 0.1, 0.05, 0.025]
-        H = build_hamiltonian(J)
-        expected = []
-        for eps in eps_list:
-            product = np.eye(16, dtype=complex)
-            for step in scheme.steps:
-                v = kron_all(lift_rotations(step.rotations))
-                product = (v.conj().T @ evolve(H, step.t * eps) @ v) @ product
-            expected.append(operator_norm(product - evolve(H, -eps)))
-        errors = error_scaling(J, scheme, eps_list).errors
-        assert np.allclose(errors, expected, rtol=1e-12, atol=0.0)
-
-    def test_complex_hamiltonian_matches_hand_built_product(self):
-        W, A = rotated_traceless_3(seed=2)
-        J = tensor_coupling(W, A)
-        assert np.abs(build_hamiltonian(J).imag).max() > 0.1
-        scheme = synthesize_case1(W, A)
-        eps_list = [0.2, 0.1, 0.05, 0.025]
         errors = error_scaling(J, scheme, eps_list).errors
         assert np.allclose(errors, hand_built_errors(J, scheme, eps_list), rtol=1e-12, atol=0.0)
+
+    def test_complex_hamiltonian_matches_hand_built_product(self):
+        # a turned type, which the frame makes real, and pair types that
+        # share no frame, which run complex
+        W, A = rotated_traceless_3(seed=2)
+        for J, scheme in ((tensor_coupling(W, A), synthesize_case1(W, A)), mixed_pair_types()):
+            assert np.abs(build_hamiltonian(J).imag).max() > 0.1
+            eps_list = [0.2, 0.1, 0.05, 0.025]
+            errors = error_scaling(J, scheme, eps_list).errors
+            assert np.allclose(errors, hand_built_errors(J, scheme, eps_list), rtol=1e-12, atol=0.0)
 
     def test_no_dense_norm(self, monkeypatch):
         # the error norm comes from Lanczos: its eigen-solves only ever see
@@ -353,17 +328,21 @@ class TestPerSpinPulse:
         assert np.array_equal(np.delete(wide, [5, 6, 7], axis=1), np.delete(before, [5, 6, 7], axis=1))
 
     @pytest.mark.parametrize("chunk", [1, 3, 64, 256])
-    @pytest.mark.parametrize("n", [1, 3, 6])
-    def test_pulse_matches_the_dense_frame(self, monkeypatch, n, chunk):
-        # diag(phase) U^dag P U X for a blocked U (the dipole at n >= 3,
-        # zero coupling at n = 1), at chunk widths below, at and above 2^n
+    @pytest.mark.parametrize("n, coupling", [(1, "zero"), (3, "dipole"), (6, "dipole"), (3, "raw"), (6, "raw")])
+    def test_pulse_matches_the_dense_frame(self, monkeypatch, n, coupling, chunk):
+        # diag(phase) U^dag P U X for a real, blocked U (the dipole at
+        # n >= 3, zero coupling at n = 1) and for a complex U (a raw J with
+        # xy cross terms), at chunk widths below, at and above 2^n
         monkeypatch.setattr(hilbert, "_CHUNK", chunk)
         rng = np.random.default_rng(100 + n)
-        if n == 1:
+        if coupling == "zero":
             H = np.zeros((2, 2), dtype=complex)
-        else:
+        elif coupling == "dipole":
             H = build_hamiltonian(tensor_coupling(random_weights(rng, n), dipole_type()))
+        else:
+            H = build_hamiltonian(random_coupling(rng, n))
         lam, blocks = hilbert._block_eigh(H)
+        assert all(np.iscomplexobj(V) == (coupling == "raw") for _, V in blocks)
         U = dense_unitary(blocks, 2**n)
         factors = np.stack([random_special_unitary(rng) for _ in range(n)])
         phase = np.exp(1j * rng.uniform(-np.pi, np.pi, size=2**n))
@@ -387,22 +366,14 @@ def recorded_eigh(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize(
-    "simulate",
-    [
-        lambda J, scheme: error_scaling(J, scheme, [0.2, 0.1, 0.05, 0.025]),
-        lambda J, scheme: run_cycle(J, scheme, 0.1),
-    ],
-    ids=["error_scaling", "run_cycle"],
-)
-def test_one_eigendecomposition_per_hamiltonian(monkeypatch, simulate):
+def test_one_eigendecomposition_per_hamiltonian(monkeypatch):
     # one eigen-solve of H, run on its blocks: the dipole conserves
     # magnetization (blocks 1, 1, 3, 3 at n = 3), so there is one stacked
     # call per block size and none on the whole 8 x 8 H
     W, J = seeded_dipole_3()
     scheme = synthesize_case1(W, dipole_type())
     calls = recorded_eigh(monkeypatch)
-    simulate(J, scheme)
+    error_scaling(J, scheme, [0.2, 0.1, 0.05, 0.025])
     # the 2-d calls are the Lanczos norm's tridiagonals
     assert all(tri for shape, _, tri in calls if len(shape) == 2)
     stacked = [shape for shape, _, _ in calls if len(shape) != 2]
@@ -430,28 +401,29 @@ def test_operator_norm_matches_svd():
         assert conjugation_consistency(2.0**k * J, haar) == gap
 
 
+def factored_pair(W, A):
+    return tensor_coupling(W, A), synthesize_case1(W, A)
+
+
 @pytest.mark.parametrize(
-    "coupling,simulate,dtype",
+    "coupling,dtype",
     [
-        (lambda: (seeded_dipole_3()[0], dipole_type()), "error_scaling", np.float64),
-        (rotated_traceless_3, "run_cycle", np.complex128),
-        (rotated_traceless_3, "error_scaling", np.float64),
+        (lambda: factored_pair(seeded_dipole_3()[0], dipole_type()), np.float64),
+        (mixed_pair_types, np.complex128),
+        (lambda: factored_pair(*rotated_traceless_3()), np.float64),
     ],
     ids=["real", "complex", "turned"],
 )
-def test_real_hamiltonian_takes_the_real_solver(monkeypatch, coupling, simulate, dtype):
-    # only a Hamiltonian with xy/yz cross terms needs the complex solver:
-    # run_cycle keeps them in J's own frame, and error_scaling turns them
-    # away (its frame's eigh of a 3 x 3 combination is real too)
-    W, A = coupling()
-    scheme = synthesize_case1(W, A)
+def test_real_hamiltonian_takes_the_real_solver(monkeypatch, coupling, dtype):
+    # only a Hamiltonian with xy/yz cross terms needs the complex solver for
+    # its stacked blocks, and only when no frame turns them away: pair types
+    # that share no frame keep them, a turned type loses them.  The 2-d
+    # calls, the frame's 3 x 3 eigh and Lanczos's tridiagonals, are real
+    J, scheme = coupling()
     calls = recorded_eigh(monkeypatch)
-    if simulate == "run_cycle":
-        run_cycle(tensor_coupling(W, A), scheme, 0.1)
-    else:
-        error_scaling(tensor_coupling(W, A), scheme, [0.2, 0.1, 0.05])
-    assert calls
-    assert all(call_dtype == dtype for _, call_dtype, _ in calls)
+    error_scaling(J, scheme, [0.2, 0.1, 0.05])
+    assert any(len(shape) == 3 for shape, _, _ in calls)
+    assert all(call_dtype == (dtype if len(shape) == 3 else np.float64) for shape, call_dtype, _ in calls)
 
 
 def dense_unitary(blocks, dim):
@@ -618,12 +590,6 @@ class TestFrame:
         coupling = self.factored(W, A) if form == "factored" else tensor_coupling(W, A)
         turned, _, cols = hilbert._frame(hilbert._checked(coupling), synthesize_case1(W, A))
         assert block_sizes(turned) == block_sizes(tensor_coupling(W, dipole_type())) and cols == slice(None)
-
-    def test_run_cycle_keeps_the_original_frame(self):
-        W, A = rotated_traceless_3(seed=4)
-        scheme = synthesize_case1(W, A)
-        C = run_cycle(self.factored(W, A), scheme, 0.2)
-        assert np.abs(C - run_cycle(tensor_coupling(W, A), scheme, 0.2)).max() <= 1e-13
 
 
 class TestLanczosNorm:

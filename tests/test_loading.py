@@ -26,12 +26,12 @@ PUBLIC = {
     ],
     "coupling": [
         "CouplingClass", "CouplingInput", "classification_margins", "classify_type",
-        "complete_weights", "coupling_from_dict", "dipole_type", "n_spins",
-        "scalar_type", "tensor_coupling",
+        "complete_weights", "coupling_from_dict", "dipole_type", "scalar_type",
+        "tensor_coupling",
     ],
     "hilbert": [
         "ErrorScaling", "build_hamiltonian", "conjugation_consistency", "error_scaling", "evolve",
-        "kron_all", "lift_rotations", "operator_norm", "run_cycle",
+        "kron_all", "lift_rotations", "operator_norm",
     ],
     "rotations": [
         "SymSpectrum", "axis_cycle", "random_special_unitary", "rotation_about", "so3_to_su2",
@@ -39,7 +39,7 @@ PUBLIC = {
     ],
     "schemes": [
         "Scheme", "SchemeKind", "SchemeStats", "Step", "VerifyResult", "average_coupling",
-        "block_diag_rotations", "conjugate", "decoupling_to_inversion", "hadamard_matrix",
+        "conjugate", "decoupling_to_inversion", "hadamard_matrix",
         "inversion_to_decoupling", "pi_rotation", "scheme_from_dict", "scheme_stats",
         "scheme_to_dict", "selective_decoupling", "synthesize_case1", "synthesize_case2", "verify",
     ],

@@ -15,7 +15,6 @@ from spinrev import (
     Step,
     average_coupling,
     axis_cycle,
-    block_diag_rotations,
     complete_weights,
     conjugate,
     coupling_from_dict,
@@ -38,7 +37,7 @@ from spinrev import (
 from spinrev import cli, schemes
 from spinrev.rotations import check_rotation
 
-from helpers import random_coupling, random_rotation, random_scheme, random_weights
+from helpers import block_diag_rotations, random_coupling, random_rotation, random_scheme, random_weights
 
 
 def _haar_rotations(rng, shape):
@@ -225,9 +224,11 @@ class TestStackedValidation:
     @pytest.mark.parametrize("structural", ["time", "shape", "spins"])
     @pytest.mark.parametrize("rotation", ["skew", "reflection"])
     @pytest.mark.parametrize("first,second", [(3, 9), (9, 3), (2, "per"), ("per", 2), ("per-1", "per"), ("per", "per-1"), (0, "last"), ("last", 0)])
-    def test_a_bad_rotation_and_a_structural_defect(self, structural, rotation, first, second):
+    def test_a_bad_rotation_and_a_structural_defect(self, tmp_path, capsys, structural, rotation, first, second):
         # the rotation defect goes at step `first`, the structural one at
-        # `second`; whichever comes first in step order is reported
+        # `second`; whichever comes first in step order is reported, by
+        # `Scheme` and, for the same steps in a scheme file in the writer's
+        # layout or pretty-printed, by `scheme_from_dict` and `spinrev verify`
         per = self._boundary()
         place = {"per": per, "per-1": per - 1, "last": self.length - 1}
         i, j = place.get(first, first), place.get(second, second)
@@ -241,6 +242,20 @@ class TestStackedValidation:
             assert expected == {"skew": NOT_ORTHOGONAL, "reflection": REFLECTION}[rotation]
         else:
             assert expected != {"skew": NOT_ORTHOGONAL, "reflection": REFLECTION}[rotation]
+            if structural != "time":  # a file's reader names the shape it read
+                shape = steps[j].rotations.shape
+                expected = f"step must list one 3x3 rotation per spin (expected shape {(self.n, 3, 3)}, got {shape})"
+        doc = {"kind": "inversion", "n": self.n, "steps": [{"t": s.t, "rotations": s.rotations.tolist()} for s in steps]}
+        with pytest.raises(ValueError) as err:
+            scheme_from_dict(doc)
+        assert str(err.value) == expected
+        coupling, scheme = tmp_path / "c.json", tmp_path / "s.json"
+        coupling.write_text(json.dumps({"n": self.n, "W": complete_weights(self.n).tolist(), "A": dipole_type().tolist()}))
+        for indent in (None, 2):
+            scheme.write_text(json.dumps(doc, indent=indent))
+            code = cli.main(["verify", "--coupling", str(coupling), "--scheme", str(scheme)])
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (2, "", f"error: {expected}\n")
 
     @pytest.mark.parametrize("order", [("reflection", "skew"), ("skew", "reflection")])
     def test_two_rotation_defects_in_one_chunk(self, order):

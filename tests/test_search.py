@@ -143,10 +143,9 @@ class TestNnls:
 
 def _cold_reference(J, base, target_tol=1e-9, max_pool=500):
     """`greedy_pool_growth` with every round solved cold by `nnls_active_set`."""
-    coupling, scaled, columns, target = _problem(J, base.assemblies)
+    coupling, scaled, norm, columns, target = _problem(J, base.assemblies)
     rng = np.random.default_rng(base.seed)
     group = octahedral_group()
-    norm = float(np.linalg.norm(scaled))
     assemblies = base.assemblies
     x, rnorm, _ = nnls_active_set(columns, target)
     rounds = 0
@@ -158,7 +157,7 @@ def _cold_reference(J, base, target_tol=1e-9, max_pool=500):
         columns = np.column_stack([columns, candidate_columns[:, best]])
         x, rnorm, _ = nnls_active_set(columns, target)
         rounds += 1
-    return _finalize(coupling, scaled, assemblies, x, rnorm, rounds, target_tol)
+    return _finalize(coupling, norm, assemblies, x, rnorm, rounds, target_tol)
 
 
 def _positive_weights(n, seed):

@@ -483,6 +483,13 @@ def scheme_from_dict(data) -> Scheme:
         try:
             if not isinstance(entry, dict) or "t" not in entry or "rotations" not in entry:
                 raise ValueError('each step needs "t" and "rotations"')
+            _check_json_numbers(entry["t"], 0, 'step "t"')
+            try:
+                times[j] = float(entry["t"])
+            except OverflowError:  # an integer beyond float range
+                times[j] = np.inf
+            if not np.isfinite(times[j]) or times[j] <= 0.0:  # before the rotations, as `Scheme` checks
+                raise ValueError("step times must be positive and finite")
             try:
                 rots = np.asarray(entry["rotations"], dtype=float)
             except (TypeError, ValueError, OverflowError):
@@ -492,11 +499,6 @@ def scheme_from_dict(data) -> Scheme:
                     f"step must list one 3x3 rotation per spin (expected shape {(n, 3, 3)}, got {rots.shape})"
                 )
             _check_json_numbers(entry["rotations"], 3, "step rotations")
-            _check_json_numbers(entry["t"], 0, 'step "t"')
-            try:
-                times[j] = float(entry["t"])
-            except OverflowError:  # an integer beyond float range
-                raise ValueError("step times must be positive and finite") from None
         except ValueError:
             if j:  # the steps before it were read whole: a defect there comes first
                 Scheme._from_arrays(kind, times[:j], rotations[:j])

@@ -36,6 +36,8 @@ from .schemes import (
 _PRUNE_TOL = 1e-12
 _DUAL_TOL = 1e-12  # relative tolerance of the NNLS dual feasibility test
 _BATCH = 64  # random assemblies drawn per growth round
+_FACTOR_CUTOFF = np.sqrt(np.finfo(float).eps)  # see `_PassiveQR`
+_TIE_TOL = 1e-12  # candidate scores within this of the best, times max|score|, tie
 # phase 2 (`minimize_tau`)
 _PIVOTS_PER_ROW = 20  # simplex pivot budget per row of the LP
 _PRICE_TOP = 32  # improving assemblies that join the pool per pricing round
@@ -127,8 +129,9 @@ def nnls_active_set(A, b):
     Minimizes ||A x - b||_2 over x >= 0.  The dual feasibility test uses
     a relative tolerance, and ties pick the lowest column index, so the
     solve path is fully deterministic.  Each passive subproblem is solved
-    from the Householder R factor of [A_P | b], with `lstsq` only for
-    rank-deficient blocks (see `_passive_solve`).  Returns (x,
+    from one QR factor of the passive block, updated as columns enter and
+    leave, with a fresh Householder QR for ill-conditioned blocks and
+    `lstsq` for rank-deficient ones (see `_PassiveQR`).  Returns (x,
     residual_norm, iterations), where iterations counts insertions into
     the passive set.  A safety cap of 3 * ncols + 10 insertions ends the
     solve: iterations == 3 * ncols + 10 means the cap ended it, not the
@@ -145,40 +148,42 @@ def nnls_active_set(A, b):
     return x, rnorm, iterations
 
 
-def _lawson_hanson(A, b, x=None, cap=None):
-    """The `nnls_active_set` loop, cold from x = 0 or warm from a feasible x.
+def _lawson_hanson(A, b, start=None, cap=None):
+    """The `nnls_active_set` loop, cold from x = 0 or warm.
 
-    A warm start takes x >= 0 with its positive entries as the passive
-    set, as Lawson-Hanson leaves them after every insertion;
-    `greedy_pool_growth` passes the previous round's optimum with a zero
-    for the new column, so the solve usually needs one or two
-    insertions.  At most `cap` insertions are made (default
+    `start` is None (cold, from an empty factor) or a `_PassiveQR` from
+    an earlier solve, which this solve starts from and leaves at its own
+    point: x starts as the factor's point, with zeros for columns of A
+    beyond it, and its positive entries, as Lawson-Hanson leaves them
+    after every insertion, are the passive set.  `greedy_pool_growth`
+    hands one factor from each round's optimum to the next round's
+    solve, so the solve usually needs one or two insertions and no
+    refactorization.  At most `cap` insertions are made (default
     3 * ncols + 10).  Returns (x, residual_norm, iterations, converged);
-    converged is False when the cap ended the solve, not the dual test.
-    The residual A x - b at the optimum is unique, so a warm and a cold
-    solve reach the same residual up to rounding, but not always the
-    same x, and a warm solve from a degenerate vertex can cycle where the
-    cold one does not.
+    converged is False when the cap ended the solve, not the dual test.  The residual A x - b at the optimum is unique, so a warm
+    and a cold solve reach the same residual up to rounding, but not
+    always the same x, and a warm solve from a degenerate vertex can
+    cycle where the cold one does not.
     """
     ncols = A.shape[1]
-    if x is None:
-        x = np.zeros(ncols)
-        resid = b.copy()
-    else:
-        resid = b - A @ x
+    qr, x = _PassiveQR(len(b)) if start is None else start, np.zeros(ncols)
+    x[: len(qr.x)] = qr.x
+    resid = b - A @ x
     passive = x > 0.0
     w_scale = max(float(np.abs(A.T @ b).max()), np.finfo(float).tiny)
     cap = 3 * ncols + 10 if cap is None else cap
+    converged = False
     for insertion in range(cap):
         w = A.T @ resid
         w = np.where(passive, -np.inf, w)
         j = int(np.argmax(w))
         if w[j] <= _DUAL_TOL * w_scale:
-            return x, float(np.linalg.norm(resid)), insertion, True
+            converged = True
+            break
         passive[j] = True
+        qr.insert(A, b, j)
         while True:
-            trial = np.zeros(ncols)
-            trial[passive] = _passive_solve(A[:, passive], b)
+            trial = qr.solve(A, b, passive)
             if trial[passive].min() > 0.0:
                 x = trial
                 break
@@ -192,31 +197,128 @@ def _lawson_hanson(A, b, x=None, cap=None):
             dropped = passive & (x <= 1e-14 * max(float(x.max()), 1.0))
             x[dropped] = 0.0
             passive[dropped] = False
+            qr.delete(dropped)
             if not passive.any():
                 break
         resid = b - A @ x
-    return x, float(np.linalg.norm(resid)), cap, False
+    else:
+        insertion = cap
+    qr.x = x
+    return x, float(np.linalg.norm(resid)), insertion, converged
 
 
-def _passive_solve(A_P, b):
-    """Least-squares solution of A_P x = b from the R factor of [A_P | b].
+class _PassiveQR:
+    """The QR factor of Lawson-Hanson's passive block A_P, kept up to date
+    as columns enter and leave it.
 
-    Householder QR of the augmented block leaves Q^T b in its last column,
-    so one back-substitution on R's leading k x k triangle gives x and no
-    Q is formed.  A block that is numerically rank-deficient (more columns
-    than rows, or min|R_ii| <= eps * m * max|R_ii|, the `rcond=None` cutoff
-    of `lstsq`) is solved by `lstsq` instead.  The result depends only on
-    A_P and b.
+    Holds Q^T (one row per passive column), R, R^-1 and Q^T b of the
+    columns `cols`, in factor order, in buffers of m rows allocated once,
+    and the point `x` of the solve that left it.  An insertion appends the
+    column by Gram-Schmidt, orthogonalised twice, and borders R^-1; a
+    deletion re-triangulates R from the first deleted column on and turns
+    Q, Q^T b and R^-1 with it.  A solve is R^-1 Q^T b.
+
+    The factor is `held` only while min|R_ii| > sqrt(eps) * max|R_ii|
+    (`_FACTOR_CUTOFF`), since the explicit R^-1 loses cond(R) * eps.
+    Otherwise, and for more columns than rows, the next solve refactors
+    [A_P | b] by Householder QR in column order, so that an
+    ill-conditioned x depends on the passive set alone: it
+    back-substitutes when that R passes `lstsq`'s rank cutoff
+    (min|R_ii| > eps * m * max|R_ii|), else calls `lstsq`, and holds the
+    new factor when its R passes the first test.
     """
-    m, k = A_P.shape
-    if k <= m:
-        R = np.linalg.qr(np.column_stack([A_P, b]), mode="r")
-        diag = np.abs(np.diagonal(R)[:k])
-        if diag.min() > np.finfo(float).eps * m * diag.max():
-            # LU of a triangle pivots nowhere and leaves it as is, so this is
-            # the back-substitution (numpy has no triangular solver)
-            return np.linalg.solve(R[:k, :k], R[:k, k])
-    return np.linalg.lstsq(A_P, b, rcond=None)[0]
+
+    def __init__(self, rows):
+        self.Qt, self.R, self.Rinv = (np.zeros((rows, rows)) for _ in range(3))
+        self.qtb = np.zeros(rows)
+        self.clear()
+
+    def clear(self):
+        """Empty the factor: a solve from it starts cold."""
+        self.cols, self.held, self.x = [], True, np.zeros(0)
+        self.low, self.high = np.inf, 0.0  # min and max |R_ii|
+        return self
+
+    def insert(self, A, b, j):
+        k = len(self.cols)
+        self.cols.append(j)
+        self.held = self.held and k < len(b)
+        if not self.held:
+            return
+        Q, r, v = self.Qt[:k], np.zeros(k), A[:, j].copy()
+        for _ in range(2):  # Gram-Schmidt, and once more against its rounding
+            c = Q @ v
+            v -= c @ Q
+            r += c
+        rho = float(np.sqrt(v @ v))
+        self.low, self.high = min(self.low, rho), max(self.high, rho)
+        self.held = self.low > _FACTOR_CUTOFF * self.high
+        if not self.held:
+            return
+        self.Qt[k] = v / rho
+        self.qtb[k] = self.Qt[k] @ b
+        self.R[:k, k], self.R[k, k] = r, rho
+        self.Rinv[:k, k], self.Rinv[k, k] = self.Rinv[:k, :k] @ r / -rho, 1.0 / rho
+
+    def delete(self, dropped):
+        keep = ~dropped[self.cols]
+        if keep.all():
+            return
+        k, p = len(self.cols), int(np.argmin(keep))
+        self.cols = [col for col, kept in zip(self.cols, keep) if kept]
+        kept = len(self.cols)
+        if not self.held:
+            return
+        if kept > p:
+            # R without the deleted columns is upper Hessenberg from column p on,
+            # one step below the diagonal per deleted column: G^T R[p:, rest] = T
+            # restores the triangle, and Q, Q^T b and R^-1 turn with G
+            rest = np.flatnonzero(keep[p:]) + p
+            G, T = np.linalg.qr(self.R[p:k, rest])
+            self.R[:p, p:kept] = self.R[:p, rest]
+            self.R[p:kept, p:kept] = T
+            self.Qt[p:kept] = G.T @ self.Qt[p:k]
+            self.qtb[p:kept] = G.T @ self.qtb[p:k]
+            # the new R^-1 is the kept rows of R^-1 G, exactly triangular since
+            # G has the band of R's trailing block
+            self.Rinv[:kept, p:kept] = (self.Rinv[:k, p:k] @ G)[keep]
+        diag = np.abs(np.diagonal(self.R)[:kept])
+        self.low, self.high = diag.min(initial=np.inf), diag.max(initial=0.0)
+        self.held = self.low > _FACTOR_CUTOFF * self.high
+
+    def solve(self, A, b, passive):
+        """x on the passive columns, zero elsewhere."""
+        if not self.held:
+            return self._refactor(A, b, passive)
+        k = len(self.cols)
+        trial = np.zeros(A.shape[1])
+        trial[self.cols] = self.Rinv[:k, :k] @ self.qtb[:k]
+        return trial
+
+    def _refactor(self, A, b, passive):
+        """`solve` from a fresh Householder QR of [A_P | b], or by `lstsq`."""
+        m = A.shape[0]
+        self.cols = np.flatnonzero(passive).tolist()
+        k = len(self.cols)
+        A_P = A[:, self.cols]
+        trial = np.zeros(A.shape[1])
+        self.held = False
+        if k <= m:
+            Ab = np.column_stack([A_P, b])
+            R = np.linalg.qr(Ab, mode="r")
+            diag = np.abs(np.diagonal(R)[:k])
+            self.low, self.high = diag.min(), diag.max()
+            self.held = self.low > _FACTOR_CUTOFF * self.high
+            if self.held:  # Q only for a factor that is kept: the same R, formed again
+                self.Qt[:k], self.R[:k, :k], self.qtb[:k] = np.linalg.qr(Ab)[0][:, :k].T, R[:k, :k], R[:k, k]
+                self.Rinv[:k, :k] = np.linalg.inv(R[:k, :k])
+            if self.low > np.finfo(float).eps * m * self.high:
+                # LU of a triangle pivots nowhere and leaves it as is, so this is
+                # the back-substitution (numpy has no triangular solver)
+                trial[self.cols] = np.linalg.solve(R[:k, :k], R[:k, k])
+                return trial
+        trial[self.cols] = np.linalg.lstsq(A_P, b, rcond=None)[0]
+        return trial
 
 
 @dataclass(frozen=True)
@@ -335,13 +437,17 @@ def greedy_pool_growth(
 
     After each solve, the sampled assembly whose averaged image points
     most steeply against the current residual joins the pool and the
-    times are re-solved.  Each pool is a superset of the previous one, so
-    the objective cannot increase (asserted per round); runs are
-    reproducible for a fixed seed (the base pool's seed when none is
-    given).  `iterations` counts growth rounds.
+    times are re-solved; of the candidates within 1e-12 * max|score| of
+    the steepest, the first drawn joins (`_steepest`), so exact ties do
+    not go by the last bits of the times.  Each pool is a superset of
+    the previous one, so the objective cannot increase (asserted per
+    round); runs are reproducible for a fixed seed (the base pool's seed
+    when none is given).  `iterations` counts growth rounds.
 
     Each round's re-solve starts warm from the previous round's times,
-    with a zero for the new column, and may make at most m insertions, m
+    with a zero for the new column, and from the QR factor of their
+    passive block, which one `_PassiveQR` carries from round to round
+    (a cold solve empties it); it may make at most m insertions, m
     the number of rows: a basic solution has at most m positive times,
     so a warm solve that needs more is cycling.  A warm solve that hits
     that budget or raises the objective is redone cold (from x = 0).  The
@@ -360,21 +466,22 @@ def greedy_pool_growth(
     group = octahedral_group()
     base_size = len(base_pool.assemblies)
     picked = []  # each grown assembly as its row of indices into `group`
-    x, rnorm, _, _ = _lawson_hanson(columns, target)
+    qr = _PassiveQR(len(target))
+    x, rnorm, _, _ = _lawson_hanson(columns, target, qr)
     while rnorm * np.sqrt(2.0) / norm > target_tol and base_size + len(picked) < max_pool:
         resid = columns @ x - target
         picks = rng.integers(0, len(group), size=(_BATCH, base_pool.n))
         candidate_columns = _upper_block_columns(scaled, group[picks])
-        best = int(np.argmin(candidate_columns.T @ resid))
+        best = _steepest(candidate_columns.T @ resid)
         grown = np.column_stack([columns, candidate_columns[:, best]])
         bound = rnorm + 1e-9 * max(rnorm, 1.0)
-        x_new, new_rnorm, _, converged = _lawson_hanson(grown, target, np.append(x, 0.0), cap=grown.shape[0])
+        x_new, new_rnorm, _, converged = _lawson_hanson(grown, target, qr, cap=grown.shape[0])
         read = new_rnorm * np.sqrt(2.0) / norm <= target_tol or base_size + len(picked) + 1 == max_pool
         if not converged or new_rnorm > bound or read:
-            x_new, new_rnorm, _, converged = _lawson_hanson(grown, target)
+            x_new, new_rnorm, _, converged = _lawson_hanson(grown, target, qr.clear())
             if not converged:
                 # this round did not converge: end on the previous pool, solved cold
-                x, rnorm, _, _ = _lawson_hanson(columns, target)
+                x, rnorm, _, _ = _lawson_hanson(columns, target, qr.clear())
                 break
             if new_rnorm > bound:
                 raise RuntimeError("NNLS objective increased while the pool grew; active-set defect")
@@ -383,6 +490,14 @@ def greedy_pool_growth(
     grown_assemblies = group[np.array(picked, dtype=np.intp).reshape(-1, base_pool.n)]
     assemblies = np.concatenate([base_pool.assemblies, grown_assemblies])
     return _finalize(coupling, norm, assemblies, x, rnorm, len(picked), target_tol)
+
+
+def _steepest(scores):
+    """The lowest index whose score is within `_TIE_TOL` * max|score| of
+    the minimum: candidates that tie in exact arithmetic (the complete
+    graph's symmetric ones do) keep their order whatever the last bits of
+    the residual, which depend on the factor's history."""
+    return int(np.argmax(scores <= scores.min() + _TIE_TOL * np.abs(scores).max()))
 
 
 def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int = 0) -> SearchResult:

@@ -735,6 +735,20 @@ class TestSearchPhaseTwo:
         assert abs(payload["meta"]["tau"] - 3.0) <= 1e-9
         assert len(payload["steps"]) == 7
 
+    def test_tied_phase_one_candidates_keep_the_three_step_scheme(self, files, capsys):
+        # the benchmark's search-oracle seed 902, round 2, first job: phase 1's
+        # round 1 has two candidates tied at -14/3, and picking the later one
+        # (which the last bits of x can favour) costs a round and ends phase 2
+        # at 9 steps instead of 3
+        _, write = files
+        path = write("c.json", coupling_doc(4, scalar_type()))
+        code, out = run(capsys, ["search", "--coupling", path, "--seed", "380087905"])
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["meta"]["iterations"] == 43
+        assert len(payload["steps"]) == 3
+        assert abs(payload["meta"]["tau"] - 3.0) <= 1e-9
+
     def test_five_spin_complete_scalar_reaches_the_octahedral_optimum(self, files, capsys):
         # ascent pricing runs until it finds nothing, at tau 5, and cannot prove it
         _, write = files

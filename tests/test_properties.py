@@ -62,6 +62,7 @@ from spinrev.coupling import _checked, _factored
 from spinrev.schemes import Scheme, SchemeKind, Step, _read_own_layout, _scheme_json_chunks
 from spinrev.search import (
     _lawson_hanson,
+    _PassiveQR,
     _upper_block_columns,
     _upper_blocks,
     find_inversion_nnls,
@@ -160,19 +161,54 @@ def test_search_problems_stop_by_the_dual_test(problem):
 @bounded
 @given(problems)
 def test_warm_starts_on_grown_matrices_reach_the_cold_residual(problem):
-    # each solve starts from the previous optimum with a zero for the new
-    # column, as a growth round does; the optimal residual is unique, x is not
+    # each solve starts from the previous optimum and its factor, with a zero
+    # for the new column, as a growth round does; the optimal residual is
+    # unique, x is not
     A, b = problem
-    x, *_ = _lawson_hanson(np.ascontiguousarray(A[:, :1]), b)
+    qr = _PassiveQR(len(b))
+    _lawson_hanson(np.ascontiguousarray(A[:, :1]), b, qr)
     for k in range(2, A.shape[1] + 1):
         grown = np.ascontiguousarray(A[:, :k])
-        x, rnorm, _, converged = _lawson_hanson(grown, b, np.append(x, 0.0))
+        x, rnorm, _, converged = _lawson_hanson(grown, b, qr)
         _, rnorm_cold, _ = nnls_active_set(grown, b)
         assert converged
         assert x.min() >= 0.0
         assert abs(rnorm - rnorm_cold) <= 1e-12 * float(np.linalg.norm(b))
         w = grown.T @ (b - grown @ x)
         assert w[x == 0.0].max(initial=0.0) <= 1e-12 * float(np.abs(grown.T @ b).max())
+
+
+@bounded
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.lists(st.integers(-3, 3), max_size=40))
+def test_an_updated_factor_solves_as_lstsq(seed, rows, moves):
+    # one factor through a run of insertions (move > 0) and deletions of up
+    # to -move columns at once (move < 0), after first filling a square
+    # block: each solve matches lstsq to 64 eps cond, and none refactors
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(rows, 2 * rows)) * 10.0 ** rng.uniform(-2, 2, size=2 * rows)
+    b = rng.normal(size=rows)
+    passive = np.zeros(2 * rows, dtype=bool)
+    qr = _PassiveQR(rows)
+    with mock.patch.object(_PassiveQR, "_refactor", side_effect=AssertionError("refactored")):
+        for move in [1] * rows + moves:
+            if move > 0 and passive.sum() < rows:
+                j = int(rng.choice(np.flatnonzero(~passive)))
+                passive[j] = True
+                qr.insert(A, b, j)
+            elif move < 0 and passive.any():
+                dropped = np.zeros_like(passive)
+                dropped[rng.choice(np.flatnonzero(passive), size=min(-move, int(passive.sum())), replace=False)] = True
+                passive &= ~dropped
+                qr.delete(dropped)
+            if not passive.any():
+                continue
+            trial = qr.solve(A, b, passive)
+            reference = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+            scale = np.linalg.cond(A[:, passive]) * max(np.abs(reference).max(), 1.0)
+            k = int(passive.sum())
+            assert not np.tril(qr.R[:k, :k], -1).any() and not np.tril(qr.Rinv[:k, :k], -1).any()
+            assert np.all(trial[~passive] == 0.0)
+            assert np.abs(trial[passive] - reference).max() <= 64 * np.finfo(float).eps * scale
 
 
 # Phase 2 of the search runs a full phase 1 first, so fewer examples

@@ -257,6 +257,17 @@ class TestStackedValidation:
             captured = capsys.readouterr()
             assert (code, captured.out, captured.err) == (2, "", f"error: {expected}\n")
 
+    def test_a_step_time_comes_before_its_own_rotations(self):
+        # within one step, a bad time is reported before a bad rotation shape,
+        # by `Scheme` and by the file reader alike
+        rotations = np.zeros((2, 2, 2))
+        with pytest.raises(ValueError) as built:
+            Scheme(SchemeKind.INVERSION, (Step(-1.0, rotations),))
+        doc = {"kind": "inversion", "n": 2, "steps": [{"t": -1, "rotations": rotations.tolist()}]}
+        with pytest.raises(ValueError) as read:
+            schemes._read_scheme(json.dumps(doc))
+        assert str(read.value) == str(built.value) == "step times must be positive and finite"
+
     @pytest.mark.parametrize("order", [("reflection", "skew"), ("skew", "reflection")])
     def test_two_rotation_defects_in_one_chunk(self, order):
         # one stacked check tests orthogonality of the whole chunk before any

@@ -30,8 +30,9 @@ from spinrev.search import (
     CandidatePool,
     _finalize,
     _lawson_hanson,
-    _passive_solve,
+    _PassiveQR,
     _problem,
+    _steepest,
     _upper_block_columns,
 )
 
@@ -102,19 +103,17 @@ class TestNnls:
         assert np.abs(x - [2.0, 0.0, 0.0]).max() <= 1e-12
         assert rnorm <= 1e-12
 
-    def test_passive_solve_matches_lstsq(self):
+    def test_wide_and_rank_deficient_blocks_are_lstsqs_own_answer(self):
+        # the factor hands these blocks to lstsq, bit for bit
         rng = np.random.default_rng(65)
-        for rows, cols in [(9, 1), (27, 9), (54, 54), (90, 40)]:
-            A_P = rng.normal(size=(rows, cols))
-            b = rng.normal(size=rows)
-            reference = np.linalg.lstsq(A_P, b, rcond=None)[0]
-            x = _passive_solve(A_P, b)
-            scale = np.linalg.cond(A_P) * max(np.abs(reference).max(), 1.0)
-            assert np.abs(x - reference).max() <= 64 * np.finfo(float).eps * scale
-        # wide and rank-deficient blocks are lstsq's own answer, bit for bit
         for A_P in (rng.normal(size=(4, 6)), np.column_stack([np.ones(5), np.ones(5)])):
             b = rng.normal(size=A_P.shape[0])
-            assert np.array_equal(_passive_solve(A_P, b), np.linalg.lstsq(A_P, b, rcond=None)[0])
+            qr = _PassiveQR(A_P.shape[0])
+            for j in range(A_P.shape[1]):
+                qr.insert(A_P, b, j)
+            trial = qr.solve(A_P, b, np.ones(A_P.shape[1], dtype=bool))
+            assert np.array_equal(trial, np.linalg.lstsq(A_P, b, rcond=None)[0])
+            assert not qr.held
 
     @pytest.mark.parametrize("seed, lstsq_rnorm", [(1867, 5.1523668886212e-06), (1983, 7.7991007026134e-04)])
     def test_rank_deficient_passive_blocks_fall_back(self, seed, lstsq_rnorm):
@@ -141,8 +140,20 @@ class TestNnls:
         assert iterations == 3 * 52 + 10
 
 
+def test_tied_candidates_keep_the_lowest_index_whatever_the_last_bits():
+    # against r = (-1, -1), columns 1 and 3 both score -2; moving r by a few
+    # ulps breaks that tie for argmin either way, and never for the pick
+    columns = np.array([[0.5, 1.0, 1.5, 2.0], [0.5, 1.0, 0.0, 0.0]])
+    for k in range(-4, 5):
+        resid = np.array([-1.0 - k * 2.0**-52, -1.0 + k * 2.0**-52])
+        scores = columns.T @ resid
+        assert int(np.argmin(scores)) == (3 if k > 0 else 1)
+        assert _steepest(scores) == 1
+
+
 def _cold_reference(J, base, target_tol=1e-9, max_pool=500):
-    """`greedy_pool_growth` with every round solved cold by `nnls_active_set`."""
+    """`greedy_pool_growth` with every round solved cold by `nnls_active_set`,
+    and the same tie rule for the pick."""
     coupling, scaled, norm, columns, target = _problem(J, base.assemblies)
     rng = np.random.default_rng(base.seed)
     group = octahedral_group()
@@ -152,7 +163,7 @@ def _cold_reference(J, base, target_tol=1e-9, max_pool=500):
     while rnorm * np.sqrt(2.0) / norm > target_tol and len(assemblies) < max_pool:
         candidates = group[rng.integers(0, len(group), size=(_BATCH, base.n))]
         candidate_columns = _upper_block_columns(scaled, candidates)
-        best = int(np.argmin(candidate_columns.T @ (columns @ x - target)))
+        best = _steepest(candidate_columns.T @ (columns @ x - target))
         assemblies = np.concatenate([assemblies, candidates[best : best + 1]])
         columns = np.column_stack([columns, candidate_columns[:, best]])
         x, rnorm, _ = nnls_active_set(columns, target)
@@ -173,10 +184,12 @@ class TestWarmStart:
             rows, cols = int(rng.integers(6, 12)), int(rng.integers(8, 16))
             A = rng.normal(size=(rows, cols))
             b = rng.normal(size=rows)
-            x, *_ = _lawson_hanson(np.ascontiguousarray(A[:, :2]), b)
+            # one factor carried from solve to solve, as a growth round does
+            qr = _PassiveQR(rows)
+            _lawson_hanson(np.ascontiguousarray(A[:, :2]), b, qr)
             for k in range(3, cols + 1):
                 grown = np.ascontiguousarray(A[:, :k])
-                x, rnorm, _, converged = _lawson_hanson(grown, b, np.append(x, 0.0), cap=rows)
+                x, rnorm, _, converged = _lawson_hanson(grown, b, qr, cap=rows)
                 _, rnorm_cold, _ = nnls_active_set(grown, b)
                 assert converged
                 assert x.min() >= 0.0
@@ -201,9 +214,9 @@ class TestWarmStart:
         base = merge_pools(pair_pi_pool(4), collective_cyclic_pool(4), seed=0)
         warm = []
 
-        def recording(A, b, x=None, cap=None):
-            solved = _lawson_hanson(A, b, x, cap)
-            if x is not None:
+        def recording(A, b, start=None, cap=None):
+            solved = _lawson_hanson(A, b, start, cap)
+            if cap is not None:  # only warm solves carry the budget of m insertions
                 warm.append(solved[3])
             return solved
 
@@ -384,13 +397,19 @@ class TestGreedyGrowth:
         assert result.iterations == 44
         assert len(calls) <= 300
 
-    def test_pinned_run_solves_every_passive_block_from_its_r_factor(self, monkeypatch):
-        solves, fallbacks = [], []
-        lstsq = np.linalg.lstsq
+    def test_pinned_run_solves_every_passive_block_from_its_updated_factor(self, monkeypatch):
+        # one factor is carried through all 44 rounds: 150 solves, none of
+        # them by lstsq and none from a fresh factorization
+        solves, refactors, fallbacks = [], [], []
+        solve, refactor, lstsq = _PassiveQR.solve, _PassiveQR._refactor, np.linalg.lstsq
 
-        def counting_solve(A_P, b):
-            solves.append(A_P.shape)
-            return _passive_solve(A_P, b)
+        def counting_solve(self, A, b, passive):
+            solves.append(int(passive.sum()))
+            return solve(self, A, b, passive)
+
+        def counting_refactor(self, A, b, passive):
+            refactors.append(int(passive.sum()))
+            return refactor(self, A, b, passive)
 
         def counting_lstsq(*args, **kwargs):
             fallbacks.append(args[0].shape)
@@ -399,11 +418,13 @@ class TestGreedyGrowth:
         seed = 434751714
         J = tensor_coupling(complete_weights(4), scalar_type())
         base = merge_pools(pair_pi_pool(4), collective_cyclic_pool(4), seed=seed)
-        monkeypatch.setattr("spinrev.search._passive_solve", counting_solve)
+        monkeypatch.setattr(_PassiveQR, "solve", counting_solve)
+        monkeypatch.setattr(_PassiveQR, "_refactor", counting_refactor)
         monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
         result = greedy_pool_growth(J, base)
         assert result.iterations == 44
         assert 0 < len(solves) <= 150
+        assert refactors == []
         assert fallbacks == []
 
     def test_result_reverifies_at_reported_residual(self):

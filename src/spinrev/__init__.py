@@ -81,7 +81,6 @@ _EXPORTS = {
         "find_inversion_nnls",
         "greedy_pool_growth",
         "merge_pools",
-        "nnls_active_set",
         "octahedral_group",
         "pair_pi_pool",
         "random_octahedral_pool",

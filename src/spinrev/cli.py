@@ -18,8 +18,6 @@ import sys
 # Each handler imports the modules it runs, so a job loads only those and
 # `--help` or a bad flag loads none of them (nor numpy).
 
-_POOL_CHOICES = ("auto", "pair-pi", "collective-cyclic", "octahedral-random")
-
 
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
@@ -146,29 +144,23 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _base_pool(name: str, n: int, seed: int, max_pool: int):
-    from .search import collective_cyclic_pool, merge_pools, pair_pi_pool, random_octahedral_pool
-
-    if name == "pair-pi":
-        return pair_pi_pool(n, seed)
-    if name == "collective-cyclic":
-        return collective_cyclic_pool(n, seed)
-    if name == "octahedral-random":
-        return random_octahedral_pool(n, min(32, max_pool), seed)
-    return merge_pools(pair_pi_pool(n), collective_cyclic_pool(n), seed=seed)
-
-
 def cmd_search(args) -> int:
     from dataclasses import replace
 
-    from .search import greedy_pool_growth, minimize_tau, search_result_to_dict
+    from .search import (
+        collective_cyclic_pool,
+        greedy_pool_growth,
+        merge_pools,
+        minimize_tau,
+        pair_pi_pool,
+        search_result_to_dict,
+    )
 
     if args.seed < 0:
         raise ValueError("--seed must be a non-negative integer")
-    if args.max_pool < 1:
-        raise ValueError("--max-pool must be at least 1")
     coupling = _load_coupling(args.coupling)
-    pool = _base_pool(args.pool, coupling.n, args.seed, args.max_pool)
+    # the base pool: 3n single-spin half turns and the two collective axis cycles
+    pool = merge_pools(pair_pi_pool(coupling.n), collective_cyclic_pool(coupling.n), seed=args.seed)
     if args.max_pool < len(pool.assemblies):
         raise ValueError(f"--max-pool must be at least the base pool size {len(pool.assemblies)}")
     result = greedy_pool_growth(coupling, pool, target_tol=args.tol, max_pool=args.max_pool, seed=args.seed)
@@ -240,7 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
     search_cmd = add("search", cmd_search, "numerical scheme search (class 3 and raw couplings)", out_flag=True)
     search_cmd.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     search_cmd.add_argument("--max-pool", type=int, default=500, help="phase-1 candidate pool budget (default 500)")
-    search_cmd.add_argument("--pool", choices=_POOL_CHOICES, default="auto", help="base pool source")
 
     simulate_cmd = add("simulate", cmd_simulate, "per-cycle averaging error scaling", scheme_flag=True)
     simulate_cmd.add_argument(

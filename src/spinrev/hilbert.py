@@ -437,6 +437,10 @@ def error_scaling(J, scheme: Scheme, epsilons, tol: float = 1e-9) -> ErrorScalin
         raise ValueError("epsilon values must be finite, positive and distinct")
     coupling, scheme, cols = _frame(_gated(J, scheme, tol), scheme)
     lam, cycle = _simulate(coupling, scheme, cols)
+    # the largest phase lam * (t * eps) that a cycle or exp(+iH eps) forms
+    top, longest, eps = float(np.abs(lam).max()), max(float(scheme.times.max()), 1.0), max(eps_list)
+    if not math.isfinite(top * (longest * eps)):
+        raise ValueError(f"epsilon value {eps!r} is too large: a phase lambda * t * eps overflows")
     errors = []
     for eps in eps_list:
         # ||C - exp(+iH eps)|| = ||U^dag C U - E|| with E = exp(+i lam eps)

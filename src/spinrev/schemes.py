@@ -410,10 +410,11 @@ def _read_own_layout(text: str) -> Scheme | None:
     and each distinct rotation text gets a one-byte code; one `json.loads`
     parses the distinct texts and one `np.take` copies them to their
     steps.  Other spacing or key order, a rotation text that is not a
-    3x3 nest of finite numbers, a step of other than "n" rotations, a
-    time that is not finite and positive, or more than 256 distinct
-    rotation texts (a file that repeats few) gives None.  So what this
-    reads, `scheme_from_dict` reads as the same arrays."""
+    3x3 nest of numbers, a step of other than "n" rotations, or more than
+    256 distinct rotation texts (a file that repeats few) gives None.  So
+    what this reads, `scheme_from_dict` reads as the same arrays, and
+    `Scheme._from_arrays` raises its error for the first bad time or
+    rotation in step order, as `scheme_from_dict` does."""
     kinds = {f'{{"kind": "{kind.value}"': kind for kind in SchemeKind}
     start = text.find(', "steps": [{"t": ')
     head, _, n = text[: max(start, 0)].partition(', "n": ')
@@ -444,9 +445,7 @@ def _read_own_layout(text: str) -> Scheme | None:
         distinct, times = np.array(distinct, dtype=float), np.array(times, dtype=float)
     except (TypeError, ValueError, OverflowError):  # not JSON, not numbers or ragged; an integer past float
         return None
-    if distinct.shape != (len(codes), 3, 3) or times.shape != (len(t_texts),) or not np.isfinite(distinct).all():
-        return None
-    if not np.all((times > 0.0) & (times < np.inf)):
+    if distinct.shape != (len(codes), 3, 3) or times.shape != (len(t_texts),):
         return None
     rotations = np.empty((len(times), len(spins), 3, 3))
     # mode="clip" writes straight to `out`; "raise" would buffer a copy

@@ -123,33 +123,16 @@ def merge_pools(*pools: CandidatePool, seed: int = 0) -> CandidatePool:
     return CandidatePool(np.concatenate([pool.assemblies for pool in pools]), seed)
 
 
-def nnls_active_set(A, b):
-    """Lawson-Hanson active-set nonnegative least squares.
+def _lawson_hanson(A, b, start=None, cap=None):
+    """Lawson-Hanson active-set nonnegative least squares, cold from x = 0
+    or warm.
 
     Minimizes ||A x - b||_2 over x >= 0.  The dual feasibility test uses
     a relative tolerance, and ties pick the lowest column index, so the
     solve path is fully deterministic.  Each passive subproblem is solved
     from one QR factor of the passive block, updated as columns enter and
     leave, with a fresh Householder QR for ill-conditioned blocks and
-    `lstsq` for rank-deficient ones (see `_PassiveQR`).  Returns (x,
-    residual_norm, iterations), where iterations counts insertions into
-    the passive set.  A safety cap of 3 * ncols + 10 insertions ends the
-    solve: iterations == 3 * ncols + 10 means the cap ended it, not the
-    dual test, and x is where the cap cut it, not a minimum.  This
-    function says so only through that count; `greedy_pool_growth` reads
-    the cap from `_lawson_hanson`'s `converged` flag and ends phase 1
-    there.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
-        raise ValueError("incompatible least-squares dimensions")
-    x, rnorm, iterations, _ = _lawson_hanson(A, b)
-    return x, rnorm, iterations
-
-
-def _lawson_hanson(A, b, start=None, cap=None):
-    """The `nnls_active_set` loop, cold from x = 0 or warm.
+    `lstsq` for rank-deficient ones (see `_PassiveQR`).
 
     `start` is None (cold, from an empty factor) or a `_PassiveQR` from
     an earlier solve, which this solve starts from and leaves at its own
@@ -159,11 +142,13 @@ def _lawson_hanson(A, b, start=None, cap=None):
     hands one factor from each round's optimum to the next round's
     solve, so the solve usually needs one or two insertions and no
     refactorization.  At most `cap` insertions are made (default
-    3 * ncols + 10).  Returns (x, residual_norm, iterations, converged);
-    converged is False when the cap ended the solve, not the dual test.  The residual A x - b at the optimum is unique, so a warm
-    and a cold solve reach the same residual up to rounding, but not
-    always the same x, and a warm solve from a degenerate vertex can
-    cycle where the cold one does not.
+    3 * ncols + 10).  Returns (x, residual_norm, iterations, converged):
+    iterations counts insertions into the passive set, and converged is
+    False when the cap ended the solve, not the dual test, so x is where
+    the cap cut it, not a minimum.  The residual A x - b at the optimum
+    is unique, so a warm and a cold solve reach the same residual up to
+    rounding, but not always the same x, and a warm solve from a
+    degenerate vertex can cycle where the cold one does not.
     """
     ncols = A.shape[1]
     qr, x = _PassiveQR(len(b)) if start is None else start, np.zeros(ncols)
@@ -304,13 +289,12 @@ class _PassiveQR:
         trial = np.zeros(A.shape[1])
         self.held = False
         if k <= m:
-            Ab = np.column_stack([A_P, b])
-            R = np.linalg.qr(Ab, mode="r")
+            Q, R = np.linalg.qr(np.column_stack([A_P, b]))
             diag = np.abs(np.diagonal(R)[:k])
             self.low, self.high = diag.min(), diag.max()
             self.held = self.low > _FACTOR_CUTOFF * self.high
-            if self.held:  # Q only for a factor that is kept: the same R, formed again
-                self.Qt[:k], self.R[:k, :k], self.qtb[:k] = np.linalg.qr(Ab)[0][:, :k].T, R[:k, :k], R[:k, k]
+            if self.held:
+                self.Qt[:k], self.R[:k, :k], self.qtb[:k] = Q[:, :k].T, R[:k, :k], R[:k, k]
                 self.Rinv[:k, :k] = np.linalg.inv(R[:k, :k])
             if self.low > np.finfo(float).eps * m * self.high:
                 # LU of a triangle pivots nowhere and leaves it as is, so this is
@@ -422,7 +406,7 @@ def find_inversion_nnls(J, pool: CandidatePool, tol: float = 1e-9) -> SearchResu
     fixed pool order.
     """
     coupling, _, norm, columns, target = _problem(J, pool.assemblies)
-    x, rnorm, iterations = nnls_active_set(columns, target)
+    x, rnorm, iterations, _ = _lawson_hanson(columns, target)
     return _finalize(coupling, norm, pool.assemblies, x, rnorm, iterations, tol)
 
 

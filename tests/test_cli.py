@@ -259,12 +259,11 @@ class TestBounds:
 
 
 class TestSearch:
-    @pytest.mark.parametrize("pool", ["auto", "octahedral-random"])
-    def test_heisenberg_pair(self, files, capsys, pool):
+    def test_heisenberg_pair(self, files, capsys):
         tmp, write = files
         path = write("c.json", coupling_doc(2, scalar_type()))
         out_path = str(tmp / "found.json")
-        code = main(["search", "--coupling", path, "--seed", "42", "--out", out_path, "--pool", pool])
+        code = main(["search", "--coupling", path, "--seed", "42", "--out", out_path])
         out, err = capsys.readouterr()
         payload = json.loads(out)
         assert code == 0
@@ -301,15 +300,15 @@ class TestSearch:
         assert peak <= 1.5e6
 
     def test_budget_exhaustion_exits_one(self, files, capsys):
+        # a budget of the base pool's 3n + 2 = 14 assemblies leaves no growth
+        # round, and the base pool alone does not invert the 4-spin coupling
         _, write = files
-        path = write("c.json", coupling_doc(2, scalar_type()))
-        code, out = run(
-            capsys,
-            ["search", "--coupling", path, "--pool", "collective-cyclic", "--max-pool", "3", "--seed", "1"],
-        )
-        payload = json.loads(out)
+        path = write("c.json", coupling_doc(4, scalar_type()))
+        code = main(["search", "--coupling", path, "--max-pool", "14", "--seed", "1"])
+        captured = capsys.readouterr()
         assert code == 1
-        assert payload["found"] is False
+        assert json.loads(captured.out)["found"] is False
+        assert captured.err.startswith("search exhausted its pool budget")
 
     def test_an_nnls_solve_cut_by_its_cap_ends_the_search(self, files, capsys):
         # the type's third eigenvalue sits at the search tolerance; a growth
@@ -352,8 +351,8 @@ class TestSearch:
     @pytest.mark.parametrize(
         "max_pool,message",
         [
-            ("0", "error: --max-pool must be at least 1"),
-            ("-5", "error: --max-pool must be at least 1"),
+            ("0", "error: --max-pool must be at least the base pool size 11"),
+            ("-5", "error: --max-pool must be at least the base pool size 11"),
             ("5", "error: --max-pool must be at least the base pool size 11"),
         ],
         ids=["zero", "negative", "below-base-pool"],
@@ -381,6 +380,18 @@ class TestSimulate:
         assert code == 0
         assert payload["exact"] is False
         assert 1.8 <= payload["slope"] <= 2.2
+
+    def test_an_eps_whose_phase_overflows_exits_two_naming_it(self, files, capsys):
+        # lambda * t * eps is inf at eps = 1e308: refused before any cycle
+        # runs, with no overflow warning (an error under this suite's filter)
+        tmp, write = files
+        path = write("c.json", coupling_doc(3, dipole_type()))
+        run(capsys, ["synthesize", "--coupling", path, "--out", str(tmp / "s.json")])
+        code = main(["simulate", "--coupling", path, "--scheme", str(tmp / "s.json"), "--eps", "1e308,1e307,1e306"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: epsilon value 1e+308 is too large: a phase lambda * t * eps overflows"]
 
     def test_unverified_scheme_exits_one(self, files, capsys):
         tmp, write = files
@@ -784,8 +795,8 @@ class TestSearchPhaseTwo:
 
     def test_no_scheme_is_not_certified(self, files, capsys):
         _, write = files
-        path = write("c.json", coupling_doc(2, scalar_type()))
-        argv = ["search", "--coupling", path, "--pool", "collective-cyclic", "--max-pool", "3", "--seed", "1"]
+        path = write("c.json", coupling_doc(4, scalar_type()))
+        argv = ["search", "--coupling", path, "--max-pool", "14", "--seed", "1"]
         code, out = run(capsys, argv)
         assert code == 1
         assert json.loads(out)["certified"] is False
@@ -953,13 +964,14 @@ class TestOneCheckPerJob:
         assert calls.count("coupling matrix") == 1
 
     @pytest.mark.parametrize(
-        "command, extra, counts",
-        [(command, [], AVERAGES[command]) for command in COMMANDS] + [("search", ["--pool", "pair-pi"], (1,))],
-        ids=COMMANDS + ["search-pair-pi"],
+        "command, pair, counts",
+        [(command, False, AVERAGES[command]) for command in COMMANDS] + [("search", True, (1,))],
+        ids=COMMANDS + ["search-two-spin"],
     )
-    def test_each_scheme_is_averaged_at_most_once(self, mixed, files, capsys, monkeypatch, command, extra, counts):
+    def test_each_scheme_is_averaged_at_most_once(self, mixed, files, capsys, monkeypatch, command, pair, counts):
         # phase 2 takes phase 1's verdict, so only a re-timed scheme is
-        # averaged a second time; at n=2 the pair-pi scheme is already optimal
+        # averaged a second time; at n=2 phase 1's three half turns on one
+        # spin are already optimal
         import spinrev.schemes
 
         real = spinrev.schemes.average_coupling
@@ -971,8 +983,8 @@ class TestOneCheckPerJob:
 
         monkeypatch.setattr(spinrev.schemes, "average_coupling", counting)
         _, write = files
-        coupling = write("pair.json", coupling_doc(2, scalar_type())) if extra else mixed["factored"]
-        code, _ = run(capsys, _job_argv(command, coupling, mixed["scheme"]) + extra)
+        coupling = write("pair.json", coupling_doc(2, scalar_type())) if pair else mixed["factored"]
+        code, _ = run(capsys, _job_argv(command, coupling, mixed["scheme"]))
         assert code == 0
         assert len(schemes) in counts
         assert len(set(schemes)) == len(schemes)

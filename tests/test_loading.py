@@ -45,8 +45,8 @@ PUBLIC = {
     ],
     "search": [
         "CandidatePool", "SearchResult", "collective_cyclic_pool",
-        "find_inversion_nnls", "greedy_pool_growth", "merge_pools", "nnls_active_set",
-        "octahedral_group", "pair_pi_pool", "random_octahedral_pool", "search_result_to_dict",
+        "find_inversion_nnls", "greedy_pool_growth", "merge_pools", "octahedral_group",
+        "pair_pi_pool", "random_octahedral_pool", "search_result_to_dict",
     ],
 }
 PUBLIC_NAMES = sorted(name for names in PUBLIC.values() for name in names)

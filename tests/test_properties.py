@@ -67,7 +67,6 @@ from spinrev.search import (
     _upper_blocks,
     find_inversion_nnls,
     minimize_tau,
-    nnls_active_set,
     octahedral_group,
 )
 
@@ -119,7 +118,7 @@ problems = st.one_of(generic_problems(), search_problems())
 
 
 def _check_solution(A, b):
-    x, rnorm, _ = nnls_active_set(A, b)
+    x, rnorm, _, _ = _lawson_hanson(A, b)
     assert np.isfinite(x).all()
     assert x.min() >= 0.0
     # KKT: the gradient A^T r vanishes on the support and points nowhere
@@ -149,10 +148,11 @@ def test_solution_is_nonnegative_kkt_and_matches_scipy(problem):
 @bounded
 @given(search_problems())
 def test_search_problems_stop_by_the_dual_test(problem):
-    # iterations == 3 * ncols + 10 would mean the safety cap ended the
-    # solve; on the search's own domain the dual test must end it first
+    # on the search's own domain the dual test must end the solve before
+    # the safety cap of 3 * ncols + 10 insertions does
     A, b = problem
-    x, _, iterations = nnls_active_set(A, b)
+    x, _, iterations, converged = _lawson_hanson(A, b)
+    assert converged
     assert iterations < 3 * A.shape[1] + 10
     w = A.T @ (b - A @ x)
     assert w[x == 0.0].max(initial=0.0) <= 1e-12 * float(np.abs(A.T @ b).max())
@@ -170,7 +170,7 @@ def test_warm_starts_on_grown_matrices_reach_the_cold_residual(problem):
     for k in range(2, A.shape[1] + 1):
         grown = np.ascontiguousarray(A[:, :k])
         x, rnorm, _, converged = _lawson_hanson(grown, b, qr)
-        _, rnorm_cold, _ = nnls_active_set(grown, b)
+        _, rnorm_cold, _, _ = _lawson_hanson(grown, b)
         assert converged
         assert x.min() >= 0.0
         assert abs(rnorm - rnorm_cold) <= 1e-12 * float(np.linalg.norm(b))
@@ -577,27 +577,35 @@ def test_odd_cycles_norm_the_even_sector_only_when_it_is_exact(problem):
 @st.composite
 def bound_problems(draw):
     """(W, A, J, tol) at n = 2-4 and tol in [1e-9, 0.95]: complete,
-    random positive or signed-with-zeros weights times a traceless,
-    mixed-sign or semidefinite type turned off its eigenframe, or a raw J
-    with W and A None."""
+    random positive or signed-with-zeros weights, at a scale of 1e-6, 1 or
+    1e6, times a traceless, mixed-sign or semidefinite type turned off its
+    eigenframe, some within 1e-9 of a class boundary, or a raw J with W
+    and A None."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     tol = draw(st.sampled_from([1e-9, 1e-6, 1e-3, 0.01, 0.03, 0.1, 0.3, 0.7, 0.95]))
     weights = draw(st.sampled_from(["complete", "positive", "zeros", "raw"]))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
     # zeros leave at least one of the n(n-1)/2 pairs coupled, so n >= 3
     n = draw(st.integers(3 if weights == "zeros" else 2, 4))
     if weights == "raw":
-        return None, None, random_coupling(rng, n), tol
-    W = complete_weights(n)
+        return None, None, scale * random_coupling(rng, n), tol
+    W = scale * complete_weights(n)
     if weights != "complete":
-        W = np.triu(rng.uniform(0.2, 1.5, size=(n, n)), 1)
+        W = np.triu(scale * rng.uniform(0.2, 1.5, size=(n, n)), 1)
         if weights == "zeros":
             W *= rng.choice([-1.0, 1.0], size=(n, n))
             pairs = np.flatnonzero(W)
             W.flat[rng.choice(pairs, size=rng.integers(1, pairs.size), replace=False)] = 0.0
         W = W + W.T
-    # traceless, mixed-sign, and semidefinite of rank 3, 2 and 1
+    # traceless, mixed-sign, and semidefinite of rank 3, 2 and 1; then the
+    # class-2/3 boundary, a third eigenvalue of +-1e-9 sqrt(2), and the
+    # class-1/2 one, a trace of +-1e-9
+    near = 1e-9 * np.sqrt(2.0)
     lam = draw(
-        st.sampled_from([[1.0, 1.0, -2.0], [2.0, 1.0, -1.0], [1.0, 1.0, 1.0], [1.0, 0.5, 0.0], [-1.0, 0.0, 0.0]])
+        st.sampled_from(
+            [[1.0, 1.0, -2.0], [2.0, 1.0, -1.0], [1.0, 1.0, 1.0], [1.0, 0.5, 0.0], [-1.0, 0.0, 0.0]]
+            + [[1.0, 1.0, near], [1.0, 1.0, -near], [1.0, 1.0, -2.0 + 1e-9], [1.0, 1.0, -2.0 - 1e-9]]
+        )
     )
     Q = random_rotation(rng)
     A = Q @ np.diag(lam) @ Q.T
@@ -625,7 +633,7 @@ def _verified_schemes(W, A, J, tol, seed):
         found += [(start.scheme, tol), (tuned, tol)]
         assemblies = tuned.rotations[rng.permutation(len(tuned.rotations))[:3]]
     for k in range(1, len(assemblies) + 1):
-        x = nnls_active_set(_upper_block_columns(J, assemblies[:k]), -_upper_blocks(J))[0]
+        x = _lawson_hanson(_upper_block_columns(J, assemblies[:k]), -_upper_blocks(J))[0]
         if np.any(x > 0.0):
             planted = Scheme._from_arrays(SchemeKind.INVERSION, x[x > 0.0], assemblies[:k][x > 0.0])
             residual = verify(planted, J, 0.95).residual

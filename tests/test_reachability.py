@@ -8,6 +8,10 @@ attribute; importing a name is no use of it.  Module-level statements
 run on import, so the names they use are reached, and so are a module's
 dunder hooks (`__getattr__`, `__dir__`), which the interpreter calls.
 
+Every public name of `spinrev.__all__` is surface that some user needs:
+a CLI job reaches it, or the gate, the replay or the paper's list names
+it.
+
 Run as a script, it prints the definitions kept although `cli.main` and
 `cli.run` never reach them, each with the roots that keep it.
 """
@@ -102,6 +106,16 @@ def test_every_definition_is_reachable_from_a_root():
     every_root = set().union(*roots().values())
     unreached = sorted(set(definitions) - reached(every_root, definitions, on_import))
     assert not unreached, f"no job, gate line, replay import or paper construction reaches {unreached}"
+
+
+def test_every_public_name_is_reached_by_a_job_or_named_by_a_root():
+    import spinrev  # here, so that the script runs without spinrev on the path
+
+    definitions, on_import = top_level()
+    named = roots()
+    cli = {name for _, name in reached(named.pop("cli"), definitions, on_import)}
+    unused = sorted(set(spinrev.__all__) - cli - set().union(*named.values()))
+    assert not unused, f"no job reaches, and no gate line, replay import or paper construction names, {unused}"
 
 
 if __name__ == "__main__":

@@ -222,13 +222,15 @@ class TestStackedValidation:
         assert str(err.value) == message == _loop_verdict(steps)
 
     @pytest.mark.parametrize("structural", ["time", "shape", "spins"])
-    @pytest.mark.parametrize("rotation", ["skew", "reflection"])
+    @pytest.mark.parametrize("rotation", ["skew", "reflection", "nan"])
     @pytest.mark.parametrize("first,second", [(3, 9), (9, 3), (2, "per"), ("per", 2), ("per-1", "per"), ("per", "per-1"), (0, "last"), ("last", 0)])
     def test_a_bad_rotation_and_a_structural_defect(self, tmp_path, capsys, structural, rotation, first, second):
         # the rotation defect goes at step `first`, the structural one at
         # `second`; whichever comes first in step order is reported, by
         # `Scheme` and, for the same steps in a scheme file in the writer's
-        # layout or pretty-printed, by `scheme_from_dict` and `spinrev verify`
+        # layout or pretty-printed, by `scheme_from_dict` and `spinrev verify`;
+        # a NaN rotation and a zero time in the writer's layout are refused
+        # by `Scheme._from_arrays` itself
         per = self._boundary()
         place = {"per": per, "per-1": per - 1, "last": self.length - 1}
         i, j = place.get(first, first), place.get(second, second)
@@ -239,9 +241,9 @@ class TestStackedValidation:
         assert expected is not None
         assert _scheme_verdict(steps) == expected
         if i < j:
-            assert expected == {"skew": NOT_ORTHOGONAL, "reflection": REFLECTION}[rotation]
+            assert expected == {"skew": NOT_ORTHOGONAL, "reflection": REFLECTION, "nan": NOT_ORTHOGONAL}[rotation]
         else:
-            assert expected != {"skew": NOT_ORTHOGONAL, "reflection": REFLECTION}[rotation]
+            assert expected != {"skew": NOT_ORTHOGONAL, "reflection": REFLECTION, "nan": NOT_ORTHOGONAL}[rotation]
             if structural != "time":  # a file's reader names the shape it read
                 shape = steps[j].rotations.shape
                 expected = f"step must list one 3x3 rotation per spin (expected shape {(self.n, 3, 3)}, got {shape})"
@@ -893,12 +895,9 @@ NEAR_LAYOUT_TEXTS = {
     "trailing-newline": lambda text: text + "\n",
     "key-order": _reordered,
     "spaced-separator": lambda text: text.replace("]], [[", "]],  [[", 1),
-    "nan-entry": lambda text: _set_first(text, _FIRST_ENTRY, "NaN"),
-    "infinite-entry": lambda text: _set_first(text, _FIRST_ENTRY, "-Infinity"),
     "true-entry": lambda text: _set_first(text, _FIRST_ENTRY, "true"),
     "string-entry": lambda text: _set_first(text, _FIRST_ENTRY, '"0.0"'),
     "huge-integer-entry": lambda text: _set_first(text, _FIRST_ENTRY, str(10**400)),
-    "overflowing-entry": lambda text: _set_first(text, _FIRST_ENTRY, "1e400"),
     "ragged-rows": lambda text: text.replace("], [", ", ", 1),
     "nested-entry": lambda text: _set_first(text, _FIRST_ENTRY, "[0.0]"),
     # rows of length 3 whose items are strings: the keys, the characters
@@ -907,12 +906,7 @@ NEAR_LAYOUT_TEXTS = {
     "extra-rotation": lambda text: text.replace("]]]}", "]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}", 1),
     # n pieces when split on "]], [[", n + 1 rotations to JSON
     "unspaced-extra-rotation": lambda text: text.replace("]]]}", "]],[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}", 1),
-    "nan-time": lambda text: _set_first(text, _FIRST_T, "NaN"),
-    "infinite-time": lambda text: _set_first(text, _FIRST_T, "Infinity"),
-    "overflowing-time": lambda text: _set_first(text, _FIRST_T, "1e400"),
     "huge-integer-time": lambda text: _set_first(text, _FIRST_T, str(10**400)),
-    "negative-time": lambda text: _set_first(text, _FIRST_T, "-0.5"),
-    "zero-time": lambda text: _set_first(text, _FIRST_T, "0"),
     "true-time": lambda text: _set_first(text, _FIRST_T, "true"),
     "list-time": lambda text: _set_first(text, _FIRST_T, "[0.5]"),
     "zero-spins": lambda text: text.replace('"n": 3', '"n": 0', 1),
@@ -920,6 +914,20 @@ NEAR_LAYOUT_TEXTS = {
     "huge-spins": lambda text: text.replace('"n": 3', '"n": ' + "3" * 5000, 1),
     "other-kind": lambda text: text.replace('"inversion"', '"Inversion"', 1),
     "empty-steps": lambda text: text.partition(_FIRST_T)[0] + "]}",
+}
+
+# writer's text -> the same layout with a time or a rotation entry that no
+# scheme takes: the own-layout reader parses it, and `Scheme._from_arrays`
+# refuses it as the general reader does
+BAD_VALUE_TEXTS = {
+    "nan-entry": lambda text: _set_first(text, _FIRST_ENTRY, "NaN"),
+    "infinite-entry": lambda text: _set_first(text, _FIRST_ENTRY, "-Infinity"),
+    "overflowing-entry": lambda text: _set_first(text, _FIRST_ENTRY, "1e400"),
+    "nan-time": lambda text: _set_first(text, _FIRST_T, "NaN"),
+    "infinite-time": lambda text: _set_first(text, _FIRST_T, "Infinity"),
+    "overflowing-time": lambda text: _set_first(text, _FIRST_T, "1e400"),
+    "negative-time": lambda text: _set_first(text, _FIRST_T, "-0.5"),
+    "zero-time": lambda text: _set_first(text, _FIRST_T, "0"),
 }
 
 
@@ -973,6 +981,20 @@ class TestOwnLayoutReader:
             loaded = cli._load_scheme(str(scheme))
             assert loaded.times.tobytes() == general.times.tobytes()
             assert loaded.rotations.tobytes() == general.rotations.tobytes()
+
+    @pytest.mark.parametrize("variant", sorted(BAD_VALUE_TEXTS))
+    def test_bad_values_are_refused_as_the_general_reader_refuses_them(self, tmp_path, capsys, variant):
+        text = BAD_VALUE_TEXTS[variant]("".join(schemes._scheme_json_chunks(_own_layout_scheme("class-2"))))
+        with pytest.raises(ValueError) as general:
+            scheme_from_dict(json.loads(text))
+        with pytest.raises(ValueError) as own:
+            schemes._read_own_layout(text)
+        assert str(own.value) == str(general.value)
+        coupling, scheme = tmp_path / "c.json", tmp_path / "s.json"
+        coupling.write_text(json.dumps({"n": 3, "W": complete_weights(3).tolist(), "A": np.diag([2, 1, -1]).tolist()}))
+        scheme.write_text(text)
+        code = cli.main(["verify", "--coupling", str(coupling), "--scheme", str(scheme)])
+        assert (code, *capsys.readouterr()) == (2, "", f"error: {general.value}\n")
 
     def test_a_ragged_rotation_is_refused_not_read_flat(self):
         # rows of 4, 2 and 3 numbers: nine per rotation, but not a 3x3

@@ -14,7 +14,6 @@ from spinrev import (
     find_inversion_nnls,
     greedy_pool_growth,
     merge_pools,
-    nnls_active_set,
     octahedral_group,
     pair_pi_pool,
     pi_rotation,
@@ -67,13 +66,13 @@ class TestOctahedralGroup:
 class TestNnls:
     def test_known_small_problem(self):
         A = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        x, rnorm, _ = nnls_active_set(A, np.array([2.0, 1.0, 1.0]))
+        x, rnorm, _, _ = _lawson_hanson(A, np.array([2.0, 1.0, 1.0]))
         assert np.abs(x - [1.5, 1.0]).max() <= 1e-12
         assert abs(rnorm - np.sqrt(0.5)) <= 1e-12
 
     def test_all_negative_target_clamps_to_zero(self):
         A = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        x, rnorm, _ = nnls_active_set(A, np.array([-1.0, -1.0, -1.0]))
+        x, rnorm, _, _ = _lawson_hanson(A, np.array([-1.0, -1.0, -1.0]))
         assert np.array_equal(x, [0.0, 0.0])
         assert abs(rnorm - np.sqrt(3.0)) <= 1e-12
 
@@ -82,7 +81,7 @@ class TestNnls:
         for _ in range(10):
             A = rng.normal(size=(8, 4))
             x_true = rng.uniform(0.5, 2.0, size=4)
-            x, rnorm, _ = nnls_active_set(A, A @ x_true)
+            x, rnorm, _, _ = _lawson_hanson(A, A @ x_true)
             assert np.abs(x - x_true).max() <= 1e-10
             assert rnorm <= 1e-10
 
@@ -91,7 +90,7 @@ class TestNnls:
         for _ in range(20):
             A = rng.normal(size=(10, 6))
             b = rng.normal(size=10)
-            x, rnorm, _ = nnls_active_set(A, b)
+            x, rnorm, _, _ = _lawson_hanson(A, b)
             x_ref, rnorm_ref = scipy.optimize.nnls(A, b)
             assert x.min() >= 0.0
             assert abs(rnorm - rnorm_ref) <= 1e-8 * max(rnorm_ref, 1.0)
@@ -99,7 +98,7 @@ class TestNnls:
     def test_duplicate_columns_keep_the_lowest_index(self):
         col = np.array([1.0, 2.0, 3.0])
         A = np.column_stack([col, col, col])
-        x, rnorm, _ = nnls_active_set(A, 2.0 * col)
+        x, rnorm, _, _ = _lawson_hanson(A, 2.0 * col)
         assert np.abs(x - [2.0, 0.0, 0.0]).max() <= 1e-12
         assert rnorm <= 1e-12
 
@@ -124,7 +123,7 @@ class TestNnls:
         rng = np.random.default_rng(seed)
         A = rng.normal(size=(25, 52)) * 10.0 ** rng.integers(-6, 7, size=52)
         b = rng.normal(size=25) * 10.0 ** rng.integers(-6, 7)
-        x, rnorm, _ = nnls_active_set(A, b)
+        x, rnorm, _, _ = _lawson_hanson(A, b)
         assert np.isfinite(x).all()
         assert x.min() >= 0.0
         assert rnorm <= lstsq_rnorm * (1.0 + 1e-9)
@@ -132,12 +131,13 @@ class TestNnls:
     @pytest.mark.parametrize("seed", [1867, 1983])
     def test_safety_cap_ends_the_rank_guard_solves(self, seed):
         # the same inputs never pass the dual test: the insertion cap
-        # 3 * ncols + 10 ends both solves, and the count says so
+        # 3 * ncols + 10 ends both solves, and the solve says so
         rng = np.random.default_rng(seed)
         A = rng.normal(size=(25, 52)) * 10.0 ** rng.integers(-6, 7, size=52)
         b = rng.normal(size=25) * 10.0 ** rng.integers(-6, 7)
-        _, _, iterations = nnls_active_set(A, b)
+        _, _, iterations, converged = _lawson_hanson(A, b)
         assert iterations == 3 * 52 + 10
+        assert not converged
 
 
 def test_tied_candidates_keep_the_lowest_index_whatever_the_last_bits():
@@ -152,13 +152,13 @@ def test_tied_candidates_keep_the_lowest_index_whatever_the_last_bits():
 
 
 def _cold_reference(J, base, target_tol=1e-9, max_pool=500):
-    """`greedy_pool_growth` with every round solved cold by `nnls_active_set`,
+    """`greedy_pool_growth` with every round solved cold by `_lawson_hanson`,
     and the same tie rule for the pick."""
     coupling, scaled, norm, columns, target = _problem(J, base.assemblies)
     rng = np.random.default_rng(base.seed)
     group = octahedral_group()
     assemblies = base.assemblies
-    x, rnorm, _ = nnls_active_set(columns, target)
+    x, rnorm, _, _ = _lawson_hanson(columns, target)
     rounds = 0
     while rnorm * np.sqrt(2.0) / norm > target_tol and len(assemblies) < max_pool:
         candidates = group[rng.integers(0, len(group), size=(_BATCH, base.n))]
@@ -166,7 +166,7 @@ def _cold_reference(J, base, target_tol=1e-9, max_pool=500):
         best = _steepest(candidate_columns.T @ (columns @ x - target))
         assemblies = np.concatenate([assemblies, candidates[best : best + 1]])
         columns = np.column_stack([columns, candidate_columns[:, best]])
-        x, rnorm, _ = nnls_active_set(columns, target)
+        x, rnorm, _, _ = _lawson_hanson(columns, target)
         rounds += 1
     return _finalize(coupling, norm, assemblies, x, rnorm, rounds, target_tol)
 
@@ -190,7 +190,7 @@ class TestWarmStart:
             for k in range(3, cols + 1):
                 grown = np.ascontiguousarray(A[:, :k])
                 x, rnorm, _, converged = _lawson_hanson(grown, b, qr, cap=rows)
-                _, rnorm_cold, _ = nnls_active_set(grown, b)
+                _, rnorm_cold, _, _ = _lawson_hanson(grown, b)
                 assert converged
                 assert x.min() >= 0.0
                 assert abs(rnorm - rnorm_cold) <= 1e-12 * np.linalg.norm(b)

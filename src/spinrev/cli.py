@@ -145,45 +145,16 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_search(args) -> int:
-    from dataclasses import replace
-
-    from .search import (
-        collective_cyclic_pool,
-        greedy_pool_growth,
-        merge_pools,
-        minimize_tau,
-        pair_pi_pool,
-        search_result_to_dict,
-    )
+    from .search import _search_job, search_result_to_dict
 
     if args.seed < 0:
         raise ValueError("--seed must be a non-negative integer")
-    coupling = _load_coupling(args.coupling)
-    # the base pool: 3n single-spin half turns and the two collective axis cycles
-    pool = merge_pools(pair_pi_pool(coupling.n), collective_cyclic_pool(coupling.n), seed=args.seed)
-    if args.max_pool < len(pool.assemblies):
-        raise ValueError(f"--max-pool must be at least the base pool size {len(pool.assemblies)}")
-    result = greedy_pool_growth(coupling, pool, target_tol=args.tol, max_pool=args.max_pool, seed=args.seed)
-    if result.scheme is not None:
-        # `iterations` stays the count of growth rounds
-        tuned = minimize_tau(coupling, result, args.tol, seed=args.seed)
-        result = replace(tuned, iterations=result.iterations)
+    result, cause = _search_job(_load_coupling(args.coupling), args.tol, args.seed)
     if args.out and result.scheme is not None:
         _write_scheme(args.out, result.scheme)
     _emit(search_result_to_dict(result, seed=args.seed))
-    if result.scheme is None:
-        # phase 1 adds one assembly per growth round, and stops short of the
-        # budget only when an NNLS solve hits its insertion cap or the scheme
-        # it reached fails verification
-        size = len(pool.assemblies) + result.iterations
-        if size < args.max_pool:
-            cause = (
-                f"search stopped with {size} of {args.max_pool} pool assemblies: an NNLS solve "
-                "hit its insertion cap or the scheme it reached failed verification"
-            )
-        else:
-            cause = "search exhausted its pool budget"
-        _diag(f"{cause} (best residual {result.residual:.3g} > tol {args.tol:g})")
+    if cause is not None:
+        _diag(cause)
         return 1
     return 0
 
@@ -231,7 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     search_cmd = add("search", cmd_search, "numerical scheme search (class 3 and raw couplings)", out_flag=True)
     search_cmd.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    search_cmd.add_argument("--max-pool", type=int, default=500, help="phase-1 candidate pool budget (default 500)")
 
     simulate_cmd = add("simulate", cmd_simulate, "per-cycle averaging error scaling", scheme_flag=True)
     simulate_cmd.add_argument(

@@ -38,6 +38,7 @@ _DUAL_TOL = 1e-12  # relative tolerance of the NNLS dual feasibility test
 _BATCH = 64  # random assemblies drawn per growth round
 _FACTOR_CUTOFF = np.sqrt(np.finfo(float).eps)  # see `_PassiveQR`
 _TIE_TOL = 1e-12  # candidate scores within this of the best, times max|score|, tie
+_POOL_PER_ROW = 2  # phase 1's pool budget per row of the LP (see `_pool_budget`)
 # phase 2 (`minimize_tau`)
 _PIVOTS_PER_ROW = 20  # simplex pivot budget per row of the LP
 _PRICE_TOP = 32  # improving assemblies that join the pool per pricing round
@@ -414,7 +415,7 @@ def greedy_pool_growth(
     J,
     base_pool: CandidatePool,
     target_tol: float = 1e-9,
-    max_pool: int = 500,
+    max_pool: int | None = None,
     seed: int | None = None,
 ) -> SearchResult:
     """Column generation over random octahedral assemblies.
@@ -426,7 +427,8 @@ def greedy_pool_growth(
     not go by the last bits of the times.  Each pool is a superset of
     the previous one, so the objective cannot increase (asserted per
     round); runs are reproducible for a fixed seed (the base pool's seed
-    when none is given).  `iterations` counts growth rounds.
+    when none is given).  `iterations` counts growth rounds; the pool
+    grows to at most `max_pool` assemblies, by default `_pool_budget`.
 
     Each round's re-solve starts warm from the previous round's times,
     with a zero for the new column, and from the QR factor of their
@@ -444,6 +446,7 @@ def greedy_pool_growth(
     `iterations` rounds and a pool below `max_pool`.
     """
     coupling, scaled, norm, columns, target = _problem(J, base_pool.assemblies)
+    max_pool = _pool_budget(base_pool.n) if max_pool is None else max_pool
     if max_pool < len(base_pool.assemblies):
         raise ValueError("max_pool is smaller than the base pool")
     rng = np.random.default_rng(base_pool.seed if seed is None else seed)
@@ -474,6 +477,11 @@ def greedy_pool_growth(
     grown_assemblies = group[np.array(picked, dtype=np.intp).reshape(-1, base_pool.n)]
     assemblies = np.concatenate([base_pool.assemblies, grown_assemblies])
     return _finalize(coupling, norm, assemblies, x, rnorm, len(picked), target_tol)
+
+
+def _pool_budget(n: int) -> int:
+    """`_POOL_PER_ROW` assemblies for each of the 9 n(n-1)/2 LP rows; always above the base pool's 3n + 2."""
+    return _POOL_PER_ROW * 9 * n * (n - 1) // 2
 
 
 def _steepest(scores):
@@ -519,8 +527,8 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
     exact arithmetic) leaves only the checkpoint.  A checkpoint is
     certified only by reaching the bound.  Only that one point is
     verified, and the result is the start unless it verifies at `tol`
-    with a smaller tau.  `iterations` counts pivots.  Deterministic for a
-    fixed seed.
+    with a tau lower by more than that same margin.  `iterations` counts
+    pivots.  Deterministic for a fixed seed.
     """
     scheme = start.scheme if isinstance(start, SearchResult) else start
     if scheme is None or scheme.kind is not SchemeKind.INVERSION:
@@ -561,106 +569,127 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
     def fits(lp_point):
         return lp_point[3] * np.sqrt(2.0) / norm <= tol
 
+    def lower(tau, than):  # by more than rounding
+        return tau < than - _PRICE_TOL * max(than, 1.0)
+
     def settle(final, certified):
         # the final point unless it misses tol or the best checkpoint is lower
         # by more than rounding; only the point handed over is verified
         if final is not None and not fits(final):
             final, certified = None, False
-        if best is not None and (final is None or best[0] < final[0] - _PRICE_TOL * max(final[0], 1.0)):
+        if best is not None and (final is None or lower(best[0], final[0])):
             final, certified = best, best[0] <= reached
         if final is not None:
             _, times, rots, rnorm = final
             result = _finalize(coupling, norm, rots, times, rnorm, pivots, tol)
-            if result.scheme is not None and result.tau < start.tau:
+            if result.scheme is not None and lower(result.tau, start.tau):
                 return replace(result, certified=certified)
             certified = certified and result.scheme is not None
         return replace(start, iterations=pivots, certified=certified)
 
-    while True:
-        # artificial columns cost 0, the start's and entered columns 1
-        cost = np.where(artificial, 0.0, 1.0)
-        y = cost @ inverse
-        certified = float(cost @ x) <= reached
-        if certified or pivots >= budget:
-            break
-        found = price(y)
-        if not len(found):
-            certified = exact
-            break
-        new = _upper_block_columns(scaled, group[found])
-        pool = np.column_stack([pool, new])
-        pool_rots = np.concatenate([pool_rots, group[found]])
-        weights = np.concatenate([weights, 1.0 + np.sum((inverse @ new) ** 2, axis=0)])
-        reduced = 1.0 - y @ pool
-        before = pivots
-        while pivots < budget and pool.shape[1]:
-            score = np.where(reduced < -_PRICE_TOL, reduced / np.sqrt(weights), 0.0)
-            q = int(np.argmin(score))
-            if score[q] == 0.0:
-                break
-            alpha = inverse @ pool[:, q]
-            touched = np.flatnonzero(artificial & (np.abs(alpha) > _PIVOT_TOL))
-            if len(touched):
-                r = int(touched[np.argmax(np.abs(alpha[touched]))])
-                theta = 0.0
-            else:
-                up = alpha > _PIVOT_TOL
-                ratios = np.divide(x, alpha, out=np.full(rows, np.inf), where=up)
-                theta = float(ratios.min())
-                if theta == np.inf:
-                    # no entry of alpha passed the tolerance, so 1 - cost @ alpha > 0
-                    # and the negative reduced cost is rounding from a singular basis
-                    return settle(None, False)
-                # of the tied rows (degenerate ones tie at 0) the largest pivot
-                r = int(np.argmax(np.where(ratios == theta, alpha, 0.0)))
-            alpha_r = alpha[r]
-            # the pivot row alpha_r. / alpha_r updates the reduced costs, and with
-            # a_j^T B^-T alpha the steepest-edge weights ||B^-1 a_j||^2 + 1
-            pivot_row, cross = np.stack((inverse[r] / alpha_r, alpha @ inverse)) @ pool
-            entering_weight = 1.0 + float(alpha @ alpha)
-            weights = np.maximum(
-                weights - pivot_row * (2.0 * cross - pivot_row * entering_weight), 1.0 + pivot_row**2
-            )
-            leaving_cost = -reduced[q] / alpha_r
-            reduced -= reduced[q] * pivot_row
-            x -= theta * alpha
-            np.maximum(x, 0.0, out=x)  # rounding leaves -1e-17 where ratios tie
-            x[r] = theta
-            inverse[r] /= alpha_r
-            alpha[r] = 0.0
-            inverse -= alpha[:, None] * inverse[r]
-            entering, entering_rots = pool[:, q].copy(), pool_rots[q].copy()
-            if artificial[r]:
-                pool = np.delete(pool, q, axis=1)
-                pool_rots = np.delete(pool_rots, q, axis=0)
-                weights = np.delete(weights, q)
-                reduced = np.delete(reduced, q)
-            else:
-                pool[:, q], pool_rots[q] = basis[:, r], basis_rots[r]
-                weights[q] = max(entering_weight / alpha_r**2, 1.0)
-                reduced[q] = leaving_cost
-            basis[:, r], basis_rots[r] = entering, entering_rots
-            artificial[r] = False
-            pivots += 1
-            if pivots % _REFACTOR == 0:
-                try:
-                    inverse = np.linalg.inv(basis)
-                except np.linalg.LinAlgError:  # the basis turned singular to rounding
-                    return settle(None, False)
-                x = np.maximum(inverse @ target, 0.0)
-                reduced = 1.0 - (np.where(artificial, 0.0, 1.0) @ inverse) @ pool
-                checkpoint = point(x)
-                if fits(checkpoint) and checkpoint[0] < (start.tau if best is None else best[0]):
-                    best = checkpoint
-        # priced columns that did not enter sat within rounding of the
-        # threshold, and pricing the same y again would find them again
-        if pivots == before:
-            break
     try:
+        while True:
+            # artificial columns cost 0, the start's and entered columns 1
+            cost = np.where(artificial, 0.0, 1.0)
+            y = cost @ inverse
+            certified = float(cost @ x) <= reached
+            if certified or pivots >= budget:
+                break
+            found = price(y)
+            if not len(found):
+                certified = exact
+                break
+            new = _upper_block_columns(scaled, group[found])
+            pool = np.column_stack([pool, new])
+            pool_rots = np.concatenate([pool_rots, group[found]])
+            weights = np.concatenate([weights, 1.0 + np.sum((inverse @ new) ** 2, axis=0)])
+            reduced = 1.0 - y @ pool
+            before = pivots
+            while pivots < budget and pool.shape[1]:
+                score = np.where(reduced < -_PRICE_TOL, reduced / np.sqrt(weights), 0.0)
+                q = int(np.argmin(score))
+                if score[q] == 0.0:
+                    break
+                alpha = inverse @ pool[:, q]
+                touched = np.flatnonzero(artificial & (np.abs(alpha) > _PIVOT_TOL))
+                if len(touched):
+                    r = int(touched[np.argmax(np.abs(alpha[touched]))])
+                    theta = 0.0
+                else:
+                    up = alpha > _PIVOT_TOL
+                    ratios = np.divide(x, alpha, out=np.full(rows, np.inf), where=up)
+                    theta = float(ratios.min())
+                    if theta == np.inf:
+                        # no entry of alpha passed the tolerance, so 1 - cost @ alpha > 0
+                        # and the negative reduced cost is rounding from a singular basis
+                        raise np.linalg.LinAlgError("an improving column that no row bounds")
+                    # of the tied rows (degenerate ones tie at 0) the largest pivot
+                    r = int(np.argmax(np.where(ratios == theta, alpha, 0.0)))
+                alpha_r = alpha[r]
+                # the pivot row alpha_r. / alpha_r updates the reduced costs, and with
+                # a_j^T B^-T alpha the steepest-edge weights ||B^-1 a_j||^2 + 1
+                pivot_row, cross = np.stack((inverse[r] / alpha_r, alpha @ inverse)) @ pool
+                entering_weight = 1.0 + float(alpha @ alpha)
+                weights = np.maximum(
+                    weights - pivot_row * (2.0 * cross - pivot_row * entering_weight), 1.0 + pivot_row**2
+                )
+                leaving_cost = -reduced[q] / alpha_r
+                reduced -= reduced[q] * pivot_row
+                x -= theta * alpha
+                np.maximum(x, 0.0, out=x)  # rounding leaves -1e-17 where ratios tie
+                x[r] = theta
+                inverse[r] /= alpha_r
+                alpha[r] = 0.0
+                inverse -= alpha[:, None] * inverse[r]
+                entering, entering_rots = pool[:, q].copy(), pool_rots[q].copy()
+                if artificial[r]:
+                    pool = np.delete(pool, q, axis=1)
+                    pool_rots = np.delete(pool_rots, q, axis=0)
+                    weights = np.delete(weights, q)
+                    reduced = np.delete(reduced, q)
+                else:
+                    pool[:, q], pool_rots[q] = basis[:, r], basis_rots[r]
+                    weights[q] = max(entering_weight / alpha_r**2, 1.0)
+                    reduced[q] = leaving_cost
+                basis[:, r], basis_rots[r] = entering, entering_rots
+                artificial[r] = False
+                pivots += 1
+                if pivots % _REFACTOR == 0:
+                    inverse = np.linalg.inv(basis)
+                    x = np.maximum(inverse @ target, 0.0)
+                    reduced = 1.0 - (np.where(artificial, 0.0, 1.0) @ inverse) @ pool
+                    checkpoint = point(x)
+                    if fits(checkpoint) and checkpoint[0] < (start.tau if best is None else best[0]):
+                        best = checkpoint
+            # priced columns that did not enter sat within rounding of the
+            # threshold, and pricing the same y again would find them again
+            if pivots == before:
+                break
         final = point(np.linalg.solve(basis, target)) if pivots else None
-    except np.linalg.LinAlgError:
-        final, certified = None, False
+    except np.linalg.LinAlgError:  # rounding left the basis singular: only the checkpoint is left
+        return settle(None, False)
     return settle(final, certified)
+
+
+def _search_job(coupling, tol: float, seed: int) -> tuple[SearchResult, str | None]:
+    """The `search` job on a checked coupling: phase 1 from the base pool of
+    3n single-spin half turns and two collective axis cycles, within
+    `_pool_budget`, then phase 2 on a found scheme, keeping phase 1's growth
+    rounds as `iterations`.  Returns (result, None), or (result, why not)."""
+    pool = merge_pools(pair_pi_pool(coupling.n), collective_cyclic_pool(coupling.n), seed=seed)
+    budget = _pool_budget(coupling.n)
+    result = greedy_pool_growth(coupling, pool, target_tol=tol, max_pool=budget, seed=seed)
+    if result.scheme is not None:
+        return replace(minimize_tau(coupling, result, tol, seed=seed), iterations=result.iterations), None
+    # one assembly joins per growth round, so this is phase 1's last pool
+    size = len(pool.assemblies) + result.iterations
+    cause = "search exhausted its pool budget"
+    if size < budget:
+        cause = (
+            f"search stopped with {size} of {budget} pool assemblies: an NNLS solve "
+            "hit its insertion cap or the scheme it reached failed verification"
+        )
+    return result, f"{cause} (best residual {result.residual:.3g} > tol {tol:g})"
 
 
 def _pricer(J, seed: int):

@@ -104,6 +104,8 @@ class TestStepsLowerBoundCase2:
     def test_rejects_bad_partition(self):
         with pytest.raises(ValueError, match="p"):
             steps_lower_bound_case2(4, 1)
+        with pytest.raises(ValueError, match="^need at least 2 spins$"):
+            steps_lower_bound_case2(1, 2)
 
 
 class TestBoundsReport:

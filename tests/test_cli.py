@@ -299,12 +299,13 @@ class TestSearch:
         assert json.loads(capsys.readouterr().out)["found"] is True
         assert peak <= 1.5e6
 
-    def test_budget_exhaustion_exits_one(self, files, capsys):
+    def test_budget_exhaustion_exits_one(self, files, capsys, monkeypatch):
         # a budget of the base pool's 3n + 2 = 14 assemblies leaves no growth
         # round, and the base pool alone does not invert the 4-spin coupling
         _, write = files
         path = write("c.json", coupling_doc(4, scalar_type()))
-        code = main(["search", "--coupling", path, "--max-pool", "14", "--seed", "1"])
+        monkeypatch.setattr("spinrev.search._pool_budget", lambda n: 3 * n + 2)
+        code = main(["search", "--coupling", path, "--seed", "1"])
         captured = capsys.readouterr()
         assert code == 1
         assert json.loads(captured.out)["found"] is False
@@ -348,23 +349,14 @@ class TestSearch:
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: --seed must be a non-negative integer"]
 
-    @pytest.mark.parametrize(
-        "max_pool,message",
-        [
-            ("0", "error: --max-pool must be at least the base pool size 11"),
-            ("-5", "error: --max-pool must be at least the base pool size 11"),
-            ("5", "error: --max-pool must be at least the base pool size 11"),
-        ],
-        ids=["zero", "negative", "below-base-pool"],
-    )
-    def test_max_pool_below_the_base_pool_exits_two_naming_the_flag(self, files, capsys, max_pool, message):
+    def test_the_pool_budget_is_no_option(self, files, capsys):
+        # phase 1's budget is two assemblies per LP row, not a flag
         _, write = files
         path = write("c.json", coupling_doc(3, scalar_type()))
-        code = main(["search", "--coupling", path, "--max-pool", max_pool])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.splitlines() == [message]
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--coupling", path, "--max-pool", "500"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-pool 500" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -793,10 +785,11 @@ class TestSearchPhaseTwo:
         assert payload["certified"] is False
         assert 5.0 < payload["meta"]["tau"] < 6.0
 
-    def test_no_scheme_is_not_certified(self, files, capsys):
+    def test_no_scheme_is_not_certified(self, files, capsys, monkeypatch):
         _, write = files
         path = write("c.json", coupling_doc(4, scalar_type()))
-        argv = ["search", "--coupling", path, "--max-pool", "14", "--seed", "1"]
+        monkeypatch.setattr("spinrev.search._pool_budget", lambda n: 3 * n + 2)
+        argv = ["search", "--coupling", path, "--seed", "1"]
         code, out = run(capsys, argv)
         assert code == 1
         assert json.loads(out)["certified"] is False

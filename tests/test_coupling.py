@@ -1,5 +1,7 @@
 """Coupling matrices, the W (x) A factorization, and classification."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -350,6 +352,25 @@ def test_validators_reject_non_finite_entries(check, M, positions, value):
     # symmetric placement: NaN and inf - inf slip through a symmetry check
     with pytest.raises(ValueError, match="non-finite"):
         check(_with_entries(M, value, *positions))
+
+
+@pytest.mark.parametrize(
+    "check,M,message",
+    [
+        (check_type_matrix, np.eye(2), "type matrix must be 3x3, got shape (2, 2)"),
+        (check_weight_matrix, np.zeros((2, 3)), "weight matrix must be square, got shape (2, 3)"),
+        (check_weight_matrix, np.zeros((1, 1)), "weight matrix needs at least 2 spins"),
+        (check_coupling_matrix, np.zeros((6, 3)), "coupling matrix must be square, got shape (6, 3)"),
+        (check_coupling_matrix, np.zeros((3, 3)), "coupling matrix must be 3n x 3n with n >= 2"),
+        (check_coupling_matrix, np.zeros((7, 7)), "coupling matrix must be 3n x 3n with n >= 2"),
+        (sym_eig, np.zeros((2, 3)), "expected a square matrix, got shape (2, 3)"),
+    ],
+    ids=["type-2x2", "weights-2x3", "weights-1x1", "coupling-6x3", "coupling-3x3", "coupling-7x7", "sym-eig-2x3"],
+)
+def test_validators_reject_shapes_that_are_no_such_matrix(check, M, message):
+    # the CLI's reader refuses these shapes first; in-process callers reach the validators
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check(M)
 
 
 class TestNumpyScalars:

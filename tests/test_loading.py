@@ -4,6 +4,7 @@ The module sets are read in fresh interpreters, since this test process
 has already imported every submodule.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -141,6 +142,15 @@ def test_first_access_loads_only_the_owning_module(access):
     result, loaded = loaded_after(f"import spinrev; {access}")
     assert result.returncode == 0, result.stderr
     assert loaded == CORE - {"spinrev.cli"} | {"spinrev.bounds"}
+
+
+@pytest.mark.parametrize("module", sorted(PUBLIC))
+def test_a_submodule_read_before_its_import_is_imported_by_the_hook(monkeypatch, module):
+    # an import binds the submodule on the package; without that binding
+    # the attribute read goes to the package's __getattr__
+    owner = importlib.import_module(f"spinrev.{module}")
+    monkeypatch.delattr(spinrev, module)
+    assert getattr(spinrev, module) is owner
 
 
 @pytest.mark.parametrize("module", sorted(PUBLIC))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from helpers import random_coupling
+from helpers import random_coupling, random_weights
 from spinrev import (
     cli,
     collective_cyclic_pool,
@@ -86,6 +86,21 @@ def test_an_optimal_start_comes_back_unchanged():
     assert result.tau == start.tau == 3.0
     assert result.residual == start.residual
     assert result.certified
+
+
+def test_a_start_within_rounding_of_the_optimum_comes_back():
+    # the start is an optimum with its times scaled by 1 + 1e-12; phase 2
+    # pivots away from it to another basis of tau 3, lower only by
+    # rounding, so the hand-over keeps the start, as it keeps a final
+    # point against a checkpoint no lower than _PRICE_TOL * max(tau, 1)
+    J = tensor_coupling(random_weights(np.random.default_rng(0), 3), np.diag([1.0, 1.0, -0.1]))
+    optimum = minimize_tau(J, greedy_pool_growth(J, _auto_pool(3), seed=0)).scheme
+    start = Scheme._from_arrays(SchemeKind.INVERSION, optimum.times * (1.0 + 1e-12), optimum.rotations)
+    result = minimize_tau(J, start)
+    assert result.iterations > 0
+    assert result.scheme is start
+    assert result.certified
+    assert 0.0 < result.tau - 3.0 <= 1e-11
 
 
 def test_five_spins_reach_the_octahedral_optimum():
@@ -246,6 +261,17 @@ def test_a_singular_basis_ends_phase_two_at_its_start(monkeypatch, call):
     bare = minimize_tau(J, start, seed=7)
     assert bare.scheme is start.scheme
     assert not bare.certified
+
+
+def test_an_improving_column_that_no_row_bounds_ends_phase_two_at_its_start(monkeypatch):
+    # no entry of B^-1 a passes the pivot tolerance, so no row bounds the
+    # entering step: as at a failed refactor, only the checkpoint is left
+    J = tensor_coupling(complete_weights(4), scalar_type())
+    start = greedy_pool_growth(J, _auto_pool(4), seed=7)
+    monkeypatch.setattr("spinrev.search._PIVOT_TOL", np.inf)
+    result = minimize_tau(J, start, seed=7)
+    assert result.scheme is start.scheme
+    assert (result.iterations, result.certified) == (0, False)
 
 
 @pytest.mark.parametrize("c", [-1.5, 0.5])

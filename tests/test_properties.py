@@ -757,7 +757,6 @@ def test_malformed_files_exit_two_with_one_line_and_never_three(files):
         pathlib.Path(scheme).write_text(texts["scheme"])
         argv = [command, "--coupling", coupling]
         argv += ["--scheme", scheme] if command in ("verify", "simulate") else []
-        argv += ["--max-pool", "60"] if command == "search" else []
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)

@@ -42,6 +42,10 @@ class TestSu2ToSo3:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             su2_to_so3(np.array([[1.0, 0.1], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match=r"^expected a 2x2 matrix, got shape \(3, 3\)$"):
+            su2_to_so3(np.eye(3))
+        with pytest.raises(ValueError, match=r"^unitary matrix is not special: det deviates from \+1$"):
+            su2_to_so3(np.diag([1j, 1j]))
 
     def test_composition_reverses_order(self):
         # the u^dag sigma u convention composes contravariantly
@@ -96,6 +100,8 @@ class TestSo3ToSu2:
     def test_rejects_reflection(self):
         with pytest.raises(ValueError, match="determinant"):
             so3_to_su2(np.diag([1.0, 1.0, -1.0]))
+        with pytest.raises(ValueError, match=r"^expected a 3x3 matrix, got shape \(2, 2\)$"):
+            so3_to_su2(np.eye(2))
 
     def test_round_trip_to_rounding_on_octahedral_rotations(self):
         group = octahedral_group()

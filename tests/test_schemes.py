@@ -96,6 +96,10 @@ class TestSchemeModel:
         with pytest.raises(ValueError, match="at least one step"):
             Scheme(SchemeKind.INVERSION, ())
 
+    def test_rejects_a_kind_that_is_no_scheme_kind(self):
+        with pytest.raises(ValueError, match="^scheme kind must be SchemeKind.INVERSION or SchemeKind.DECOUPLING$"):
+            Scheme("inversion", (Step(1.0, identity_steps(2)),))
+
     def test_keeps_no_alias_of_the_callers_array(self):
         rotations = np.tile(axis_cycle(), (2, 1, 1))
         view = np.tile(axis_cycle(), (2, 2, 1, 1))[1]
@@ -529,6 +533,8 @@ class TestConversions:
             decoupling_to_inversion(s)
         with pytest.raises(ValueError, match="inversion"):
             inversion_to_decoupling(s)
+        with pytest.raises(ValueError, match="^expected a decoupling scheme$"):
+            decoupling_to_inversion(cyclic_scheme(2))
 
 
 class TestSynthesizeCase1:
@@ -619,6 +625,10 @@ class TestSelectiveDecoupling:
         assert np.array_equal(pi_rotation("x"), np.diag([1.0, -1.0, -1.0]))
         with pytest.raises(ValueError):
             pi_rotation("w")
+
+    def test_rejects_a_single_spin(self):
+        with pytest.raises(ValueError, match="^need at least 2 spins$"):
+            selective_decoupling(1)
 
 
 class TestSynthesizeCase2:
@@ -738,6 +748,7 @@ INVALID_DOCUMENTS = [
     (lambda d: _mix_bool_and_string(d["steps"][0]["rotations"][1]), "only numbers"),
     (lambda d: _replace_unit_entry(d["steps"][0]["rotations"], 1e200), "orthogonal"),
     (lambda d: _replace_unit_entry(d["steps"][1]["rotations"], float("inf")), "orthogonal"),
+    (lambda d: d["steps"][1].pop("t"), 'each step needs "t" and "rotations"'),
 ]
 
 
@@ -800,6 +811,18 @@ class TestSerialization:
 class TestStreamedReader:
     """Scheme files in the writer's layout are read by `_read_own_layout`;
     any other text is decoded whole and read by `scheme_from_dict`."""
+
+    @pytest.mark.parametrize("text", ["[]", "null", "1", '"scheme"'], ids=["array", "null", "number", "string"])
+    def test_a_file_that_holds_no_object_is_refused_by_verify(self, tmp_path, capsys, text):
+        coupling = tmp_path / "c.json"
+        coupling.write_text(json.dumps({"n": 2, "W": complete_weights(2).tolist(), "A": dipole_type().tolist()}))
+        scheme = tmp_path / "s.json"
+        scheme.write_text(text)
+        code = cli.main(["verify", "--coupling", str(coupling), "--scheme", str(scheme)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: scheme file must hold a JSON object"]
 
     @pytest.mark.parametrize("mutate,fragment", INVALID_DOCUMENTS)
     def test_invalid_files_are_rejected_by_verify(self, tmp_path, capsys, mutate, fragment):

@@ -235,6 +235,8 @@ class TestPools:
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             CandidatePool(())
+        with pytest.raises(ValueError, match="^pool size must be at least 1$"):
+            random_octahedral_pool(3, 0)
 
     def test_random_pool_is_seeded(self):
         a = random_octahedral_pool(3, 10, seed=5)

@@ -231,11 +231,15 @@ def main(argv=None) -> int:
 def run() -> None:
     """Process entry of the `spinrev` command and of `python -m spinrev.cli`.
 
-    Runs `main()` on `sys.argv`, flushes stdout, then freezes every live
-    object before `sys.exit`: atexit and the stdio flush still run, but the
-    interpreter's shutdown collections skip numpy's and spinrev's objects.
-    A reader that closed stdout early gets exit 1 and one stderr line.
+    Turns the cyclic collector off, runs `main()` on `sys.argv`, flushes
+    stdout, then freezes every live object before `sys.exit`: atexit and
+    the stdio flush still run, but the interpreter's shutdown collection
+    skips numpy's and spinrev's objects.  A job leaves a few hundred
+    objects of cyclic garbage, whatever its size, so the collector has
+    nothing to reclaim that pays for its passes.  A reader that closed
+    stdout early gets exit 1 and one stderr line.
     """
+    gc.disable()
     try:
         try:
             code = main()

@@ -15,6 +15,7 @@ from the phase-1 scheme.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 
@@ -50,22 +51,50 @@ _PIVOT_TOL = 1e-9  # smallest |B^-1 a| entry a pivot may divide by
 _REFACTOR = 50  # pivots between fresh inverses of the basis
 
 
+def _signed_permutations():
+    """(group, perm, sign) of the 24 signed permutation matrices of
+    determinant +1: row a of group[r] holds its one nonzero entry, sign[r, a],
+    in column perm[r, a]; the determinant is the permutation's parity times
+    the product of the signs."""
+    perms, signs = [], []
+    for perm in itertools.permutations(range(3)):
+        parity = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        for sign in itertools.product((1.0, -1.0), repeat=3):
+            if parity * sign[0] * sign[1] * sign[2] > 0.0:
+                perms.append(perm)
+                signs.append(sign)
+    perm, sign = np.array(perms), np.array(signs)
+    group = np.zeros((len(perm), 3, 3))
+    np.put_along_axis(group, perm[..., None], sign[..., None], axis=2)
+    group.flags.writeable = False
+    return group, perm, sign
+
+
+_GROUP, _PERM, _SIGN = _signed_permutations()
+_ORDER = len(_GROUP)
+# entry (a, b) of O_r B O_s^T is sign_r[a] sign_s[b] B[perm_r[a], perm_s[b]],
+# entry 3 perm_s[b] + perm_r[a] of B^T read row-major; both as (r, s, a, b)
+# raveled, the layout of `_image_table`'s rows of one pair
+_IMAGE_SOURCE = (3 * _PERM[None, :, None, :] + _PERM[:, None, :, None]).ravel()
+_IMAGE_SIGN = (_SIGN[:, None, :, None] * _SIGN[None, :, None, :]).ravel()
+
+
 def octahedral_group() -> np.ndarray:
     """The 24 rotations with entries in {-1, 0, 1}, in a fixed order.
 
     These are the signed permutation matrices of determinant +1; the set
     is closed under products and contains the axis cycle and the three
-    coordinate half turns.
+    coordinate half turns.  One read-only (24, 3, 3) array, built once.
     """
-    mats = []
-    for perm in itertools.permutations(range(3)):
-        for signs in itertools.product((1.0, -1.0), repeat=3):
-            R = np.zeros((3, 3))
-            for row, (col, sign) in enumerate(zip(perm, signs)):
-                R[row, col] = sign
-            if np.linalg.det(R) > 0.0:
-                mats.append(R)
-    return np.array(mats)
+    return _GROUP
+
+
+@functools.cache
+def _pairs(n):
+    """The spin pairs k < l of n spins in row-major order, as (first, second)."""
+    first, second = np.triu_indices(n, 1)
+    first.flags.writeable = second.flags.writeable = False
+    return first, second
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,9 +144,8 @@ def random_octahedral_pool(n: int, size: int, seed: int = 0) -> CandidatePool:
     `default_rng(seed)`, and the pool must not be its first batch."""
     if size < 1:
         raise ValueError("pool size must be at least 1")
-    group = octahedral_group()
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    return CandidatePool(group[rng.integers(0, len(group), size=(size, n))], seed)
+    return CandidatePool(octahedral_group()[rng.integers(0, _ORDER, size=(size, n))], seed)
 
 
 def merge_pools(*pools: CandidatePool, seed: int = 0) -> CandidatePool:
@@ -144,12 +172,19 @@ def _lawson_hanson(A, b, start=None, cap=None):
     solve, so the solve usually needs one or two insertions and no
     refactorization.  At most `cap` insertions are made (default
     3 * ncols + 10).  Returns (x, residual_norm, iterations, converged):
-    iterations counts insertions into the passive set, and converged is
-    False when the cap ended the solve, not the dual test, so x is where
-    the cap cut it, not a minimum.  The residual A x - b at the optimum
-    is unique, so a warm and a cold solve reach the same residual up to
-    rounding, but not always the same x, and a warm solve from a
-    degenerate vertex can cycle where the cold one does not.
+    iterations counts insertions into the passive set.  The residual
+    A x - b at the optimum is unique, so a warm and a cold solve reach the
+    same residual up to rounding, but not always the same x.
+
+    In exact arithmetic a column with w_j > 0 enters with a positive
+    trial value.  When rounding in an ill-conditioned passive block gives
+    it a value <= 0 instead, the column is rejected as in Lawson and
+    Hanson's own code: its insertion is undone, it is left out of the
+    dual test (w_j = 0 there) and the next column is tested; the
+    rejections clear at the next insertion.  converged is True only when
+    the dual test passes with no column left out: a solve that the cap
+    cut, or whose test passed only without its rejected columns, returns
+    where it stopped, not a minimum.
     """
     ncols = A.shape[1]
     qr, x = _PassiveQR(len(b)) if start is None else start, np.zeros(ncols)
@@ -159,17 +194,28 @@ def _lawson_hanson(A, b, start=None, cap=None):
     w_scale = max(float(np.abs(A.T @ b).max()), np.finfo(float).tiny)
     cap = 3 * ncols + 10 if cap is None else cap
     converged = False
-    for insertion in range(cap):
+    insertion = 0
+    rejected = []
+    while insertion < cap:
         w = A.T @ resid
         w = np.where(passive, -np.inf, w)
-        j = int(np.argmax(w))
+        if rejected:
+            w[rejected] = -np.inf
+        j = int(w.argmax())
         if w[j] <= _DUAL_TOL * w_scale:
-            converged = True
+            converged = not rejected
             break
         passive[j] = True
         qr.insert(A, b, j)
+        trial = qr.solve(A, b, passive)
+        if not trial[j] > 0.0:
+            passive[j] = False
+            qr.delete(np.arange(ncols) == j)
+            rejected.append(j)
+            continue
+        rejected = []
+        insertion += 1
         while True:
-            trial = qr.solve(A, b, passive)
             if trial[passive].min() > 0.0:
                 x = trial
                 break
@@ -186,9 +232,8 @@ def _lawson_hanson(A, b, start=None, cap=None):
             qr.delete(dropped)
             if not passive.any():
                 break
+            trial = qr.solve(A, b, passive)
         resid = b - A @ x
-    else:
-        insertion = cap
     qr.x = x
     return x, float(np.linalg.norm(resid)), insertion, converged
 
@@ -250,7 +295,7 @@ class _PassiveQR:
         keep = ~dropped[self.cols]
         if keep.all():
             return
-        k, p = len(self.cols), int(np.argmin(keep))
+        k, p = len(self.cols), int(keep.argmin())
         self.cols = [col for col, kept in zip(self.cols, keep) if kept]
         kept = len(self.cols)
         if not self.held:
@@ -340,7 +385,7 @@ def _upper_blocks(M):
     """vec of the k < l blocks of (..., 3n, 3n) matrices, pairs in row-major
     order, as (..., 9 n(n-1)/2)."""
     n = M.shape[-1] // 3
-    k, l = np.triu_indices(n, 1)
+    k, l = _pairs(n)
     blocks = np.swapaxes(M.reshape(M.shape[:-2] + (n, 3, n, 3)), -3, -2)
     return blocks[..., k, l, :, :].reshape(M.shape[:-2] + (-1,))
 
@@ -350,6 +395,35 @@ def _upper_block_columns(J, assemblies):
     # kept C-ordered (rows, pool): a transposed view would change the BLAS
     # summation order of A^T r, and with it which of tied candidates wins
     return np.ascontiguousarray(_upper_blocks(conjugate(assemblies, J)).T)
+
+
+def _image_table(J):
+    """Every octahedral image of J's pair blocks: row (p * 24 + r) * 24 + s
+    is vec(O_r B O_s^T) for pair p = (k, l), k < l, with B the transpose of
+    J's block (l, k), (pairs * 576, 9).
+
+    That is block (k, l) of `conjugate` for an assembly with R_k = O_r and
+    R_l = O_s, which reads J's lower block.  O_r is a signed permutation,
+    so each entry is one entry of B times two signs, which is what
+    `conjugate`'s products and sums of exact zeros give too: the table's
+    columns equal `_upper_block_columns` bit for bit, at every scale of J.
+    """
+    n = J.shape[0] // 3
+    first, second = _pairs(n)
+    images = J.reshape(n, 3, n, 3)[second, :, first, :].reshape(-1, 9).take(_IMAGE_SOURCE, axis=1)
+    images *= _IMAGE_SIGN
+    # + 0.0 turns the -0.0 of a sign times a zero entry into the +0.0 that
+    # `conjugate`'s sums, which start from +0.0, give
+    images += 0.0
+    return images.reshape(-1, 9)
+
+
+def _table_columns(table, picks):
+    """`_upper_block_columns` of the assemblies group[picks], picks (P, n),
+    read off `_image_table`: (9 n(n-1)/2, P), C-ordered."""
+    first, second = _pairs(picks.shape[1])
+    rows = (np.arange(len(first)) * _ORDER + picks[:, first]) * _ORDER + picks[:, second]
+    return np.ascontiguousarray(table[rows].reshape(len(picks), -1).T)
 
 
 def _finalize(coupling, norm, assemblies, x, rnorm, iterations, tol):
@@ -435,30 +509,30 @@ def greedy_pool_growth(
     passive block, which one `_PassiveQR` carries from round to round
     (a cold solve empties it); it may make at most m insertions, m
     the number of rows: a basic solution has at most m positive times,
-    so a warm solve that needs more is cycling.  A warm solve that hits
-    that budget or raises the objective is redone cold (from x = 0).  The
-    stop test and `_finalize` read a cold solve of the current pool, so
-    a round whose warm residual reaches `target_tol`, and the round that
-    fills `max_pool`, are solved cold too; if the cold residual misses
-    the target, growth goes on from the cold times.  A cold solve that
-    ends at its insertion cap has not converged: its column is dropped
-    and the search ends on the previous pool, solved cold, with
-    `iterations` rounds and a pool below `max_pool`.
+    so a warm solve that needs more is cycling.  A warm solve that does
+    not converge (see `_lawson_hanson`) or raises the objective is redone
+    cold (from x = 0).  The stop test and `_finalize` read a cold solve
+    of the current pool, so a round whose warm residual reaches
+    `target_tol`, and the round that fills `max_pool`, are solved cold
+    too; if the cold residual misses the target, growth goes on from the
+    cold times.  When the cold solve does not converge either, its column
+    is dropped and the search ends on the previous pool, solved cold,
+    with `iterations` rounds and a pool below `max_pool`.
     """
     coupling, scaled, norm, columns, target = _problem(J, base_pool.assemblies)
     max_pool = _pool_budget(base_pool.n) if max_pool is None else max_pool
     if max_pool < len(base_pool.assemblies):
         raise ValueError("max_pool is smaller than the base pool")
     rng = np.random.default_rng(base_pool.seed if seed is None else seed)
-    group = octahedral_group()
+    table = _image_table(scaled)
     base_size = len(base_pool.assemblies)
-    picked = []  # each grown assembly as its row of indices into `group`
+    picked = []  # each grown assembly as its row of indices into the group
     qr = _PassiveQR(len(target))
     x, rnorm, _, _ = _lawson_hanson(columns, target, qr)
     while rnorm * np.sqrt(2.0) / norm > target_tol and base_size + len(picked) < max_pool:
         resid = columns @ x - target
-        picks = rng.integers(0, len(group), size=(_BATCH, base_pool.n))
-        candidate_columns = _upper_block_columns(scaled, group[picks])
+        picks = rng.integers(0, _ORDER, size=(_BATCH, base_pool.n))
+        candidate_columns = _table_columns(table, picks)
         best = _steepest(candidate_columns.T @ resid)
         grown = np.column_stack([columns, candidate_columns[:, best]])
         bound = rnorm + 1e-9 * max(rnorm, 1.0)
@@ -474,7 +548,7 @@ def greedy_pool_growth(
                 raise RuntimeError("NNLS objective increased while the pool grew; active-set defect")
         picked.append(picks[best].tolist())
         columns, x, rnorm = grown, x_new, new_rnorm
-    grown_assemblies = group[np.array(picked, dtype=np.intp).reshape(-1, base_pool.n)]
+    grown_assemblies = octahedral_group()[np.array(picked, dtype=np.intp).reshape(-1, base_pool.n)]
     assemblies = np.concatenate([base_pool.assemblies, grown_assemblies])
     return _finalize(coupling, norm, assemblies, x, rnorm, len(picked), target_tol)
 
@@ -489,7 +563,7 @@ def _steepest(scores):
     the minimum: candidates that tie in exact arithmetic (the complete
     graph's symmetric ones do) keep their order whatever the last bits of
     the residual, which depend on the factor's history."""
-    return int(np.argmax(scores <= scores.min() + _TIE_TOL * np.abs(scores).max()))
+    return int((scores <= scores.min() + _TIE_TOL * np.abs(scores).max()).argmax())
 
 
 def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int = 0) -> SearchResult:
@@ -545,13 +619,14 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
     if not start.residual <= tol:
         raise ValueError(f"the start scheme does not invert J (residual {start.residual:.3g} > tol {tol:g})")
     basis = np.column_stack([columns, Q[:, size:]])
+    del columns, Q, R  # freed, so that the image table below does not raise phase 2's peak
     basis_rots = np.concatenate([start_rots, np.zeros((rows - size,) + start_rots.shape[1:])])
     artificial = np.arange(rows) >= size
     inverse = np.linalg.inv(basis)
     x = np.maximum(inverse @ target, 0.0)
     tau_low = _spectral_bound(coupling)[2]
     reached = tau_low + _PRICE_TOL * max(tau_low, 1.0)  # tau at or below this meets the bound
-    group = octahedral_group()
+    table = _image_table(scaled)
     price, exact = _pricer(scaled, seed)
     budget = _PIVOTS_PER_ROW * rows
     pool = np.empty((rows, 0))
@@ -559,6 +634,9 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
     weights = np.empty(0)
     pivots = 0
     best = None  # the lowest-tau checkpoint within tol, as `point` gives it
+    lead = np.empty((2, rows))  # the pivot row of B^-1 and B^-T alpha
+    ratios = np.empty(rows)
+    artificial_left = bool(artificial.any())
 
     def point(basic):
         # (tau, times, rotations, rnorm) of the basis: artificial and pruned
@@ -599,36 +677,38 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
             if not len(found):
                 certified = exact
                 break
-            new = _upper_block_columns(scaled, group[found])
+            new = _table_columns(table, found)
             pool = np.column_stack([pool, new])
-            pool_rots = np.concatenate([pool_rots, group[found]])
+            pool_rots = np.concatenate([pool_rots, octahedral_group()[found]])
             weights = np.concatenate([weights, 1.0 + np.sum((inverse @ new) ** 2, axis=0)])
             reduced = 1.0 - y @ pool
             before = pivots
             while pivots < budget and pool.shape[1]:
                 score = np.where(reduced < -_PRICE_TOL, reduced / np.sqrt(weights), 0.0)
-                q = int(np.argmin(score))
+                q = int(score.argmin())
                 if score[q] == 0.0:
                     break
                 alpha = inverse @ pool[:, q]
-                touched = np.flatnonzero(artificial & (np.abs(alpha) > _PIVOT_TOL))
+                touched = np.flatnonzero(artificial & (np.abs(alpha) > _PIVOT_TOL)) if artificial_left else ()
                 if len(touched):
                     r = int(touched[np.argmax(np.abs(alpha[touched]))])
                     theta = 0.0
                 else:
-                    up = alpha > _PIVOT_TOL
-                    ratios = np.divide(x, alpha, out=np.full(rows, np.inf), where=up)
+                    ratios.fill(np.inf)
+                    np.divide(x, alpha, out=ratios, where=alpha > _PIVOT_TOL)
                     theta = float(ratios.min())
                     if theta == np.inf:
                         # no entry of alpha passed the tolerance, so 1 - cost @ alpha > 0
                         # and the negative reduced cost is rounding from a singular basis
                         raise np.linalg.LinAlgError("an improving column that no row bounds")
                     # of the tied rows (degenerate ones tie at 0) the largest pivot
-                    r = int(np.argmax(np.where(ratios == theta, alpha, 0.0)))
+                    r = int(np.where(ratios == theta, alpha, 0.0).argmax())
                 alpha_r = alpha[r]
                 # the pivot row alpha_r. / alpha_r updates the reduced costs, and with
                 # a_j^T B^-T alpha the steepest-edge weights ||B^-1 a_j||^2 + 1
-                pivot_row, cross = np.stack((inverse[r] / alpha_r, alpha @ inverse)) @ pool
+                np.divide(inverse[r], alpha_r, out=lead[0])
+                np.matmul(alpha, inverse, out=lead[1])
+                pivot_row, cross = lead @ pool
                 entering_weight = 1.0 + float(alpha @ alpha)
                 weights = np.maximum(
                     weights - pivot_row * (2.0 * cross - pivot_row * entering_weight), 1.0 + pivot_row**2
@@ -638,9 +718,9 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
                 x -= theta * alpha
                 np.maximum(x, 0.0, out=x)  # rounding leaves -1e-17 where ratios tie
                 x[r] = theta
-                inverse[r] /= alpha_r
+                inverse[r] = lead[0]
                 alpha[r] = 0.0
-                inverse -= alpha[:, None] * inverse[r]
+                inverse -= alpha[:, None] * lead[0]
                 entering, entering_rots = pool[:, q].copy(), pool_rots[q].copy()
                 if artificial[r]:
                     pool = np.delete(pool, q, axis=1)
@@ -652,7 +732,9 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
                     weights[q] = max(entering_weight / alpha_r**2, 1.0)
                     reduced[q] = leaving_cost
                 basis[:, r], basis_rots[r] = entering, entering_rots
-                artificial[r] = False
+                if artificial_left:
+                    artificial[r] = False
+                    artificial_left = bool(artificial.any())
                 pivots += 1
                 if pivots % _REFACTOR == 0:
                     inverse = np.linalg.inv(basis)
@@ -687,7 +769,7 @@ def _search_job(coupling, tol: float, seed: int) -> tuple[SearchResult, str | No
     if size < budget:
         cause = (
             f"search stopped with {size} of {budget} pool assemblies: an NNLS solve "
-            "hit its insertion cap or the scheme it reached failed verification"
+            "did not converge or the scheme it reached failed verification"
         )
     return result, f"{cause} (best residual {result.residual:.3g} > tol {tol:g})"
 
@@ -703,10 +785,9 @@ def _pricer(J, seed: int):
     the identity, group[0], when every block is a multiple of I) or runs
     the seeded coordinate ascent.
     """
-    group = octahedral_group()
-    order = len(group)
+    group, order = octahedral_group(), _ORDER
     n = J.shape[0] // 3
-    first, second = np.triu_indices(n, 1)
+    first, second = _pairs(n)
     blocks = _upper_blocks(J).reshape(-1, 3, 3)
     # T_kl[r, s] = <O_r^T Y_kl, J_kl O_s^T>: the right factors depend on J only
     right = np.matmul(blocks[:, None], np.swapaxes(group, 1, 2)[None]).reshape(-1, order, 9)
@@ -746,7 +827,7 @@ def _pricer(J, seed: int):
             moved = False
             for spin in range(fixed, n):
                 # gain[start, r] = sum over l of T_spin,l[r, picks[start, l]]
-                choice = np.argmax(tables[spin][(offsets + picks).T].sum(axis=0), axis=1)
+                choice = tables[spin].take((offsets + picks).T, axis=0).sum(axis=0).argmax(axis=1)
                 moved = moved or bool(np.any(choice != picks[:, spin]))
                 picks[:, spin] = choice
             if not moved:

@@ -311,10 +311,35 @@ class TestSearch:
         assert json.loads(captured.out)["found"] is False
         assert captured.err.startswith("search exhausted its pool budget")
 
-    def test_an_nnls_solve_cut_by_its_cap_ends_the_search(self, files, capsys):
+    def test_a_search_conjugates_only_in_its_setup(self, files, capsys, monkeypatch):
+        # both phases read their octahedral columns off one image table of J;
+        # `conjugate` serves only `_problem` (the base pool and phase 2's start)
+        from spinrev import schemes
+
+        _, write = files
+        path = write("c.json", coupling_doc(4, scalar_type()))
+        callers = []
+
+        def counting(rotations, J):
+            frame, names = sys._getframe(1), set()
+            while frame is not None:
+                names.add(frame.f_code.co_name)
+                frame = frame.f_back
+            callers.append("_problem" in names)
+            return schemes.conjugate(rotations, J)
+
+        monkeypatch.setattr("spinrev.search.conjugate", counting)
+        code, out = run(capsys, ["search", "--coupling", path, "--seed", "1"])
+        assert code == 0
+        assert json.loads(out)["found"] is True
+        assert callers == [True, True]  # phase 1's setup, then phase 2's
+
+    def test_an_nnls_solve_that_does_not_converge_ends_the_search(self, files, capsys):
         # the type's third eigenvalue sits at the search tolerance; a growth
-        # round's cold solve there ends at its insertion cap, which ends
-        # phase 1 (exit 1) instead of failing its monotonicity self-check
+        # round's cold solve there rejects a column that rounding gives a
+        # nonpositive value and passes the dual test only without it, so it
+        # has not converged: phase 1 ends (exit 1) instead of failing its
+        # monotonicity self-check
         tmp, write = files
         A = np.diag([1.0, 1.0, -1.5e-9 * np.sqrt(2.0)])
         path = write("c.json", coupling_doc(4, A))
@@ -324,7 +349,7 @@ class TestSearch:
         assert code == 1, captured.err
         assert json.loads(captured.out)["found"] is False
         assert "exhausted its pool budget" not in captured.err
-        assert "insertion cap" in captured.err
+        assert "an NNLS solve did not converge" in captured.err
         assert not out_path.exists()
 
     def test_a_loose_tol_finds_what_verify_accepts_at_it(self, files, capsys):
@@ -605,9 +630,10 @@ MIXED = {"n": 3, "W": [[0, 1, -1], [1, 0, 1], [-1, 1, 0]], "A": [[2, 0, 0], [0, 
 
 
 class TestProcessEntry:
-    """`python -m spinrev.cli` runs `cli.run()`: `main()`, then a stdout flush
-    and `gc.freeze()` before `sys.exit`. The process prints what `main()`
-    prints in process, and only `run()` freezes."""
+    """`python -m spinrev.cli` runs `cli.run()`: the cyclic collector off,
+    `main()`, then a stdout flush and `gc.freeze()` before `sys.exit`. The
+    process prints what `main()` prints in process, and only `run()` turns
+    the collector off and freezes."""
 
     @pytest.fixture
     def env(self, monkeypatch):
@@ -685,6 +711,33 @@ class TestProcessEntry:
         assert json.loads(report)["steps_lower"] == 2
         label, count = frozen.split()
         assert label == "frozen" and int(count) > 0
+
+    def test_run_calls_the_handler_with_the_collector_off(self, paths, monkeypatch):
+        from spinrev.cli import run as process_entry
+
+        seen = []
+
+        def handler(args):
+            seen.append(gc.isenabled())
+            return 0
+
+        monkeypatch.setattr("spinrev.cli.cmd_bounds", handler)
+        monkeypatch.setattr(sys, "argv", ["spinrev", "bounds", "--coupling", paths["mixed"]])
+        enabled = gc.isenabled()
+        try:
+            with pytest.raises(SystemExit) as stopped:
+                process_entry()
+            # main() leaves the collector as it finds it, off or on
+            assert main(sys.argv[1:]) == 0
+            assert not gc.isenabled()
+            gc.enable()
+            assert main(sys.argv[1:]) == 0
+            assert gc.isenabled()
+        finally:
+            gc.unfreeze()
+            (gc.enable if enabled else gc.disable)()
+        assert stopped.value.code == 0
+        assert seen == [False, False, True]
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     def test_closed_stdout_exits_1_without_traceback(self, paths, env, unbuffered):
@@ -794,11 +847,12 @@ class TestSearchPhaseTwo:
         assert code == 1
         assert json.loads(out)["certified"] is False
 
-    def test_an_improving_column_that_no_row_bounds_returns_the_start(self, files, capsys):
+    def test_a_basis_that_rounding_leaves_singular_returns_the_start(self, files, capsys):
         # the type's third eigenvalue sits at the search tolerance; rounding
-        # leaves phase 2's basis singular (condition 2.5e16) and its reduced
-        # costs offer a column whose step no row bounds, which 1^T t >= 0
-        # rules out, so phase 1's verified scheme comes back uncertified
+        # leaves phase 2's basis singular, so after 200 pivots the inverse at
+        # a refactor (or the final solve) raises LinAlgError, and phase 1's
+        # verified scheme comes back uncertified. The exit through an
+        # improving column that no row bounds is tested in test_minimize_tau.py
         tmp, write = files
         path = write("c.json", coupling_doc(3, np.diag([1.0, 1.0, 1.5e-9 * np.sqrt(2.0)])))
         out_path = str(tmp / "found.json")

@@ -61,8 +61,10 @@ from spinrev import hilbert
 from spinrev.coupling import _checked, _factored
 from spinrev.schemes import Scheme, SchemeKind, Step, _read_own_layout, _scheme_json_chunks
 from spinrev.search import (
+    _image_table,
     _lawson_hanson,
     _PassiveQR,
+    _table_columns,
     _upper_block_columns,
     _upper_blocks,
     find_inversion_nnls,
@@ -176,6 +178,33 @@ def test_warm_starts_on_grown_matrices_reach_the_cold_residual(problem):
         assert abs(rnorm - rnorm_cold) <= 1e-12 * float(np.linalg.norm(b))
         w = grown.T @ (b - grown @ x)
         assert w[x == 0.0].max(initial=0.0) <= 1e-12 * float(np.abs(grown.T @ b).max())
+
+
+@bounded
+@given(
+    st.integers(2, 6),
+    st.sampled_from(["raw", "scalar", "dipole", "generic"]),
+    st.sampled_from([1e-170, 1.0, 1e160]),
+    st.integers(0, 2**32 - 1),
+)
+def test_image_table_columns_are_the_conjugated_columns(n, form, scale, seed):
+    # an octahedral matrix is a signed permutation, so each entry of V J V^T
+    # is one signed entry of J, read off the table as `conjugate` computes
+    # it: equal columns at any scale, raw (and only nearly symmetric, which
+    # `conjugate` reads through J's lower blocks) or W (x) A, zeros included
+    rng = np.random.default_rng(seed)
+    if form == "raw":
+        J = random_coupling(rng, n)
+        J[np.abs(J) < 0.3] = 0.0
+        J[3 * n - 1, 0] += 1e-13
+    else:
+        A = {"scalar": scalar_type(), "dipole": np.diag([1.0, 1.0, -2.0])}.get(form, rng.normal(size=(3, 3)))
+        J = tensor_coupling(random_weights(rng, n), 0.5 * (A + A.T))
+    J = J * scale
+    picks = rng.integers(0, 24, size=(int(rng.integers(1, 80)), n))
+    columns = _table_columns(_image_table(J), picks)
+    assert columns.flags.c_contiguous
+    assert np.array_equal(columns, _upper_block_columns(J, octahedral_group()[picks]))
 
 
 @bounded

@@ -129,15 +129,22 @@ class TestNnls:
         assert rnorm <= lstsq_rnorm * (1.0 + 1e-9)
 
     @pytest.mark.parametrize("seed", [1867, 1983])
-    def test_safety_cap_ends_the_rank_guard_solves(self, seed):
-        # the same inputs never pass the dual test: the insertion cap
-        # 3 * ncols + 10 ends both solves, and the solve says so
+    def test_rejected_columns_end_the_rank_guard_solves_unconverged(self, seed):
+        # the same inputs never pass the dual test with every column in it:
+        # rounding gives an entering column a nonpositive value, so it is
+        # rejected, and the solve stops well before its insertion cap
+        # 3 * ncols + 10 (where it used to cycle) and says it has not converged
         rng = np.random.default_rng(seed)
         A = rng.normal(size=(25, 52)) * 10.0 ** rng.integers(-6, 7, size=52)
         b = rng.normal(size=25) * 10.0 ** rng.integers(-6, 7)
         _, _, iterations, converged = _lawson_hanson(A, b)
-        assert iterations == 3 * 52 + 10
+        assert iterations < 3 * 52 + 10
         assert not converged
+        # the cap still ends a solve, and the solve says so
+        x, _, iterations, converged = _lawson_hanson(A, b, cap=10)
+        assert iterations == 10
+        assert not converged
+        assert x.min() >= 0.0
 
 
 def test_tied_candidates_keep_the_lowest_index_whatever_the_last_bits():
@@ -207,9 +214,31 @@ class TestWarmStart:
         assert result.scheme is not None
         assert json.dumps(search_result_to_dict(result)) == json.dumps(search_result_to_dict(_cold_reference(J, base)))
 
+    def test_a_warm_solve_rejects_what_it_used_to_cycle_on(self, monkeypatch):
+        # the type's third eigenvalue sits at the search tolerance; one warm
+        # solve there gave an entering column a nonpositive value from an
+        # ill-conditioned passive block, dropped it and let it in again until
+        # its budget of m = 54 insertions. Rejecting that column stops the
+        # solve after one insertion; unconverged, the round is solved cold
+        J = tensor_coupling(complete_weights(4), np.diag([1.0, 1.0, 0.5e-9 * np.sqrt(2.0)]))
+        base = merge_pools(pair_pi_pool(4), collective_cyclic_pool(4), seed=0)
+        warm = []
+
+        def recording(A, b, start=None, cap=None):
+            solved = _lawson_hanson(A, b, start, cap)
+            if cap is not None:
+                warm.append((solved[2], cap, solved[3]))
+            return solved
+
+        monkeypatch.setattr("spinrev.search._lawson_hanson", recording)
+        result = greedy_pool_growth(J, base)
+        assert result.scheme is not None
+        assert max(insertions for insertions, _, _ in warm) <= 3
+        assert [(insertions, cap) for insertions, cap, converged in warm if not converged] == [(1, 54)]
+
     def test_a_round_that_falls_back_still_equals_the_cold_reference(self, monkeypatch):
         # the type's third eigenvalue sits at the search tolerance; a warm
-        # solve there cycles to its budget of m insertions and is redone cold
+        # solve there does not converge and is redone cold
         J = tensor_coupling(complete_weights(4), np.diag([1.0, 1.0, 0.5e-9 * np.sqrt(2.0)]))
         base = merge_pools(pair_pi_pool(4), collective_cyclic_pool(4), seed=0)
         warm = []

@@ -5,10 +5,12 @@ is linear in the step times, so the best nonnegative times solve a
 nonnegative least-squares problem over the distinct upper-triangle block
 coordinates.  Rotations are discretized to the 24-element octahedral
 group, which contains every rotation the constructive schemes use (axis
-cycles, half turns, quarter turns between axes); a seeded greedy loop
-grows the pool with random assemblies when the base pool cannot reach the
-target residual (phase 1).  NNLS minimizes the residual, not the overhead
-tau, so `minimize_tau` (phase 2) then solves the linear program
+cycles, half turns, quarter turns between axes); rotations outside it are
+refused, and every column and price is read off one exact table of J's
+octahedral images.  A seeded greedy loop grows the pool with random
+assemblies when the base pool cannot reach the target residual (phase
+1).  NNLS minimizes the residual, not the overhead tau, so
+`minimize_tau` (phase 2) then solves the linear program
 min 1^T t subject to C t = -vec(J), t >= 0 by column generation, starting
 from the phase-1 scheme.
 """
@@ -24,15 +26,7 @@ import numpy as np
 from .bounds import _spectral_bound, audit_stats_against_bounds
 from .coupling import _checked
 from .rotations import AXES, axis_cycle, check_rotation
-from .schemes import (
-    Scheme,
-    SchemeKind,
-    conjugate,
-    pi_rotation,
-    scheme_stats,
-    scheme_to_dict,
-    verify,
-)
+from .schemes import Scheme, SchemeKind, pi_rotation, scheme_stats, scheme_to_dict, verify
 
 _PRUNE_TOL = 1e-12
 _DUAL_TOL = 1e-12  # relative tolerance of the NNLS dual feasibility test
@@ -381,20 +375,12 @@ def search_result_to_dict(result: SearchResult, seed: int | None = None) -> dict
     return out
 
 
-def _upper_blocks(M):
-    """vec of the k < l blocks of (..., 3n, 3n) matrices, pairs in row-major
-    order, as (..., 9 n(n-1)/2)."""
-    n = M.shape[-1] // 3
+def _upper_blocks(J):
+    """vec of the k < l blocks of a 3n x 3n matrix, pairs in row-major
+    order, as (9 n(n-1)/2,)."""
+    n = J.shape[0] // 3
     k, l = _pairs(n)
-    blocks = np.swapaxes(M.reshape(M.shape[:-2] + (n, 3, n, 3)), -3, -2)
-    return blocks[..., k, l, :, :].reshape(M.shape[:-2] + (-1,))
-
-
-def _upper_block_columns(J, assemblies):
-    """Stack vec(V J V^T) over the k < l blocks, one column per assembly."""
-    # kept C-ordered (rows, pool): a transposed view would change the BLAS
-    # summation order of A^T r, and with it which of tied candidates wins
-    return np.ascontiguousarray(_upper_blocks(conjugate(assemblies, J)).T)
+    return np.swapaxes(J.reshape(n, 3, n, 3), 1, 2)[k, l].reshape(-1)
 
 
 def _image_table(J):
@@ -402,11 +388,11 @@ def _image_table(J):
     is vec(O_r B O_s^T) for pair p = (k, l), k < l, with B the transpose of
     J's block (l, k), (pairs * 576, 9).
 
-    That is block (k, l) of `conjugate` for an assembly with R_k = O_r and
-    R_l = O_s, which reads J's lower block.  O_r is a signed permutation,
-    so each entry is one entry of B times two signs, which is what
-    `conjugate`'s products and sums of exact zeros give too: the table's
-    columns equal `_upper_block_columns` bit for bit, at every scale of J.
+    That is block (k, l) of V J V^T (`schemes.conjugate`) for an assembly
+    V with R_k = O_r and R_l = O_s, which reads J's lower block.  O_r is a
+    signed permutation, so each entry is one entry of B times two signs,
+    which is what `conjugate`'s products and sums of exact zeros give too:
+    the table's entries equal `conjugate`'s bit for bit, at every scale of J.
     """
     n = J.shape[0] // 3
     first, second = _pairs(n)
@@ -419,20 +405,25 @@ def _image_table(J):
 
 
 def _table_columns(table, picks):
-    """`_upper_block_columns` of the assemblies group[picks], picks (P, n),
-    read off `_image_table`: (9 n(n-1)/2, P), C-ordered."""
+    """The search columns of the assemblies group[picks], picks (P, n): vec
+    of the k < l blocks of V J V^T, one column per assembly, read off
+    `_image_table`, (9 n(n-1)/2, P)."""
     first, second = _pairs(picks.shape[1])
     rows = (np.arange(len(first)) * _ORDER + picks[:, first]) * _ORDER + picks[:, second]
+    # kept C-ordered (rows, pool): a transposed view would change the BLAS
+    # summation order of A^T r, and with it which of tied candidates wins
     return np.ascontiguousarray(table[rows].reshape(len(picks), -1).T)
 
 
-def _finalize(coupling, norm, assemblies, x, rnorm, iterations, tol):
+def _finalize(coupling, norm, picks, x, rnorm, iterations, tol):
+    """The scheme of the times x over the assemblies group[picks] when its
+    residual reaches tol and it verifies, else the residual."""
     keep = np.flatnonzero(x > _PRUNE_TOL)
     # the lower blocks mirror the upper ones, so the full Frobenius
     # residual is sqrt(2) times the stacked-block residual
     relative = rnorm * np.sqrt(2.0) / norm
     if keep.size and relative <= tol:
-        scheme = Scheme._from_arrays(SchemeKind.INVERSION, x[keep], assemblies[keep])
+        scheme = Scheme._from_arrays(SchemeKind.INVERSION, x[keep], octahedral_group()[picks[keep]])
         result = _verdict(scheme, coupling, tol, iterations)
         if result.scheme is not None:
             return result
@@ -452,14 +443,16 @@ def _verdict(scheme, coupling, tol, iterations=0) -> SearchResult:
 
 
 def _problem(J, assemblies):
-    """Resolve a nonzero coupling (checked once when raw) against a pool of
-    its spin count, and return (coupling, scaled, norm, columns, target):
-    the search minimizes ||columns x - target|| over x >= 0, both built
-    from `scaled`, J divided by the largest power of two <= max|J|, and
-    reads its residuals relative to norm = ||scaled||_F.  That scaling is
-    exact and changes no step time, and keeps the solves' squares and
-    absolute floors where they are for max|J| = 1 at every scale of J;
-    found schemes are verified on `coupling`, as given."""
+    """Resolve a nonzero coupling (checked once when raw) against octahedral
+    assemblies of its spin count, and return (coupling, norm, table, picks,
+    columns, target): picks (P, n) index each rotation into
+    `octahedral_group()`, and the search minimizes ||columns x - target||
+    over x >= 0, both read off the image table of `scaled`, J divided by
+    the largest power of two <= max|J|, with residuals relative to
+    norm = ||scaled||_F.  That scaling is exact and changes no step time,
+    and keeps the solves' squares and absolute floors where they are for
+    max|J| = 1 at every scale of J; found schemes are verified on
+    `coupling`, as given."""
     coupling = _checked(J)
     top = float(np.abs(coupling.J).max())
     if top == 0.0:
@@ -467,9 +460,17 @@ def _problem(J, assemblies):
     n = assemblies.shape[1]
     if n != coupling.n:
         raise ValueError(f"dimension mismatch: pool addresses {n} spins, coupling has {coupling.n}")
+    matches = (assemblies[:, :, None] == _GROUP).all(axis=(3, 4))
+    if not matches.any(axis=2).all():
+        raise ValueError(
+            "search rotations must be octahedral: signed permutation matrices "
+            "of determinant +1, every entry exactly -1, 0 or 1"
+        )
+    picks = matches.argmax(axis=2)
     scaled = np.ldexp(coupling.J, 1 - int(np.frexp(top)[1]))
     norm = float(np.linalg.norm(scaled))
-    return coupling, scaled, norm, _upper_block_columns(scaled, assemblies), -_upper_blocks(scaled)
+    table = _image_table(scaled)
+    return coupling, norm, table, picks, _table_columns(table, picks), -_upper_blocks(scaled)
 
 
 def find_inversion_nnls(J, pool: CandidatePool, tol: float = 1e-9) -> SearchResult:
@@ -480,9 +481,9 @@ def find_inversion_nnls(J, pool: CandidatePool, tol: float = 1e-9) -> SearchResu
     scheme when the relative residual reaches tol.  Deterministic for a
     fixed pool order.
     """
-    coupling, _, norm, columns, target = _problem(J, pool.assemblies)
+    coupling, norm, _, picks, columns, target = _problem(J, pool.assemblies)
     x, rnorm, iterations, _ = _lawson_hanson(columns, target)
-    return _finalize(coupling, norm, pool.assemblies, x, rnorm, iterations, tol)
+    return _finalize(coupling, norm, picks, x, rnorm, iterations, tol)
 
 
 def greedy_pool_growth(
@@ -519,12 +520,11 @@ def greedy_pool_growth(
     is dropped and the search ends on the previous pool, solved cold,
     with `iterations` rounds and a pool below `max_pool`.
     """
-    coupling, scaled, norm, columns, target = _problem(J, base_pool.assemblies)
+    coupling, norm, table, base_picks, columns, target = _problem(J, base_pool.assemblies)
     max_pool = _pool_budget(base_pool.n) if max_pool is None else max_pool
     if max_pool < len(base_pool.assemblies):
         raise ValueError("max_pool is smaller than the base pool")
     rng = np.random.default_rng(base_pool.seed if seed is None else seed)
-    table = _image_table(scaled)
     base_size = len(base_pool.assemblies)
     picked = []  # each grown assembly as its row of indices into the group
     qr = _PassiveQR(len(target))
@@ -548,9 +548,8 @@ def greedy_pool_growth(
                 raise RuntimeError("NNLS objective increased while the pool grew; active-set defect")
         picked.append(picks[best].tolist())
         columns, x, rnorm = grown, x_new, new_rnorm
-    grown_assemblies = octahedral_group()[np.array(picked, dtype=np.intp).reshape(-1, base_pool.n)]
-    assemblies = np.concatenate([base_pool.assemblies, grown_assemblies])
-    return _finalize(coupling, norm, assemblies, x, rnorm, len(picked), target_tol)
+    picks = np.concatenate([base_picks, np.array(picked, dtype=np.intp).reshape(-1, base_pool.n)])
+    return _finalize(coupling, norm, picks, x, rnorm, len(picked), target_tol)
 
 
 def _pool_budget(n: int) -> int:
@@ -571,7 +570,8 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
 
     `start` is phase 1's result, whose residual and tau count as checked,
     or a bare scheme, verified and audited here once as `_finalize` does;
-    a start that does not invert J at `tol` is refused.  A revised
+    a start that does not invert J at `tol`, or is not octahedral, is
+    refused.  A revised
     simplex for min 1^T t subject to C t = -vec(J), t >= 0, over
     octahedral assemblies, starts from a basis of the start's steps,
     which must have linearly independent columns (NNLS leaves them so),
@@ -607,8 +607,7 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
     scheme = start.scheme if isinstance(start, SearchResult) else start
     if scheme is None or scheme.kind is not SchemeKind.INVERSION:
         raise ValueError("phase 2 needs an inversion scheme")
-    start_rots = scheme.rotations
-    coupling, scaled, norm, columns, target = _problem(J, start_rots)
+    coupling, norm, table, start_picks, columns, target = _problem(J, scheme.rotations)
     rows, size = columns.shape
     Q, R = np.linalg.qr(columns, mode="complete")
     diag = np.abs(np.diagonal(R))
@@ -619,18 +618,18 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
     if not start.residual <= tol:
         raise ValueError(f"the start scheme does not invert J (residual {start.residual:.3g} > tol {tol:g})")
     basis = np.column_stack([columns, Q[:, size:]])
-    del columns, Q, R  # freed, so that the image table below does not raise phase 2's peak
-    basis_rots = np.concatenate([start_rots, np.zeros((rows - size,) + start_rots.shape[1:])])
+    del columns, Q, R  # freed before the pivots allocate theirs
+    # the artificial columns' picks are never read: their times are zero
+    basis_picks = np.concatenate([start_picks, np.zeros((rows - size, coupling.n), dtype=start_picks.dtype)])
     artificial = np.arange(rows) >= size
     inverse = np.linalg.inv(basis)
     x = np.maximum(inverse @ target, 0.0)
     tau_low = _spectral_bound(coupling)[2]
     reached = tau_low + _PRICE_TOL * max(tau_low, 1.0)  # tau at or below this meets the bound
-    table = _image_table(scaled)
-    price, exact = _pricer(scaled, seed)
+    price, exact = _pricer(table, coupling.n, seed)
     budget = _PIVOTS_PER_ROW * rows
     pool = np.empty((rows, 0))
-    pool_rots = np.empty((0,) + start_rots.shape[1:])
+    pool_picks = np.empty((0, coupling.n), dtype=start_picks.dtype)
     weights = np.empty(0)
     pivots = 0
     best = None  # the lowest-tau checkpoint within tol, as `point` gives it
@@ -639,10 +638,10 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
     artificial_left = bool(artificial.any())
 
     def point(basic):
-        # (tau, times, rotations, rnorm) of the basis: artificial and pruned
-        # times dropped, and the stacked-block residual that `_finalize` reads
+        # (tau, times, picks, rnorm) of the basis: artificial and pruned times
+        # dropped, and the stacked-block residual that `_finalize` reads
         times = np.where(artificial | (basic <= _PRUNE_TOL), 0.0, basic)
-        return float(times.sum()), times, basis_rots.copy(), float(np.linalg.norm(basis @ times - target))
+        return float(times.sum()), times, basis_picks.copy(), float(np.linalg.norm(basis @ times - target))
 
     def fits(lp_point):
         return lp_point[3] * np.sqrt(2.0) / norm <= tol
@@ -658,8 +657,8 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
         if best is not None and (final is None or lower(best[0], final[0])):
             final, certified = best, best[0] <= reached
         if final is not None:
-            _, times, rots, rnorm = final
-            result = _finalize(coupling, norm, rots, times, rnorm, pivots, tol)
+            _, times, picks, rnorm = final
+            result = _finalize(coupling, norm, picks, times, rnorm, pivots, tol)
             if result.scheme is not None and lower(result.tau, start.tau):
                 return replace(result, certified=certified)
             certified = certified and result.scheme is not None
@@ -679,7 +678,7 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
                 break
             new = _table_columns(table, found)
             pool = np.column_stack([pool, new])
-            pool_rots = np.concatenate([pool_rots, octahedral_group()[found]])
+            pool_picks = np.concatenate([pool_picks, found])
             weights = np.concatenate([weights, 1.0 + np.sum((inverse @ new) ** 2, axis=0)])
             reduced = 1.0 - y @ pool
             before = pivots
@@ -721,17 +720,17 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
                 inverse[r] = lead[0]
                 alpha[r] = 0.0
                 inverse -= alpha[:, None] * lead[0]
-                entering, entering_rots = pool[:, q].copy(), pool_rots[q].copy()
+                entering, entering_picks = pool[:, q].copy(), pool_picks[q].copy()
                 if artificial[r]:
                     pool = np.delete(pool, q, axis=1)
-                    pool_rots = np.delete(pool_rots, q, axis=0)
+                    pool_picks = np.delete(pool_picks, q, axis=0)
                     weights = np.delete(weights, q)
                     reduced = np.delete(reduced, q)
                 else:
-                    pool[:, q], pool_rots[q] = basis[:, r], basis_rots[r]
+                    pool[:, q], pool_picks[q] = basis[:, r], basis_picks[r]
                     weights[q] = max(entering_weight / alpha_r**2, 1.0)
                     reduced[q] = leaving_cost
-                basis[:, r], basis_rots[r] = entering, entering_rots
+                basis[:, r], basis_picks[r] = entering, entering_picks
                 if artificial_left:
                     artificial[r] = False
                     artificial_left = bool(artificial.any())
@@ -774,25 +773,23 @@ def _search_job(coupling, tol: float, seed: int) -> tuple[SearchResult, str | No
     return result, f"{cause} (best residual {result.residual:.3g} > tol {tol:g})"
 
 
-def _pricer(J, seed: int):
-    """Pricing for `minimize_tau`: (price, exact).
+def _pricer(table, n: int, seed: int):
+    """Pricing for `minimize_tau` over the `_image_table` of an n-spin J:
+    (price, exact).
 
     price(y) returns the indices into `octahedral_group()`, shape (k, n),
     of at most `_PRICE_TOP` assemblies a with y^T a > 1 + 1e-9, best
     first.  y^T a is a sum over spin pairs k < l of the 24 x 24 tables
-    T_kl[r, s] = <Y_kl, O_r J_kl O_s^T>, Y_kl the pair's 3x3 slice of y.
-    `exact` says whether price enumerates every assembly (spin 0 held at
-    the identity, group[0], when every block is a multiple of I) or runs
-    the seeded coordinate ascent.
+    T_kl[r, s] = <Y_kl, O_r J_kl O_s^T>, Y_kl the pair's 3x3 slice of y,
+    which are the pair's table rows times Y_kl.  `exact` says whether
+    price enumerates every assembly (spin 0 held at the identity,
+    group[0], when every block is a multiple of I) or runs the seeded
+    coordinate ascent.
     """
-    group, order = octahedral_group(), _ORDER
-    n = J.shape[0] // 3
+    order = _ORDER
     first, second = _pairs(n)
-    blocks = _upper_blocks(J).reshape(-1, 3, 3)
-    # T_kl[r, s] = <O_r^T Y_kl, J_kl O_s^T>: the right factors depend on J only
-    right = np.matmul(blocks[:, None], np.swapaxes(group, 1, 2)[None]).reshape(-1, order, 9)
-    right = np.ascontiguousarray(np.swapaxes(right, 1, 2))
-    left = np.swapaxes(group, 1, 2)[None]
+    images = table.reshape(len(first), order * order, 9)
+    blocks = images[:, 0].reshape(-1, 3, 3)  # the identity's images, (r, s) = (0, 0)
     fixed = 1 if np.array_equal(blocks, blocks[:, :1, :1] * np.eye(3)) else 0
     sizes = [1] * fixed + [order] * (n - fixed)
     exact = int(np.prod(sizes)) <= _ENUMERATE_MAX
@@ -807,7 +804,7 @@ def _pricer(J, seed: int):
         return good[np.lexsort((good, -score[good]))]
 
     def price(y):
-        T = np.matmul(np.matmul(left, y.reshape(-1, 1, 3, 3)).reshape(-1, order, 9), right)
+        T = np.matmul(images, y.reshape(-1, 9, 1)).reshape(-1, order, order)
         if exact:
             score = np.zeros(sizes)
             for p in pairs:

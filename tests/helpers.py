@@ -11,7 +11,7 @@ from spinrev import (
     random_special_unitary,
     su2_to_so3,
 )
-from spinrev.schemes import Scheme, SchemeKind, Step
+from spinrev.schemes import Scheme, SchemeKind, Step, conjugate
 
 
 def random_rotation(rng):
@@ -57,6 +57,17 @@ def block_diag_rotations(rotations):
     for k in range(n):
         V[3 * k : 3 * k + 3, 3 * k : 3 * k + 3] = rotations[k]
     return V
+
+
+def upper_block_columns(J, assemblies):
+    """vec(V J V^T) over the k < l blocks, pairs in row-major order, one
+    column per assembly, through `conjugate` (dense reference for the
+    search's image-table columns; any rotations)."""
+    images = conjugate(assemblies, J)
+    n = images.shape[-1] // 3
+    k, l = np.triu_indices(n, 1)
+    blocks = np.swapaxes(images.reshape(-1, n, 3, n, 3), 2, 3)[:, k, l]
+    return np.ascontiguousarray(blocks.reshape(len(images), -1).T)
 
 
 def cycle(J, scheme, eps, lifts=None):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from helpers import random_coupling, random_weights
+from helpers import random_coupling, random_weights, upper_block_columns
 from spinrev import (
     cli,
     collective_cyclic_pool,
@@ -24,7 +24,7 @@ from spinrev import (
     verify,
 )
 from spinrev.schemes import Scheme, SchemeKind, Step
-from spinrev.search import _PRICE_TOP, _pricer, _upper_block_columns, _upper_blocks, minimize_tau
+from spinrev.search import _PRICE_TOP, _image_table, _pricer, _upper_blocks, minimize_tau
 
 
 def _auto_pool(n):
@@ -33,7 +33,7 @@ def _auto_pool(n):
 
 def _highs_tau(J, assemblies):
     """min 1^T t subject to C t = -vec(J), t >= 0 over the given assemblies, by HiGHS."""
-    columns = _upper_block_columns(J, assemblies)
+    columns = upper_block_columns(J, assemblies)
     lp = scipy.optimize.linprog(
         np.ones(columns.shape[1]), A_eq=columns, b_eq=-_upper_blocks(J), bounds=(0, None), method="highs"
     )
@@ -152,7 +152,7 @@ def test_a_pricing_round_that_no_pivot_follows_ends_the_run(monkeypatch):
     basic = [[int(np.flatnonzero((group == R).all(axis=(1, 2)))[0]) for R in start.scheme.steps[0].rotations]]
     calls = []
 
-    def stale_pricer(J, seed):
+    def stale_pricer(table, n, seed):
         def price(y):
             calls.append(y)
             return np.array(basic)  # a basic column: reduced cost 0
@@ -166,24 +166,28 @@ def test_a_pricing_round_that_no_pivot_follows_ends_the_run(monkeypatch):
     assert not result.certified
 
 
+def _pricer_of(J, seed=0):
+    return _pricer(_image_table(J), J.shape[0] // 3, seed)
+
+
 def test_pricing_enumerates_only_small_groups():
     rng = np.random.default_rng(0)
-    assert _pricer(tensor_coupling(complete_weights(4), scalar_type()), 0)[1]
-    assert not _pricer(tensor_coupling(complete_weights(5), scalar_type()), 0)[1]
-    assert _pricer(random_coupling(rng, 3), 0)[1]
-    assert not _pricer(random_coupling(rng, 4), 0)[1]
+    assert _pricer_of(tensor_coupling(complete_weights(4), scalar_type()))[1]
+    assert not _pricer_of(tensor_coupling(complete_weights(5), scalar_type()))[1]
+    assert _pricer_of(random_coupling(rng, 3))[1]
+    assert not _pricer_of(random_coupling(rng, 4))[1]
 
 
 def test_pricing_scores_are_the_column_products():
     # y^T a from the 24 x 24 pair tables equals y^T a from the built column
     rng = np.random.default_rng(3)
     J = random_coupling(rng, 3)
-    price, exact = _pricer(J, 0)
+    price, exact = _pricer_of(J)
     assert exact
     y = rng.normal(size=27)
     picks = price(y)
-    scores = _upper_block_columns(J, octahedral_group()[picks]).T @ y
-    every = _upper_block_columns(J, _every_assembly(3)).T @ y
+    scores = upper_block_columns(J, octahedral_group()[picks]).T @ y
+    every = upper_block_columns(J, _every_assembly(3)).T @ y
     assert len(picks) == _PRICE_TOP
     assert np.all(np.diff(scores) <= 1e-12)
     assert abs(scores[0] - every.max()) <= 1e-12

@@ -24,7 +24,7 @@ import scipy.optimize
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import hand_built_errors, random_coupling, random_rotation, random_weights
+from helpers import hand_built_errors, random_coupling, random_rotation, random_weights, upper_block_columns
 from spinrev import (
     CandidatePool,
     CouplingClass,
@@ -65,7 +65,6 @@ from spinrev.search import (
     _lawson_hanson,
     _PassiveQR,
     _table_columns,
-    _upper_block_columns,
     _upper_blocks,
     find_inversion_nnls,
     minimize_tau,
@@ -112,7 +111,7 @@ def search_problems(draw):
         J = random_coupling(rng, n)
     group = octahedral_group()
     assemblies = group[rng.integers(0, len(group), size=(draw(st.integers(1, 36)), n))]
-    A = _spread(rng, _upper_block_columns(J, assemblies), draw(st.integers(0, 4)), draw(st.integers(0, 4)))
+    A = _spread(rng, upper_block_columns(J, assemblies), draw(st.integers(0, 4)), draw(st.integers(0, 4)))
     return A, -_upper_blocks(J)
 
 
@@ -204,7 +203,7 @@ def test_image_table_columns_are_the_conjugated_columns(n, form, scale, seed):
     picks = rng.integers(0, 24, size=(int(rng.integers(1, 80)), n))
     columns = _table_columns(_image_table(J), picks)
     assert columns.flags.c_contiguous
-    assert np.array_equal(columns, _upper_block_columns(J, octahedral_group()[picks]))
+    assert np.array_equal(columns, upper_block_columns(J, octahedral_group()[picks]))
 
 
 @bounded
@@ -476,7 +475,7 @@ def test_collective_schemes_invert_only_traceless_types(problem):
     J = tensor_coupling(W, A)
     lp = scipy.optimize.linprog(
         np.ones(len(assemblies)),
-        A_eq=_upper_block_columns(J, assemblies),
+        A_eq=upper_block_columns(J, assemblies),
         b_eq=-_upper_blocks(J),
         bounds=(0, None),
         method="highs",
@@ -662,7 +661,7 @@ def _verified_schemes(W, A, J, tol, seed):
         found += [(start.scheme, tol), (tuned, tol)]
         assemblies = tuned.rotations[rng.permutation(len(tuned.rotations))[:3]]
     for k in range(1, len(assemblies) + 1):
-        x = _lawson_hanson(_upper_block_columns(J, assemblies[:k]), -_upper_blocks(J))[0]
+        x = _lawson_hanson(upper_block_columns(J, assemblies[:k]), -_upper_blocks(J))[0]
         if np.any(x > 0.0):
             planted = Scheme._from_arrays(SchemeKind.INVERSION, x[x > 0.0], assemblies[:k][x > 0.0])
             residual = verify(planted, J, 0.95).residual

@@ -18,12 +18,14 @@ from spinrev import (
     pair_pi_pool,
     pi_rotation,
     random_octahedral_pool,
+    rotation_about,
     scalar_type,
     search_result_to_dict,
     tau_lower_bound,
     tensor_coupling,
     verify,
 )
+from spinrev.schemes import Scheme, SchemeKind, Step
 from spinrev.search import (
     _BATCH,
     CandidatePool,
@@ -32,7 +34,8 @@ from spinrev.search import (
     _PassiveQR,
     _problem,
     _steepest,
-    _upper_block_columns,
+    _table_columns,
+    minimize_tau,
 )
 
 
@@ -161,21 +164,19 @@ def test_tied_candidates_keep_the_lowest_index_whatever_the_last_bits():
 def _cold_reference(J, base, target_tol=1e-9, max_pool=500):
     """`greedy_pool_growth` with every round solved cold by `_lawson_hanson`,
     and the same tie rule for the pick."""
-    coupling, scaled, norm, columns, target = _problem(J, base.assemblies)
+    coupling, norm, table, picks, columns, target = _problem(J, base.assemblies)
     rng = np.random.default_rng(base.seed)
-    group = octahedral_group()
-    assemblies = base.assemblies
     x, rnorm, _, _ = _lawson_hanson(columns, target)
     rounds = 0
-    while rnorm * np.sqrt(2.0) / norm > target_tol and len(assemblies) < max_pool:
-        candidates = group[rng.integers(0, len(group), size=(_BATCH, base.n))]
-        candidate_columns = _upper_block_columns(scaled, candidates)
+    while rnorm * np.sqrt(2.0) / norm > target_tol and len(picks) < max_pool:
+        candidates = rng.integers(0, len(octahedral_group()), size=(_BATCH, base.n))
+        candidate_columns = _table_columns(table, candidates)
         best = _steepest(candidate_columns.T @ (columns @ x - target))
-        assemblies = np.concatenate([assemblies, candidates[best : best + 1]])
+        picks = np.concatenate([picks, candidates[best : best + 1]])
         columns = np.column_stack([columns, candidate_columns[:, best]])
         x, rnorm, _, _ = _lawson_hanson(columns, target)
         rounds += 1
-    return _finalize(coupling, norm, assemblies, x, rnorm, rounds, target_tol)
+    return _finalize(coupling, norm, picks, x, rnorm, rounds, target_tol)
 
 
 def _positive_weights(n, seed):
@@ -316,6 +317,47 @@ class TestPools:
         pool = merge_pools(pair_pi_pool(2), collective_cyclic_pool(2))
         assert len(pool.assemblies) == 8
         assert CandidatePool([np.tile(np.eye(3), (2, 1, 1))]).n == 2
+
+
+class TestOctahedralRule:
+    # the search reads every column off the octahedral image table of J, so
+    # a rotation outside the group is refused by every entry point
+    RULE = "search rotations must be octahedral"
+
+    @staticmethod
+    def _base(n):
+        return merge_pools(pair_pi_pool(n), collective_cyclic_pool(n))
+
+    @staticmethod
+    def _turned(assemblies, step, spin):
+        turned = np.array(assemblies)
+        turned[step, spin] = rotation_about([1.0, 1.0, 1.0], 0.1) @ turned[step, spin]
+        return turned
+
+    @pytest.mark.parametrize("entry", [find_inversion_nnls, greedy_pool_growth])
+    def test_a_pool_with_one_spin_turned_off_the_group_is_refused(self, entry):
+        J = tensor_coupling(complete_weights(3), scalar_type())
+        pool = CandidatePool(self._turned(self._base(3).assemblies, 4, 1))
+        with pytest.raises(ValueError, match=self.RULE):
+            entry(J, pool)
+
+    def test_a_bare_start_with_one_step_turned_off_the_group_is_refused(self):
+        J = tensor_coupling(complete_weights(3), scalar_type())
+        start = greedy_pool_growth(J, self._base(3), seed=1).scheme
+        turned = self._turned(start.rotations, 0, 2)
+        bare = Scheme(SchemeKind.INVERSION, tuple(Step(t, R) for t, R in zip(start.times, turned)))
+        with pytest.raises(ValueError, match=self.RULE):
+            minimize_tau(J, bare)
+
+    def test_negative_zeros_match_the_group_and_come_back_positive(self):
+        # -0.0 == 0.0, so a pool written with negative zeros is octahedral;
+        # a found scheme's rotations are the group's own, with +0.0
+        J = tensor_coupling(complete_weights(2), scalar_type())
+        pool = np.array(pair_pi_pool(2).assemblies)
+        pool[pool == 0.0] = -0.0
+        assert np.signbit(pool[pool == 0.0]).all()
+        rotations = find_inversion_nnls(J, CandidatePool(pool)).scheme.rotations
+        assert not np.signbit(rotations[rotations == 0.0]).any()
 
 
 class TestFindInversion:

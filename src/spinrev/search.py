@@ -20,11 +20,12 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import _spectral_bound, audit_stats_against_bounds
-from .coupling import _checked
+from .coupling import CouplingInput, _checked
 from .rotations import AXES, axis_cycle, check_rotation
 from .schemes import Scheme, SchemeKind, pi_rotation, scheme_stats, scheme_to_dict, verify
 
@@ -45,6 +46,11 @@ _PIVOT_TOL = 1e-9  # smallest |B^-1 a| entry a pivot may divide by
 _REFACTOR = 50  # pivots between fresh inverses of the basis
 
 
+def _parity(perm):
+    """+1 for an even permutation of 0, ..., k - 1, -1 for an odd one."""
+    return (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+
+
 def _signed_permutations():
     """(group, perm, sign) of the 24 signed permutation matrices of
     determinant +1: row a of group[r] holds its one nonzero entry, sign[r, a],
@@ -52,7 +58,7 @@ def _signed_permutations():
     the product of the signs."""
     perms, signs = [], []
     for perm in itertools.permutations(range(3)):
-        parity = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        parity = _parity(perm)
         for sign in itertools.product((1.0, -1.0), repeat=3):
             if parity * sign[0] * sign[1] * sign[2] > 0.0:
                 perms.append(perm)
@@ -442,35 +448,48 @@ def _verdict(scheme, coupling, tol, iterations=0) -> SearchResult:
     return SearchResult(scheme if recheck.ok else None, recheck.residual, stats.tau, iterations)
 
 
-def _problem(J, assemblies):
-    """Resolve a nonzero coupling (checked once when raw) against octahedral
-    assemblies of its spin count, and return (coupling, norm, table, picks,
-    columns, target): picks (P, n) index each rotation into
-    `octahedral_group()`, and the search minimizes ||columns x - target||
-    over x >= 0, both read off the image table of `scaled`, J divided by
-    the largest power of two <= max|J|, with residuals relative to
-    norm = ||scaled||_F.  That scaling is exact and changes no step time,
-    and keeps the solves' squares and absolute floors where they are for
-    max|J| = 1 at every scale of J; found schemes are verified on
-    `coupling`, as given."""
+class _Problem(NamedTuple):
+    """A coupling resolved for the search (see `_problem`)."""
+
+    coupling: CouplingInput
+    norm: float
+    table: np.ndarray
+    target: np.ndarray
+
+
+def _problem(J) -> _Problem:
+    """Resolve a nonzero coupling (checked once when raw) for the search,
+    or return a `_Problem` as is, so that both phases of a job share one:
+    (coupling, norm, table, target).  The search minimizes
+    ||columns x - target|| over x >= 0, the columns read off `table`, the
+    image table of `scaled`, J divided by the largest power of two
+    <= max|J|, and target = -vec of its upper blocks, with residuals
+    relative to norm = ||scaled||_F.  That scaling is exact and changes no
+    step time, and keeps the solves' squares and absolute floors where
+    they are for max|J| = 1 at every scale of J; found schemes are
+    verified on `coupling`, as given."""
+    if isinstance(J, _Problem):
+        return J
     coupling = _checked(J)
     top = float(np.abs(coupling.J).max())
     if top == 0.0:
         raise ValueError("zero coupling: nothing to invert")
-    n = assemblies.shape[1]
-    if n != coupling.n:
-        raise ValueError(f"dimension mismatch: pool addresses {n} spins, coupling has {coupling.n}")
+    scaled = np.ldexp(coupling.J, 1 - int(np.frexp(top)[1]))
+    return _Problem(coupling, float(np.linalg.norm(scaled)), _image_table(scaled), -_upper_blocks(scaled))
+
+
+def _group_indices(assemblies, n):
+    """The index into `octahedral_group()` of each rotation of octahedral
+    assemblies of n spins, (P, n); other rotations are refused."""
+    if assemblies.shape[1] != n:
+        raise ValueError(f"dimension mismatch: pool addresses {assemblies.shape[1]} spins, coupling has {n}")
     matches = (assemblies[:, :, None] == _GROUP).all(axis=(3, 4))
     if not matches.any(axis=2).all():
         raise ValueError(
             "search rotations must be octahedral: signed permutation matrices "
             "of determinant +1, every entry exactly -1, 0 or 1"
         )
-    picks = matches.argmax(axis=2)
-    scaled = np.ldexp(coupling.J, 1 - int(np.frexp(top)[1]))
-    norm = float(np.linalg.norm(scaled))
-    table = _image_table(scaled)
-    return coupling, norm, table, picks, _table_columns(table, picks), -_upper_blocks(scaled)
+    return matches.argmax(axis=2)
 
 
 def find_inversion_nnls(J, pool: CandidatePool, tol: float = 1e-9) -> SearchResult:
@@ -481,8 +500,9 @@ def find_inversion_nnls(J, pool: CandidatePool, tol: float = 1e-9) -> SearchResu
     scheme when the relative residual reaches tol.  Deterministic for a
     fixed pool order.
     """
-    coupling, norm, _, picks, columns, target = _problem(J, pool.assemblies)
-    x, rnorm, iterations, _ = _lawson_hanson(columns, target)
+    coupling, norm, table, target = _problem(J)
+    picks = _group_indices(pool.assemblies, coupling.n)
+    x, rnorm, iterations, _ = _lawson_hanson(_table_columns(table, picks), target)
     return _finalize(coupling, norm, picks, x, rnorm, iterations, tol)
 
 
@@ -520,7 +540,9 @@ def greedy_pool_growth(
     is dropped and the search ends on the previous pool, solved cold,
     with `iterations` rounds and a pool below `max_pool`.
     """
-    coupling, norm, table, base_picks, columns, target = _problem(J, base_pool.assemblies)
+    coupling, norm, table, target = _problem(J)
+    base_picks = _group_indices(base_pool.assemblies, coupling.n)
+    columns = _table_columns(table, base_picks)
     max_pool = _pool_budget(base_pool.n) if max_pool is None else max_pool
     if max_pool < len(base_pool.assemblies):
         raise ValueError("max_pool is smaller than the base pool")
@@ -588,9 +610,16 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
     round that no pivot follows or at the pivot budget, `_PIVOTS_PER_ROW`
     per row of C for either pricer; runs end when pricing finds nothing
     (under enumeration at a certificate) well before it at n <= 5.
-    `certified` is true when enumeration finds no improving assembly,
-    which proves tau minimal over every octahedral scheme, or when tau
-    reached `tau_lower_bound`.
+
+    When every pair block is c_kl I with c_kl != 0 (a scalar type on a W
+    with full support), the LP is the complete scalar one with its rows
+    scaled, and its optimum over octahedral schemes has the closed form
+    `_octahedral_optimum`; tau is then tested against it after every
+    pivot, and for prime n and n = 4 the first round's columns are the
+    orbit of an optimal assembly (`_optimal_orbit`) instead of priced
+    ones.  `certified` is true when enumeration finds no improving
+    assembly, which proves tau minimal over every octahedral scheme, or
+    when tau reached that closed form, or else `tau_lower_bound`.
 
     At each refactor the basic times are a checkpoint: the lowest-tau one
     whose LP residual is within `tol` is kept.  The run ends on the final
@@ -607,7 +636,9 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
     scheme = start.scheme if isinstance(start, SearchResult) else start
     if scheme is None or scheme.kind is not SchemeKind.INVERSION:
         raise ValueError("phase 2 needs an inversion scheme")
-    coupling, norm, table, start_picks, columns, target = _problem(J, scheme.rotations)
+    coupling, norm, table, target = _problem(J)
+    start_picks = _group_indices(scheme.rotations, coupling.n)
+    columns = _table_columns(table, start_picks)
     rows, size = columns.shape
     Q, R = np.linalg.qr(columns, mode="complete")
     diag = np.abs(np.diagonal(R))
@@ -624,9 +655,12 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
     artificial = np.arange(rows) >= size
     inverse = np.linalg.inv(basis)
     x = np.maximum(inverse @ target, 0.0)
-    tau_low = _spectral_bound(coupling)[2]
+    scalar = _scalar_pairs(table)
+    closed = scalar is not None and bool(scalar.all())
+    tau_low = _octahedral_optimum(coupling.n) if closed else _spectral_bound(coupling)[2]
     reached = tau_low + _PRICE_TOL * max(tau_low, 1.0)  # tau at or below this meets the bound
     price, exact = _pricer(table, coupling.n, seed)
+    orbit = _optimal_orbit(coupling.n) if closed else None  # the first round's assemblies
     budget = _PIVOTS_PER_ROW * rows
     pool = np.empty((rows, 0))
     pool_picks = np.empty((0, coupling.n), dtype=start_picks.dtype)
@@ -672,7 +706,8 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
             certified = float(cost @ x) <= reached
             if certified or pivots >= budget:
                 break
-            found = price(y)
+            found = price(y) if orbit is None else orbit
+            orbit = None
             if not len(found):
                 certified = exact
                 break
@@ -742,6 +777,8 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
                     checkpoint = point(x)
                     if fits(checkpoint) and checkpoint[0] < (start.tau if best is None else best[0]):
                         best = checkpoint
+                if closed and float(np.where(artificial, 0.0, 1.0) @ x) <= reached:
+                    break
             # priced columns that did not enter sat within rounding of the
             # threshold, and pricing the same y again would find them again
             if pivots == before:
@@ -755,13 +792,15 @@ def minimize_tau(J, start: SearchResult | Scheme, tol: float = 1e-9, seed: int =
 def _search_job(coupling, tol: float, seed: int) -> tuple[SearchResult, str | None]:
     """The `search` job on a checked coupling: phase 1 from the base pool of
     3n single-spin half turns and two collective axis cycles, within
-    `_pool_budget`, then phase 2 on a found scheme, keeping phase 1's growth
-    rounds as `iterations`.  Returns (result, None), or (result, why not)."""
+    `_pool_budget`, then phase 2 on a found scheme, both on one
+    `_problem`, keeping phase 1's growth rounds as `iterations`.  Returns
+    (result, None), or (result, why not)."""
     pool = merge_pools(pair_pi_pool(coupling.n), collective_cyclic_pool(coupling.n), seed=seed)
     budget = _pool_budget(coupling.n)
-    result = greedy_pool_growth(coupling, pool, target_tol=tol, max_pool=budget, seed=seed)
+    problem = _problem(coupling)
+    result = greedy_pool_growth(problem, pool, target_tol=tol, max_pool=budget, seed=seed)
     if result.scheme is not None:
-        return replace(minimize_tau(coupling, result, tol, seed=seed), iterations=result.iterations), None
+        return replace(minimize_tau(problem, result, tol, seed=seed), iterations=result.iterations), None
     # one assembly joins per growth round, so this is phase 1's last pool
     size = len(pool.assemblies) + result.iterations
     cause = "search exhausted its pool budget"
@@ -789,8 +828,7 @@ def _pricer(table, n: int, seed: int):
     order = _ORDER
     first, second = _pairs(n)
     images = table.reshape(len(first), order * order, 9)
-    blocks = images[:, 0].reshape(-1, 3, 3)  # the identity's images, (r, s) = (0, 0)
-    fixed = 1 if np.array_equal(blocks, blocks[:, :1, :1] * np.eye(3)) else 0
+    fixed = 0 if _scalar_pairs(table) is None else 1
     sizes = [1] * fixed + [order] * (n - fixed)
     exact = int(np.prod(sizes)) <= _ENUMERATE_MAX
     rng = np.random.default_rng(seed)
@@ -829,8 +867,72 @@ def _pricer(table, n: int, seed: int):
                 picks[:, spin] = choice
             if not moved:
                 break
-        picks = picks[np.lexsort(picks.T)]
-        picks = picks[np.r_[True, np.any(picks[1:] != picks[:-1], axis=1)]]
+        picks = _distinct_rows(picks)
         return picks[best(T[np.arange(len(first)), picks[:, first], picks[:, second]].sum(axis=1))]
 
     return price, exact
+
+
+def _scalar_pairs(table):
+    """c_kl of every spin pair k < l when each pair block J_kl of the
+    `_image_table`'s J is exactly c_kl I, zeros included, else None; read
+    off the identity's images, (r, s) = (0, 0)."""
+    blocks = table[:: _ORDER * _ORDER].reshape(-1, 3, 3)
+    return blocks[:, 0, 0] if np.array_equal(blocks, blocks[:, :1, :1] * np.eye(3)) else None
+
+
+def _octahedral_optimum(n):
+    """The least tau of an octahedral inversion scheme of n >= 2 spins when
+    every pair block is a nonzero multiple of I: 3n(n-1) / (3n - m_n).
+
+    Averaging an LP solution over the spin permutations and over one
+    rotation applied to every spin leaves each pair block a multiple of I
+    (Schur's lemma), so the LP has one row, and its optimum is that
+    quotient with m_n = min ||sum_k R_k||_F^2 over octahedral assemblies.
+    Each row of an octahedral R has one entry +-1, so each row of
+    sum_k R_k has an odd entry sum at odd n: m_n >= 3 there, reached by
+    copies of I + X + Y + Z = 0 (X, Y, Z the axis half turns) followed by
+    I or by I + X + Y.  Even n >= 4 has zero sums (m_n = 0), and
+    m_2 = 4.  So tau* is 3 at n = 2, 3, n at odd n >= 5 and n - 1 at
+    even n >= 4."""
+    m = 4 if n == 2 else 3 if n % 2 else 0
+    return 3 * n * (n - 1) / (3 * n - m)
+
+
+@functools.cache
+def _optimal_orbit(n):
+    """The orbit of an octahedral assembly with the least ||sum_k R_k||_F,
+    one assembly per column of a scalar J, as distinct rows of indices into
+    `octahedral_group()`, or None unless n is prime or 4.
+
+    The assembly is copies of I and the three axis half turns X, Y, Z,
+    which sum to 0, then I, (I, X) or (I, X, Y) for n = 1, 2, 3 mod 4.  Its
+    orbit is taken under one rotation multiplying every R_k from the left
+    and under spin permutations transitive on ordered pairs: x -> ax + b
+    mod n for prime n, and A4 for n = 4.  Averaged over it each pair block
+    is a multiple of I, so the orbit's columns alone reach
+    `_octahedral_optimum`.  A scalar J's column reads only R_k R_l^T, so
+    each assembly is taken times R_0^T, spin 0 at the identity (group[0]),
+    and repeats are dropped: 60 assemblies of 480 at n = 5."""
+    if n == 4:
+        perms = [p for p in itertools.permutations(range(4)) if _parity(p) > 0]
+    elif n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1)):
+        perms = [[(a * k + b) % n for k in range(n)] for a in range(1, n) for b in range(n)]
+    else:
+        return None
+    product = _group_indices(np.matmul(_GROUP[:, None], _GROUP), _ORDER)  # O_g O_h = O_product[g, h]
+    transpose = (product == 0).argmax(axis=1)  # O_h^T = O_transpose[h]
+    index = _group_indices(np.array([[np.eye(3), *map(pi_rotation, AXES)]]), 4)[0].tolist()  # I, X, Y, Z
+    base = np.array(index * (n // 4) + index[: n % 4])
+    orbit = product[:, base[np.array(perms)]].reshape(-1, n)
+    orbit = _distinct_rows(product[orbit, transpose[orbit[:, :1]]])
+    orbit.flags.writeable = False
+    return orbit
+
+
+def _distinct_rows(rows):
+    """Each distinct row once, sorted by `np.lexsort` (last column first);
+    `np.unique(axis=0)` does the same but its first call in a process
+    costs about 30 ms."""
+    rows = rows[np.lexsort(rows.T)]
+    return rows[np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)]]

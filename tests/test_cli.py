@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import random_weights
 from spinrev import (
     axis_cycle,
     complete_weights,
@@ -315,7 +316,7 @@ class TestSearch:
         assert json.loads(capsys.readouterr().out)["found"] is True
         phase_one, phase_two_peak, _ = peaks
         assert phase_one <= 1.1e6  # 0.99 MB on numpy 2.4
-        assert phase_two_peak <= 1.4e6  # 1.25 MB
+        assert phase_two_peak <= 1.4e6  # 0.89 MB, phase 1's image table included
         assert max(peaks) <= 1.5e6
 
     def test_budget_exhaustion_exits_one(self, files, capsys, monkeypatch):
@@ -789,7 +790,8 @@ class TestSearchPhaseTwo:
 
     def test_phase_two_is_not_cut_short_by_the_pool_budget(self, files, capsys):
         # a 4-spin positive-weight input on which phase 2, given only the
-        # pool room phase 1 left, stopped at tau 3 uncertified
+        # pool room phase 1 left, stopped at tau 3 uncertified; the orbit
+        # start now reaches the closed form 3 in 3 steps
         _, write = files
         W = [
             [0.0, 0.7641380279894014, 0.388960711372778, 0.27984720805855345],
@@ -803,7 +805,7 @@ class TestSearchPhaseTwo:
         assert code == 0
         assert payload["certified"] is True
         assert abs(payload["meta"]["tau"] - 3.0) <= 1e-9
-        assert len(payload["steps"]) == 7
+        assert len(payload["steps"]) == 3
 
     def test_tied_phase_one_candidates_keep_the_three_step_scheme(self, files, capsys):
         # the benchmark's search-oracle seed 902, round 2, first job: phase 1's
@@ -820,20 +822,73 @@ class TestSearchPhaseTwo:
         assert abs(payload["meta"]["tau"] - 3.0) <= 1e-9
 
     def test_five_spin_complete_scalar_reaches_the_octahedral_optimum(self, files, capsys):
-        # ascent pricing runs until it finds nothing, at tau 5, and cannot prove it
+        # tau* = 5 over octahedral schemes, above the spectral bound 4: the
+        # closed form certifies what ascent pricing could not
         _, write = files
         path = write("c.json", coupling_doc(5, scalar_type()))
         code, out = run(capsys, ["search", "--coupling", path])
         payload = json.loads(out)
         assert code == 0
         assert abs(payload["meta"]["tau"] - 5.0) <= 1e-9
-        assert payload["certified"] is False
+        assert payload["certified"] is True
+
+    @pytest.mark.parametrize("weights", ["complete", "signed"])
+    @pytest.mark.parametrize("n, tau", [(3, 3.0), (4, 3.0), (5, 5.0), (7, 7.0)])
+    def test_scalar_full_support_is_certified_at_the_closed_form(self, files, capsys, n, tau, weights):
+        # tau*_oct = 3n(n-1) / (3n - m_n) for a scalar type on any W with
+        # full support; at n = 5 and 7 it is one above the spectral bound
+        tmp, write = files
+        W = random_weights(np.random.default_rng(n), n) if weights == "signed" else complete_weights(n)
+        path = write("c.json", {"n": n, "W": W.tolist(), "A": scalar_type().tolist()})
+        out_path = str(tmp / "found.json")
+        code, out = run(capsys, ["search", "--coupling", path, "--seed", "1", "--out", out_path])
+        payload = json.loads(out)
+        assert code == 0
+        assert abs(payload["meta"]["tau"] - tau) <= 1e-9
+        assert payload["certified"] is True
+        code, out = run(capsys, ["verify", "--coupling", path, "--scheme", out_path])
+        assert code == 0
+        assert json.loads(out)["ok"] is True
+
+    @pytest.mark.parametrize(
+        "n, form, expected",
+        [
+            (4, "zero-pair", (34, True, 6)),
+            (5, "zero-pair", (68, False, 6)),
+            (4, "anisotropic", (43, True, 3)),
+            (5, "anisotropic", (77, False, 85)),
+        ],
+    )
+    def test_other_couplings_take_neither_the_closed_form_nor_the_orbit(
+        self, files, capsys, monkeypatch, n, form, expected
+    ):
+        # a W with one zero pair, or a type that is not a multiple of I: phase
+        # 2 certifies against the spectral bound and prices its first round,
+        # and prints what it printed before the closed form (phase-1 rounds,
+        # certified, steps)
+        def refuse(n):
+            raise AssertionError("the scalar full-support path was taken")
+
+        monkeypatch.setattr("spinrev.search._octahedral_optimum", refuse)
+        monkeypatch.setattr("spinrev.search._optimal_orbit", refuse)
+        _, write = files
+        W, A = complete_weights(n), np.diag([1.0, 1.0, 0.5])
+        if form == "zero-pair":
+            W[0, n - 1] = W[n - 1, 0] = 0.0
+            A = scalar_type()
+        path = write("c.json", {"n": n, "W": W.tolist(), "A": A.tolist()})
+        code, out = run(capsys, ["search", "--coupling", path, "--seed", "0"])
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["meta"]["iterations"], payload["certified"], len(payload["steps"])) == expected
 
     @pytest.mark.parametrize("seed", ["0", "1"])
     @pytest.mark.parametrize("alpha", [-0.1, 0.0, 0.5])
     def test_four_spin_anisotropic_types_are_certified_at_three(self, files, capsys, alpha, seed):
-        # enumeration runs to its certificate, n-1 = 3, on types that are not
-        # multiples of I
+        # on types that are not multiples of I, ascent pricing (24^4
+        # assemblies, no spin held) reaches the spectral bound n-1 = 3,
+        # which certifies it; at alpha = -0.1, seed 1, only within the last
+        # 54 of its 1,080 pivots
         _, write = files
         path = write("c.json", coupling_doc(4, np.diag([1.0, 1.0, alpha])))
         code, out = run(capsys, ["search", "--coupling", path, "--seed", seed])
@@ -1121,24 +1176,30 @@ class TestOneCheckPerJob:
         assert len(norms) == (0 if command in ("classify", "synthesize") else 1)
 
     @pytest.mark.parametrize("form", ["factored", "raw", "scalar"])
-    def test_each_search_phase_takes_the_scaled_norm_once(self, mixed, files, capsys, monkeypatch, form):
-        # `_problem` takes ||scaled J||_F once per phase and hands it to the
-        # residual tests and `_finalize`; the other norms search takes are
-        # of residual vectors
+    def test_a_search_job_resolves_its_coupling_once(self, mixed, files, capsys, monkeypatch, form):
+        # one `_problem` serves both phases: ||scaled J||_F, which the
+        # residual tests and `_finalize` read, and the image table, which
+        # every column and price of both phases reads, are taken once; the
+        # other norms search takes are of residual vectors
         import spinrev.search
 
-        real = np.linalg.norm
-        matrices = []
+        real, real_table = np.linalg.norm, spinrev.search._image_table
+        matrices, tables = [], []
 
         def counting(x, *args, **kwargs):
             if np.ndim(x) == 2 and sys._getframe(1).f_code.co_filename == spinrev.search.__file__:
                 matrices.append(np.shape(x))
             return real(x, *args, **kwargs)
 
+        def counting_table(J):
+            tables.append(np.shape(J))
+            return real_table(J)
+
         monkeypatch.setattr(np.linalg, "norm", counting)
+        monkeypatch.setattr(spinrev.search, "_image_table", counting_table)
         self.run_job(mixed, files, capsys, "search", form)
         n = 4 if form == "scalar" else 3
-        assert matrices == [(3 * n, 3 * n)] * 2
+        assert matrices == tables == [(3 * n, 3 * n)]
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_edge_document_is_rejected_by_every_subcommand(self, files, capsys, command):

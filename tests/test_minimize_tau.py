@@ -24,7 +24,15 @@ from spinrev import (
     verify,
 )
 from spinrev.schemes import Scheme, SchemeKind, Step
-from spinrev.search import _PRICE_TOP, _image_table, _pricer, _upper_blocks, minimize_tau
+from spinrev.search import (
+    _PRICE_TOP,
+    _image_table,
+    _octahedral_optimum,
+    _optimal_orbit,
+    _pricer,
+    _upper_blocks,
+    minimize_tau,
+)
 
 
 def _auto_pool(n):
@@ -62,6 +70,40 @@ def test_matches_highs_over_the_full_four_spin_pool():
     assert abs(result.tau - reference) <= 1e-9
     assert result.certified
     assert verify(result.scheme, J, 1e-9).ok
+
+
+def _full_support(n, weights):
+    """Complete, positive or signed weights on every pair."""
+    W = random_weights(np.random.default_rng(n), n)
+    return {"complete": complete_weights(n), "positive": np.abs(W), "signed": W}[weights]
+
+
+@pytest.mark.parametrize("weights", ["complete", "positive", "signed"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_closed_form_is_the_octahedral_optimum(n, weights):
+    # a scalar J's columns read only R_k R_l^T, so spin 0 at the identity
+    # gives every octahedral column: 24^(n-1) of them
+    J = tensor_coupling(_full_support(n, weights), scalar_type())
+    assert abs(_highs_tau(J, _every_assembly(n, fix_first=True)) - _octahedral_optimum(n)) <= 1e-9
+
+
+@pytest.mark.parametrize("weights", ["complete", "signed"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
+def test_the_orbit_alone_reaches_the_closed_form(n, weights):
+    J = tensor_coupling(_full_support(n, weights), scalar_type())
+    orbit = _optimal_orbit(n)
+    # spin 0 at the identity, and one assembly per distinct column
+    assert np.all(orbit[:, 0] == 0)
+    assert np.unique(upper_block_columns(J, octahedral_group()[orbit]), axis=1).shape[1] == len(orbit)
+    assert abs(_highs_tau(J, octahedral_group()[orbit]) - _octahedral_optimum(n)) <= 1e-9
+
+
+def test_the_closed_form_and_the_orbit_by_spin_count():
+    assert [_octahedral_optimum(n) for n in range(2, 10)] == [3, 3, 3, 5, 5, 7, 7, 9]
+    # an orbit for prime n and n = 4 only, and its sizes
+    assert [None if _optimal_orbit(n) is None else len(_optimal_orbit(n)) for n in range(2, 10)] == [
+        3, 6, 6, 60, None, 126, None, None
+    ]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -104,20 +146,26 @@ def test_a_start_within_rounding_of_the_optimum_comes_back():
 
 
 def test_five_spins_reach_the_octahedral_optimum():
-    # tau* = 5 at n=5 is certified by an exact LP over the whole group; the
-    # ascent pricing reaches it but cannot prove it
+    # tau* = 5 at n=5, above the spectral bound 4: the closed form
+    # certifies it, which the ascent pricing alone cannot
     J = tensor_coupling(complete_weights(5), scalar_type())
     start = greedy_pool_growth(J, _auto_pool(5), seed=42)
     result = minimize_tau(J, start.scheme, seed=42)
     assert abs(result.tau - 5.0) <= 1e-9
-    assert not result.certified
+    assert result.certified
     assert verify(result.scheme, J, 1e-9).ok
 
 
+# a 4-spin coupling whose blocks are not multiples of I, so phase 2 runs
+# without the closed form and its orbit: pricing by ascent, from its own
+# start, to the spectral bound 3
+ANISOTROPIC4 = tensor_coupling(complete_weights(4), np.diag([1.0, 1.0, 0.5]))
+
+
 def test_budgets_hold(monkeypatch):
-    J = tensor_coupling(complete_weights(4), scalar_type())
+    J = ANISOTROPIC4
     start = greedy_pool_growth(J, _auto_pool(4), seed=7)
-    # exact pricing runs to its certificate, well inside 20 pivots a row
+    # the run reaches its certificate, well inside 20 pivots a row
     full = minimize_tau(J, start.scheme, seed=7)
     assert full.certified
     assert abs(full.tau - 3.0) <= 1e-9
@@ -145,8 +193,9 @@ def test_ascent_pricing_stops_at_its_own_budget():
 def test_a_pricing_round_that_no_pivot_follows_ends_the_run(monkeypatch):
     # pricing and the pool's reduced costs are computed in different
     # arithmetic; a column that passes one and not the other would be priced
-    # again and again, so a round with no pivot after it ends the run
-    J = tensor_coupling(complete_weights(3), scalar_type())
+    # again and again, so a round with no pivot after it ends the run (a
+    # type that is not scalar, whose first round is priced)
+    J = tensor_coupling(complete_weights(3), np.diag([1.0, 1.0, 0.5]))
     start = greedy_pool_growth(J, _auto_pool(3), seed=1)
     group = octahedral_group()
     basic = [[int(np.flatnonzero((group == R).all(axis=(1, 2)))[0]) for R in start.scheme.steps[0].rotations]]
@@ -230,7 +279,7 @@ def test_a_singular_basis_ends_phase_two_at_its_start(monkeypatch, call):
     # invalid input: the refactor's inverse or the final solve failing
     # hands back the best checkpoint, the lowest-tau refactor point within
     # tol, or the verified start when there is none
-    J = tensor_coupling(complete_weights(4), scalar_type())
+    J = ANISOTROPIC4
     start = greedy_pool_growth(J, _auto_pool(4), seed=7)
     monkeypatch.setattr("spinrev.search._REFACTOR", 54)
     monkeypatch.setattr("spinrev.search._PIVOTS_PER_ROW", 3)

@@ -30,6 +30,7 @@ from spinrev.search import (
     _BATCH,
     CandidatePool,
     _finalize,
+    _group_indices,
     _lawson_hanson,
     _PassiveQR,
     _problem,
@@ -164,7 +165,9 @@ def test_tied_candidates_keep_the_lowest_index_whatever_the_last_bits():
 def _cold_reference(J, base, target_tol=1e-9, max_pool=500):
     """`greedy_pool_growth` with every round solved cold by `_lawson_hanson`,
     and the same tie rule for the pick."""
-    coupling, norm, table, picks, columns, target = _problem(J, base.assemblies)
+    coupling, norm, table, target = _problem(J)
+    picks = _group_indices(base.assemblies, coupling.n)
+    columns = _table_columns(table, picks)
     rng = np.random.default_rng(base.seed)
     x, rnorm, _, _ = _lawson_hanson(columns, target)
     rounds = 0
